@@ -20,8 +20,8 @@ K = clo(H.lattice)
 
 # same elements, new order: u below v when the label set of u's core sits
 # inside that of v.  Unlike the lattice itself this poset is graded.
-print(f"core label order on the {K.poset.n} elements of Hoch({n}):")
-print(f"  rank profile {K.poset.rank_profile()}")
+print(f"core label order on the {K.n} elements of Hoch({n}):")
+print(f"  rank profile {K.rank_profile()}")
 print(f"  closed form  {clo_rank_counts(n)}")
 
 # the map sigma sends each triword to a shuffle of 2..n with one extra

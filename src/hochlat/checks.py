@@ -11,6 +11,7 @@ from __future__ import annotations
 from math import comb
 
 from .complexes import cjc, is_vertex_decomposable
+from .errors import SizeBound
 from .galois import galois_graph, hoch_galois_characterization, max_ortho_pairs_lattice
 from .hochschild import (
     build_hoch,
@@ -29,6 +30,7 @@ from .lattice import (
     is_semidistributive,
     is_spherical,
 )
+from .limits import MAX_CONJECTURE_N, check_n
 from .polynomials import BiPoly
 from .poset import are_isomorphic
 from .shuffles import clo, clo_rank_counts, shuffle_lattice, shuffle_stats, shuffle_stats_closed, sigma
@@ -99,7 +101,7 @@ def check_structure(n):
 def check_doubling(n):
     direct = build_hoch(n)
     doubled = build_hoch_by_doubling(n)
-    return bool(are_isomorphic(doubled.poset, direct.poset))
+    return bool(are_isomorphic(doubled.lattice.poset, direct.lattice.poset))
 
 
 def check_galois(n):
@@ -130,13 +132,13 @@ def check_sigma(n):
     h = build_hoch(n)
     c = clo(h.lattice)
     sl = shuffle_lattice(n - 1, 1)
-    images = [sigma(h.triword(e)) for e in range(c.poset.n)]
+    images = [sigma(h.triword(e)) for e in range(c.n)]
     if sorted(images) != sorted(sl.words):
         return False
-    mapped = {(sl.id_of(images[a]), sl.id_of(images[b])) for a, b in c.poset.covers}
-    if mapped != set(sl.poset.covers):
+    mapped = {(sl.id_of(images[a]), sl.id_of(images[b])) for a, b in c.covers}
+    if mapped != set(sl.lattice.covers):
         return False
-    return c.poset.rank_profile() == clo_rank_counts(n)
+    return c.rank_profile() == clo_rank_counts(n)
 
 
 def check_shuffle_stats(n):
@@ -180,13 +182,20 @@ def check_baselines(n):
     if not (bb["m"] == bb["m_closed"] and bb["f"] == bb["f_closed"] and bb["h"] == bb["h_closed"]):
         return False
     lat = build_bool(n)
-    return bool(are_isomorphic(clo(lat).poset, lat.poset))
+    return bool(are_isomorphic(clo(lat), lat.poset))
 
 
 def conjecture_report(n):
     """Verdict of the closed-form guess for the (n-1, 1) G-triangle: news, not a test."""
     return g_conjecture_check(n)
 
+
+# The bundles `triangles --check` runs; `check all` runs them among the rest.
+TRIANGLE_CHECKS = [
+    ("m-triangle", 6, check_m_triangle),
+    ("f-triangle", 10, check_f_triangle),
+    ("h-triangle", 10, check_h_triangle),
+]
 
 CHECKS = [
     ("triword count", 10, check_cardinality),
@@ -198,25 +207,36 @@ CHECKS = [
     ("canonical join complex", 6, check_cjc),
     ("sigma order isomorphism", 6, check_sigma),
     ("shuffle statistics", 6, check_shuffle_stats),
-    ("m-triangle", 5, check_m_triangle),
-    ("f-triangle", 5, check_f_triangle),
-    ("h-triangle", 5, check_h_triangle),
+    *TRIANGLE_CHECKS,
     ("face vector", 8, check_faces),
     ("boolean baselines", 5, check_baselines),
 ]
 
 
-def run_all(n, write=print):
-    """Run every bundle at size n; True iff nothing in range failed."""
-    ok = True
-    for name, bound, fn in CHECKS:
+def run_checks(n, bundles, write=print):
+    """Run the (name, bound, fn) bundles at size n; True iff none in range failed.
+
+    Writes one ok/FAIL/skip line per bundle.  Raises SizeBound when n is out
+    of range or when every bundle skips, so verifying nothing never passes.
+    """
+    check_n(n)
+    ok, ran = True, False
+    for name, bound, fn in bundles:
         if n > bound:
             write(f"skip {name} (checked up to n={bound})")
             continue
         good = fn(n)
-        ok = ok and good
+        ok, ran = ok and good, True
         write(("ok   " if good else "FAIL ") + name)
-    if n <= 6:
+    if not ran:
+        raise SizeBound(f"no check runs at n={n}")
+    return ok
+
+
+def run_all(n, write=print):
+    """Run every bundle at size n, then report the G-triangle conjecture."""
+    ok = run_checks(n, CHECKS, write)
+    if n <= MAX_CONJECTURE_N:
         report = conjecture_report(n)
         verdict = "matches" if report["match"] else "MISMATCH"
         write(f"note g-triangle conjecture at n={n}: {verdict}")

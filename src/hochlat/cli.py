@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .checks import run_all
+from .checks import TRIANGLE_CHECKS, run_all, run_checks
 from .complexes import SimplicialComplex, cjc, shedding_witness
 from .errors import HochlatError, SizeBound
 from .galois import galois_graph, max_ortho_pairs_lattice
@@ -23,29 +23,21 @@ from .hochschild import (
     l1,
 )
 from .lattice import build_bool, jsd_labeling
-from .polynomials import BiPoly
+from .limits import check_range
 from .poset import are_isomorphic
 from .shuffles import clo, render_word, shuffle_lattice, sigma
 from .triangles import (
     char_poly_closed,
     f_closed,
-    f_from_cores,
-    f_from_m,
-    f_tilde,
     face_count_closed,
     face_vector,
     g_conjecture_check,
     h_closed,
-    h_from_antichains,
-    h_from_m,
-    h_tilde,
     m_closed,
-    m_triangle,
     rank_poly_closed,
 )
 
 SCHEMA = "hochlat/1"
-MAX_ELEMENTS = 5000
 
 
 class UsageError(Exception):
@@ -80,38 +72,36 @@ def _add_selector(sub, families, default=None):
 
 
 def _base_structure(family, args):
+    """Resolve a base family to (structure as built, its Lattice, slug)."""
     if family == "hoch":
         if args.n is None:
             raise UsageError("family hoch needs --n")
-        return build_hoch(args.n), f"hoch_{args.n}"
+        h = build_hoch(args.n)
+        return h, h.lattice, f"hoch_{args.n}"
     if family == "bool":
         if args.n is None:
             raise UsageError("family bool needs --n")
-        if 2**args.n > MAX_ELEMENTS:
-            raise SizeBound(f"bool({args.n}) exceeds the {MAX_ELEMENTS}-element bound")
-        return build_bool(args.n), f"bool_{args.n}"
+        lat = build_bool(args.n)
+        return lat, lat, f"bool_{args.n}"
     if family == "shuffle":
         if args.a is None or args.b is None:
             raise UsageError("family shuffle needs --a and --b")
-        return shuffle_lattice(args.a, args.b), f"shuffle_{args.a}_{args.b}"
+        sl = shuffle_lattice(args.a, args.b)
+        return sl, sl.lattice, f"shuffle_{args.a}_{args.b}"
     raise UsageError(f"not a base family: {family}")
-
-
-def _lattice_of(structure):
-    return getattr(structure, "lattice", structure)
 
 
 def _select(args):
     """Resolve the selector flags to ("poset"|"digraph", object, slug)."""
     family = args.family
     if family in ("hoch", "bool", "shuffle"):
-        structure, slug = _base_structure(family, args)
-        return "poset", _lattice_of(structure).poset, slug
-    inner, slug = _base_structure(args.of, args)
+        _, lat, slug = _base_structure(family, args)
+        return "poset", lat.poset, slug
+    _, lat, slug = _base_structure(args.of, args)
     if family == "clo-of":
-        return "poset", clo(_lattice_of(inner)).poset, f"clo_of_{slug}"
+        return "poset", clo(lat), f"clo_of_{slug}"
     if family == "galois-of":
-        return "digraph", galois_graph(_lattice_of(inner)).graph, f"galois_of_{slug}"
+        return "digraph", galois_graph(lat).graph, f"galois_of_{slug}"
     raise UsageError(f"unknown family: {family}")
 
 
@@ -198,8 +188,7 @@ def _irr_namer(args, structure, lat):
 
 
 def _cmd_irr(args):
-    structure, _ = _base_structure(args.family, args)
-    lat = _lattice_of(structure)
+    structure, lat, _ = _base_structure(args.family, args)
     name = _irr_namer(args, structure, lat)
     lab = jsd_labeling(lat)
     atomset = set(lat.atoms())
@@ -236,8 +225,7 @@ def _cmd_irr(args):
 
 
 def _cmd_cjc(args):
-    structure, _ = _base_structure(args.family, args)
-    lat = _lattice_of(structure)
+    structure, lat, _ = _base_structure(args.family, args)
     cx = cjc(lat)
     name = _irr_namer(args, structure, lat)
     cx = SimplicialComplex(cx.facets, labels={v: name(v) for v in cx.vertices})
@@ -274,8 +262,8 @@ def _cmd_clo(args):
             raise UsageError("family hoch needs --n")
         _emit("\n".join(_sigma_table_lines(args.n, args.ascii)))
         return 0
-    structure, slug = _base_structure(args.family, args)
-    p = clo(_lattice_of(structure)).poset
+    _, lat, slug = _base_structure(args.family, args)
+    p = clo(lat)
     if args.format == "dot":
         _emit(p.to_dot(name=f"clo_of_{slug}"))
     elif args.format == "json":
@@ -286,8 +274,7 @@ def _cmd_clo(args):
 
 
 def _cmd_galois(args):
-    structure, slug = _base_structure(args.family, args)
-    lat = _lattice_of(structure)
+    _, lat, slug = _base_structure(args.family, args)
     geo = galois_graph(lat)
     g = geo.graph
     code = 0
@@ -327,38 +314,9 @@ def _cmd_triangles(args):
     if args.n is None:
         raise UsageError("triangles needs --n")
     n = args.n
+    check_range("n", n, 1)
     if args.check:
-        checks = [
-            ("f paths agree", lambda: f_from_m(n) == f_closed(n) == f_tilde(n) == f_from_cores(n)),
-            (
-                "h paths agree",
-                lambda: h_from_m(n) == h_closed(n) == h_tilde(n) == h_from_antichains(n),
-            ),
-            (
-                "m x-section is the characteristic polynomial",
-                lambda: BiPoly(
-                    {(j, 0): c for (i, j), c in m_closed(n).terms.items() if i == 0}
-                )
-                == char_poly_closed(n),
-            ),
-            ("m at (1,1) is 1", lambda: m_closed(n).eval_at(1, 1) == 1),
-        ]
-        if n <= 6:
-            checks.insert(
-                0,
-                (
-                    "definitional m equals closed m",
-                    lambda: m_triangle(clo(build_hoch(n).lattice)) == m_closed(n),
-                ),
-            )
-        else:
-            print("skip definitional m (bounded at n=6)", file=sys.stderr)
-        ok = True
-        for label, fn in checks:
-            good = fn()
-            ok = ok and good
-            _emit(("ok   " if good else "FAIL ") + label)
-        return 0 if ok else 1
+        return 0 if run_checks(n, TRIANGLE_CHECKS, write=_emit) else 1
     polys = _triangle_polys(n, args.which)
     if args.format == "json":
         _emit_json({"n": n, **{w: p.to_json() for w, p in polys.items()}})
@@ -414,7 +372,7 @@ def _cmd_conjecture(args):
 def _cmd_check(args):
     if args.n is None:
         raise UsageError("check needs --n")
-    return 0 if run_all(args.n, write=lambda line: _emit(line)) else 1
+    return 0 if run_all(args.n, write=_emit) else 1
 
 
 # -- parser ------------------------------------------------------------------------

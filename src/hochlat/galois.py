@@ -15,9 +15,8 @@ import numpy as np
 
 from .errors import ChainOrderingFailed, NotALattice, NotExtremal, SizeBound
 from .lattice import Lattice, as_lattice, is_extremal
+from .limits import MAX_GRAPH
 from .poset import FinitePoset
-
-MAX_GRAPH = 22
 
 
 class DiGraph:
@@ -30,12 +29,6 @@ class DiGraph:
             assert 0 <= s < self.k and 0 <= t < self.k and s != t
         self.labels = list(labels) if labels is not None else [str(i) for i in range(self.k)]
         assert len(self.labels) == self.k
-
-    def out_neighbors(self, s):
-        return sorted(t for a, t in self.edges if a == s)
-
-    def in_neighbors(self, t):
-        return sorted(s for s, b in self.edges if b == t)
 
     def edge_labels(self):
         return {(self.labels[s], self.labels[t]) for s, t in self.edges}
@@ -165,9 +158,6 @@ class OrthoPairLattice:
     lattice: Lattice
     pairs: tuple
     graph: DiGraph
-
-    def __getattr__(self, name):
-        return getattr(self.lattice, name)
 
     def pair_sets(self, a):
         mask_a, mask_b = self.pairs[a]

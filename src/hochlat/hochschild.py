@@ -19,16 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 
-from .errors import MalformedLabelSet, SizeBound
+from .errors import MalformedLabelSet
 from .lattice import as_lattice
+from .limits import check_n
 from .poset import FinitePoset, IntervalRef, doubling
-
-MAX_N = 10
-
-
-def _check_n(n, lo=1):
-    if not lo <= n <= MAX_N:
-        raise SizeBound(f"length n must satisfy {lo} <= n <= {MAX_N}, got {n}")
 
 
 def is_triword(u):
@@ -48,7 +42,7 @@ def is_triword(u):
 @lru_cache(maxsize=None)
 def enumerate_triwords(n):
     """All triwords of length n in lexicographic order."""
-    _check_n(n)
+    check_n(n)
     words = []
 
     def grow(prefix, seen_zero):
@@ -68,7 +62,7 @@ def enumerate_triwords(n):
 
 def triword_count(n):
     """Closed count 2^(n-2) (n+3); exact for n = 1 as well."""
-    _check_n(n)
+    check_n(n)
     value = Fraction(2) ** (n - 2) * (n + 3)
     assert value.denominator == 1
     return int(value)
@@ -143,9 +137,6 @@ class HochIrreducible:
             return (1,) * self.index + (0,) * (n - self.index)
         return tuple(2 if i == self.index else 0 for i in range(1, n + 1))
 
-    def is_atom(self):
-        return self.kind == "b" or self.index == 1
-
     def __lt__(self, other):
         return (self.kind, self.index) < (other.kind, other.index)
 
@@ -194,9 +185,6 @@ class HochLattice:
         self.triwords = tuple(triwords)
         self.index = {u: i for i, u in enumerate(self.triwords)}
 
-    def __getattr__(self, name):
-        return getattr(self.lattice, name)
-
     def triword(self, a):
         return self.triwords[a]
 
@@ -210,7 +198,7 @@ class HochLattice:
 @lru_cache(maxsize=None)
 def build_hoch(n):
     """The triword lattice of length n on lexicographic ids."""
-    _check_n(n)
+    check_n(n)
     words = enumerate_triwords(n)
     index = {u: i for i, u in enumerate(words)}
     covers = []
@@ -231,7 +219,7 @@ def build_hoch_by_doubling(n):
     (flip 0 to 1).  Reaching the lattice this way is a congruence-uniformity
     certificate.
     """
-    _check_n(n)
+    check_n(n)
     words = [()]
     poset = FinitePoset.closure([], 1)
 
@@ -327,7 +315,7 @@ def psi_inverse(n, labels):
 
     Raises MalformedLabelSet when no triword has that label set.
     """
-    _check_n(n)
+    check_n(n)
     labels = frozenset(labels)
     a_idx = sorted(j.index for j in labels if j.kind == "a")
     b_idx = sorted(j.index for j in labels if j.kind == "b")

@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NoUniqueMin, NotALattice, NotSemidistributive
+from .limits import check_elements, check_range
 from .poset import FinitePoset
 
 
@@ -340,6 +341,8 @@ def has_intersection_property(lat):
 
 def build_bool(n):
     """The subset lattice of {1..n} on bitmask ids."""
+    check_range("n", n, 0)
+    check_elements(f"bool({n})", 2**n)
     covers = []
     for s in range(1 << n):
         for i in range(n):

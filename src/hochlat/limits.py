@@ -1,0 +1,34 @@
+"""The size policy: every cap the library and the command line enforce.
+
+The caps keep each construction and each command interactive.  Going past
+one raises SizeBound (TooLarge for the isomorphism search) instead of
+running for minutes or exhausting memory.
+"""
+
+from __future__ import annotations
+
+from .errors import SizeBound
+
+MAX_N = 10  # word length n of Hoch(n) and of every per-n check
+MAX_ELEMENTS = 5000  # elements of a built shuffle or Boolean lattice
+MAX_GRAPH = 22  # vertices of a graph whose orthogonal pairs are enumerated
+MAX_ISO = 500  # elements of either poset in an isomorphism search
+MAX_CONJECTURE_N = 6  # largest n at which `check all` reports the G-triangle conjecture
+
+
+def check_range(name, value, lo, hi=None):
+    """Raise SizeBound unless lo <= value, and value <= hi when hi is given."""
+    if value < lo or (hi is not None and value > hi):
+        bound = f"{name} >= {lo}" if hi is None else f"{lo} <= {name} <= {hi}"
+        raise SizeBound(f"{name} must satisfy {bound}, got {value}")
+
+
+def check_n(n):
+    """Raise SizeBound unless 1 <= n <= MAX_N."""
+    check_range("n", n, 1, MAX_N)
+
+
+def check_elements(what, count):
+    """Raise SizeBound when a structure would have more than MAX_ELEMENTS elements."""
+    if count > MAX_ELEMENTS:
+        raise SizeBound(f"{what} would have {count} elements (cap {MAX_ELEMENTS})")

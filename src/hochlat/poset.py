@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -29,6 +28,8 @@ from .errors import (
     NotInterval,
     TooLarge,
 )
+from .limits import MAX_ISO
+from .polynomials import interpolate_univariate
 
 
 @dataclass(frozen=True)
@@ -75,23 +76,6 @@ def _transitive_reduction(leq):
     lt = leq & ~np.eye(len(leq), dtype=bool)
     two_step = (lt.astype(np.float32) @ lt.astype(np.float32)) > 0.5
     return lt & ~two_step
-
-
-def lagrange_eval(points, at):
-    """Evaluate the interpolating polynomial through exact ``points`` at ``at``.
-
-    points: list of (x, y) pairs with distinct x; all arithmetic in Fraction.
-    """
-    at = Fraction(at)
-    total = Fraction(0)
-    for i, (xi, yi) in enumerate(points):
-        xi = Fraction(xi)
-        term = Fraction(yi)
-        for j, (xj, _) in enumerate(points):
-            if i != j:
-                term *= (at - Fraction(xj)) / (xi - Fraction(xj))
-        total += term
-    return total
 
 
 class FinitePoset:
@@ -199,9 +183,6 @@ class FinitePoset:
     def maximal_elements(self):
         return [a for a in range(self.n) if not self._up_adj[a]]
 
-    def is_bounded(self):
-        return len(self.minimal_elements()) == 1 and len(self.maximal_elements()) == 1
-
     def bottom(self):
         mins = self.minimal_elements()
         if len(mins) != 1:
@@ -297,7 +278,8 @@ class FinitePoset:
     def mobius_invariant_via_zeta(self):
         """Extrapolate the zeta polynomial to -1 (equals mu(bottom, top))."""
         self.bottom(), self.top()
-        value = lagrange_eval(self.zeta_points(), -1)
+        coeffs = interpolate_univariate(self.zeta_points())
+        value = sum(c * (-1) ** k for k, c in enumerate(coeffs))
         assert value.denominator == 1
         return int(value)
 
@@ -417,15 +399,15 @@ def _color_refine(p):
         colors = refined
 
 
-def are_isomorphic(p1, p2, max_elements=500):
+def are_isomorphic(p1, p2):
     """Search for a poset isomorphism; returns an IsoCertificate.
 
     Cover-preserving-and-reflecting bijections are exactly the order
     isomorphisms, so matching is done on the cover digraph after a color
-    refinement pass. Raises TooLarge beyond ``max_elements``.
+    refinement pass. Raises TooLarge beyond ``MAX_ISO`` elements.
     """
-    if max(p1.n, p2.n) > max_elements:
-        raise TooLarge(f"isomorphism search capped at {max_elements} elements")
+    if max(p1.n, p2.n) > MAX_ISO:
+        raise TooLarge(f"isomorphism search capped at {MAX_ISO} elements")
     fail = IsoCertificate(None, False)
     if p1.n != p2.n or len(p1.covers) != len(p2.covers):
         return fail

@@ -17,13 +17,12 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
-from .errors import MalformedWord, NotSemidistributive, SizeBound
+from .errors import MalformedWord, NotSemidistributive
 from .hochschild import l1
 from .lattice import as_lattice, is_semidistributive, psi_map
+from .limits import check_elements, check_n, check_range
 from .polynomials import interpolate_univariate
 from .poset import FinitePoset
-
-MAX_ELEMENTS = 5000
 
 
 def shuffle_count(a, b):
@@ -93,9 +92,6 @@ class ShuffleLattice:
         self.index = {w: i for i, w in enumerate(self.words)}
         self.a, self.b = a, b
 
-    def __getattr__(self, name):
-        return getattr(self.lattice, name)
-
     def word(self, i):
         return self.words[i]
 
@@ -123,11 +119,10 @@ def _up_steps(w, a, b):
     return out
 
 
-def shuffle_lattice(a, b, max_elements=MAX_ELEMENTS):
-    assert a >= 0 and b >= 0
-    total = shuffle_count(a, b)
-    if total > max_elements:
-        raise SizeBound(f"shuffle lattice would have {total} elements (cap {max_elements})")
+def shuffle_lattice(a, b):
+    check_range("a", a, 0)
+    check_range("b", b, 0)
+    check_elements("shuffle lattice", shuffle_count(a, b))
     words = shuffle_words(a, b)
     index = {w: i for i, w in enumerate(words)}
     covers = set()
@@ -140,22 +135,21 @@ def shuffle_lattice(a, b, max_elements=MAX_ELEMENTS):
 
 def shuffle_stats(n):
     """Brute-force chain count, zeta coefficients, and Mobius value."""
-    assert n >= 1
+    check_n(n)
     lat = shuffle_lattice(n - 1, 1)
     poset = lat.lattice.poset
     zeta_pts = [(q, poset.zeta(q)) for q in range(1, poset.length() + 3)]
-    mobius = poset.mobius(poset.bottom(), poset.top())
-    assert mobius == poset.mobius_invariant_via_zeta()
     return {
         "elements": poset.n,
         "maximal_chains": poset.count_maximal_chains(),
         "zeta_coefficients": interpolate_univariate(zeta_pts),
-        "mobius": mobius,
+        "mobius": poset.mobius(poset.bottom(), poset.top()),
+        "mobius_via_zeta": poset.mobius_invariant_via_zeta(),
     }
 
 
 def shuffle_stats_closed(n):
-    """The same three quantities from the closed formulas."""
+    """The same quantities from the closed formulas."""
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(n + 1, 2)
     coeffs[n - 1] += Fraction(-(n - 1), 2)
@@ -164,6 +158,7 @@ def shuffle_stats_closed(n):
         "maximal_chains": factorial(n + 1) // 2,
         "zeta_coefficients": [int(c) if c.denominator == 1 else c for c in coeffs],
         "mobius": (-1) ** n * n,
+        "mobius_via_zeta": (-1) ** n * n,
     }
 
 
@@ -216,27 +211,15 @@ def sigma_inverse(n, w):
 # -- core label order --------------------------------------------------------
 
 
-class CloPoset:
-    """Core label order of a lattice, with the original element ids."""
-
-    def __init__(self, poset, source):
-        self.poset = poset
-        self.source = source
-
-    def __getattr__(self, name):
-        return getattr(self.poset, name)
-
-
 def clo(lat):
-    """Order the elements by inclusion of their core label sets."""
+    """Order the elements by inclusion of their core label sets, on the same ids."""
     if not is_semidistributive(lat):
         raise NotSemidistributive("core label order needs a semidistributive lattice")
     psi = psi_map(lat)
     assert len(set(psi)) == lat.n
     m = lat.n
     leq = [[psi[a] <= psi[b] for b in range(m)] for a in range(m)]
-    poset = FinitePoset.from_leq(leq, labels=list(lat.poset.labels))
-    return CloPoset(poset, lat)
+    return FinitePoset.from_leq(leq, labels=list(lat.poset.labels))
 
 
 def clo_rank_counts(n):

@@ -18,6 +18,7 @@ from math import comb
 
 from .hochschild import build_hoch, canrep_formula, enumerate_triwords, l1
 from .lattice import build_bool, canonical_joinrep, jsd_labeling
+from .limits import check_n
 from .polynomials import BiPoly, interpolate_from_grid
 from .poset import FinitePoset
 from .shuffles import shuffle_lattice, word_rank
@@ -27,24 +28,19 @@ Y = BiPoly.y()
 ONE = BiPoly.const(1)
 
 
-def _poset_of(p):
-    return getattr(p, "poset", p)
-
-
 # -- rank and characteristic polynomials ------------------------------------
 
 
 def rank_poly(p):
     """Sum of x^rank over a graded poset."""
     terms = {}
-    for r in _poset_of(p).rank_vector():
+    for r in p.rank_vector():
         terms[(r, 0)] = terms.get((r, 0), 0) + 1
     return BiPoly(terms)
 
 
 def char_poly(p):
     """Sum of mu(bottom, v) x^rank(v) over a graded bounded poset."""
-    p = _poset_of(p)
     ranks = p.rank_vector()
     bot = p.bottom()
     terms = {}
@@ -82,7 +78,6 @@ def m_triangle(p):
 
     The intended input is a core label order; any graded poset works.
     """
-    p = _poset_of(p)
     ranks = p.rank_vector()
     terms = {}
     for b in range(p.n):
@@ -308,10 +303,10 @@ def g_triangle(a, b):
     """Comparable pairs of a shuffle lattice, graded by rank and corank."""
     sl = shuffle_lattice(a, b)
     ranks = [word_rank(w, a) for w in sl.words]
-    leq = sl.poset.leq
+    leq = sl.lattice.poset.leq
     terms = {}
-    for j in range(sl.n):
-        for i in range(sl.n):
+    for j in range(len(ranks)):
+        for i in range(len(ranks)):
             if leq[i, j]:
                 key = (ranks[i], a + b - ranks[j])
                 terms[key] = terms.get(key, 0) + 1
@@ -331,6 +326,7 @@ def g_conjecture_check(n):
 
     Returns a report; callers must treat a mismatch as news, not as an error.
     """
+    check_n(n)
     computed = g_triangle(n - 1, 1)
     conjectured = g_conjecture_closed(n)
     return {

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from hochlat.cli import main
 
 DOT_HOCH_1 = """digraph hoch_1 {
@@ -42,6 +44,11 @@ M3_TEXT = (
     " - 3*y^3 + 5*x*y + 7*y^2 - 5*y + 1\n"
 )
 
+TRIANGLES_CHECK_3 = """ok   m-triangle
+ok   f-triangle
+ok   h-triangle
+"""
+
 OFF_CJC_3 = """OFF
 5 3 0
 # 0 b3
@@ -79,6 +86,30 @@ def test_triangles_m3_golden(capsys):
     code, out, _ = run(capsys, "triangles", "--family", "hoch", "--n", "3", "--which", "m")
     assert code == 0
     assert out == M3_TEXT
+
+
+def test_triangles_check_golden(capsys):
+    code, out, err = run(capsys, "triangles", "--n", "3", "--check")
+    assert code == 0
+    assert out == TRIANGLES_CHECK_3
+    assert err == ""
+
+
+def test_triangles_check_skips_past_bundle_bound(capsys):
+    code, out, _ = run(capsys, "triangles", "--n", "7", "--check")
+    assert code == 0
+    assert out.splitlines() == [
+        "skip m-triangle (checked up to n=6)",
+        "ok   f-triangle",
+        "ok   h-triangle",
+    ]
+
+
+def test_triangles_closed_form_past_max_n(capsys):
+    code, out, err = run(capsys, "triangles", "--n", "11", "--which", "m")
+    assert code == 0
+    assert out.startswith("x^11*y^11 ")
+    assert err == ""
 
 
 def test_sigma_table_goldens(capsys):
@@ -171,6 +202,24 @@ def test_size_guard_reports_bound(capsys):
     assert "5000" in err
     code, _, err = run(capsys, "build", "--family", "hoch", "--n", "11")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "all", "--n", "11"],
+        ["build", "--family", "shuffle", "--a", "-1", "--b", "1"],
+        ["build", "--family", "bool", "--n", "-1"],
+        ["conjecture", "g", "--n", "0"],
+        ["triangles", "--n", "0"],
+    ],
+)
+def test_bad_sizes_exit_2_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("size bound exceeded: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_table_rejects_non_hoch(capsys):

@@ -48,8 +48,8 @@ def named_facets(cx, lat=None):
 
 
 def test_facets_n3():
-    lat = build_hoch(3)
-    cx = cjc(lat.lattice)
+    lat = build_hoch(3).lattice
+    cx = cjc(lat)
     assert named_facets(cx, lat) == {
         frozenset({"a1", "b2", "b3"}),
         frozenset({"a2", "b3"}),
@@ -58,8 +58,8 @@ def test_facets_n3():
 
 
 def test_facets_n4():
-    lat = build_hoch(4)
-    cx = cjc(lat.lattice)
+    lat = build_hoch(4).lattice
+    cx = cjc(lat)
     assert len(cx.vertices) == 7
     assert sorted(len(f) for f in cx.facets) == [3, 3, 3, 4]
     assert named_facets(cx, lat) == {
@@ -72,8 +72,8 @@ def test_facets_n4():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_face_count_equals_lattice_size(n):
-    lat = build_hoch(n)
-    assert cjc(lat.lattice).face_count() == lat.n
+    lat = build_hoch(n).lattice
+    assert cjc(lat).face_count() == lat.n
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -87,8 +87,8 @@ def test_boolean_complex_is_simplex(n):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_faces_are_antichains_with_one_a_vertex(n):
-    lat = build_hoch(n)
-    cx = cjc(lat.lattice)
+    lat = build_hoch(n).lattice
+    cx = cjc(lat)
     leq = lat.poset.leq
     for face in cx.faces():
         members = sorted(face)
@@ -107,8 +107,8 @@ def test_not_join_semidistributive_rejected():
 
 
 def test_link_and_deletion():
-    lat = build_hoch(4)
-    cx = cjc(lat.lattice)
+    lat = build_hoch(4).lattice
+    cx = cjc(lat)
     assert cx.link([]) == cx
     by_name = {irr_name(lat, v): v for v in cx.vertices}
     for i in (2, 3, 4):
@@ -137,8 +137,8 @@ def test_hoch_complex_is_vertex_decomposable(n):
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_canonical_shedding_sequence(n):
-    lat = build_hoch(n)
-    cx = cjc(lat.lattice)
+    lat = build_hoch(n).lattice
+    cx = cjc(lat)
     by_name = {irr_name(lat, v): v for v in cx.vertices}
     assert not is_shedding_vertex(cx, by_name["a1"])
     for j in range(2, n + 1):

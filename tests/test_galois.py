@@ -48,8 +48,8 @@ def test_pinned_edges_small_n():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_characterization_matches_chain_construction(n):
-    lat = build_hoch(n)
-    chain_graph = galois_graph(lat.lattice).graph
+    lat = build_hoch(n).lattice
+    chain_graph = galois_graph(lat).graph
     direct = hoch_galois_characterization(n)
     assert chain_graph.k == direct.k == max(2 * n - 1, 1)
     assert named_edges(chain_graph) == direct.edge_labels()
@@ -58,22 +58,20 @@ def test_characterization_matches_chain_construction(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_chain_free_form_agrees(n):
-    lat = build_hoch(n)
-    assert galois_graph(lat.lattice).graph.edge_labels() == galois_graph_by_joins(
-        lat.lattice
-    ).edge_labels()
+    lat = build_hoch(n).lattice
+    assert galois_graph(lat).graph.edge_labels() == galois_graph_by_joins(lat).edge_labels()
 
 
 def test_graph_does_not_depend_on_element_order():
-    lat = build_hoch(3)
-    base = galois_graph(lat.lattice).graph.edge_labels()
+    lat = build_hoch(3).lattice
+    base = galois_graph(lat).graph.edge_labels()
     shuffled = as_lattice(lat.poset.induced(list(reversed(range(lat.n)))))
     assert galois_graph(shuffled).graph.edge_labels() == base
 
 
 def test_pinned_ortho_pairs_n3():
-    lat = build_hoch(3)
-    gg = galois_graph(lat.lattice)
+    lat = build_hoch(3).lattice
+    gg = galois_graph(lat)
     name = [
         str(irreducible_of_triword(parse_triword(lbl))) for lbl in gg.graph.labels
     ]
@@ -88,8 +86,8 @@ def test_pinned_ortho_pairs_n3():
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_reconstruction_recovers_lattice(n):
-    lat = build_hoch(n)
-    mo = max_ortho_pairs_lattice(galois_graph(lat.lattice).graph)
+    lat = build_hoch(n).lattice
+    mo = max_ortho_pairs_lattice(galois_graph(lat).graph)
     assert mo.lattice.n == lat.n
     assert are_isomorphic(mo.lattice.poset, lat.poset)
 

@@ -106,13 +106,14 @@ def test_parse_format_roundtrip():
 
 
 def test_hasse_diagram_n3():
-    lat = build_hoch(3)
+    h = build_hoch(3)
+    lat = h.lattice
     assert lat.n == 12
-    lab = jsd_labeling(lat.lattice)
+    lab = jsd_labeling(lat)
     seen = {}
     for a, b in lat.covers:
-        j = irreducible_of_triword(lat.triword(lab.label(a, b)))
-        seen[(lat.triword(a), lat.triword(b))] = str(j)
+        j = irreducible_of_triword(h.triword(lab.label(a, b)))
+        seen[(h.triword(a), h.triword(b))] = str(j)
     assert seen == HASSE_3
     for (u, v), name in HASSE_3.items():
         assert str(cover_label_formula(u, v)) == name
@@ -120,19 +121,21 @@ def test_hasse_diagram_n3():
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_order_is_componentwise(n):
-    lat = build_hoch(n)
+    h = build_hoch(n)
+    lat = h.lattice
     for a in range(lat.n):
         for b in range(lat.n):
-            expected = all(x <= y for x, y in zip(lat.triword(a), lat.triword(b)))
+            expected = all(x <= y for x, y in zip(h.triword(a), h.triword(b)))
             assert lat.poset.leq[a, b] == expected
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_covers_match_brute_force(n):
-    lat = build_hoch(n)
-    words = lat.triwords
+    h = build_hoch(n)
+    lat = h.lattice
+    words = h.triwords
     for b in range(lat.n):
-        mine = sorted(lat.triword(a) for a in lat.poset.lower_covers(b))
+        mine = sorted(h.triword(a) for a in lat.poset.lower_covers(b))
         assert mine == brute_lower_covers(words, words[b])
         assert mine == sorted(lower_cover_triwords(words[b]))
     for a, b in lat.covers:
@@ -142,12 +145,13 @@ def test_covers_match_brute_force(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_join_meet_formulas_match_tables(n):
-    lat = build_hoch(n)
+    h = build_hoch(n)
+    lat = h.lattice
     for a in range(lat.n):
         for b in range(a, lat.n):
-            u, v = lat.triword(a), lat.triword(b)
-            assert lat.triword(lat.join[a, b]) == hoch_join(u, v)
-            assert lat.triword(lat.meet[a, b]) == hoch_meet(u, v)
+            u, v = h.triword(a), h.triword(b)
+            assert h.triword(lat.join[a, b]) == hoch_join(u, v)
+            assert h.triword(lat.meet[a, b]) == hoch_meet(u, v)
 
 
 def test_meet_repairs_one_after_zero():
@@ -159,10 +163,11 @@ def test_meet_repairs_one_after_zero():
 
 def test_not_graded_but_bounded_length():
     for n in range(1, 7):
-        lat = build_hoch(n)
+        h = build_hoch(n)
+        lat = h.lattice
         assert lat.poset.length() == 2 * n - 1 if n > 1 else 1
     with pytest.raises(NotGraded):
-        build_hoch(3).poset.rank_profile()
+        build_hoch(3).lattice.poset.rank_profile()
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -171,28 +176,29 @@ def test_doubling_construction_matches_direct(n):
     doubled = build_hoch_by_doubling(n)
     assert sorted(doubled.triwords) == list(direct.triwords)
     perm = [doubled.id_of(u) for u in direct.triwords]
-    for a in range(direct.n):
-        for b in range(direct.n):
-            assert direct.poset.leq[a, b] == doubled.poset.leq[perm[a], perm[b]]
+    for a in range(direct.lattice.n):
+        for b in range(direct.lattice.n):
+            assert direct.lattice.poset.leq[a, b] == doubled.lattice.poset.leq[perm[a], perm[b]]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_irreducibles(n):
-    lat = build_hoch(n)
+    h = build_hoch(n)
+    lat = h.lattice
     opts = irreducibles(n)
     assert len(opts) == max(2 * n - 1, 1)
     join_irr = {
-        lat.triword(a): lat.lattice.j_star(a) for a in lat.lattice.join_irreducibles()
+        h.triword(a): lat.j_star(a) for a in lat.join_irreducibles()
     }
     assert set(join_irr) == {j.triword(n) for j in opts}
     for j in opts:
         star = join_irr[j.triword(n)]
         if j.kind == "a" and j.index > 1:
-            assert lat.triword(star) == a_irr(j.index - 1).triword(n)
+            assert h.triword(star) == a_irr(j.index - 1).triword(n)
         else:
-            assert lat.triword(star) == (0,) * n
-    assert is_extremal(lat.lattice)
-    atom_words = {lat.triword(a) for a in lat.lattice.atoms()}
+            assert h.triword(star) == (0,) * n
+    assert is_extremal(lat)
+    atom_words = {h.triword(a) for a in lat.atoms()}
     assert atom_words == {j.triword(n) for j in atom_irreducibles(n)}
     assert {str(irreducible_of_triword(w)) for w in atom_words} == {"a1"} | {
         f"b{i}" for i in range(2, n + 1)
@@ -201,10 +207,11 @@ def test_irreducibles(n):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_canonical_joinreps(n):
-    lat = build_hoch(n)
+    h = build_hoch(n)
+    lat = h.lattice
     for a in range(lat.n):
-        u = lat.triword(a)
-        rep = {irreducible_of_triword(lat.triword(c)) for c in canonical_joinrep(lat.lattice, a)}
+        u = h.triword(a)
+        rep = {irreducible_of_triword(h.triword(c)) for c in canonical_joinrep(lat, a)}
         assert rep == set(canrep_formula(u))
         parts = [j.triword(n) for j in rep]
         joined = (0,) * n
@@ -216,12 +223,13 @@ def test_canonical_joinreps(n):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_nucleus_and_core_labels(n):
-    lat = build_hoch(n)
+    h = build_hoch(n)
+    lat = h.lattice
     for a in range(lat.n):
-        u = lat.triword(a)
-        core = core_label_set(lat.lattice, a)
-        assert lat.triword(core.nucleus) == nucleus_formula(u)
-        labels = {irreducible_of_triword(lat.triword(c)) for c in core.labels}
+        u = h.triword(a)
+        core = core_label_set(lat, a)
+        assert h.triword(core.nucleus) == nucleus_formula(u)
+        labels = {irreducible_of_triword(h.triword(c)) for c in core.labels}
         assert labels == set(core_labels_formula(u))
 
 
@@ -263,14 +271,15 @@ def test_small_cases():
     one = build_hoch(1)
     assert one.triwords == ((0,), (1,))
     two = build_hoch(2)
-    assert two.n == 5
+    assert two.lattice.n == 5
     assert set(two.triwords) == {(0, 0), (1, 0), (1, 1), (0, 2), (1, 2)}
 
 
 def test_cover_count_equals_canrep_size():
     for n in range(1, 7):
-        lat = build_hoch(n)
+        h = build_hoch(n)
+        lat = h.lattice
         for a in range(lat.n):
-            assert len(lower_cover_triwords(lat.triword(a))) == len(
-                canrep_formula(lat.triword(a))
+            assert len(lower_cover_triwords(h.triword(a))) == len(
+                canrep_formula(h.triword(a))
             )

@@ -1,0 +1,70 @@
+"""The size policy: one module owns every cap, and skipping everything never passes."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import hochlat
+from hochlat import limits
+from hochlat.checks import run_checks
+from hochlat.errors import SizeBound
+from hochlat.lattice import build_bool
+from hochlat.shuffles import shuffle_lattice
+
+PACKAGE = Path(hochlat.__file__).parent
+
+
+def _bound_max_names(path):
+    """MAX_* names the module assigns itself (imported names are not counted)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id.startswith("MAX_")
+    }
+
+
+def test_only_limits_binds_caps():
+    assert _bound_max_names(PACKAGE / "limits.py") == {
+        "MAX_N",
+        "MAX_ELEMENTS",
+        "MAX_GRAPH",
+        "MAX_ISO",
+        "MAX_CONJECTURE_N",
+    }
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "limits.py":
+            assert _bound_max_names(path) == set(), path.name
+
+
+def test_validators():
+    limits.check_n(limits.MAX_N)
+    limits.check_range("a", 0, 0)
+    limits.check_elements("x", limits.MAX_ELEMENTS)
+    with pytest.raises(SizeBound):
+        limits.check_n(limits.MAX_N + 1)
+    with pytest.raises(SizeBound):
+        limits.check_n(0)
+    with pytest.raises(SizeBound):
+        limits.check_range("a", -1, 0)
+    with pytest.raises(SizeBound):
+        limits.check_elements("x", limits.MAX_ELEMENTS + 1)
+
+
+def test_constructions_reject_negative_sizes():
+    with pytest.raises(SizeBound):
+        shuffle_lattice(-1, 1)
+    with pytest.raises(SizeBound):
+        shuffle_lattice(1, -1)
+    with pytest.raises(SizeBound):
+        build_bool(-1)
+    with pytest.raises(SizeBound):
+        build_bool(13)
+
+
+def test_run_checks_refuses_when_every_bundle_skips():
+    lines = []
+    with pytest.raises(SizeBound):
+        run_checks(3, [("never", 2, lambda n: True)], write=lines.append)
+    assert lines == ["skip never (checked up to n=2)"]
