@@ -192,7 +192,7 @@ def conjecture_report(n):
 
 # The bundles `triangles --check` runs; `check all` runs them among the rest.
 TRIANGLE_CHECKS = [
-    ("m-triangle", 6, check_m_triangle),
+    ("m-triangle", 8, check_m_triangle),
     ("f-triangle", 10, check_f_triangle),
     ("h-triangle", 10, check_h_triangle),
 ]
@@ -200,12 +200,12 @@ TRIANGLE_CHECKS = [
 CHECKS = [
     ("triword count", 10, check_cardinality),
     ("componentwise join/meet", 6, check_lattice_law),
-    ("extremal/semidistributive/spherical/intersection", 6, check_structure),
+    ("extremal/semidistributive/spherical/intersection", 8, check_structure),
     ("doubling reconstruction", 4, check_doubling),
     ("galois characterization", 8, check_galois),
     ("orthogonal-pair reconstruction", 5, check_mo_reconstruction),
-    ("canonical join complex", 6, check_cjc),
-    ("sigma order isomorphism", 6, check_sigma),
+    ("canonical join complex", 8, check_cjc),
+    ("sigma order isomorphism", 8, check_sigma),
     ("shuffle statistics", 6, check_shuffle_stats),
     *TRIANGLE_CHECKS,
     ("face vector", 8, check_faces),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import NotAFace, NotJoinSemidistributive
+from .errors import InvariantViolated, NotAFace, NotJoinSemidistributive
 from .lattice import canonical_joinrep, is_join_semidistributive
 
 
@@ -122,7 +122,8 @@ def cjc(lat):
     reps = [canonical_joinrep(lat, a) for a in range(lat.n)]
     labels = {a: str(lat.poset.labels[a]) for a in lat.join_irreducibles()}
     out = SimplicialComplex(reps, labels)
-    assert out.face_count() == lat.n
+    if out.face_count() != lat.n:
+        raise InvariantViolated(f"{out.face_count()} faces for {lat.n} elements")
     return out
 
 

@@ -78,3 +78,7 @@ class MalformedWord(HochlatError):
 
 class InterpolationDegeneracy(HochlatError):
     """The evaluation grid cannot determine the polynomial; re-pick points."""
+
+
+class InvariantViolated(HochlatError):
+    """A result contradicts a theorem the computation relies on: a bug, not bad input."""

@@ -3,9 +3,9 @@
 A :class:`Lattice` wraps a bounded :class:`~hochlat.poset.FinitePoset` and
 materializes both m x m bound tables up front (``as_lattice`` fails with a
 witness pair when a least upper bound or greatest lower bound is missing).
-On top of that live the irreducible elements, semidistributivity checks, the
-join-semidistributive cover labeling, canonical join representations, and
-core label sets.
+On top of that live the irreducible elements, semidistributivity by the
+cover-label criterion, the join-semidistributive cover labeling, canonical
+join representations, and core label sets.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NoUniqueMin, NotALattice, NotSemidistributive
+from .errors import InvariantViolated, NoUniqueMin, NotALattice, NotSemidistributive
 from .limits import check_elements, check_range
 from .poset import FinitePoset
 
@@ -98,6 +98,27 @@ def _bound_table(leq, topo, irrs):
     return table.astype(np.int32)
 
 
+def _single_covers(n, covers_of):
+    """{a: c} for each element a whose covers_of(a) is the single element c."""
+    return {a: cs[0] for a in range(n) if len(cs := covers_of(a)) == 1}
+
+
+def _cover_labels(leq, table, covers):
+    """Label each cover (a, b) by the least x with table[a, x] == b: (labels, None),
+    or (None, (a, b)) at the first cover with no least x.  Every cover has a label iff
+    the lattice is join-semidistributive (Barnard, arXiv:1610.05137); with the dual
+    order and the meet table, iff it is meet-semidistributive.
+    """
+    labels = {}
+    for a, b in covers:
+        cands = np.nonzero(table[a] == b)[0]
+        least = np.nonzero(leq[np.ix_(cands, cands)].all(axis=1))[0]
+        if len(least) != 1:
+            return None, (a, b)
+        labels[(a, b)] = int(cands[least[0]])
+    return labels, None
+
+
 class Lattice:
     """A finite lattice with eager join and meet tables."""
 
@@ -145,21 +166,11 @@ class Lattice:
 
     @cached_property
     def _join_irr(self):
-        irr = {}
-        for a in range(self.n):
-            lows = self.poset.lower_covers(a)
-            if len(lows) == 1:
-                irr[a] = lows[0]
-        return irr
+        return _single_covers(self.n, self.poset.lower_covers)
 
     @cached_property
     def _meet_irr(self):
-        irr = {}
-        for a in range(self.n):
-            ups = self.poset.upper_covers(a)
-            if len(ups) == 1:
-                irr[a] = ups[0]
-        return irr
+        return _single_covers(self.n, self.poset.upper_covers)
 
     def join_irreducibles(self):
         """Elements with exactly one lower cover, ascending by id."""
@@ -179,14 +190,22 @@ class Lattice:
     def atoms(self):
         return sorted(self.poset.upper_covers(self.bottom))
 
+    @cached_property
+    def _join_labels(self):
+        labels, bad = _cover_labels(self.poset.leq, self.join, self.covers)
+        if labels and not self._join_irr.keys() >= set(labels.values()):
+            raise InvariantViolated("a cover label is not join-irreducible")
+        return labels, bad
+
+    @cached_property
+    def _meet_labels(self):
+        return _cover_labels(self.poset.leq.T, self.meet, [(b, a) for a, b in self.covers])
+
     def to_json(self):
         data = self.poset.to_json()
         data["join_irreducibles"] = self.join_irreducibles()
-        try:
-            lab = jsd_labeling(self)
-        except NoUniqueMin:
-            return data
-        data["cover_labels"] = [lab.label(a, b) for a, b in self.poset.covers]
+        if is_join_semidistributive(self):
+            data["cover_labels"] = [jsd_labeling(self).label(a, b) for a, b in self.covers]
         return data
 
     def __repr__(self):
@@ -209,10 +228,8 @@ def as_lattice(p):
             f"pair ({maxs[0]}, {maxs[1]}) has no upper bound", pair=(maxs[0], maxs[1])
         )
     topo = p._topo
-    join_irrs = [a for a in range(p.n) if len(p.lower_covers(a)) == 1]
-    meet_irrs = [a for a in range(p.n) if len(p.upper_covers(a)) == 1]
-    join = _bound_table(p.leq, topo, join_irrs)
-    meet = _bound_table(np.ascontiguousarray(p.leq.T), list(reversed(topo)), meet_irrs)
+    join = _bound_table(p.leq, topo, _single_covers(p.n, p.lower_covers))
+    meet = _bound_table(p.leq.T.copy(), topo[::-1], _single_covers(p.n, p.upper_covers))
     return Lattice(p, join, meet)
 
 
@@ -223,26 +240,13 @@ def is_extremal(lat):
 
 
 def is_join_semidistributive(lat):
-    """a v b = a v c implies a v (b ^ c) = a v b, checked over all triples."""
-    join, meet = lat.join, lat.meet
-    for a in range(lat.n):
-        row = join[a]
-        same = row[:, None] == row[None, :]
-        folded = row[meet]
-        if np.any(same & (folded != row[:, None])):
-            return False
-    return True
+    """a v b = a v c implies a v (b ^ c) = a v b; decided by the cover labels."""
+    return lat._join_labels[0] is not None
 
 
 def is_meet_semidistributive(lat):
-    join, meet = lat.join, lat.meet
-    for a in range(lat.n):
-        row = meet[a]
-        same = row[:, None] == row[None, :]
-        folded = row[join]
-        if np.any(same & (folded != row[:, None])):
-            return False
-    return True
+    """The dual law, decided by the cover labels of the dual lattice."""
+    return lat._meet_labels[0] is not None
 
 
 def is_semidistributive(lat):
@@ -259,7 +263,8 @@ def is_spherical(lat):
         raise NotSemidistributive("sphericity test is only meaningful here for semidistributive lattices")
     result = lat.join_all(lat.atoms()) == lat.top
     mu = lat.poset.mobius(lat.bottom, lat.top)
-    assert mu in (-1, 0, 1) and (mu != 0) == result
+    if mu not in (-1, 0, 1) or (mu != 0) != result:
+        raise InvariantViolated(f"mu(bottom, top) = {mu} contradicts atoms-join-to-top = {result}")
     return result
 
 
@@ -271,7 +276,6 @@ class JsdLabeling:
     minimum is always join-irreducible.
     """
 
-    lattice: Lattice
     by_cover: dict
 
     def label(self, a, b):
@@ -279,24 +283,10 @@ class JsdLabeling:
 
 
 def jsd_labeling(lat):
-    cached = getattr(lat, "_jsd_cache", None)
-    if cached is not None:
-        return cached
-    leq = lat.poset.leq
-    by_cover = {}
-    irr = set(lat.join_irreducibles())
-    for a, b in lat.covers:
-        cands = np.nonzero(lat.join[a] == b)[0]
-        inner = leq[np.ix_(cands, cands)]
-        mins = np.nonzero(inner.all(axis=1))[0]
-        if len(mins) != 1:
-            raise NoUniqueMin(f"cover ({a}, {b}) has no unique minimal join complement")
-        c = int(cands[mins[0]])
-        assert c in irr
-        by_cover[(a, b)] = c
-    out = JsdLabeling(lat, by_cover)
-    lat._jsd_cache = out
-    return out
+    by_cover, bad = lat._join_labels
+    if bad is not None:
+        raise NoUniqueMin(f"cover ({bad[0]}, {bad[1]}) has no unique minimal join complement")
+    return JsdLabeling(by_cover)
 
 
 def canonical_joinrep(lat, a):

@@ -15,6 +15,10 @@ MAX_GRAPH = 22  # vertices of a graph whose orthogonal pairs are enumerated
 MAX_ISO = 500  # elements of either poset in an isomorphism search
 MAX_CONJECTURE_N = 6  # largest n at which `check all` reports the G-triangle conjecture
 
+# Every structure these caps admit has under 2**24 elements (Hoch(MAX_N), MAX_ELEMENTS, and
+# 2**MAX_GRAPH orthogonal pairs), so the float32 products of 0/1 matrices in lattice._verify_lub,
+# FinitePoset.from_leq and poset._transitive_reduction count exactly.
+
 
 def check_range(name, value, lo, hi=None):
     """Raise SizeBound unless lo <= value, and value <= hi when hi is given."""

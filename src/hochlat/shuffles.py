@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
-from .errors import MalformedWord, NotSemidistributive
+from .errors import InvariantViolated, MalformedWord, NotSemidistributive
 from .hochschild import l1
 from .lattice import as_lattice, is_semidistributive, psi_map
 from .limits import check_elements, check_n, check_range
@@ -216,9 +216,9 @@ def clo(lat):
     if not is_semidistributive(lat):
         raise NotSemidistributive("core label order needs a semidistributive lattice")
     psi = psi_map(lat)
-    assert len(set(psi)) == lat.n
-    m = lat.n
-    leq = [[psi[a] <= psi[b] for b in range(m)] for a in range(m)]
+    if len(set(psi)) != lat.n:
+        raise InvariantViolated("two elements share a core label set")
+    leq = [[pa <= pb for pb in psi] for pa in psi]
     return FinitePoset.from_leq(leq, labels=list(lat.poset.labels))
 
 

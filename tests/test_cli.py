@@ -96,10 +96,10 @@ def test_triangles_check_golden(capsys):
 
 
 def test_triangles_check_skips_past_bundle_bound(capsys):
-    code, out, _ = run(capsys, "triangles", "--n", "7", "--check")
+    code, out, _ = run(capsys, "triangles", "--n", "9", "--check")
     assert code == 0
     assert out.splitlines() == [
-        "skip m-triangle (checked up to n=6)",
+        "skip m-triangle (checked up to n=8)",
         "ok   f-triangle",
         "ok   h-triangle",
     ]

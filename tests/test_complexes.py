@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hochlat import complexes
 from hochlat.complexes import (
     SimplicialComplex,
     cjc,
@@ -9,7 +10,7 @@ from hochlat.complexes import (
     is_vertex_decomposable,
     shedding_witness,
 )
-from hochlat.errors import NotAFace, NotJoinSemidistributive
+from hochlat.errors import InvariantViolated, NotAFace, NotJoinSemidistributive
 from hochlat.hochschild import build_hoch, irreducible_of_triword, parse_triword
 from hochlat.lattice import as_lattice, build_bool
 from hochlat.poset import FinitePoset
@@ -104,6 +105,12 @@ def test_not_join_semidistributive_rejected():
     diamond = as_lattice(FinitePoset.closure(covers, 5))
     with pytest.raises(NotJoinSemidistributive):
         cjc(diamond)
+
+
+def test_face_count_mismatch_raises(monkeypatch):
+    monkeypatch.setattr(complexes, "canonical_joinrep", lambda lat, a: frozenset())
+    with pytest.raises(InvariantViolated):
+        cjc(build_bool(2))
 
 
 def test_link_and_deletion():

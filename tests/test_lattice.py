@@ -4,8 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from hochlat.errors import NoUniqueMin, NotALattice, NotSemidistributive
+from hochlat import lattice as lattice_module
+from hochlat.errors import InvariantViolated, NoUniqueMin, NotALattice, NotSemidistributive
+from hochlat.hochschild import build_hoch
 from hochlat.lattice import (
+    Lattice,
     as_lattice,
     build_bool,
     canonical_joinrep,
@@ -20,6 +23,7 @@ from hochlat.lattice import (
     psi_map,
 )
 from hochlat.poset import FinitePoset, doubling
+from hochlat.shuffles import shuffle_lattice
 
 
 def chain_lattice(k):
@@ -114,16 +118,65 @@ def test_semidistributivity():
 
 
 def brute_jsd(lat):
-    for a, b, c in itertools.product(range(lat.n), repeat=3):
-        if lat.join_of(a, b) == lat.join_of(a, c):
-            if lat.join_of(a, lat.meet_of(b, c)) != lat.join_of(a, b):
-                return False
+    """a v b = a v c implies a v (b ^ c) = a v b, over all triples (b, c vectorized per a)."""
+    for a in range(lat.n):
+        row = lat.join[a]
+        same = row[:, None] == row[None, :]
+        if np.any(same & (row[lat.meet] != row[:, None])):
+            return False
     return True
 
 
+def closure_system_lattice(rng, points=5):
+    """Subsets of range(points) closed under intersection, ordered by inclusion."""
+    full = (1 << points) - 1
+    sets = {full} | {rng.randrange(full + 1) for _ in range(rng.randrange(2, 7))}
+    while True:
+        more = {x & y for x in sets for y in sets} - sets
+        if not more:
+            break
+        sets |= more
+    sets = sorted(sets)
+    leq = [[x & y == x for y in sets] for x in sets]
+    return as_lattice(FinitePoset.from_leq(leq))
+
+
+def oracle_lattices():
+    yield from (build_bool(k) for k in range(5))
+    yield from (diamond(2), diamond(3), pentagon(), hexagon())
+    yield from (chain_lattice(k) for k in range(1, 5))
+    yield from (build_hoch(n).lattice for n in range(1, 6))
+    yield from (shuffle_lattice(a, b).lattice for a in range(4) for b in range(3))
+    rng = random.Random(1)
+    yield from (closure_system_lattice(rng) for _ in range(50))
+
+
 def test_semidistributivity_matches_brute_force():
-    for lat in (build_bool(2), diamond(2), diamond(3), pentagon(), hexagon()):
-        assert is_join_semidistributive(lat) == brute_jsd(lat)
+    failing = 0
+    for lat in oracle_lattices():
+        join_sd, meet_sd = is_join_semidistributive(lat), is_meet_semidistributive(lat)
+        assert join_sd == brute_jsd(lat)
+        assert meet_sd == brute_jsd(Lattice(lat.poset.dual(), lat.meet, lat.join))
+        assert is_semidistributive(lat) == (join_sd and meet_sd)
+        failing += not (join_sd and meet_sd)
+    assert failing >= 10
+
+
+def test_each_side_is_computed_once(monkeypatch):
+    calls = []
+    real = lattice_module._cover_labels
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(lattice_module, "_cover_labels", counted)
+    lat = hexagon()
+    for _ in range(3):
+        is_semidistributive(lat)
+        jsd_labeling(lat)
+        lat.to_json()
+    assert len(calls) == 2
 
 
 def test_spherical():
@@ -142,8 +195,22 @@ def test_jsd_labeling_boolean_labels_are_atoms():
 
 
 def test_jsd_labeling_no_unique_min_on_diamond():
-    with pytest.raises(NoUniqueMin):
+    with pytest.raises(NoUniqueMin, match=r"cover \(1, 4\) has no unique minimal join complement"):
         jsd_labeling(diamond(3))
+
+
+def test_non_irreducible_label_raises(monkeypatch):
+    monkeypatch.setattr(
+        lattice_module, "_cover_labels", lambda leq, table, covers: ({c: c[1] for c in covers}, None)
+    )
+    with pytest.raises(InvariantViolated):
+        jsd_labeling(build_bool(2))
+
+
+def test_mobius_disagreeing_with_atoms_raises(monkeypatch):
+    monkeypatch.setattr(FinitePoset, "mobius", lambda self, a, b: 2)
+    with pytest.raises(InvariantViolated):
+        is_spherical(build_bool(3))
 
 
 def test_jsd_labels_are_join_irreducible_and_perspective():
@@ -234,3 +301,4 @@ def test_lattice_json_export():
     assert data["n_elements"] == 4
     assert data["join_irreducibles"] == [1, 2]
     assert data["cover_labels"] == [1, 2, 2, 1]
+    assert "cover_labels" not in diamond(3).to_json()

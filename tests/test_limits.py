@@ -1,4 +1,7 @@
-"""The size policy: one module owns every cap, and skipping everything never passes."""
+"""The size policy: one module owns every cap, and skipping everything never passes.
+
+Also: the invariant-checking modules raise typed errors instead of asserting.
+"""
 
 import ast
 from pathlib import Path
@@ -9,6 +12,7 @@ import hochlat
 from hochlat import limits
 from hochlat.checks import run_checks
 from hochlat.errors import SizeBound
+from hochlat.hochschild import triword_count
 from hochlat.lattice import build_bool
 from hochlat.shuffles import shuffle_lattice
 
@@ -68,3 +72,15 @@ def test_run_checks_refuses_when_every_bundle_skips():
     with pytest.raises(SizeBound):
         run_checks(3, [("never", 2, lambda n: True)], write=lines.append)
     assert lines == ["skip never (checked up to n=2)"]
+
+
+def test_caps_keep_float32_products_exact():
+    assert triword_count(limits.MAX_N) < 2**24
+    assert limits.MAX_ELEMENTS < 2**24
+    assert 2**limits.MAX_GRAPH < 2**24
+
+
+@pytest.mark.parametrize("name", ["lattice.py", "shuffles.py", "complexes.py"])
+def test_no_assert_statements(name):
+    tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+    assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))

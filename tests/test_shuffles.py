@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from hochlat import shuffles
 from hochlat.checks import check_shuffle_stats
-from hochlat.errors import MalformedWord, NotSemidistributive, SizeBound
+from hochlat.errors import InvariantViolated, MalformedWord, NotSemidistributive, SizeBound
 from hochlat.hochschild import build_hoch, canrep_formula, enumerate_triwords, l1
 from hochlat.lattice import as_lattice, build_bool
 from hochlat.poset import FinitePoset, are_isomorphic
@@ -216,6 +217,12 @@ def test_clo_needs_semidistributivity():
     diamond = as_lattice(FinitePoset.closure(covers, 5))
     with pytest.raises(NotSemidistributive):
         clo(diamond)
+
+
+def test_clo_rejects_repeated_core_label_sets(monkeypatch):
+    monkeypatch.setattr(shuffles, "psi_map", lambda lat: [frozenset()] * lat.n)
+    with pytest.raises(InvariantViolated):
+        clo(build_bool(2))
 
 
 def test_stats_values_pinned():
