@@ -4,12 +4,12 @@ orthogonal pairs.
 """
 
 from hochlat import (
-    are_isomorphic,
     build_hoch,
     galois_graph,
     hoch_galois_characterization,
     max_ortho_pairs_lattice,
 )
+from hochlat.galois import reconstruction_isomorphic
 
 n = 4
 H = build_hoch(n)
@@ -30,13 +30,14 @@ print(f"characterization edge count: {len(C.edges)} "
       f"= (n-1) + C(n,2) = {(n - 1) + n * (n - 1) // 2}")
 
 # the lattice of maximal orthogonal pairs of the Galois graph recovers the
-# lattice we started from
+# lattice we started from: the pair (X, Y) stands for the join of the
+# join-irreducibles in X, and that map is an isomorphism
 MO = max_ortho_pairs_lattice(G.graph)
 print()
 print(f"maximal orthogonal pairs: {MO.lattice.n} "
       f"(elements of Hoch({n}): {L.n})")
 print("reconstruction isomorphic to original:",
-      are_isomorphic(MO.lattice.poset, L.poset).verified)
+      reconstruction_isomorphic(L, G, MO))
 
 # one pair, spelled out
 X, Y = MO.pair_sets(5)

@@ -12,7 +12,12 @@ from math import comb
 
 from .complexes import cjc, is_vertex_decomposable
 from .errors import SizeBound
-from .galois import galois_graph, hoch_galois_characterization, max_ortho_pairs_lattice
+from .galois import (
+    galois_graph,
+    hoch_galois_characterization,
+    max_ortho_pairs_lattice,
+    reconstruction_isomorphic,
+)
 from .hochschild import (
     build_hoch,
     build_hoch_by_doubling,
@@ -101,7 +106,8 @@ def check_structure(n):
 def check_doubling(n):
     direct = build_hoch(n)
     doubled = build_hoch_by_doubling(n)
-    return bool(are_isomorphic(doubled.lattice.poset, direct.lattice.poset))
+    image = [direct.index.get(u, -1) for u in doubled.triwords]
+    return are_isomorphic(doubled.lattice.poset, direct.lattice.poset, image)
 
 
 def check_galois(n):
@@ -118,8 +124,8 @@ def check_galois(n):
 
 def check_mo_reconstruction(n):
     lat = build_hoch(n).lattice
-    mo = max_ortho_pairs_lattice(galois_graph(lat).graph)
-    return bool(are_isomorphic(mo.lattice.poset, lat.poset))
+    geo = galois_graph(lat)
+    return reconstruction_isomorphic(lat, geo, max_ortho_pairs_lattice(geo.graph))
 
 
 def check_cjc(n):
@@ -182,7 +188,7 @@ def check_baselines(n):
     if not (bb["m"] == bb["m_closed"] and bb["f"] == bb["f_closed"] and bb["h"] == bb["h_closed"]):
         return False
     lat = build_bool(n)
-    return bool(are_isomorphic(clo(lat), lat.poset))
+    return are_isomorphic(clo(lat), lat.poset, range(lat.n))
 
 
 def conjecture_report(n):
@@ -201,15 +207,15 @@ CHECKS = [
     ("triword count", 10, check_cardinality),
     ("componentwise join/meet", 6, check_lattice_law),
     ("extremal/semidistributive/spherical/intersection", 8, check_structure),
-    ("doubling reconstruction", 4, check_doubling),
+    ("doubling reconstruction", 9, check_doubling),
     ("galois characterization", 8, check_galois),
-    ("orthogonal-pair reconstruction", 5, check_mo_reconstruction),
+    ("orthogonal-pair reconstruction", 9, check_mo_reconstruction),
     ("canonical join complex", 8, check_cjc),
     ("sigma order isomorphism", 8, check_sigma),
     ("shuffle statistics", 6, check_shuffle_stats),
     *TRIANGLE_CHECKS,
     ("face vector", 8, check_faces),
-    ("boolean baselines", 5, check_baselines),
+    ("boolean baselines", 9, check_baselines),
 ]
 
 

@@ -14,7 +14,7 @@ import sys
 from .checks import TRIANGLE_CHECKS, run_all, run_checks
 from .complexes import SimplicialComplex, cjc, shedding_witness
 from .errors import HochlatError, SizeBound
-from .galois import galois_graph, max_ortho_pairs_lattice
+from .galois import galois_graph, max_ortho_pairs_lattice, reconstruction_isomorphic
 from .hochschild import (
     build_hoch,
     enumerate_triwords,
@@ -24,7 +24,6 @@ from .hochschild import (
 )
 from .lattice import build_bool, jsd_labeling
 from .limits import check_range
-from .poset import are_isomorphic
 from .shuffles import clo, render_word, shuffle_lattice, sigma
 from .triangles import (
     char_poly_closed,
@@ -282,7 +281,7 @@ def _cmd_galois(args):
     extra_json = {}
     if args.mo:
         mo = max_ortho_pairs_lattice(g)
-        iso = bool(are_isomorphic(mo.lattice.poset, lat.poset))
+        iso = reconstruction_isomorphic(lat, geo, mo)
         extra_lines = [
             f"orthogonal pairs: {mo.lattice.n}",
             f"reconstruction isomorphic: {'yes' if iso else 'no'}",

@@ -25,10 +25,6 @@ class NotInterval(HochlatError):
     """The pair (lo, hi) does not describe an interval (lo is not below hi)."""
 
 
-class TooLarge(HochlatError):
-    """The structure exceeds the configured size bound for this operation."""
-
-
 class SizeBound(HochlatError):
     """A construction parameter exceeds its supported range."""
 

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ChainOrderingFailed, NotALattice, NotExtremal, SizeBound
 from .lattice import Lattice, as_lattice, is_extremal
 from .limits import MAX_GRAPH
-from .poset import FinitePoset
+from .poset import FinitePoset, are_isomorphic
 
 
 class DiGraph:
@@ -26,9 +26,11 @@ class DiGraph:
         self.k = int(k)
         self.edges = frozenset((int(s), int(t)) for s, t in edges)
         for s, t in self.edges:
-            assert 0 <= s < self.k and 0 <= t < self.k and s != t
+            if not (0 <= s < self.k and 0 <= t < self.k and s != t):
+                raise ValueError(f"edge ({s}, {t}) is a loop or leaves vertices 0..{self.k - 1}")
         self.labels = list(labels) if labels is not None else [str(i) for i in range(self.k)]
-        assert len(self.labels) == self.k
+        if len(self.labels) != self.k:
+            raise ValueError(f"{len(self.labels)} labels for {self.k} vertices")
 
     def edge_labels(self):
         return {(self.labels[s], self.labels[t]) for s, t in self.edges}
@@ -212,3 +214,13 @@ def max_ortho_pairs_lattice(g):
     if not (met_a == (a_vals[:, None] & a_vals[None, :])).all():
         raise NotALattice("meet of orthogonal pairs is not intersection on the A side")
     return OrthoPairLattice(lat, tuple(pairs), g)
+
+
+def reconstruction_isomorphic(lat, geo, mo):
+    """Whether the pair lattice ``mo`` of ``geo.graph`` is isomorphic to ``lat``.
+
+    Markowsky's correspondence decodes the pair (A, B) to the join of
+    joins[s] for s in A; that map is certified with are_isomorphic.
+    """
+    image = [lat.join_all(geo.joins[s] for s in mo.pair_sets(a)[0]) for a in range(mo.lattice.n)]
+    return are_isomorphic(mo.lattice.poset, lat.poset, image)

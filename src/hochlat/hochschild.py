@@ -220,29 +220,25 @@ def build_hoch_by_doubling(n):
     certificate.
     """
     check_n(n)
-    words = [()]
-    poset = FinitePoset.closure([], 1)
+    poset = FinitePoset.closure([], 1, labels=[()])  # labels are the triwords
 
     def double_and_decode(lo_word, hi_word, flip_to):
-        nonlocal words, poset
+        nonlocal poset
+        words = poset.labels
         lo, hi = words.index(lo_word), words.index(hi_word)
-        members = set(poset.interval(lo, hi))
+        members = {words[a] for a in poset.interval(lo, hi)}
         doubled = doubling(poset, IntervalRef(lo, hi))
-        index = {id(lbl): a for a, lbl in enumerate(poset.labels)}
-        fresh = []
-        for lbl, copy in doubled.labels:
-            a = index[id(lbl)]
-            flips = copy == 1 and a in members
-            fresh.append(words[a][:-1] + (flip_to,) if flips else words[a])
-        words, poset = fresh, doubled
+        fresh = [u[:-1] + (flip_to,) if copy == 1 and u in members else u for u, copy in doubled.labels]
+        poset = FinitePoset(doubled.leq, doubled.covers, labels=fresh)
 
     for step in range(1, n + 1):
-        words = [u + (0,) for u in words]
+        poset = FinitePoset(poset.leq, poset.covers, labels=[u + (0,) for u in poset.labels])
         if step == 1:
             double_and_decode((0,), (0,), 1)
             continue
-        double_and_decode((0,) * step, max(words), 2)
+        double_and_decode((0,) * step, max(poset.labels), 2)
         double_and_decode((1,) * (step - 1) + (0,), (1,) + (2,) * (step - 2) + (0,), 1)
+    words = poset.labels
     relabeled = FinitePoset(poset.leq, poset.covers, labels=[format_triword(u) for u in words])
     return HochLattice(as_lattice(relabeled), words)
 

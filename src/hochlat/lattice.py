@@ -306,9 +306,12 @@ def core_label_set(lat, a):
     """Nucleus (meet of a with all its lower covers) and the labels in between."""
     lab = jsd_labeling(lat)
     nucleus = lat.meet_all([a] + lat.poset.lower_covers(a))
-    leq = lat.poset.leq
+    poset = lat.poset
     labels = frozenset(
-        lab.label(b, c) for b, c in lat.covers if leq[nucleus, b] and leq[c, a]
+        lab.label(b, c)
+        for c in poset.interval(nucleus, a)
+        for b in poset.lower_covers(c)
+        if poset.leq[nucleus, b]
     )
     return CoreLabelSet(a, nucleus, labels)
 

@@ -1,8 +1,7 @@
 """The size policy: every cap the library and the command line enforce.
 
 The caps keep each construction and each command interactive.  Going past
-one raises SizeBound (TooLarge for the isomorphism search) instead of
-running for minutes or exhausting memory.
+one raises SizeBound instead of running for minutes or exhausting memory.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from .errors import SizeBound
 MAX_N = 10  # word length n of Hoch(n) and of every per-n check
 MAX_ELEMENTS = 5000  # elements of a built shuffle or Boolean lattice
 MAX_GRAPH = 22  # vertices of a graph whose orthogonal pairs are enumerated
-MAX_ISO = 500  # elements of either poset in an isomorphism search
 MAX_CONJECTURE_N = 6  # largest n at which `check all` reports the G-triangle conjecture
 
 # Every structure these caps admit has under 2**24 elements (Hoch(MAX_N), MAX_ELEMENTS, and

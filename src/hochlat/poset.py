@@ -22,13 +22,12 @@ import numpy as np
 
 from .errors import (
     CycleDetected,
+    InvariantViolated,
     NotBounded,
     NotCover,
     NotGraded,
     NotInterval,
-    TooLarge,
 )
-from .limits import MAX_ISO
 from .polynomials import interpolate_univariate
 
 
@@ -38,21 +37,6 @@ class IntervalRef:
 
     lo: int
     hi: int
-
-
-@dataclass(frozen=True)
-class IsoCertificate:
-    """Result of an isomorphism search.
-
-    ``mapping[a]`` is the image of element a when ``verified`` is true;
-    otherwise ``mapping`` is None.
-    """
-
-    mapping: tuple | None
-    verified: bool
-
-    def __bool__(self):
-        return self.verified
 
 
 def _toposort(m, up_adj, in_deg):
@@ -83,14 +67,16 @@ class FinitePoset:
 
     def __init__(self, leq, covers, labels=None):
         leq = np.asarray(leq, dtype=bool)
-        n = leq.shape[0]
-        assert leq.shape == (n, n)
+        if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
+            raise ValueError(f"order matrix must be square, got shape {leq.shape}")
+        n = len(leq)
         leq.setflags(write=False)
         self.n = n
         self.leq = leq
         self.covers = tuple(sorted((int(a), int(b)) for a, b in covers))
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
-        assert len(self.labels) == n
+        if len(self.labels) != n:
+            raise ValueError(f"{len(self.labels)} labels for {n} elements")
 
     # -- construction ---------------------------------------------------
 
@@ -280,7 +266,8 @@ class FinitePoset:
         self.bottom(), self.top()
         coeffs = interpolate_univariate(self.zeta_points())
         value = sum(c * (-1) ** k for k, c in enumerate(coeffs))
-        assert value.denominator == 1
+        if value.denominator != 1:
+            raise InvariantViolated(f"zeta polynomial at -1 is {value}, not an integer")
         return int(value)
 
     # -- grading ----------------------------------------------------------
@@ -379,100 +366,14 @@ def doubling(p, b):
     return FinitePoset.from_leq(leq, labels=labels)
 
 
-def _color_refine(p):
-    colors = [(p.heights[a], len(p._up_adj[a]), len(p._down_adj[a])) for a in range(p.n)]
-    palette = {c: i for i, c in enumerate(sorted(set(colors)))}
-    colors = [palette[c] for c in colors]
-    while True:
-        signatures = [
-            (
-                colors[a],
-                tuple(sorted(colors[b] for b in p._up_adj[a])),
-                tuple(sorted(colors[b] for b in p._down_adj[a])),
-            )
-            for a in range(p.n)
-        ]
-        palette = {s: i for i, s in enumerate(sorted(set(signatures)))}
-        refined = [palette[s] for s in signatures]
-        if refined == colors:
-            return colors
-        colors = refined
+def are_isomorphic(p, q, image):
+    """Whether ``image`` (the q-id of each p-id) is an order isomorphism from p onto q.
 
-
-def are_isomorphic(p1, p2):
-    """Search for a poset isomorphism; returns an IsoCertificate.
-
-    Cover-preserving-and-reflecting bijections are exactly the order
-    isomorphisms, so matching is done on the cover digraph after a color
-    refinement pass. Raises TooLarge beyond ``MAX_ISO`` elements.
+    Order isomorphisms are exactly the bijections that map covers onto
+    covers, so the given map is certified as it stands; no search is made.
+    A size mismatch, a repeated id or an out-of-range id gives False.
     """
-    if max(p1.n, p2.n) > MAX_ISO:
-        raise TooLarge(f"isomorphism search capped at {MAX_ISO} elements")
-    fail = IsoCertificate(None, False)
-    if p1.n != p2.n or len(p1.covers) != len(p2.covers):
-        return fail
-    c1, c2 = _color_refine(p1), _color_refine(p2)
-    if sorted(c1) != sorted(c2):
-        return fail
-    by_color = {}
-    for x, c in enumerate(c2):
-        by_color.setdefault(c, []).append(x)
-
-    n = p1.n
-    mapping = [-1] * n
-    inverse = [-1] * n
-    up1 = [set(adj) for adj in p1._up_adj]
-    down1 = [set(adj) for adj in p1._down_adj]
-    up2 = [set(adj) for adj in p2._up_adj]
-    down2 = [set(adj) for adj in p2._down_adj]
-
-    def pick_next():
-        best, best_key = -1, None
-        for a in range(n):
-            if mapping[a] >= 0:
-                continue
-            anchored = sum(1 for b in up1[a] | down1[a] if mapping[b] >= 0)
-            key = (-anchored, len(by_color[c1[a]]), a)
-            if best_key is None or key < best_key:
-                best, best_key = a, key
-        return best
-
-    def consistent(a, x):
-        # assigned cover-neighbors of a must land on cover-neighbors of x ...
-        for b in up1[a]:
-            if mapping[b] >= 0 and mapping[b] not in up2[x]:
-                return False
-        for b in down1[a]:
-            if mapping[b] >= 0 and mapping[b] not in down2[x]:
-                return False
-        # ... and cover-neighbors of x that are already images must come from
-        # cover-neighbors of a (reflection)
-        for y in up2[x]:
-            if inverse[y] >= 0 and inverse[y] not in up1[a]:
-                return False
-        for y in down2[x]:
-            if inverse[y] >= 0 and inverse[y] not in down1[a]:
-                return False
-        return True
-
-    def extend(depth):
-        if depth == n:
-            return True
-        a = pick_next()
-        for x in by_color[c1[a]]:
-            if inverse[x] >= 0 or not consistent(a, x):
-                continue
-            mapping[a], inverse[x] = x, a
-            if extend(depth + 1):
-                return True
-            mapping[a], inverse[x] = -1, -1
+    image = list(image)
+    if p.n != q.n or sorted(image) != list(range(q.n)):
         return False
-
-    if not extend(0):
-        return fail
-    perm = tuple(mapping)
-    # verification pass: covers map onto covers bijectively
-    image = {(perm[a], perm[b]) for a, b in p1.covers}
-    if image != set(p2.covers):
-        return fail
-    return IsoCertificate(perm, True)
+    return {(image[a], image[b]) for a, b in p.covers} == set(q.covers)

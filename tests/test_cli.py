@@ -173,6 +173,13 @@ def test_galois_mo_verdict(capsys):
     assert "reconstruction isomorphic: yes" in out
 
 
+def test_galois_mo_verdict_past_five_hundred_elements(capsys):
+    code, out, _ = run(capsys, "galois", "--family", "hoch", "--n", "8", "--mo")
+    assert code == 0
+    assert "orthogonal pairs: 704" in out
+    assert "reconstruction isomorphic: yes" in out
+
+
 def test_check_all_small(capsys):
     code, out, _ = run(capsys, "check", "all", "--n", "2")
     assert code == 0

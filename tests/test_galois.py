@@ -1,12 +1,16 @@
 import pytest
 
+from hochlat import checks
+from hochlat.checks import check_mo_reconstruction
 from hochlat.errors import NotExtremal, SizeBound
 from hochlat.galois import (
     DiGraph,
+    GaloisGraph,
     galois_graph,
     galois_graph_by_joins,
     hoch_galois_characterization,
     max_ortho_pairs_lattice,
+    reconstruction_isomorphic,
 )
 from hochlat.hochschild import build_hoch, irreducible_of_triword, parse_triword
 from hochlat.lattice import as_lattice, build_bool
@@ -87,9 +91,20 @@ def test_pinned_ortho_pairs_n3():
 @pytest.mark.parametrize("n", range(1, 6))
 def test_reconstruction_recovers_lattice(n):
     lat = build_hoch(n).lattice
-    mo = max_ortho_pairs_lattice(galois_graph(lat).graph)
+    geo = galois_graph(lat)
+    mo = max_ortho_pairs_lattice(geo.graph)
     assert mo.lattice.n == lat.n
-    assert are_isomorphic(mo.lattice.poset, lat.poset)
+    assert reconstruction_isomorphic(lat, geo, mo)
+
+
+def test_mo_reconstruction_fails_on_a_corrupted_decode(monkeypatch):
+    def permuted_joins(lat):
+        geo = galois_graph(lat)
+        return GaloisGraph(geo.graph, geo.chain, geo.joins[1:] + geo.joins[:1], geo.meets)
+
+    assert check_mo_reconstruction(4)
+    monkeypatch.setattr(checks, "galois_graph", permuted_joins)
+    assert not check_mo_reconstruction(4)
 
 
 def test_boolean_graph_is_edgeless():
@@ -103,7 +118,8 @@ def test_boolean_graph_is_edgeless():
 def test_edgeless_graph_rebuilds_boolean(k):
     mo = max_ortho_pairs_lattice(DiGraph(k, []))
     assert mo.lattice.n == 2**k
-    assert are_isomorphic(mo.lattice.poset, build_bool(k).poset)
+    # build_bool's ids are bitmasks, so each pair maps to its A side
+    assert are_isomorphic(mo.lattice.poset, build_bool(k).poset, [a for a, _ in mo.pairs])
 
 
 def test_two_cycle_gives_chain():
@@ -117,6 +133,15 @@ def test_not_extremal_raises():
     diamond = as_lattice(FinitePoset.closure(covers, 5))
     with pytest.raises(NotExtremal):
         galois_graph(diamond)
+
+
+def test_digraph_rejects_bad_input():
+    with pytest.raises(ValueError, match="loop"):
+        DiGraph(2, [(0, 0)])
+    with pytest.raises(ValueError, match="loop"):
+        DiGraph(2, [(0, 2)])
+    with pytest.raises(ValueError, match="labels"):
+        DiGraph(2, [], labels=["x"])
 
 
 def test_size_cap():

@@ -2,12 +2,15 @@ import itertools
 
 import pytest
 
+from hochlat import checks
+from hochlat.checks import check_doubling
 from hochlat.errors import MalformedLabelSet, NotGraded, SizeBound
 from hochlat.hochschild import (
     a_irr,
     atom_irreducibles,
     b_irr,
     build_hoch,
+    HochLattice,
     build_hoch_by_doubling,
     canrep_formula,
     core_labels_formula,
@@ -179,6 +182,18 @@ def test_doubling_construction_matches_direct(n):
     for a in range(direct.lattice.n):
         for b in range(direct.lattice.n):
             assert direct.lattice.poset.leq[a, b] == doubled.lattice.poset.leq[perm[a], perm[b]]
+
+
+def test_doubling_check_fails_on_a_corrupted_decode(monkeypatch):
+    def swapped_words(n):
+        doubled = build_hoch_by_doubling(n)
+        words = list(doubled.triwords)
+        words[0], words[-1] = words[-1], words[0]
+        return HochLattice(doubled.lattice, words)
+
+    assert check_doubling(4)
+    monkeypatch.setattr(checks, "build_hoch_by_doubling", swapped_words)
+    assert not check_doubling(4)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

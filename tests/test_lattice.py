@@ -268,6 +268,19 @@ def test_core_label_set_hexagon():
     assert core_label_set(lat, 3).labels == frozenset({3})
 
 
+def test_core_label_set_matches_all_covers_scan():
+    lattices = [build_hoch(n).lattice for n in range(1, 7)]
+    lattices += [build_bool(n) for n in range(5)]
+    lattices += [shuffle_lattice(3, 0).lattice, pentagon(), hexagon()]
+    for lat in lattices:
+        lab = jsd_labeling(lat)
+        leq = lat.poset.leq
+        for a in range(lat.n):
+            core = core_label_set(lat, a)
+            scan = {lab.label(b, c) for b, c in lat.covers if leq[core.nucleus, b] and leq[c, a]}
+            assert core.labels == scan
+
+
 def brute_intersection_property(lat):
     psi = psi_map(lat)
     values = set(psi)

@@ -1,16 +1,18 @@
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hochlat import poset as poset_module
 from hochlat.errors import (
     CycleDetected,
+    InvariantViolated,
     NotBounded,
     NotCover,
     NotGraded,
     NotInterval,
-    TooLarge,
 )
 from hochlat.poset import (
     FinitePoset,
@@ -18,7 +20,6 @@ from hochlat.poset import (
     are_isomorphic,
     doubling,
 )
-from hochlat.limits import MAX_ISO
 from hochlat.polynomials import interpolate_univariate
 
 
@@ -219,19 +220,16 @@ def test_doubling_requires_interval():
 
 def test_doubling_chain_by_full_is_grid():
     d = doubling(chain(2), (0, 1))
-    cert = are_isomorphic(d, boolean(2))
-    assert cert.verified
+    # (a, copy) sits at bitmask a + 2 * copy of the square
+    assert are_isomorphic(d, boolean(2), [int(a) + 2 * c for a, c in d.labels])
 
 
 def test_are_isomorphic_positive_cases():
-    assert are_isomorphic(chain(4), chain(4)).verified
-    assert are_isomorphic(boolean(3), boolean(3).dual()).verified
-    cert = are_isomorphic(boolean(4), boolean(4))
-    assert cert.verified
-    # verified mapping preserves and reflects covers
-    perm = cert.mapping
-    p = boolean(4)
-    assert {(perm[a], perm[b]) for a, b in p.covers} == set(p.covers)
+    assert are_isomorphic(chain(4), chain(4), range(4))
+    assert are_isomorphic(boolean(4), boolean(4), range(16))
+    # complement is an isomorphism from the subset lattice onto its dual
+    assert are_isomorphic(boolean(3), boolean(3).dual(), [7 - s for s in range(8)])
+    assert are_isomorphic(antichain(0), antichain(0), [])
 
 
 def test_are_isomorphic_random_relabelings():
@@ -242,22 +240,46 @@ def test_are_isomorphic_random_relabelings():
         rng.shuffle(perm)
         covers = [(perm[a], perm[b]) for a, b in base.covers]
         q = FinitePoset.closure(covers, base.n)
-        assert are_isomorphic(base, q).verified
-        assert are_isomorphic(q, base).verified
+        assert are_isomorphic(base, q, perm)
+        inverse = [perm.index(x) for x in range(base.n)]
+        assert are_isomorphic(q, base, inverse)
 
 
 def test_are_isomorphic_negative_cases():
-    assert not are_isomorphic(chain(4), antichain(4)).verified
-    assert not are_isomorphic(chain(3), chain(4)).verified
+    # size mismatch, with every short or long image
+    assert not are_isomorphic(chain(3), chain(4), range(3))
+    assert not are_isomorphic(chain(3), chain(4), range(4))
+    assert not are_isomorphic(chain(4), chain(3), range(4))
+    # not a bijection: a repeated id, an out-of-range id, a short image
+    assert not are_isomorphic(chain(3), chain(3), [0, 1, 1])
+    assert not are_isomorphic(chain(3), chain(3), [0, 1, -1])
+    assert not are_isomorphic(chain(3), chain(3), [0, 1, 3])
+    assert not are_isomorphic(chain(3), chain(3), [0, 1])
+    # a bijection that breaks covers
+    assert not are_isomorphic(chain(3), chain(3), [1, 0, 2])
+    # covers land in covers but do not cover them all
+    assert not are_isomorphic(antichain(4), chain(4), range(4))
+    assert not are_isomorphic(chain(4), antichain(4), range(4))
     # same size and cover count, different shape
     v = FinitePoset.closure([(0, 2), (1, 2), (2, 3)], 4)
     y = FinitePoset.closure([(0, 1), (1, 2), (1, 3)], 4)
-    assert not are_isomorphic(v, y).verified
+    for perm in itertools.permutations(range(4)):
+        assert not are_isomorphic(v, y, perm)
 
 
-def test_are_isomorphic_too_large():
-    with pytest.raises(TooLarge):
-        are_isomorphic(chain(MAX_ISO + 1), chain(MAX_ISO + 1))
+def test_constructor_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="square"):
+        FinitePoset(np.ones((2, 3), dtype=bool), [])
+    with pytest.raises(ValueError, match="square"):
+        FinitePoset(np.ones(3, dtype=bool), [])
+    with pytest.raises(ValueError, match="labels"):
+        FinitePoset(np.eye(2, dtype=bool), [], labels=["only one"])
+
+
+def test_mobius_via_zeta_rejects_fractional_value(monkeypatch):
+    monkeypatch.setattr(poset_module, "interpolate_univariate", lambda points: [Fraction(1, 2)])
+    with pytest.raises(InvariantViolated, match="not an integer"):
+        chain(3).mobius_invariant_via_zeta()
 
 
 def test_json_and_dot_exports_are_deterministic():

@@ -86,9 +86,12 @@ def test_fig5_lattice():
 
 @pytest.mark.parametrize("n", range(5))
 def test_no_marker_is_boolean(n):
-    lat = shuffle_lattice(n, 0).lattice
-    assert lat.n == 2**n
-    assert are_isomorphic(lat.poset, build_bool(n).poset)
+    sl = shuffle_lattice(n, 0)
+    assert sl.lattice.n == 2**n
+    # a word sits at the bitmask of the letters it has lost from the bottom word
+    full = max(sl.words, key=len)
+    image = [sum(1 << i for i, x in enumerate(full) if x not in w) for w in sl.words]
+    assert are_isomorphic(sl.lattice.poset, build_bool(n).poset, image)
 
 
 def test_size_bound():
@@ -188,7 +191,7 @@ def test_clo_rank_structure(n):
         assert rank == len(lat.poset.lower_covers(a))
 
 
-@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("n", range(2, 7))
 def test_clo_upper_intervals(n):
     h = build_hoch(n)
     order = clo(h.lattice)
@@ -196,18 +199,23 @@ def test_clo_upper_intervals(n):
     for a in range(order.n):
         u = h.triword(a)
         k = order.heights[a]
-        part = order.induced(order.interval(a, top))
+        above = order.interval(a, top)
+        part = order.induced(above)
         if l1(u) == 0:
-            target = clo(build_hoch(n - k).lattice) if n - k >= 1 else None
-            if target is not None:
-                assert are_isomorphic(part, target)
+            # drop the k positions where u has a 2: CLO(Hoch(n - k))
+            small = build_hoch(n - k)
+            image = [small.id_of(tuple(x for x, y in zip(h.triword(c), u) if y != 2)) for c in above]
+            assert are_isomorphic(part, clo(small.lattice), image)
         else:
-            assert are_isomorphic(part, build_bool(n - k).poset)
+            # the bitmask of the interval's atoms below each element: Bool(n - k)
+            atoms = part.upper_covers(part.bottom())
+            image = [sum(1 << i for i, t in enumerate(atoms) if part.leq[t, c]) for c in range(part.n)]
+            assert are_isomorphic(part, build_bool(n - k).poset, image)
 
 
 def test_clo_of_boolean_and_chain():
     for n in range(4):
-        assert are_isomorphic(clo(build_bool(n)), build_bool(n).poset)
+        assert are_isomorphic(clo(build_bool(n)), build_bool(n).poset, range(2**n))
     chain2 = as_lattice(FinitePoset.closure([(0, 1)], 2))
     assert clo(chain2).covers == ((0, 1),)
 
