@@ -16,8 +16,9 @@ inverse of the core labeling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from .errors import MalformedLabelSet
 from .lattice import as_lattice
@@ -61,11 +62,9 @@ def enumerate_triwords(n):
 
 
 def triword_count(n):
-    """Closed count 2^(n-2) (n+3); exact for n = 1 as well."""
+    """Closed count 2^(n-2) (n+3); for n = 1 that is 2."""
     check_n(n)
-    value = Fraction(2) ** (n - 2) * (n + 3)
-    assert value.denominator == 1
-    return int(value)
+    return (n + 3) << (n - 2) if n >= 2 else 2
 
 
 def l1(u):
@@ -102,6 +101,18 @@ def hoch_meet(u, v):
     return tuple(w)
 
 
+def hoch_join_array(x, y):
+    """hoch_join on uint8 word arrays (last axis = positions); broadcasts."""
+    return np.maximum(x, y)
+
+
+def hoch_meet_array(x, y):
+    """hoch_meet on uint8 word arrays (last axis = positions); broadcasts."""
+    w = np.minimum(x, y)
+    w[(w == 1) & np.logical_or.accumulate(w == 0, axis=-1)] = 0
+    return w
+
+
 def format_triword(u):
     return "(" + ",".join(str(x) for x in u) + ")"
 
@@ -119,8 +130,7 @@ def parse_triword(text):
 # -- irreducibles ----------------------------------------------------------
 
 
-@total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class HochIrreducible:
     """A join-irreducible triword: kind 'a' (prefix of 1s) or 'b' (single 2)."""
 
@@ -128,17 +138,15 @@ class HochIrreducible:
     index: int
 
     def __post_init__(self):
-        assert self.kind in ("a", "b")
-        assert self.index >= 1 + (self.kind == "b")
+        if self.kind not in ("a", "b") or self.index < 1 + (self.kind == "b"):
+            raise ValueError(f"no irreducible {self.kind}{self.index}")
 
     def triword(self, n):
-        assert self.index <= n
+        if self.index > n:
+            raise ValueError(f"{self} has no triword of length {n}")
         if self.kind == "a":
             return (1,) * self.index + (0,) * (n - self.index)
         return tuple(2 if i == self.index else 0 for i in range(1, n + 1))
-
-    def __lt__(self, other):
-        return (self.kind, self.index) < (other.kind, other.index)
 
     def __str__(self):
         return f"{self.kind}{self.index}"
@@ -190,6 +198,11 @@ class HochLattice:
 
     def id_of(self, u):
         return self.index[u]
+
+    @cached_property
+    def word_array(self):
+        """The triwords as one (m x n) uint8 array; row a is the triword of element a."""
+        return np.array(self.triwords, dtype=np.uint8)
 
     def __repr__(self):
         return f"HochLattice(n={len(self.triwords[0])}, elements={len(self.triwords)})"

@@ -5,7 +5,7 @@ M-triangle lives on the core label order (which is graded), and the F- and
 H-triangles are reached along several independent routes: rational
 substitution into M (done by grid evaluation plus interpolation, never by
 symbolic division), closed product formulas, statistics summed over triwords,
-partial-core enumeration, and antichain counting in a small auxiliary poset.
+partial-core counts, and antichain counting in a small auxiliary poset.
 Agreement of the routes is what the test suite checks.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from .hochschild import build_hoch, canrep_formula, enumerate_triwords, l1
@@ -235,22 +235,25 @@ def partial_cores(lat):
 
 
 def f_from_cores(n):
-    """F-triangle by enumerating partial cores of the triword lattice."""
+    """F-triangle by counting partial cores: choosing s of an element's t atom-labeled covers
+    and q of its d - t other lower covers leaves neg = t - s, in comb(t, s) comb(d - t, q) ways."""
     lat = build_hoch(n).lattice
+    lab, atomset = jsd_labeling(lat), set(lat.atoms())
     terms = {}
-    for core in partial_cores(lat):
-        key = (n - len(core.covers) - core.neg, core.neg)
-        terms[key] = terms.get(key, 0) + 1
+    for u in range(lat.n):
+        lows = lat.poset.lower_covers(u)
+        d, t = len(lows), sum(1 for a in lows if lab.label(a, u) in atomset)
+        for s, q in product(range(t + 1), range(d - t + 1)):
+            key = (n - t - q, t - s)
+            terms[key] = terms.get(key, 0) + comb(t, s) * comb(d - t, q)
     return BiPoly(terms)
 
 
 def face_vector(n):
-    """Partial-core counts grouped by how many covers were chosen."""
-    lat = build_hoch(n).lattice
-    out = [0] * (n + 1)
-    for core in partial_cores(lat):
-        out[len(core.covers)] += 1
-    return out
+    """Partial-core counts by number r of chosen covers: comb(d, r) per element with d covers."""
+    poset = build_hoch(n).lattice.poset
+    degrees = [len(poset.lower_covers(u)) for u in range(poset.n)]
+    return [sum(comb(d, r) for d in degrees) for r in range(n + 1)]
 
 
 def face_count_closed(n, i):

@@ -1,9 +1,10 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from hochlat import checks
-from hochlat.checks import check_doubling
+from hochlat.checks import check_doubling, check_lattice_law
 from hochlat.errors import MalformedLabelSet, NotGraded, SizeBound
 from hochlat.hochschild import (
     a_irr,
@@ -18,8 +19,11 @@ from hochlat.hochschild import (
     enumerate_triwords,
     f0,
     format_triword,
+    HochIrreducible,
     hoch_join,
+    hoch_join_array,
     hoch_meet,
+    hoch_meet_array,
     irreducible_of_triword,
     irreducibles,
     is_triword,
@@ -30,7 +34,8 @@ from hochlat.hochschild import (
     psi_inverse,
     triword_count,
 )
-from hochlat.lattice import canonical_joinrep, core_label_set, is_extremal, jsd_labeling
+from hochlat.lattice import Lattice, canonical_joinrep, core_label_set, is_extremal, jsd_labeling
+from hochlat.poset import FinitePoset
 
 # 12 elements and 18 labeled cover relations of the length-3 lattice.
 HASSE_3 = {
@@ -158,10 +163,72 @@ def test_join_meet_formulas_match_tables(n):
 
 
 def test_meet_repairs_one_after_zero():
-    assert hoch_meet((1, 0, 2), (1, 2, 1)) == (1, 0, 0)
-    assert hoch_meet((1, 1, 2), (0, 2, 2)) == (0, 0, 2)
-    assert hoch_meet((1, 1, 0), (0, 2, 2)) == (0, 0, 0)
+    for u, v, want in [
+        ((1, 0, 2), (1, 2, 1), (1, 0, 0)),
+        ((1, 1, 2), (0, 2, 2), (0, 0, 2)),
+        ((1, 1, 0), (0, 2, 2), (0, 0, 0)),
+    ]:
+        assert hoch_meet(u, v) == want
+        x, y = np.array(u, dtype=np.uint8), np.array(v, dtype=np.uint8)
+        assert tuple(hoch_meet_array(x, y)) == want
     assert hoch_join((1, 0, 0), (0, 2, 0)) == (1, 2, 0)
+    assert tuple(hoch_join_array(np.array((1, 0, 0)), np.array((0, 2, 0)))) == (1, 2, 0)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_word_arrays_match_scalar_join_meet(n):
+    h = build_hoch(n)
+    words = h.word_array
+    assert words.dtype == np.uint8 and words.shape == (h.lattice.n, n)
+    assert [tuple(int(x) for x in row) for row in words] == list(h.triwords)
+    joins = hoch_join_array(words[:, None], words[None, :])
+    meets = hoch_meet_array(words[:, None], words[None, :])
+    for a, u in enumerate(h.triwords):
+        for b, v in enumerate(h.triwords):
+            assert tuple(joins[a, b]) == hoch_join(u, v)
+            assert tuple(meets[a, b]) == hoch_meet(u, v)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lattice_law_holds(n):
+    assert check_lattice_law(n)
+
+
+def _swap_in_row(table):
+    """Copy of a bound table with two different entries of its middle row swapped."""
+    table = table.copy()
+    row = table[len(table) // 2]
+    b = int(np.nonzero(row != row[0])[0][0])
+    row[0], row[b] = row[b], row[0]
+    return table
+
+
+def _corrupted(n, join=lambda t: t, meet=lambda t: t, extra_covers=()):
+    h = build_hoch(n)
+    lat = h.lattice
+    poset = lat.poset
+    if extra_covers:
+        poset = FinitePoset(poset.leq, list(poset.covers) + list(extra_covers), labels=poset.labels)
+    return HochLattice(Lattice(poset, join(lat.join), meet(lat.meet)), h.triwords)
+
+
+def test_lattice_law_fails_on_swapped_join_entries(monkeypatch):
+    monkeypatch.setattr(checks, "build_hoch", _corrupted)
+    assert check_lattice_law(4)
+    monkeypatch.setattr(checks, "build_hoch", lambda n: _corrupted(n, join=_swap_in_row))
+    assert not check_lattice_law(4)
+
+
+def test_lattice_law_fails_on_swapped_meet_entries(monkeypatch):
+    monkeypatch.setattr(checks, "build_hoch", lambda n: _corrupted(n, meet=_swap_in_row))
+    assert not check_lattice_law(4)
+
+
+def test_lattice_law_fails_on_a_two_position_cover(monkeypatch):
+    h = build_hoch(4)
+    fake = h.id_of((0, 0, 0, 0)), h.id_of((1, 1, 0, 0))
+    monkeypatch.setattr(checks, "build_hoch", lambda n: _corrupted(n, extra_covers=[fake]))
+    assert not check_lattice_law(4)
 
 
 def test_not_graded_but_bounded_length():
@@ -280,6 +347,18 @@ def test_psi_inverse_rejects_malformed_sets():
         psi_inverse(3, {a_irr(4)})
     with pytest.raises(MalformedLabelSet):
         psi_inverse(3, {b_irr(5)})
+
+
+@pytest.mark.parametrize("kind, index", [("c", 1), ("a", 0), ("b", 1)])
+def test_irreducible_rejects_bad_kind_or_index(kind, index):
+    with pytest.raises(ValueError, match=f"no irreducible {kind}{index}"):
+        HochIrreducible(kind, index)
+
+
+def test_irreducible_triword_rejects_short_length():
+    assert a_irr(3).triword(3) == (1, 1, 1)
+    with pytest.raises(ValueError, match="length 2"):
+        b_irr(3).triword(2)
 
 
 def test_small_cases():

@@ -323,6 +323,17 @@ def test_face_vector_matches_closed():
         assert sum((-1) ** i * f for i, f in enumerate(got)) == 1
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_core_counts_match_enumeration(n):
+    terms, faces = {}, [0] * (n + 1)
+    for core in partial_cores(build_hoch(n).lattice):
+        key = (n - len(core.covers) - core.neg, core.neg)
+        terms[key] = terms.get(key, 0) + 1
+        faces[len(core.covers)] += 1
+    assert f_from_cores(n) == BiPoly(terms)
+    assert face_vector(n) == faces
+
+
 def test_face_vector_pinned():
     assert face_vector(3) == [12, 18, 8, 1]
     assert face_count_closed(6, 1) == 432
