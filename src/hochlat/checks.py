@@ -201,16 +201,16 @@ TRIANGLE_CHECKS = [
 CHECKS = [
     ("triword count", 10, check_cardinality),
     ("componentwise join/meet", 10, check_lattice_law),
-    ("extremal/semidistributive/spherical/intersection", 8, check_structure),
+    ("extremal/semidistributive/spherical/intersection", 10, check_structure),
     ("doubling reconstruction", 9, check_doubling),
-    ("galois characterization", 8, check_galois),
+    ("galois characterization", 10, check_galois),
     ("orthogonal-pair reconstruction", 9, check_mo_reconstruction),
-    ("canonical join complex", 8, check_cjc),
-    ("sigma order isomorphism", 8, check_sigma),
-    ("shuffle statistics", 6, check_shuffle_stats),
+    ("canonical join complex", 10, check_cjc),
+    ("sigma order isomorphism", 9, check_sigma),
+    ("shuffle statistics", 8, check_shuffle_stats),
     *TRIANGLE_CHECKS,
     ("face vector", 10, check_faces),
-    ("boolean baselines", 9, check_baselines),
+    ("boolean baselines", 10, check_baselines),
 ]
 
 

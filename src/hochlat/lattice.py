@@ -3,10 +3,10 @@
 A :class:`Lattice` wraps a bounded :class:`~hochlat.poset.FinitePoset` and
 materializes both m x m bound tables up front (``as_lattice`` fails with a
 witness pair when a least upper bound or greatest lower bound is missing).
-On top of that live the irreducible elements, semidistributivity by the
-cover-label criterion, the join-semidistributive cover labeling, canonical
-join representations, and core label sets.
-"""
+On top of that live the irreducibles and one core-label layer, each part
+computed once per lattice: the cover labels (which exist iff the lattice is
+semidistributive), canonical join representations, and core label sets as
+int64 bitmasks over the join-irreducibles (``psi_map``)."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvariantViolated, NoUniqueMin, NotALattice, NotSemidistributive
-from .limits import check_elements, check_range
+from .limits import check_elements, check_label_bits, check_range
 from .poset import FinitePoset
 
 
@@ -105,18 +105,27 @@ def _single_covers(n, covers_of):
 
 def _cover_labels(leq, table, covers):
     """Label each cover (a, b) by the least x with table[a, x] == b: (labels, None),
-    or (None, (a, b)) at the first cover with no least x.  Every cover has a label iff
-    the lattice is join-semidistributive (Barnard, arXiv:1610.05137); with the dual
-    order and the meet table, iff it is meet-semidistributive.
+    or (None, (a, b)) at the first cover given with no least x.  Every cover has a label
+    iff the lattice is join-semidistributive (Barnard, arXiv:1610.05137); with the dual
+    order and the meet table, iff it is meet-semidistributive.  One numpy pass per lower
+    element a: a least x has the smallest down-set, and one row of leq checks it.
     """
-    labels = {}
-    for a, b in covers:
-        cands = np.nonzero(table[a] == b)[0]
-        least = np.nonzero(leq[np.ix_(cands, cands)].all(axis=1))[0]
-        if len(least) != 1:
-            return None, (a, b)
-        labels[(a, b)] = int(cands[least[0]])
-    return labels, None
+    leq = np.ascontiguousarray(leq)
+    down = leq.sum(axis=0)
+    ends = np.array([b for _, b in covers], dtype=np.int64)
+    by_lower = {}
+    for i, (a, _) in enumerate(covers):
+        by_lower.setdefault(a, []).append(i)
+    labels, bad = np.empty(len(covers), dtype=np.int64), []
+    for a, idx in by_lower.items():
+        same = table[a] == ends[idx, None]
+        cand = np.where(same, down, len(leq) + 1).argmin(axis=1)
+        least = (leq[cand] | ~same).all(axis=1)
+        labels[idx] = cand
+        bad += [i for i, ok in zip(idx, least.tolist()) if not ok]
+    if bad:
+        return None, covers[min(bad)]
+    return dict(zip(covers, labels.tolist())), None
 
 
 class Lattice:
@@ -201,11 +210,29 @@ class Lattice:
     def _meet_labels(self):
         return _cover_labels(self.poset.leq.T, self.meet, [(b, a) for a, b in self.covers])
 
+    @cached_property
+    def _psi(self):
+        """Core label masks: a ORs the label bits of the covers b < c with nucleus(a) <= b
+        and c <= a, the nucleus being the meet of a with its lower covers."""
+        labels, irr = jsd_labeling(self), self.join_irreducibles()
+        check_label_bits(len(irr))
+        bit = {j: 1 << i for i, j in enumerate(irr)}
+        masks = np.array([bit[labels[c]] for c in self.covers], dtype=np.int64)
+        lows, ups = np.array(self.covers, dtype=np.int64).reshape(-1, 2).T
+        nucleus = [self.meet_all([a] + self.poset.lower_covers(a)) for a in range(self.n)]
+        leq, below = self.poset.leq, np.ascontiguousarray(self.poset.leq.T)
+        psi = np.zeros(self.n, dtype=np.int64)
+        for a in range(self.n):
+            psi[a] = np.bitwise_or.reduce(masks[leq[nucleus[a]][lows] & below[a][ups]])
+        psi.setflags(write=False)
+        return psi
+
     def to_json(self):
         data = self.poset.to_json()
         data["join_irreducibles"] = self.join_irreducibles()
         if is_join_semidistributive(self):
-            data["cover_labels"] = [jsd_labeling(self).label(a, b) for a, b in self.covers]
+            labels = jsd_labeling(self)
+            data["cover_labels"] = [labels[c] for c in self.covers]
         return data
 
     def __repr__(self):
@@ -268,31 +295,19 @@ def is_spherical(lat):
     return result
 
 
-@dataclass(frozen=True)
-class JsdLabeling:
-    """Cover labeling of a join-semidistributive lattice.
-
-    Each cover (a, b) gets the minimum element c with a v c = b; that
-    minimum is always join-irreducible.
-    """
-
-    by_cover: dict
-
-    def label(self, a, b):
-        return self.by_cover[(a, b)]
-
-
 def jsd_labeling(lat):
-    by_cover, bad = lat._join_labels
+    """The cover labeling {(a, b): c} of a join-semidistributive lattice: c is the
+    minimum element with a v c = b, always join-irreducible."""
+    labels, bad = lat._join_labels
     if bad is not None:
         raise NoUniqueMin(f"cover ({bad[0]}, {bad[1]}) has no unique minimal join complement")
-    return JsdLabeling(by_cover)
+    return labels
 
 
 def canonical_joinrep(lat, a):
     """Canonical join representation: the labels of the lower covers of a."""
-    lab = jsd_labeling(lat)
-    return frozenset(lab.label(b, a) for b in lat.poset.lower_covers(a))
+    labels = jsd_labeling(lat)
+    return frozenset(labels[(b, a)] for b in lat.poset.lower_covers(a))
 
 
 @dataclass(frozen=True)
@@ -304,11 +319,11 @@ class CoreLabelSet:
 
 def core_label_set(lat, a):
     """Nucleus (meet of a with all its lower covers) and the labels in between."""
-    lab = jsd_labeling(lat)
+    cover_labels = jsd_labeling(lat)
     nucleus = lat.meet_all([a] + lat.poset.lower_covers(a))
     poset = lat.poset
     labels = frozenset(
-        lab.label(b, c)
+        cover_labels[(b, c)]
         for c in poset.interval(nucleus, a)
         for b in poset.lower_covers(c)
         if poset.leq[nucleus, b]
@@ -317,18 +332,19 @@ def core_label_set(lat, a):
 
 
 def psi_map(lat):
-    """Core label sets for every element, as a list indexed by element id."""
-    return [core_label_set(lat, a).labels for a in range(lat.n)]
+    """Core label sets as a read-only int64 array by element id, bit i standing for
+    join_irreducibles()[i]; SizeBound past limits.LABEL_BITS join-irreducibles."""
+    return lat._psi
 
 
 def has_intersection_property(lat):
     """Every pairwise intersection of core label sets is again one."""
     psi = psi_map(lat)
-    seen = set(psi)
-    for i, pa in enumerate(psi):
-        for pb in psi[i + 1 :]:
-            if pa & pb not in seen:
-                return False
+    values = np.unique(psi)
+    for a in range(len(psi) - 1):
+        meets = psi[a] & psi[a + 1 :]  # each <= psi[a], so searchsorted stays in range
+        if (values[np.searchsorted(values, meets)] != meets).any():
+            return False
     return True
 
 

@@ -17,6 +17,10 @@ MAX_CONJECTURE_N = 6  # largest n at which `check all` reports the G-triangle co
 # 2**MAX_GRAPH orthogonal pairs), so the float32 products of 0/1 matrices in lattice._verify_lub,
 # FinitePoset.from_leq and poset._transitive_reduction count exactly.
 
+# Core label sets are int64 masks, one bit per join-irreducible (lattice.psi_map).  The command line
+# reaches at most 19 (Hoch(MAX_N)): Bool(12) has 12, and no Shuf(a, b) with a, b >= 1 is semidistributive.
+LABEL_BITS = 63
+
 
 def check_range(name, value, lo, hi=None):
     """Raise SizeBound unless lo <= value, and value <= hi when hi is given."""
@@ -34,3 +38,9 @@ def check_elements(what, count):
     """Raise SizeBound when a structure would have more than MAX_ELEMENTS elements."""
     if count > MAX_ELEMENTS:
         raise SizeBound(f"{what} would have {count} elements (cap {MAX_ELEMENTS})")
+
+
+def check_label_bits(count):
+    """Raise SizeBound when count join-irreducibles do not fit an int64 core label mask."""
+    if count > LABEL_BITS:
+        raise SizeBound(f"{count} join-irreducibles do not fit a core label mask (cap {LABEL_BITS})")

@@ -77,7 +77,8 @@ class BiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e):
-        assert isinstance(e, int) and e >= 0
+        if not isinstance(e, int) or e < 0:
+            raise ValueError(f"exponent must be a non-negative int, got {e!r}")
         out = BiPoly.const(1)
         base = self
         while e:

@@ -16,6 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
+from weakref import WeakKeyDictionary
+
+import numpy as np
 
 from .errors import InvariantViolated, MalformedWord, NotSemidistributive
 from .hochschild import l1
@@ -211,15 +214,22 @@ def sigma_inverse(n, w):
 # -- core label order --------------------------------------------------------
 
 
+_CLO = WeakKeyDictionary()  # lattice -> its core label order, freed with the lattice
+
+
 def clo(lat):
-    """Order the elements by inclusion of their core label sets, on the same ids."""
+    """Order the elements by inclusion of their core label sets, on the same ids; built
+    at most once per lattice, later calls return the same poset."""
+    if lat in _CLO:
+        return _CLO[lat]
     if not is_semidistributive(lat):
         raise NotSemidistributive("core label order needs a semidistributive lattice")
     psi = psi_map(lat)
-    if len(set(psi)) != lat.n:
+    if len(np.unique(psi)) != lat.n:
         raise InvariantViolated("two elements share a core label set")
-    leq = [[pa <= pb for pb in psi] for pa in psi]
-    return FinitePoset.from_leq(leq, labels=list(lat.poset.labels))
+    leq = (psi[:, None] & ~psi[None, :]) == 0
+    _CLO[lat] = FinitePoset.from_leq(leq, labels=list(lat.poset.labels))
+    return _CLO[lat]
 
 
 def clo_rank_counts(n):

@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
+from .errors import InvariantViolated
 from .hochschild import build_hoch, canrep_formula, enumerate_triwords, l1
 from .lattice import build_bool, canonical_joinrep, jsd_labeling
 from .limits import check_n
@@ -159,7 +160,8 @@ def h_closed(n):
 def f_coefficient(n, k, l):
     """Coefficient of x^k y^l in the F-triangle; the division by n is exact."""
     v = Fraction(comb(n, k) * comb(n - k, l) * (n * (k + 1) - k * (l + 1)), n)
-    assert v.denominator == 1
+    if v.denominator != 1:
+        raise InvariantViolated(f"F coefficient {v} is not an integer")
     return int(v)
 
 
@@ -214,15 +216,15 @@ class PartialCore:
 
 def partial_cores(lat):
     """All (element, cover subset) pairs of a join-semidistributive lattice."""
-    lab = jsd_labeling(lat)
+    labels = jsd_labeling(lat)
     atomset = set(lat.atoms())
     out = []
     for u in range(lat.n):
         lows = lat.poset.lower_covers(u)
-        total = sum(1 for a in lows if lab.label(a, u) in atomset)
+        total = sum(1 for a in lows if labels[(a, u)] in atomset)
         for r in range(len(lows) + 1):
             for chosen in combinations(lows, r):
-                drop = sum(1 for a in chosen if lab.label(a, u) in atomset)
+                drop = sum(1 for a in chosen if labels[(a, u)] in atomset)
                 out.append(
                     PartialCore(
                         element=u,
@@ -238,11 +240,11 @@ def f_from_cores(n):
     """F-triangle by counting partial cores: choosing s of an element's t atom-labeled covers
     and q of its d - t other lower covers leaves neg = t - s, in comb(t, s) comb(d - t, q) ways."""
     lat = build_hoch(n).lattice
-    lab, atomset = jsd_labeling(lat), set(lat.atoms())
+    labels, atomset = jsd_labeling(lat), set(lat.atoms())
     terms = {}
     for u in range(lat.n):
         lows = lat.poset.lower_covers(u)
-        d, t = len(lows), sum(1 for a in lows if lab.label(a, u) in atomset)
+        d, t = len(lows), sum(1 for a in lows if labels[(a, u)] in atomset)
         for s, q in product(range(t + 1), range(d - t + 1)):
             key = (n - t - q, t - s)
             terms[key] = terms.get(key, 0) + comb(t, s) * comb(d - t, q)
@@ -259,7 +261,8 @@ def face_vector(n):
 def face_count_closed(n, i):
     """Closed count of partial cores with i chosen covers; exact rationals."""
     v = Fraction(2) ** (n - i - 2) * Fraction(comb(n, i) * (n * (n + 3) - i * (i - 1)), n)
-    assert v.denominator == 1
+    if v.denominator != 1:
+        raise InvariantViolated(f"face count {v} is not an integer")
     return int(v)
 
 

@@ -82,6 +82,16 @@ def test_faces_golden(capsys):
     assert out == "12 18 8 1\n"
 
 
+def test_faces_fails_with_the_shared_check(capsys, monkeypatch):
+    from hochlat import checks
+
+    monkeypatch.setattr(checks, "face_vector", lambda n: [12, 18, 8, 2])
+    code, out, err = run(capsys, "faces", "--n", "3")
+    assert code == 1
+    assert out == ""
+    assert err == "counted face vector [12, 18, 8, 1] fails the face-vector check\n"
+
+
 def test_triangles_m3_golden(capsys):
     code, out, _ = run(capsys, "triangles", "--family", "hoch", "--n", "3", "--which", "m")
     assert code == 0

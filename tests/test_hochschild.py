@@ -117,10 +117,10 @@ def test_hasse_diagram_n3():
     h = build_hoch(3)
     lat = h.lattice
     assert lat.n == 12
-    lab = jsd_labeling(lat)
+    labels = jsd_labeling(lat)
     seen = {}
     for a, b in lat.covers:
-        j = irreducible_of_triword(h.triword(lab.label(a, b)))
+        j = irreducible_of_triword(h.triword(labels[(a, b)]))
         seen[(h.triword(a), h.triword(b))] = str(j)
     assert seen == HASSE_3
     for (u, v), name in HASSE_3.items():

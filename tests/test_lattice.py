@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hochlat import lattice as lattice_module
-from hochlat.errors import InvariantViolated, NoUniqueMin, NotALattice, NotSemidistributive
+from hochlat.errors import InvariantViolated, NoUniqueMin, NotALattice, NotSemidistributive, SizeBound
 from hochlat.hochschild import build_hoch
 from hochlat.lattice import (
     Lattice,
@@ -23,7 +23,7 @@ from hochlat.lattice import (
     psi_map,
 )
 from hochlat.poset import FinitePoset, doubling
-from hochlat.shuffles import shuffle_lattice
+from hochlat.shuffles import clo, shuffle_lattice
 
 
 def chain_lattice(k):
@@ -127,6 +127,18 @@ def brute_jsd(lat):
     return True
 
 
+def per_cover_labels(leq, table, covers):
+    """The per-cover labeling, one np.nonzero and np.ix_ per cover: the oracle of _cover_labels."""
+    labels = {}
+    for a, b in covers:
+        cands = np.nonzero(table[a] == b)[0]
+        least = np.nonzero(leq[np.ix_(cands, cands)].all(axis=1))[0]
+        if len(least) != 1:
+            return None, (a, b)
+        labels[(a, b)] = int(cands[least[0]])
+    return labels, None
+
+
 def closure_system_lattice(rng, points=5):
     """Subsets of range(points) closed under intersection, ordered by inclusion."""
     full = (1 << points) - 1
@@ -162,6 +174,21 @@ def test_semidistributivity_matches_brute_force():
     assert failing >= 10
 
 
+def test_cover_labels_match_per_cover_oracle():
+    lattices = list(oracle_lattices()) + [build_hoch(n).lattice for n in range(6, 9)]
+    assert len(lattices) == 83
+    failing = 0
+    for lat in lattices:
+        leq = lat.poset.leq
+        join_side = (leq, lat.join, lat.covers)
+        meet_side = (leq.T, lat.meet, [(b, a) for a, b in lat.covers])
+        for side in (join_side, meet_side):
+            got = lattice_module._cover_labels(*side)
+            assert got == per_cover_labels(*side)
+            failing += got[0] is None
+    assert failing >= 10
+
+
 def test_each_side_is_computed_once(monkeypatch):
     calls = []
     real = lattice_module._cover_labels
@@ -189,9 +216,9 @@ def test_spherical():
 
 def test_jsd_labeling_boolean_labels_are_atoms():
     lat = build_bool(3)
-    lab = jsd_labeling(lat)
+    labels = jsd_labeling(lat)
     for s, t in lat.covers:
-        assert lab.label(s, t) == s ^ t  # the added bit
+        assert labels[(s, t)] == s ^ t  # the added bit
 
 
 def test_jsd_labeling_no_unique_min_on_diamond():
@@ -215,9 +242,8 @@ def test_mobius_disagreeing_with_atoms_raises(monkeypatch):
 
 def test_jsd_labels_are_join_irreducible_and_perspective():
     for lat in (build_bool(3), pentagon(), hexagon()):
-        lab = jsd_labeling(lat)
         irr = set(lat.join_irreducibles())
-        for (a, b), j in lab.by_cover.items():
+        for (a, b), j in jsd_labeling(lat).items():
             assert j in irr
             assert lat.join_of(a, j) == b
             # minimality: nothing strictly below j also joins a up to b
@@ -268,21 +294,36 @@ def test_core_label_set_hexagon():
     assert core_label_set(lat, 3).labels == frozenset({3})
 
 
+def core_label_lattices():
+    yield from (build_hoch(n).lattice for n in range(1, 7))
+    yield from (build_bool(n) for n in range(5))
+    yield from (shuffle_lattice(3, 0).lattice, pentagon(), hexagon())
+
+
 def test_core_label_set_matches_all_covers_scan():
-    lattices = [build_hoch(n).lattice for n in range(1, 7)]
-    lattices += [build_bool(n) for n in range(5)]
-    lattices += [shuffle_lattice(3, 0).lattice, pentagon(), hexagon()]
-    for lat in lattices:
-        lab = jsd_labeling(lat)
+    for lat in core_label_lattices():
+        labels = jsd_labeling(lat)
         leq = lat.poset.leq
         for a in range(lat.n):
             core = core_label_set(lat, a)
-            scan = {lab.label(b, c) for b, c in lat.covers if leq[core.nucleus, b] and leq[c, a]}
+            scan = {labels[(b, c)] for b, c in lat.covers if leq[core.nucleus, b] and leq[c, a]}
             assert core.labels == scan
 
 
+def test_psi_map_decodes_to_core_label_sets():
+    for lat in core_label_lattices():
+        irr = lat.join_irreducibles()
+        psi = psi_map(lat)
+        assert psi.dtype == np.int64 and psi.shape == (lat.n,)
+        for a, mask in enumerate(psi.tolist()):
+            decoded = frozenset(j for i, j in enumerate(irr) if mask >> i & 1)
+            assert decoded == core_label_set(lat, a).labels
+        assert psi_map(lat) is psi  # computed once per lattice
+
+
 def brute_intersection_property(lat):
-    psi = psi_map(lat)
+    """The frozenset pair loop over the definitional core label sets."""
+    psi = [core_label_set(lat, a).labels for a in range(lat.n)]
     values = set(psi)
     return all(pa & pb in values for pa in psi for pb in psi)
 
@@ -291,6 +332,49 @@ def test_intersection_property():
     for lat in (build_bool(2), build_bool(3), chain_lattice(4), pentagon(), hexagon()):
         assert has_intersection_property(lat) == brute_intersection_property(lat)
         assert has_intersection_property(lat)
+
+
+def test_intersection_property_matches_frozenset_oracle():
+    rng = random.Random(2)
+    lattices = list(oracle_lattices()) + [closure_system_lattice(rng) for _ in range(300)]
+    checked = failing = 0
+    for lat in lattices:
+        if not is_semidistributive(lat):
+            continue
+        got = has_intersection_property(lat)
+        assert got == brute_intersection_property(lat)
+        checked += 1
+        failing += not got
+    assert checked >= 200 and failing >= 1
+
+
+def test_core_label_masks_hold_at_most_63_irreducibles():
+    long_chain = chain_lattice(64)  # 63 join-irreducibles; element a's core labels are {a}
+    assert psi_map(long_chain).tolist() == [0] + [1 << i for i in range(63)]
+    too_long = chain_lattice(65)
+    assert is_semidistributive(too_long)
+    for route in (psi_map, has_intersection_property, clo):
+        with pytest.raises(SizeBound):
+            route(too_long)
+
+
+def test_lub_scan_matches_irreducible_masks():
+    rng = random.Random(4)
+    lattices = [build_hoch(n).lattice for n in range(1, 7)]
+    lattices += [build_bool(k) for k in range(6)]
+    lattices += [shuffle_lattice(a, b).lattice for a in range(4) for b in range(3)]
+    lattices += [closure_system_lattice(rng) for _ in range(30)]
+    for lat in lattices:
+        p = lat.poset
+        sides = (
+            (p.leq, p._topo, lat.join_irreducibles(), lat.join),
+            (p.leq.T.copy(), p._topo[::-1], lat.meet_irreducibles(), lat.meet),
+        )
+        for leq, topo, irrs, table in sides:
+            assert len(irrs) <= 20
+            scanned = lattice_module._lub_by_scan(leq, topo)
+            assert (scanned == lattice_module._lub_by_irr_masks(leq, topo, irrs)).all()
+            assert (scanned == table).all()
 
 
 def test_doubling_of_lattice_is_lattice():

@@ -81,3 +81,9 @@ def test_grid_interpolation_recovers_polynomial():
     assert got == p
     with pytest.raises(InterpolationDegeneracy):
         interpolate_from_grid([1, 1], [0, 2], lambda a, b: 0)
+
+
+@pytest.mark.parametrize("e", [-1, 1.5, Fraction(2)])
+def test_power_needs_a_non_negative_int(e):
+    with pytest.raises(ValueError, match="non-negative int"):
+        BiPoly.x() ** e

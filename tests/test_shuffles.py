@@ -1,9 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hochlat import shuffles
-from hochlat.checks import check_shuffle_stats
+from hochlat.checks import check_m_triangle, check_shuffle_stats, check_sigma
 from hochlat.errors import InvariantViolated, MalformedWord, NotSemidistributive, SizeBound
 from hochlat.hochschild import build_hoch, canrep_formula, enumerate_triwords, l1
 from hochlat.lattice import as_lattice, build_bool
@@ -228,9 +229,24 @@ def test_clo_needs_semidistributivity():
 
 
 def test_clo_rejects_repeated_core_label_sets(monkeypatch):
-    monkeypatch.setattr(shuffles, "psi_map", lambda lat: [frozenset()] * lat.n)
+    monkeypatch.setattr(shuffles, "psi_map", lambda lat: np.zeros(lat.n, dtype=np.int64))
     with pytest.raises(InvariantViolated):
         clo(build_bool(2))
+
+
+def test_sigma_and_m_triangle_share_one_core_label_order(monkeypatch):
+    built = []
+    real = FinitePoset.from_leq.__func__
+
+    def counted(cls, leq, labels=None):
+        built.append(len(leq))
+        return real(cls, leq, labels)
+
+    build_hoch.cache_clear()
+    monkeypatch.setattr(FinitePoset, "from_leq", classmethod(counted))
+    assert check_sigma(5) and check_m_triangle(5)
+    assert built == [build_hoch(5).lattice.n]
+    assert clo(build_hoch(5).lattice) is clo(build_hoch(5).lattice)
 
 
 def test_stats_values_pinned():

@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from hochlat.errors import NotGraded, SizeBound
+from hochlat import triangles
+from hochlat.errors import InvariantViolated, NotGraded, SizeBound
 from hochlat.hochschild import build_hoch, canrep_formula, enumerate_triwords, l1, triword_count
 from hochlat.lattice import build_bool, canonical_joinrep, core_label_set
 from hochlat.polynomials import BiPoly
@@ -213,6 +214,14 @@ def test_f_coefficient_closed():
         for k in range(n + 1):
             for l in range(n - k + 1):
                 assert f_coefficient(n, k, l) == closed.coeff(k, l)
+
+
+def test_inexact_closed_counts_raise(monkeypatch):
+    monkeypatch.setattr(triangles, "comb", lambda a, b: 1)
+    with pytest.raises(InvariantViolated, match="F coefficient 5/3"):
+        f_coefficient(3, 1, 0)  # (3 * 2 - 1) / 3
+    with pytest.raises(InvariantViolated, match="face count 8/3"):
+        face_count_closed(3, 2)  # 2**-1 * (18 - 2) / 3
 
 
 def test_f_tilde_term_by_term_n3():
