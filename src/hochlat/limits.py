@@ -11,11 +11,15 @@ from .errors import SizeBound
 MAX_N = 10  # word length n of Hoch(n) and of every per-n check
 MAX_ELEMENTS = 5000  # elements of a built shuffle or Boolean lattice
 MAX_GRAPH = 22  # vertices of a graph whose orthogonal pairs are enumerated
-MAX_CONJECTURE_N = 6  # largest n at which `check all` reports the G-triangle conjecture
 
 # Every structure these caps admit has under 2**24 elements (Hoch(MAX_N), MAX_ELEMENTS, and
 # 2**MAX_GRAPH orthogonal pairs), so the float32 products of 0/1 matrices in lattice._verify_lub,
 # FinitePoset.from_leq and poset._transitive_reduction count exactly.
+
+# The Mobius solve (FinitePoset.mobius_times) and the chain counts behind FinitePoset.zeta run in int64;
+# before each step they pass check_int64 a bound on every sum the step forms, so nothing wraps around
+# (the solve checks once more at the end, so the column sums of its result are exact as well).
+INT64_BOUND = 2**63
 
 # Core label sets are int64 masks, one bit per join-irreducible (lattice.psi_map).  The command line
 # reaches at most 19 (Hoch(MAX_N)): Bool(12) has 12, and no Shuf(a, b) with a, b >= 1 is semidistributive.
@@ -44,3 +48,9 @@ def check_label_bits(count):
     """Raise SizeBound when count join-irreducibles do not fit an int64 core label mask."""
     if count > LABEL_BITS:
         raise SizeBound(f"{count} join-irreducibles do not fit a core label mask (cap {LABEL_BITS})")
+
+
+def check_int64(what, bound):
+    """Raise SizeBound unless an integer of size up to bound is exact in int64."""
+    if bound >= INT64_BOUND:
+        raise SizeBound(f"{what} may reach {bound}, past the int64 bound {INT64_BOUND}")

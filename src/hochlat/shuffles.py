@@ -14,6 +14,7 @@ letter-by-letter bijection.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
 from weakref import WeakKeyDictionary
@@ -122,7 +123,9 @@ def _up_steps(w, a, b):
     return out
 
 
+@lru_cache(maxsize=None)
 def shuffle_lattice(a, b):
+    """Shuf(a, b), built once per (a, b); later calls return the same object."""
     check_range("a", a, 0)
     check_range("b", b, 0)
     check_elements("shuffle lattice", shuffle_count(a, b))
@@ -141,11 +144,10 @@ def shuffle_stats(n):
     check_n(n)
     lat = shuffle_lattice(n - 1, 1)
     poset = lat.lattice.poset
-    zeta_pts = [(q, poset.zeta(q)) for q in range(1, poset.length() + 3)]
     return {
         "elements": poset.n,
         "maximal_chains": poset.count_maximal_chains(),
-        "zeta_coefficients": interpolate_univariate(zeta_pts),
+        "zeta_coefficients": interpolate_univariate(poset.zeta_points()),
         "mobius": poset.mobius(poset.bottom(), poset.top()),
         "mobius_via_zeta": poset.mobius_invariant_via_zeta(),
     }

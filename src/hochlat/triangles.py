@@ -16,6 +16,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
+import numpy as np
+
 from .errors import InvariantViolated
 from .hochschild import build_hoch, canrep_formula, enumerate_triwords, l1
 from .lattice import build_bool, canonical_joinrep, jsd_labeling
@@ -32,23 +34,32 @@ ONE = BiPoly.const(1)
 # -- rank and characteristic polynomials ------------------------------------
 
 
+def _indicator(grades):
+    """R: the m x (max grade + 1) int64 matrix with R[v, g] = 1 iff grades[v] == g."""
+    grades = np.asarray(grades)
+    return (grades[:, None] == np.arange(grades.max(initial=0) + 1)).astype(np.int64)
+
+
+def _graded(mat, rows, cols=None):
+    """BiPoly of R^T mat C, R and C the indicators of rows and cols (C = 1 when cols is None).
+    R^T mat is one row sum per grade, so a boolean mat is never widened to int64 whole."""
+    rows = np.asarray(rows)
+    acc = np.stack([mat[rows == g].sum(0) for g in range(rows.max(initial=0) + 1)])
+    if cols is not None:
+        acc = acc @ _indicator(cols)
+    return BiPoly({(i, j): int(c) for (i, j), c in np.ndenumerate(acc)})
+
+
 def rank_poly(p):
-    """Sum of x^rank over a graded poset."""
-    terms = {}
-    for r in p.rank_vector():
-        terms[(r, 0)] = terms.get((r, 0), 0) + 1
-    return BiPoly(terms)
+    """Sum of x^rank over a graded poset: R^T 1."""
+    return _graded(np.ones((p.n, 1), dtype=np.int64), p.rank_vector())
 
 
 def char_poly(p):
-    """Sum of mu(bottom, v) x^rank(v) over a graded bounded poset."""
+    """Sum of mu(bottom, v) x^rank(v) over a graded bounded poset: the bottom row of mu R."""
     ranks = p.rank_vector()
-    bot = p.bottom()
-    terms = {}
-    for v in range(p.n):
-        key = (ranks[v], 0)
-        terms[key] = terms.get(key, 0) + p.mobius(bot, v)
-    return BiPoly(terms)
+    row = p.mobius_times(_indicator(ranks))[p.bottom()]
+    return BiPoly({(r, 0): int(c) for r, c in enumerate(row)})
 
 
 def rank_poly_closed(n):
@@ -75,19 +86,12 @@ def shuffle_char_closed(a, b):
 
 
 def m_triangle(p):
-    """Mobius values of all comparable pairs, graded by rank on both sides.
+    """Mobius values of all comparable pairs, graded by rank on both sides: R^T (mu R).
 
     The intended input is a core label order; any graded poset works.
     """
     ranks = p.rank_vector()
-    terms = {}
-    for b in range(p.n):
-        for a in range(p.n):
-            if not p.leq[a, b]:
-                continue
-            key = (ranks[a], ranks[b])
-            terms[key] = terms.get(key, 0) + p.mobius(a, b)
-    return BiPoly(terms)
+    return _graded(p.mobius_times(_indicator(ranks)), ranks)
 
 
 def m_closed(n):
@@ -306,17 +310,10 @@ def h_from_antichains(n):
 
 
 def g_triangle(a, b):
-    """Comparable pairs of a shuffle lattice, graded by rank and corank."""
+    """Comparable pairs of a shuffle lattice, graded by rank and corank: R^T zeta C."""
     sl = shuffle_lattice(a, b)
-    ranks = [word_rank(w, a) for w in sl.words]
-    leq = sl.lattice.poset.leq
-    terms = {}
-    for j in range(len(ranks)):
-        for i in range(len(ranks)):
-            if leq[i, j]:
-                key = (ranks[i], a + b - ranks[j])
-                terms[key] = terms.get(key, 0) + 1
-    return BiPoly(terms)
+    ranks = np.array([word_rank(w, a) for w in sl.words])
+    return _graded(sl.lattice.poset.leq, ranks, a + b - ranks)
 
 
 def g_conjecture_closed(n):
@@ -350,15 +347,7 @@ def boolean_baselines(n):
     """Definitional M/F/H of the Boolean lattice next to their closed powers."""
     lat = build_bool(n)
     p = lat.poset
-    ranks = p.rank_vector()
-
-    f_terms = {}
-    for b in range(p.n):
-        for a in range(p.n):
-            if p.leq[a, b]:
-                key = (ranks[a], n - ranks[b])
-                f_terms[key] = f_terms.get(key, 0) + 1
-
+    ranks = np.array(p.rank_vector())
     atomset = set(lat.atoms())
     h_terms = {}
     for e in range(p.n):
@@ -368,7 +357,7 @@ def boolean_baselines(n):
 
     return {
         "m": m_triangle(p),
-        "f": BiPoly(f_terms),
+        "f": _graded(p.leq, ranks, n - ranks),
         "h": BiPoly(h_terms),
         "m_closed": (X * Y - Y + ONE) ** n,
         "f_closed": (X + Y + ONE) ** n,

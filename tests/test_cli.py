@@ -49,6 +49,40 @@ ok   f-triangle
 ok   h-triangle
 """
 
+CHECK_ALL_7 = """ok   triword count
+ok   componentwise join/meet
+ok   extremal/semidistributive/spherical/intersection
+ok   doubling reconstruction
+ok   galois characterization
+ok   orthogonal-pair reconstruction
+ok   canonical join complex
+ok   sigma order isomorphism
+ok   shuffle statistics
+ok   m-triangle
+ok   f-triangle
+ok   h-triangle
+ok   face vector
+ok   boolean baselines
+note g-triangle conjecture at n=7: matches
+"""
+
+CHECK_ALL_10_STUBBED = """ok   triword count
+ok   componentwise join/meet
+ok   extremal/semidistributive/spherical/intersection
+skip doubling reconstruction (checked up to n=9)
+ok   galois characterization
+skip orthogonal-pair reconstruction (checked up to n=9)
+ok   canonical join complex
+skip sigma order isomorphism (checked up to n=9)
+skip shuffle statistics (checked up to n=9)
+ok   m-triangle
+ok   f-triangle
+ok   h-triangle
+ok   face vector
+ok   boolean baselines
+note g-triangle conjecture at n=10: matches
+"""
+
 OFF_CJC_3 = """OFF
 5 3 0
 # 0 b3
@@ -105,14 +139,29 @@ def test_triangles_check_golden(capsys):
     assert err == ""
 
 
-def test_triangles_check_skips_past_bundle_bound(capsys):
+def test_triangles_check_runs_every_bundle_at_n9(capsys):
     code, out, _ = run(capsys, "triangles", "--n", "9", "--check")
     assert code == 0
-    assert out.splitlines() == [
-        "skip m-triangle (checked up to n=8)",
-        "ok   f-triangle",
-        "ok   h-triangle",
-    ]
+    assert out == "ok   m-triangle\nok   f-triangle\nok   h-triangle\n"
+
+
+def test_check_all_skips_past_bundle_bound(capsys, monkeypatch):
+    from hochlat import checks
+
+    # Every bundle that runs is stubbed; the names and bounds are the registry's own.
+    stubbed = [(name, bound, lambda n: True) for name, bound, _ in checks.CHECKS]
+    monkeypatch.setattr(checks, "CHECKS", stubbed)
+    monkeypatch.setattr(checks, "conjecture_report", lambda n: {"match": True})
+    code, out, _ = run(capsys, "check", "all", "--n", "10")
+    assert code == 0
+    assert out == CHECK_ALL_10_STUBBED
+
+
+def test_check_all_golden_with_conjecture_note(capsys):
+    code, out, err = run(capsys, "check", "all", "--n", "7")
+    assert code == 0
+    assert out == CHECK_ALL_7
+    assert err == ""
 
 
 def test_triangles_closed_form_past_max_n(capsys):

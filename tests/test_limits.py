@@ -34,7 +34,6 @@ def test_only_limits_binds_caps():
         "MAX_N",
         "MAX_ELEMENTS",
         "MAX_GRAPH",
-        "MAX_CONJECTURE_N",
     }
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name != "limits.py":
@@ -53,6 +52,9 @@ def test_validators():
         limits.check_range("a", -1, 0)
     with pytest.raises(SizeBound):
         limits.check_elements("x", limits.MAX_ELEMENTS + 1)
+    limits.check_int64("x", 2**63 - 1)
+    with pytest.raises(SizeBound, match="int64"):
+        limits.check_int64("x", 2**63)
 
 
 def test_constructions_reject_negative_sizes():

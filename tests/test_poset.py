@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hochlat import limits
 from hochlat import poset as poset_module
 from hochlat.errors import (
     CycleDetected,
@@ -13,6 +16,7 @@ from hochlat.errors import (
     NotCover,
     NotGraded,
     NotInterval,
+    SizeBound,
 )
 from hochlat.poset import (
     FinitePoset,
@@ -150,6 +154,68 @@ def test_zeta_polynomial_extends_to_all_sampled_counts():
         coeffs = interpolate_univariate(p.zeta_points())
         for q in range(1, p.length() + 4):
             assert sum(c * q**k for k, c in enumerate(coeffs)) == p.zeta(q)
+
+
+def recursive_mobius(p, a, b, memo=None):
+    """The per-pair recursion: mu(b, b) = 1 and mu(c, b) = -(sum of mu(d, b) over c < d <= b)."""
+    if not p.leq[a, b]:
+        return 0
+    memo = {} if memo is None else memo
+    if (a, b) not in memo:
+        above = (recursive_mobius(p, d, b, memo) for d in p.interval(a, b) if d != a)
+        memo[(a, b)] = 1 if a == b else -sum(above)
+    return memo[(a, b)]
+
+
+@st.composite
+def random_posets(draw):
+    """Closure of a random DAG on 1..8 elements, with ids shuffled so id order is no linear extension."""
+    m = draw(st.integers(1, 8))
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    perm = draw(st.permutations(range(m)))
+    leq = np.zeros((m, m), dtype=bool)
+    for a, b in brute_leq(edges, m):
+        leq[perm[a], perm[b]] = True
+    return FinitePoset.from_leq(leq)
+
+
+POSET_SETTINGS = settings(max_examples=150, deadline=None, database=None)
+
+
+@POSET_SETTINGS
+@given(random_posets(), st.integers(0, 2**32))
+def test_mobius_solve_matches_recursion(p, seed):
+    memo = {}
+    mu = np.array([[recursive_mobius(p, a, b, memo) for b in range(p.n)] for a in range(p.n)])
+    assert (p.mobius_times(np.eye(p.n, dtype=np.int64)) == mu).all()
+    rhs = np.random.default_rng(seed).integers(-5, 6, size=(p.n, 3))
+    assert (p.mobius_times(rhs) == mu @ rhs).all()
+    assert (p.mobius_times(rhs[:, 0]) == mu @ rhs[:, 0]).all()
+    assert all(p.mobius(a, b) == mu[a, b] for a in range(p.n) for b in range(p.n))
+
+
+@POSET_SETTINGS
+@given(random_posets())
+def test_zeta_matches_multichains_on_random_posets(p):
+    for q in range(1, 5):
+        assert p.zeta(q) == brute_multichains(p, q - 1)
+
+
+def test_mobius_solve_guards_int64(monkeypatch):
+    assert boolean(3).mobius(0, 7) == -1
+    monkeypatch.setattr(limits, "INT64_BOUND", 4)
+    with pytest.raises(SizeBound, match="Mobius solve"):
+        boolean(3).mobius(0, 7)
+    assert chain(2).mobius(0, 1) == -1  # every sum stays below 4
+
+
+def test_chain_counts_guard_int64(monkeypatch):
+    assert boolean(3).zeta(4) == 64
+    monkeypatch.setattr(limits, "INT64_BOUND", 8)
+    with pytest.raises(SizeBound, match="chain count"):
+        boolean(3).zeta(4)  # 8 one-element chains already reach the bound
+    assert chain(3).zeta(4) == 10
 
 
 def test_mobius_invariant_via_zeta_matches_recursion():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hochlat import shuffles
-from hochlat.checks import check_m_triangle, check_shuffle_stats, check_sigma
+from hochlat.checks import check_m_triangle, check_shuffle_stats, check_sigma, conjecture_report
 from hochlat.errors import InvariantViolated, MalformedWord, NotSemidistributive, SizeBound
 from hochlat.hochschild import build_hoch, canrep_formula, enumerate_triwords, l1
 from hochlat.lattice import as_lattice, build_bool
@@ -103,6 +103,14 @@ def test_size_bound():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_stats_match_closed_formulas(n):
     assert shuffle_stats(n) == shuffle_stats_closed(n)
+
+
+def test_shuffle_lattice_is_built_once_per_size():
+    shuffle_lattice.cache_clear()
+    first = shuffle_lattice(3, 1)
+    assert shuffle_lattice(3, 1) is first
+    assert check_sigma(4) and check_shuffle_stats(4) and conjecture_report(4)["match"]
+    assert shuffle_lattice.cache_info().misses == 1
 
 
 def test_zeta_route_counts_in_the_verdict(monkeypatch):
