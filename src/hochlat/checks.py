@@ -207,7 +207,7 @@ CHECKS = [
     ("orthogonal-pair reconstruction", 9, check_mo_reconstruction),
     ("canonical join complex", 10, check_cjc),
     ("sigma order isomorphism", 9, check_sigma),
-    ("shuffle statistics", 9, check_shuffle_stats),
+    ("shuffle statistics", 10, check_shuffle_stats),
     *TRIANGLE_CHECKS,
     ("face vector", 10, check_faces),
     ("boolean baselines", 10, check_baselines),

@@ -1,8 +1,12 @@
 """Finite lattices: eager join/meet tables plus the order-theoretic toolkit.
 
 A :class:`Lattice` wraps a bounded :class:`~hochlat.poset.FinitePoset` and
-materializes both m x m bound tables up front (``as_lattice`` fails with a
-witness pair when a least upper bound or greatest lower bound is missing).
+materializes both m x m bound tables up front.  ``as_lattice`` certifies them
+in O(m^2) by irreducible masks: each element's set of join-irreducibles below
+it must embed the order and be closed under intersection, and the meet is the
+element with the intersected mask (dually for the join).  Otherwise it raises
+NotALattice with a witness pair that has no join or no meet.
+
 On top of that live the irreducibles and one core-label layer, each part
 computed once per lattice: the cover labels (which exist iff the lattice is
 semidistributive), canonical join representations, and core label sets as
@@ -20,82 +24,52 @@ from .limits import check_elements, check_label_bits, check_range
 from .poset import FinitePoset
 
 
-def _lub_by_scan(leq, topo):
-    """Candidate least-upper-bound table: first topo element dominating both."""
-    n = len(leq)
-    table = np.zeros((n, n), dtype=np.int64)
-    unassigned = np.ones((n, n), dtype=bool)
-    for c in topo:
-        dominated = leq[:, c]
-        block = np.logical_and.outer(dominated, dominated)
-        block &= unassigned
-        table[block] = c
-        unassigned &= ~block
-    if unassigned.any():
-        a, b = (int(x[0]) for x in np.nonzero(unassigned))
-        raise NotALattice(f"pair ({a}, {b}) has no common bound", pair=(a, b))
-    return table
+def _meet_table(leq, topo, lower_covers):
+    """The meet table of a bounded order, certified by join-irreducible masks; NotALattice
+    with a witness pair when some pair has no meet (or, failing first, no join).
 
+    M(x) is the set of join-irreducibles j <= x (elements with one lower cover).  Every
+    element of a finite lattice is the join of the join-irreducibles below it (Davey and
+    Priestley, Introduction to Lattices and Order, 2.41), so a bounded order is a lattice
+    iff x <= y exactly when M(x) is a subset of M(y), and the masks are closed under
+    intersection; then M(a ^ b) = M(a) & M(b), looked up among the sorted masks.  Rows
+    a are checked for both in topological order, a block of rows per numpy pass, and the
+    first failing row gives:
 
-def _lub_by_irr_masks(leq, topo, irrs):
-    """Candidate table via irreducible bitmasks (for <= 20 irreducibles).
+    - (b, c), the first two lower covers of a, when the embedding fails first at a.  a is
+      not the bottom (M = 0) and not join-irreducible (a is in M(a)), so it has two lower
+      covers; they precede a, so all lie below some y with M(a) in M(y) and not a <= y.  A
+      join of b and c would lie below both a and y, so it would be a, and a <= y.
+    - (a, b) when M(a) & M(b) is no mask: a meet of a and b would have that mask.
 
-    Every element of a lattice is the join of the irreducibles below it, so
-    the candidate for (a, b) is the topologically least element whose
-    irreducible set contains both of theirs; a subset-closure sweep over the
-    2^k masks makes each pair an O(1) lookup.
+    On the dual order the same routine gives the join table (with join and meet swapped
+    above).  Masks are int64 below 64 join-irreducibles and Python ints from 64 on.
     """
-    n = len(leq)
-    k = len(irrs)
-    masks = np.zeros(n, dtype=np.int64)
-    for idx, j in enumerate(irrs):
-        masks[leq[j]] |= np.int64(1 << idx)
-    topo_pos = np.empty(n, dtype=np.int64)
-    topo_pos[np.asarray(topo)] = np.arange(n)
-    size = 1 << k
-    cl = np.full(size, -1, dtype=np.int64)
-    pos = np.full(size, np.iinfo(np.int64).max, dtype=np.int64)
-    for e in topo:
-        s = int(masks[e])
-        if cl[s] < 0:
-            cl[s] = e
-            pos[s] = topo_pos[e]
-    for bit in range(k):
-        step = 1 << bit
-        low = np.nonzero((np.arange(size) & step) == 0)[0]
-        high = low + step
-        better = pos[high] < pos[low]
-        cl[low[better]] = cl[high[better]]
-        pos[low[better]] = pos[high[better]]
-    table = cl[masks[:, None] | masks[None, :]]
-    if (table < 0).any():
-        a, b = (int(x[0]) for x in np.nonzero(table < 0))
-        raise NotALattice(f"pair ({a}, {b}) has no common bound", pair=(a, b))
+    irrs = [a for a, below in enumerate(lower_covers) if len(below) == 1]
+    masks = np.zeros(len(leq), dtype=np.int64 if len(irrs) < 64 else object)
+    for i, j in enumerate(irrs):
+        masks |= leq[j].astype(masks.dtype) << i
+    order = np.argsort(masks, kind="stable")
+    values = masks[order]
+    table = np.empty(leq.shape, dtype=np.int32)
+    step = max(1, 2**16 // max(len(leq), 1))  # rows per numpy pass: about 2**16 table entries
+    for start in range(0, len(topo), step):
+        rows = np.asarray(topo[start : start + step])
+        sub = masks[rows, None] & masks
+        pos = np.searchsorted(values, sub)  # sub <= masks[rows], so pos stays in range
+        embeds = ((sub == masks[rows, None]) == leq[rows]).all(axis=1)
+        misses = values[pos] != sub
+        bad = ~embeds | misses.any(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            a = int(rows[i])
+            if not embeds[i]:
+                b, c = lower_covers[a][:2]
+                raise NotALattice(f"pair ({b}, {c}) has no join", pair=(b, c))
+            b = int(np.argmax(misses[i]))
+            raise NotALattice(f"pair ({a}, {b}) has no meet", pair=(a, b))
+        table[rows] = order[pos]
     return table
-
-
-def _verify_lub(leq, table):
-    """Check each table entry really is the least common upper bound.
-
-    The candidate j dominates both arguments, and up(j) is a subset of the
-    common upper bounds; counting |up(a) & up(b)| with one matrix product
-    and comparing against |up(j)| proves set equality, hence minimality.
-    """
-    f = leq.astype(np.float32)
-    gram = f @ f.T
-    upsize = f.sum(axis=1)
-    above_a = np.take_along_axis(leq, table, axis=1)
-    above_b = np.take_along_axis(leq, table.T, axis=1).T
-    ok = above_a & above_b & (gram == upsize[table])
-    if not ok.all():
-        a, b = (int(x[0]) for x in np.nonzero(~ok))
-        raise NotALattice(f"pair ({a}, {b}) has no least bound", pair=(a, b))
-
-
-def _bound_table(leq, topo, irrs):
-    table = _lub_by_irr_masks(leq, topo, irrs) if len(irrs) <= 20 else _lub_by_scan(leq, topo)
-    _verify_lub(leq, table)
-    return table.astype(np.int32)
 
 
 def _single_covers(n, covers_of):
@@ -254,9 +228,8 @@ def as_lattice(p):
         raise NotALattice(
             f"pair ({maxs[0]}, {maxs[1]}) has no upper bound", pair=(maxs[0], maxs[1])
         )
-    topo = p._topo
-    join = _bound_table(p.leq, topo, _single_covers(p.n, p.lower_covers))
-    meet = _bound_table(p.leq.T.copy(), topo[::-1], _single_covers(p.n, p.upper_covers))
+    meet = _meet_table(p.leq, p._topo, p._down_adj)
+    join = _meet_table(np.ascontiguousarray(p.leq.T), p._topo[::-1], p._up_adj)
     return Lattice(p, join, meet)
 
 

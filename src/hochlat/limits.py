@@ -13,8 +13,12 @@ MAX_ELEMENTS = 5000  # elements of a built shuffle or Boolean lattice
 MAX_GRAPH = 22  # vertices of a graph whose orthogonal pairs are enumerated
 
 # Every structure these caps admit has under 2**24 elements (Hoch(MAX_N), MAX_ELEMENTS, and
-# 2**MAX_GRAPH orthogonal pairs), so the float32 products of 0/1 matrices in lattice._verify_lub,
-# FinitePoset.from_leq and poset._transitive_reduction count exactly.
+# 2**MAX_GRAPH orthogonal pairs), so the float32 products of 0/1 matrices in FinitePoset.from_leq
+# and poset._transitive_reduction count exactly.
+
+# The irreducible masks that certify a lattice (lattice._meet_table) are int64 below 64
+# irreducibles and Python ints from 64 on, so the irreducible count needs no cap.  Every
+# structure these caps admit has at most 27 irreducibles a side (Shuf(3, 6)); Hoch(MAX_N) has 19.
 
 # The Mobius solve (FinitePoset.mobius_times) and the chain counts behind FinitePoset.zeta run in int64;
 # before each step they pass check_int64 a bound on every sum the step forms, so nothing wraps around

@@ -114,9 +114,11 @@ class FinitePoset:
             row[a] = True
             for b in up_adj[a]:
                 np.logical_or(row, leq[b], out=row)
-        for a, b in pairs:
-            between = int(np.count_nonzero(leq[a] & leq[:, b]))
-            if between != 2:
+        for a in range(m):  # (a, b) is no cover iff another upper neighbour c of a has c <= b
+            ups = up_adj[a]
+            if len(ups) > 1 and (below := leq[np.ix_(ups, ups)].sum(axis=0) > 1).any():
+                b = ups[int(np.argmax(below))]
+                between = int(np.count_nonzero(leq[a] & leq[:, b]))
                 raise NotCover(f"({a}, {b}) is not a cover: interval has {between} elements")
         return cls(leq, pairs, labels)
 

@@ -74,7 +74,7 @@ ok   galois characterization
 skip orthogonal-pair reconstruction (checked up to n=9)
 ok   canonical join complex
 skip sigma order isomorphism (checked up to n=9)
-skip shuffle statistics (checked up to n=9)
+ok   shuffle statistics
 ok   m-triangle
 ok   f-triangle
 ok   h-triangle

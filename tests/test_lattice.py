@@ -358,23 +358,90 @@ def test_core_label_masks_hold_at_most_63_irreducibles():
             route(too_long)
 
 
+def first_common_bound(leq, topo):
+    """The definitional join table: for each pair, the first element in topological order above
+    both (the least upper bound in a lattice), -1 where no element is."""
+    leq = np.asarray(leq)
+    table = np.full(leq.shape, -1, dtype=np.int64)
+    for c in reversed(topo):
+        table[np.logical_and.outer(leq[:, c], leq[:, c])] = c
+    return table
+
+
 def test_lub_scan_matches_irreducible_masks():
     rng = random.Random(4)
     lattices = [build_hoch(n).lattice for n in range(1, 7)]
     lattices += [build_bool(k) for k in range(6)]
     lattices += [shuffle_lattice(a, b).lattice for a in range(4) for b in range(3)]
     lattices += [closure_system_lattice(rng) for _ in range(30)]
-    for lat in lattices:
+    wide = [chain_lattice(65), diamond(64), diamond(65)]  # 64 or 65 irreducibles a side: Python-int masks
+    assert [len(lat.join_irreducibles()) for lat in wide] == [len(lat.meet_irreducibles()) for lat in wide]
+    assert [len(lat.join_irreducibles()) for lat in wide] == [64, 64, 65]
+    for lat in lattices + wide:
         p = lat.poset
-        sides = (
-            (p.leq, p._topo, lat.join_irreducibles(), lat.join),
-            (p.leq.T.copy(), p._topo[::-1], lat.meet_irreducibles(), lat.meet),
-        )
-        for leq, topo, irrs, table in sides:
-            assert len(irrs) <= 20
-            scanned = lattice_module._lub_by_scan(leq, topo)
-            assert (scanned == lattice_module._lub_by_irr_masks(leq, topo, irrs)).all()
-            assert (scanned == table).all()
+        assert (first_common_bound(p.leq, p._topo) == lat.join).all()
+        assert (first_common_bound(p.leq.T, p._topo[::-1]) == lat.meet).all()
+
+
+def brute_bound_table(leq):
+    """Least upper bounds by definition, -1 where none: u is above a and b and below every v that is."""
+    common = leq[:, None, :] & leq[None, :, :]
+    least = common & ~(common[:, :, None, :] & ~leq[None, None]).any(axis=3)
+    return np.where(least.any(axis=2), least.argmax(axis=2), -1)
+
+
+def random_bounded_poset(rng):
+    """A random order on up to 8 elements in 4 levels (a < b only across levels), between an
+    added bottom and top, ids shuffled."""
+    level = [-1] + sorted(rng.randrange(4) for _ in range(rng.randrange(1, 9))) + [4]
+    m = len(level)
+    leq = np.array(
+        [[a == b or level[a] < level[b] and rng.random() < 0.6 for b in range(m)] for a in range(m)]
+    )
+    leq[0], leq[:, m - 1] = True, True
+    for c in range(m):
+        leq |= leq[:, c : c + 1] & leq[c]
+    perm = list(range(m))
+    rng.shuffle(perm)
+    return FinitePoset.from_leq(leq[np.ix_(perm, perm)])
+
+
+def test_as_lattice_witnesses_on_random_bounded_posets():
+    rng = random.Random(8)
+    rejected = 0
+    for _ in range(1200):
+        p = random_bounded_poset(rng)
+        joins, meets = brute_bound_table(p.leq), brute_bound_table(p.leq.T)
+        try:
+            lat = as_lattice(p)
+        except NotALattice as err:
+            a, b = err.pair
+            assert joins[a, b] < 0 or meets[a, b] < 0
+            rejected += 1
+            continue
+        assert (lat.join == joins).all() and (lat.meet == meets).all()
+    assert 200 < rejected < 1000, rejected
+
+
+def test_as_lattice_witness_when_only_the_embedding_fails():
+    # 0 < p, q, r; p, q < z; p, q, r < x; z < y < 1; x < 1.  The masks are distinct and closed under
+    # intersection, but M(z) = {p, q} lies inside M(x) = {p, q, r} while z is not below x.
+    bottom, p, q, r, z, x, y, top = range(8)
+    covers = [(bottom, p), (bottom, q), (bottom, r), (p, z), (q, z), (p, x), (q, x), (r, x)]
+    covers += [(z, y), (y, top), (x, top)]
+    with pytest.raises(NotALattice) as err:
+        as_lattice(FinitePoset.closure(covers, 8))
+    assert err.value.pair == (p, q)  # the lower covers of z; both z and x are minimal above them
+
+
+def test_as_lattice_witness_when_only_a_lookup_misses():
+    # 0 < a, b; a < d; b < c; a, c < x; d, b < y; x, y < 1.  The masks embed the order on both
+    # sides, but M(x) & M(y) = {a, b} is no element's mask: a and b are both maximal below x and y.
+    bottom, a, b, c, d, x, y, top = range(8)
+    covers = [(bottom, a), (bottom, b), (a, d), (b, c), (a, x), (c, x), (d, y), (b, y), (x, top), (y, top)]
+    with pytest.raises(NotALattice) as err:
+        as_lattice(FinitePoset.closure(covers, 8))
+    assert sorted(err.value.pair) == [x, y]
 
 
 def test_doubling_of_lattice_is_lattice():

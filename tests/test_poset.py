@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -95,6 +96,38 @@ def test_closure_rejects_cycles_and_non_covers():
         FinitePoset.closure([(0, 0)], 1)
     with pytest.raises(NotCover):
         FinitePoset.closure([(0, 1), (1, 2), (0, 2)], 3)
+
+
+def test_closure_cover_check_matches_interval_counts():
+    """NotCover fires exactly when some input pair's interval has other than 2 elements (the
+    per-pair count), and its message names such a pair with that count."""
+    rng = random.Random(12)
+    fired = 0
+    for _ in range(400):
+        m = rng.randrange(2, 10)
+        edges = {(a, b) for a in range(m) for b in range(a + 1, m) if rng.random() < 0.35}
+        rel = brute_leq(edges, m)
+        strict = sorted((a, b) for a, b in rel if a != b)
+        pairs = {
+            (a, b) for a, b in strict if not any((a, c) in rel and (c, b) in rel for c in set(range(m)) - {a, b})
+        }
+        pairs |= set(rng.sample(strict, min(len(strict), rng.randrange(3))))  # shortcut edges
+        perm = rng.sample(range(m), m)
+        pairs = [(perm[a], perm[b]) for a, b in pairs]
+        leq = np.zeros((m, m), dtype=bool)
+        for a, b in rel:
+            leq[perm[a], perm[b]] = True
+        counts = {(a, b): int(np.count_nonzero(leq[a] & leq[:, b])) for a, b in pairs}
+        if all(k == 2 for k in counts.values()):
+            assert (FinitePoset.closure(pairs, m).leq == leq).all()
+            continue
+        fired += 1
+        with pytest.raises(NotCover) as err:
+            FinitePoset.closure(pairs, m)
+        found = re.fullmatch(r"\((\d+), (\d+)\) is not a cover: interval has (\d+) elements", str(err.value))
+        a, b, k = map(int, found.groups())
+        assert counts[(a, b)] == k != 2
+    assert 50 < fired < 350
 
 
 def test_bounds_and_length():
