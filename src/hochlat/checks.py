@@ -1,9 +1,7 @@
 """Re-runnable property battery behind ``check all`` and the acceptance tests.
 
-Each function verifies one bundle of guarantees at a single size n and
-returns a plain bool.  The registry at the bottom pairs every bundle with
-the largest n it is meant to run at; callers outside that range should skip
-rather than fail.
+Each function verifies one bundle of guarantees at a single size n and returns a plain bool;
+the registry at the bottom names every bundle, and each runs at every n that ``check_n`` admits.
 """
 
 from __future__ import annotations
@@ -193,45 +191,41 @@ def conjecture_report(n):
 
 # The bundles `triangles --check` runs; `check all` runs them among the rest.
 TRIANGLE_CHECKS = [
-    ("m-triangle", 10, check_m_triangle),
-    ("f-triangle", 10, check_f_triangle),
-    ("h-triangle", 10, check_h_triangle),
+    ("m-triangle", check_m_triangle),
+    ("f-triangle", check_f_triangle),
+    ("h-triangle", check_h_triangle),
 ]
 
 CHECKS = [
-    ("triword count", 10, check_cardinality),
-    ("componentwise join/meet", 10, check_lattice_law),
-    ("extremal/semidistributive/spherical/intersection", 10, check_structure),
-    ("doubling reconstruction", 9, check_doubling),
-    ("galois characterization", 10, check_galois),
-    ("orthogonal-pair reconstruction", 9, check_mo_reconstruction),
-    ("canonical join complex", 10, check_cjc),
-    ("sigma order isomorphism", 9, check_sigma),
-    ("shuffle statistics", 10, check_shuffle_stats),
+    ("triword count", check_cardinality),
+    ("componentwise join/meet", check_lattice_law),
+    ("extremal/semidistributive/spherical/intersection", check_structure),
+    ("doubling reconstruction", check_doubling),
+    ("galois characterization", check_galois),
+    ("orthogonal-pair reconstruction", check_mo_reconstruction),
+    ("canonical join complex", check_cjc),
+    ("sigma order isomorphism", check_sigma),
+    ("shuffle statistics", check_shuffle_stats),
     *TRIANGLE_CHECKS,
-    ("face vector", 10, check_faces),
-    ("boolean baselines", 10, check_baselines),
+    ("face vector", check_faces),
+    ("boolean baselines", check_baselines),
 ]
 
 
 def run_checks(n, bundles, write=print):
-    """Run the (name, bound, fn) bundles at size n; True iff none in range failed.
+    """Run the (name, fn) bundles at size n; True iff none failed.
 
-    Writes one ok/FAIL/skip line per bundle.  Raises SizeBound when n is out
-    of range or when every bundle skips, so verifying nothing never passes.
+    Writes one ok/FAIL line per bundle.  Raises SizeBound when n is out of
+    range or the bundle list is empty, so verifying nothing never passes.
     """
     check_n(n)
-    ok, ran = True, False
-    for name, bound, fn in bundles:
-        if n > bound:
-            write(f"skip {name} (checked up to n={bound})")
-            continue
-        good = fn(n)
-        ok, ran = ok and good, True
-        write(("ok   " if good else "FAIL ") + name)
-    if not ran:
+    if not bundles:
         raise SizeBound(f"no check runs at n={n}")
-    return ok
+    verdicts = []
+    for name, fn in bundles:
+        verdicts.append(fn(n))
+        write(("ok   " if verdicts[-1] else "FAIL ") + name)
+    return all(verdicts)
 
 
 def run_all(n, write=print):

@@ -13,8 +13,8 @@ MAX_ELEMENTS = 5000  # elements of a built shuffle or Boolean lattice
 MAX_GRAPH = 22  # vertices of a graph whose orthogonal pairs are enumerated
 
 # Every structure these caps admit has under 2**24 elements (Hoch(MAX_N), MAX_ELEMENTS, and
-# 2**MAX_GRAPH orthogonal pairs), so the float32 products of 0/1 matrices in FinitePoset.from_leq
-# and poset._transitive_reduction count exactly.
+# 2**MAX_GRAPH orthogonal pairs), so FinitePoset.from_leq's one float32 product of the 0/1
+# strict order counts exactly.
 
 # The irreducible masks that certify a lattice (lattice._meet_table) are int64 below 64
 # irreducibles and Python ints from 64 on, so the irreducible count needs no cap.  Every

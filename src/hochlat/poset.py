@@ -7,9 +7,9 @@ is computed from ``leq`` and ``covers`` alone, so the same object can be
 shared freely.
 
 Construction goes through :meth:`FinitePoset.closure` (reflexive-transitive
-closure of a cover list, with cycle and cover validation) or through
-:meth:`FinitePoset.from_leq` (transitive reduction of an explicit order
-matrix).
+closure of a cover list, with cycle and cover validation), through
+:meth:`FinitePoset.from_leq` (an explicit order matrix, reduced to covers by
+one product) or through :func:`doubling` (covers from the doubled covers).
 
 Mobius values are one exact int64 solve, mu = zeta^-1 by back substitution
 (:meth:`FinitePoset.mobius_times`); the zeta polynomial is read off the
@@ -59,13 +59,6 @@ def _toposort(m, up_adj, in_deg):
     if len(order) != m:
         raise CycleDetected("cover relation contains a cycle")
     return order
-
-
-def _transitive_reduction(leq):
-    """Cover matrix of an order matrix: strict order minus two-step reachability."""
-    lt = leq & ~np.eye(len(leq), dtype=bool)
-    two_step = (lt.astype(np.float32) @ lt.astype(np.float32)) > 0.5
-    return lt & ~two_step
 
 
 class FinitePoset:
@@ -124,18 +117,20 @@ class FinitePoset:
 
     @classmethod
     def from_leq(cls, leq, labels=None):
-        """Build a poset from an explicit order matrix (covers are recomputed)."""
+        """Build a poset from an explicit order matrix with one product of the strict order:
+        a reflexive, antisymmetric ``leq`` is transitive iff every two-step pair is strict,
+        and its covers are the strict pairs with no two-step path."""
         leq = np.asarray(leq, dtype=bool)
-        n = len(leq)
         if not leq.diagonal().all():
             raise ValueError("order matrix is not reflexive")
-        if np.any(leq & leq.T & ~np.eye(n, dtype=bool)):
+        lt = leq & ~np.eye(len(leq), dtype=bool)
+        if np.any(lt & lt.T):
             raise CycleDetected("order matrix is not antisymmetric")
-        closed = (leq.astype(np.float32) @ leq.astype(np.float32)) > 0.5
-        if np.any(closed & ~leq):
+        strict = lt.astype(np.float32)
+        two = (strict @ strict) > 0.5
+        if np.any(two & ~lt):
             raise ValueError("order matrix is not transitive")
-        red = _transitive_reduction(leq)
-        covers = [(int(a), int(b)) for a, b in zip(*np.nonzero(red))]
+        covers = np.argwhere(lt & ~two).tolist()
         return cls(leq, covers, labels)
 
     # -- basic queries ---------------------------------------------------
@@ -348,20 +343,31 @@ def doubling(p, b):
     for a outside it or inside the interval itself, ordered componentwise.
     Labels become (old label, copy). The input should be a lattice for the
     output to be one.
+
+    The result is the componentwise order on a subset of P x 2, so it is an
+    order by construction and needs no check.  Its covers come from those of P
+    (copy 0 is a down-set of P, copy 1 an up-set): (x, c) < (y, d) is a cover
+    iff x = y, or x is covered by y in P, c <= d, and for c < d neither (x, 1)
+    nor (y, 0) exists.
     """
     if not isinstance(b, IntervalRef):
         b = IntervalRef(*b)
     if not p.leq[b.lo, b.hi]:
         raise NotInterval(f"({b.lo}, {b.hi}) is not an interval: lo is not below hi")
-    members = set(p.interval(b.lo, b.hi))
-    ideal = {int(a) for a in np.nonzero(p.leq[:, b.hi])[0]}
-    ground = [(a, 0) for a in sorted(ideal)]
-    ground += [(a, 1) for a in sorted((set(range(p.n)) - ideal) | members)]
-    ids = np.array([a for a, _ in ground])
-    copies = np.array([c for _, c in ground])
+    low = p.leq[:, b.hi]  # (a, 0) exists
+    high = ~low | p.leq[b.lo]  # (a, 1) exists: outside the down-set, or in [lo, hi]
+    ids = np.concatenate([np.nonzero(low)[0], np.nonzero(high)[0]])
+    copies = (np.arange(len(ids)) >= low.sum()).astype(np.int64)
+    at = np.stack([np.cumsum(low), low.sum() + np.cumsum(high)]) - 1  # at[c, a]: id of (a, c), if any
+    x, y = np.array(p.covers, dtype=np.int64).reshape(-1, 2).T
+    both = np.nonzero(low & high)[0]
+    covers = list(zip(at[0, both], at[1, both]))  # (a, 0) < (a, 1)
+    across = low[x] & ~high[x] & high[y] & ~low[y]  # (x, 1) and (y, 0) are both missing
+    for c, d, keep in ((0, 0, low[x] & low[y]), (1, 1, high[x] & high[y]), (0, 1, across)):
+        covers += zip(at[c, x[keep]], at[d, y[keep]])
     leq = p.leq[np.ix_(ids, ids)] & (copies[:, None] <= copies[None, :])
-    labels = [(p.labels[a], c) for a, c in ground]
-    return FinitePoset.from_leq(leq, labels=labels)
+    labels = [(p.labels[a], c) for a, c in zip(ids.tolist(), copies.tolist())]
+    return FinitePoset(leq, covers, labels)
 
 
 def are_isomorphic(p, q, image):

@@ -69,11 +69,11 @@ note g-triangle conjecture at n=7: matches
 CHECK_ALL_10_STUBBED = """ok   triword count
 ok   componentwise join/meet
 ok   extremal/semidistributive/spherical/intersection
-skip doubling reconstruction (checked up to n=9)
+ok   doubling reconstruction
 ok   galois characterization
-skip orthogonal-pair reconstruction (checked up to n=9)
+ok   orthogonal-pair reconstruction
 ok   canonical join complex
-skip sigma order isomorphism (checked up to n=9)
+ok   sigma order isomorphism
 ok   shuffle statistics
 ok   m-triangle
 ok   f-triangle
@@ -145,11 +145,11 @@ def test_triangles_check_runs_every_bundle_at_n9(capsys):
     assert out == "ok   m-triangle\nok   f-triangle\nok   h-triangle\n"
 
 
-def test_check_all_skips_past_bundle_bound(capsys, monkeypatch):
+def test_check_all_runs_every_bundle_at_n10(capsys, monkeypatch):
     from hochlat import checks
 
-    # Every bundle that runs is stubbed; the names and bounds are the registry's own.
-    stubbed = [(name, bound, lambda n: True) for name, bound, _ in checks.CHECKS]
+    # Every bundle is stubbed; the names are the registry's own.
+    stubbed = [(name, lambda n: True) for name, _ in checks.CHECKS]
     monkeypatch.setattr(checks, "CHECKS", stubbed)
     monkeypatch.setattr(checks, "conjecture_report", lambda n: {"match": True})
     code, out, _ = run(capsys, "check", "all", "--n", "10")

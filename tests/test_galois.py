@@ -1,8 +1,9 @@
 import pytest
 
 from hochlat import checks
+from hochlat import galois as galois_module
 from hochlat.checks import check_mo_reconstruction
-from hochlat.errors import NotExtremal, SizeBound
+from hochlat.errors import NotALattice, NotExtremal, SizeBound
 from hochlat.galois import (
     DiGraph,
     GaloisGraph,
@@ -13,7 +14,7 @@ from hochlat.galois import (
     reconstruction_isomorphic,
 )
 from hochlat.hochschild import build_hoch, irreducible_of_triword, parse_triword
-from hochlat.lattice import as_lattice, build_bool
+from hochlat.lattice import Lattice, as_lattice, build_bool
 from hochlat.poset import FinitePoset, are_isomorphic
 
 EDGES_3 = {("b3", "a3"), ("b2", "a2"), ("a2", "a1"), ("a3", "a1"), ("a3", "a2")}
@@ -126,6 +127,17 @@ def test_two_cycle_gives_chain():
     mo = max_ortho_pairs_lattice(DiGraph(2, [(0, 1), (1, 0)]))
     assert mo.lattice.n == 2
     assert mo.pairs == ((0, 3), (3, 0))
+
+
+@pytest.mark.parametrize("side", ["join", "meet"])
+def test_pair_lattice_tables_are_checked_against_intersections(monkeypatch, side):
+    def corrupted(poset):  # the other table in place of the checked one
+        lat = as_lattice(poset)
+        return Lattice(poset, lat.meet, lat.meet) if side == "join" else Lattice(poset, lat.join, lat.join)
+
+    monkeypatch.setattr(galois_module, "as_lattice", corrupted)
+    with pytest.raises(NotALattice, match=f"^{side} of orthogonal pairs is not intersection"):
+        max_ortho_pairs_lattice(hoch_galois_characterization(3))
 
 
 def test_not_extremal_raises():

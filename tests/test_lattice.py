@@ -459,6 +459,19 @@ def test_doubling_of_lattice_is_lattice():
             break
 
 
+def test_doubling_covers_match_from_leq_on_every_interval():
+    rng = random.Random(1)
+    lattices = [build_hoch(n).lattice for n in range(1, 5)] + [build_bool(3)]
+    lattices += [closure_system_lattice(rng) for _ in range(50)]
+    doubled = 0
+    for lat in lattices:
+        for lo, hi in np.argwhere(lat.poset.leq).tolist():
+            d = doubling(lat.poset, (lo, hi))
+            assert d.covers == FinitePoset.from_leq(d.leq).covers
+            doubled += 1
+    assert doubled > 1000
+
+
 def test_lattice_json_export():
     lat = build_bool(2)
     data = lat.to_json()

@@ -1,4 +1,4 @@
-"""The size policy: one module owns every cap, and skipping everything never passes.
+"""The size policy: one module owns every cap, and verifying nothing never passes.
 
 Also: the invariant-checking modules raise typed errors instead of asserting.
 """
@@ -10,7 +10,7 @@ import pytest
 
 import hochlat
 from hochlat import limits
-from hochlat.checks import run_checks
+from hochlat.checks import CHECKS, run_checks
 from hochlat.errors import SizeBound
 from hochlat.hochschild import triword_count
 from hochlat.lattice import build_bool
@@ -68,11 +68,14 @@ def test_constructions_reject_negative_sizes():
         build_bool(13)
 
 
-def test_run_checks_refuses_when_every_bundle_skips():
+def test_run_checks_refuses_empty_bundles_and_out_of_range_n():
     lines = []
     with pytest.raises(SizeBound):
-        run_checks(3, [("never", 2, lambda n: True)], write=lines.append)
-    assert lines == ["skip never (checked up to n=2)"]
+        run_checks(3, [], write=lines.append)
+    for n in (0, limits.MAX_N + 1):
+        with pytest.raises(SizeBound):
+            run_checks(n, CHECKS, write=lines.append)
+    assert lines == []
 
 
 def test_caps_keep_float32_products_exact():

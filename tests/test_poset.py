@@ -235,6 +235,34 @@ def test_zeta_matches_multichains_on_random_posets(p):
         assert p.zeta(q) == brute_multichains(p, q - 1)
 
 
+def test_from_leq_rejects_non_orders():
+    with pytest.raises(ValueError, match="not reflexive"):
+        FinitePoset.from_leq([[True, True], [False, False]])
+    with pytest.raises(CycleDetected, match="not antisymmetric"):
+        FinitePoset.from_leq(np.ones((2, 2), dtype=bool))
+    with pytest.raises(ValueError, match="not transitive"):  # 0 < 1 < 2 without 0 < 2
+        FinitePoset.from_leq([[True, True, False], [False, True, True], [False, False, True]])
+
+
+@POSET_SETTINGS
+@given(random_posets(), st.data())
+def test_from_leq_covers_and_transitivity_match_brute_force(p, data):
+    lt = p.leq & ~np.eye(p.n, dtype=bool)
+
+    def between(a, b):
+        return any(lt[a, c] and lt[c, b] for c in range(p.n))
+
+    assert p.covers == tuple((a, b) for a in range(p.n) for b in range(p.n) if lt[a, b] and not between(a, b))
+    # Dropping one strict pair that has an element between leaves a relation that is not transitive.
+    gaps = [(a, b) for a in range(p.n) for b in range(p.n) if lt[a, b] and between(a, b)]
+    if gaps:
+        a, b = data.draw(st.sampled_from(gaps))
+        leq = p.leq.copy()
+        leq[a, b] = False
+        with pytest.raises(ValueError, match="not transitive"):
+            FinitePoset.from_leq(leq)
+
+
 def test_mobius_solve_guards_int64(monkeypatch):
     assert boolean(3).mobius(0, 7) == -1
     monkeypatch.setattr(limits, "INT64_BOUND", 4)
