@@ -235,10 +235,9 @@ def build_hoch_by_doubling(n):
     check_n(n)
     poset = FinitePoset.closure([], 1, labels=[()])  # labels are the triwords
 
-    def double_and_decode(lo_word, hi_word, flip_to):
+    def double_and_decode(lo, hi, flip_to):
         nonlocal poset
         words = poset.labels
-        lo, hi = words.index(lo_word), words.index(hi_word)
         members = {words[a] for a in poset.interval(lo, hi)}
         doubled = doubling(poset, IntervalRef(lo, hi))
         fresh = [u[:-1] + (flip_to,) if copy == 1 and u in members else u for u, copy in doubled.labels]
@@ -246,11 +245,10 @@ def build_hoch_by_doubling(n):
 
     for step in range(1, n + 1):
         poset = FinitePoset(poset.leq, poset.covers, labels=[u + (0,) for u in poset.labels])
-        if step == 1:
-            double_and_decode((0,), (0,), 1)
-            continue
-        double_and_decode((0,) * step, max(poset.labels), 2)
-        double_and_decode((1,) * (step - 1) + (0,), (1,) + (2,) * (step - 2) + (0,), 1)
+        double_and_decode(poset.bottom(), poset.top(), 1 if step == 1 else 2)
+        if step > 1:
+            index = {u: i for i, u in enumerate(poset.labels)}
+            double_and_decode(index[(1,) * (step - 1) + (0,)], index[(1,) + (2,) * (step - 2) + (0,)], 1)
     words = poset.labels
     relabeled = FinitePoset(poset.leq, poset.covers, labels=[format_triword(u) for u in words])
     return HochLattice(as_lattice(relabeled), words)

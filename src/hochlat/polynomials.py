@@ -1,19 +1,23 @@
 """Exact two-variable polynomials over the rationals.
 
-Small and purpose-built: sparse dict of (x-power, y-power) -> Fraction,
-immutable, with exact evaluation and Lagrange interpolation helpers.  The
-triangle computations need nothing more, and exactness matters more than
-speed at these sizes.
+Small and purpose-built: sparse dict of (x-power, y-power) -> int or Fraction,
+immutable, with exact evaluation and Lagrange interpolation helpers.  Both work
+in unbounded ints and form one Fraction per result, not one per term: evaluation
+at x = p/q, y = r/s divides the sum of c p^i q^(dx-i) r^j s^(dy-j) by q^dx s^dy,
+and interpolation sums integer Lagrange numerators over one common denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 
 from .errors import InterpolationDegeneracy
 
 
 def _norm(c):
+    if type(c) is int:
+        return c
     c = Fraction(c)
     return int(c) if c.denominator == 1 else c
 
@@ -99,8 +103,13 @@ class BiPoly:
         return bool(self.terms)
 
     def eval_at(self, x, y):
+        """With x = p/q and y = r/s: one sum of c p^i q^(dx-i) r^j s^(dy-j), divided once."""
         x, y = Fraction(x), Fraction(y)
-        return _norm(sum((c * x**i * y**j for (i, j), c in self.terms.items()), Fraction(0)))
+        dx, dy = self.deg_x(), self.deg_y()
+        xs = [x.numerator**i * x.denominator ** (dx - i) for i in range(dx + 1)]
+        ys = [y.numerator**j * y.denominator ** (dy - j) for j in range(dy + 1)]
+        num = sum(c * xs[i] * ys[j] for (i, j), c in self.terms.items())
+        return _norm(Fraction(num, x.denominator**dx * y.denominator**dy))
 
     def swap_vars(self):
         return BiPoly({(j, i): c for (i, j), c in self.terms.items()})
@@ -149,28 +158,32 @@ class BiPoly:
 
 
 def interpolate_univariate(points):
-    """Coefficients (ascending degree) of the polynomial through the points."""
+    """Coefficients (ascending degree) of the polynomial through the points: the Lagrange bases in
+    t = D x (D the nodes' common denominator) are integral, summed over the lcm of their denominators."""
     xs = [Fraction(x) for x, _ in points]
+    ys = [Fraction(y) for _, y in points]
+    if not xs:
+        raise InterpolationDegeneracy("no interpolation nodes")
     if len(set(xs)) != len(xs):
         raise InterpolationDegeneracy("repeated interpolation node")
-    coeffs = [Fraction(0)] * len(points)
-    for xk, yk in points:
-        xk, yk = Fraction(xk), Fraction(yk)
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for xo in xs:
-            if xo == xk:
-                continue
-            denom *= xk - xo
-            basis = [Fraction(0)] + basis
-            for t in range(len(basis) - 1):
-                basis[t] -= xo * basis[t + 1]
-        scale = yk / denom
-        for t, b in enumerate(basis):
-            coeffs[t] += scale * b
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return [_norm(c) for c in coeffs]
+    scale = lcm(*(x.denominator for x in xs))
+    ts = [int(x * scale) for x in xs]
+    full = [1]  # prod over all nodes of (t - t_o), ascending
+    for to in ts:
+        full = [a - to * b for a, b in zip([0] + full, full + [0])]
+    denoms = [prod(tk - to for to in ts if to != tk) * yk.denominator for tk, yk in zip(ts, ys)]
+    common = abs(lcm(*denoms))
+    num = [0] * len(ts)
+    for tk, yk, denom in zip(ts, ys, denoms):
+        basis = [0] * (len(ts) - 1) + [1]  # full / (t - tk), by synthetic division
+        for i in range(len(ts) - 1, 0, -1):
+            basis[i - 1] = full[i] + tk * basis[i]
+        weight = yk.numerator * (common // denom)
+        for i, b in enumerate(basis):
+            num[i] += weight * b
+    while len(num) > 1 and num[-1] == 0:
+        num.pop()
+    return [_norm(Fraction(c * scale**i, common)) for i, c in enumerate(num)]
 
 
 def interpolate_from_grid(xs, ys, value):
@@ -179,6 +192,8 @@ def interpolate_from_grid(xs, ys, value):
     ``value`` must return exact numbers (int or Fraction).  Degenerate node
     sets raise InterpolationDegeneracy.
     """
+    if len(xs) == 0 or len(ys) == 0:
+        raise InterpolationDegeneracy("no interpolation nodes")
     if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
         raise InterpolationDegeneracy("repeated interpolation node")
     rows = []

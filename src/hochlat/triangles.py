@@ -11,6 +11,7 @@ Agreement of the routes is what the test suite checks.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -180,23 +181,21 @@ def neg_stat(u):
     return sum(1 for c in u if c == 2) + (1 if l1(u) == 1 else 0)
 
 
+def _word_stats(n):
+    """Triword counts per (canonical joinand count, neg_stat)."""
+    return Counter((len(canrep_formula(u)), neg_stat(u)) for u in enumerate_triwords(n))
+
+
 def f_tilde(n):
-    """F-triangle as a sum of (x, x+1, y+1)-products over all triwords."""
-    acc = BiPoly()
-    for u in enumerate_triwords(n):
-        c = len(canrep_formula(u))
-        g = neg_stat(u)
-        acc += X ** (n - c) * (X + ONE) ** (c - g) * (Y + ONE) ** g
-    return acc
+    """F-triangle as a sum of (x, x+1, y+1)-products over all triwords, grouped by the
+    (canonical joinand count c, neg_stat g) of each word: count * x^(n-c) (x+1)^(c-g) (y+1)^g."""
+    terms = _word_stats(n).items()
+    return sum((k * X ** (n - c) * (X + ONE) ** (c - g) * (Y + ONE) ** g for (c, g), k in terms), BiPoly())
 
 
 def h_tilde(n):
     """H-triangle from the (canonical joinand count, atom count) statistics."""
-    terms = {}
-    for u in enumerate_triwords(n):
-        key = (len(canrep_formula(u)), neg_stat(u))
-        terms[key] = terms.get(key, 0) + 1
-    return BiPoly(terms)
+    return BiPoly(_word_stats(n))
 
 
 # -- partial cores -----------------------------------------------------------

@@ -1,12 +1,56 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hochlat.errors import InterpolationDegeneracy
 from hochlat.polynomials import BiPoly, interpolate_from_grid, interpolate_univariate
 
 X = BiPoly.x()
 Y = BiPoly.y()
+
+EXACT = st.integers(-30, 30) | st.fractions(-30, 30, max_denominator=12)
+BIPOLYS = st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)), EXACT, max_size=10).map(BiPoly)
+ORACLE_SETTINGS = settings(max_examples=200, deadline=None, database=None)
+
+
+def _norm_oracle(c):
+    c = Fraction(c)
+    return int(c) if c.denominator == 1 else c
+
+
+def eval_at_oracle(p, x, y):
+    """Definitional evaluation: one Fraction power product per term."""
+    x, y = Fraction(x), Fraction(y)
+    return _norm_oracle(sum((c * x**i * y**j for (i, j), c in p.terms.items()), Fraction(0)))
+
+
+def interpolate_oracle(points):
+    """Lagrange interpolation with every quantity a Fraction."""
+    xs = [Fraction(x) for x, _ in points]
+    coeffs = [Fraction(0)] * len(points)
+    for xk, yk in points:
+        xk, yk = Fraction(xk), Fraction(yk)
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for xo in xs:
+            if xo == xk:
+                continue
+            denom *= xk - xo
+            basis = [Fraction(0)] + basis
+            for t in range(len(basis) - 1):
+                basis[t] -= xo * basis[t + 1]
+        for t, b in enumerate(basis):
+            coeffs[t] += yk / denom * b
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return [_norm_oracle(c) for c in coeffs]
+
+
+def typed(values):
+    """Values with their types, so an int and an integral Fraction differ."""
+    return [(type(v), v) for v in values]
 
 
 def test_arithmetic():
@@ -81,6 +125,37 @@ def test_grid_interpolation_recovers_polynomial():
     assert got == p
     with pytest.raises(InterpolationDegeneracy):
         interpolate_from_grid([1, 1], [0, 2], lambda a, b: 0)
+
+
+@ORACLE_SETTINGS
+@given(BIPOLYS, EXACT, EXACT)
+def test_eval_at_matches_per_term_oracle(p, x, y):
+    for a, b in ((x, y), (0, y), (x, 0), (-abs(x) - 1, y), (Fraction(-7, 3), Fraction(5, 9))):
+        assert typed([p.eval_at(a, b)]) == typed([eval_at_oracle(p, a, b)])
+
+
+@ORACLE_SETTINGS
+@given(st.lists(EXACT, min_size=1, max_size=9, unique=True), st.data())
+def test_interpolation_matches_fraction_oracle(xs, data):
+    points = [(x, data.draw(EXACT)) for x in xs]
+    assert typed(interpolate_univariate(points)) == typed(interpolate_oracle(points))
+
+
+def test_interpolation_with_fraction_and_negative_nodes():
+    p = [Fraction(3, 4), -2, 0, Fraction(1, 6)]  # 3/4 - 2x + x^3/6
+    nodes = (Fraction(-5, 2), -1, Fraction(1, 3), 7)
+    points = [(x, sum(c * Fraction(x) ** k for k, c in enumerate(p))) for x in nodes]
+    assert interpolate_univariate(points) == p
+    assert typed(interpolate_univariate(points)) == typed(interpolate_oracle(points))
+
+
+def test_empty_node_sets_are_degenerate():
+    with pytest.raises(InterpolationDegeneracy, match="no interpolation nodes"):
+        interpolate_univariate([])
+    with pytest.raises(InterpolationDegeneracy, match="no interpolation nodes"):
+        interpolate_from_grid([], [0, 1], lambda a, b: 0)
+    with pytest.raises(InterpolationDegeneracy, match="no interpolation nodes"):
+        interpolate_from_grid([0, 1], [], lambda a, b: 0)
 
 
 @pytest.mark.parametrize("e", [-1, 1.5, Fraction(2)])

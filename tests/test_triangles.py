@@ -292,6 +292,22 @@ def test_f_tilde_term_by_term_n3():
     assert f_tilde(3) == want
 
 
+def f_tilde_per_word(n):
+    """F-triangle as one (x, x+1, y+1)-product per triword."""
+    acc = BiPoly()
+    for u in enumerate_triwords(n):
+        c, g = len(canrep_formula(u)), neg_stat(u)
+        acc += X ** (n - c) * (X + ONE) ** (c - g) * (Y + ONE) ** g
+    return acc
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_f_tilde_grouped_sum_matches_per_word_sum(n):
+    got, want = f_tilde(n), f_tilde_per_word(n)
+    assert got == want
+    assert {k: type(c) for k, c in got.terms.items()} == {k: type(c) for k, c in want.terms.items()}
+
+
 def test_transforms_send_boolean_m_to_boolean_f_and_h():
     for n in range(1, 5):
         m_bool = (X * Y - Y + ONE) ** n
