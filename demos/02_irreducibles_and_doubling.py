@@ -48,10 +48,10 @@ print(f"intersection property: {has_intersection_property(L)}")
 
 # the lattice is congruence-uniform: it arises from a point by doubling
 # intervals.  build_hoch_by_doubling replays that recipe and lands on the
-# same lattice; each rebuilt element knows its triword, and sending it to the
-# direct build's element of that word is an isomorphism.
+# same lattice; each rebuilt element is labelled by its triword, and sending it
+# to the direct build's element of that word is an isomorphism.
 D = build_hoch_by_doubling(n)
-image = [H.id_of(u) for u in D.triwords]
+image = [H.id_of(u) for u in D.labels]
 print()
 print(f"doubling rebuild of Hoch({n}) isomorphic to direct build:",
-      are_isomorphic(D.lattice.poset, L.poset, image))
+      are_isomorphic(D, L.poset, image))

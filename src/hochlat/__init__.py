@@ -1,6 +1,6 @@
 """Hochschild lattice combinatorics: posets, lattices, triwords, and triangles."""
 
-from .complexes import SimplicialComplex, cjc, is_shedding_vertex, is_vertex_decomposable, shedding_witness
+from .complexes import SimplicialComplex, cjc, is_vertex_decomposable, shedding_witness
 from .galois import DiGraph, galois_graph, hoch_galois_characterization, max_ortho_pairs_lattice
 from .hochschild import (
     HochIrreducible,
@@ -24,7 +24,6 @@ from .lattice import (
     as_lattice,
     build_bool,
     canonical_joinrep,
-    core_label_set,
     has_intersection_property,
     is_extremal,
     is_join_semidistributive,
@@ -48,12 +47,9 @@ from .shuffles import (
 )
 from .triangles import (
     JPoset,
-    PartialCore,
     boolean_baselines,
-    char_poly,
     char_poly_closed,
     f_closed,
-    f_coefficient,
     f_from_cores,
     f_from_m,
     f_tilde,
@@ -70,8 +66,6 @@ from .triangles import (
     m_closed,
     m_triangle,
     neg_stat,
-    partial_cores,
-    rank_poly,
     rank_poly_closed,
     shuffle_char_closed,
 )

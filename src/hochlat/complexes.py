@@ -127,9 +127,9 @@ def cjc(lat):
     return out
 
 
-def is_vertex_decomposable(cx, _memo=None):
+def is_vertex_decomposable(cx):
     """Shedding-vertex recursion; see ``shedding_witness`` for the trace."""
-    return shedding_witness(cx, _memo) is not None
+    return shedding_witness(cx) is not None
 
 
 def shedding_witness(cx, _memo=None):
@@ -169,11 +169,3 @@ def shedding_witness(cx, _memo=None):
     _memo[key] = result
     return result
 
-
-def is_shedding_vertex(cx, v):
-    """Admissibility of one vertex: the three conditions checked directly."""
-    link = cx.link([v])
-    gone = cx.deletion([v])
-    if any(f in gone.facets for f in link.facets):
-        return False
-    return is_vertex_decomposable(link) and is_vertex_decomposable(gone)

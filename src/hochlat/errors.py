@@ -56,10 +56,6 @@ class NotExtremal(HochlatError):
     """The lattice is not extremal (irreducible counts do not match its length)."""
 
 
-class ChainOrderingFailed(HochlatError):
-    """No valid irreducible ordering exists along the chosen maximal chain."""
-
-
 class NotAFace(HochlatError):
     """The given vertex set is not a face of the complex."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChainOrderingFailed, NotALattice, NotExtremal, SizeBound
+from .errors import InvariantViolated, NotALattice, NotExtremal, SizeBound
 from .lattice import Lattice, as_lattice, is_extremal
 from .limits import MAX_GRAPH
 from .poset import FinitePoset, are_isomorphic
@@ -31,9 +31,6 @@ class DiGraph:
         self.labels = list(labels) if labels is not None else [str(i) for i in range(self.k)]
         if len(self.labels) != self.k:
             raise ValueError(f"{len(self.labels)} labels for {self.k} vertices")
-
-    def edge_labels(self):
-        return {(self.labels[s], self.labels[t]) for s, t in self.edges}
 
     def to_json(self):
         return {
@@ -98,8 +95,10 @@ def galois_graph(lat):
     for s in range(1, k + 1):
         fresh_j = [j for j in join_irr if leq[j, chain[s]] and not leq[j, chain[s - 1]]]
         fresh_m = [m for m in meet_irr if leq[chain[s - 1], m] and not leq[chain[s], m]]
+        # Each of the k steps exposes at least one join-irreducible (chain[s] is the join of
+        # those below it), and there are only k of them, so exactly one; dually for meets.
         if len(fresh_j) != 1 or len(fresh_m) != 1:
-            raise ChainOrderingFailed(
+            raise InvariantViolated(
                 f"chain step {s} exposes {len(fresh_j)} join- and "
                 f"{len(fresh_m)} meet-irreducibles instead of one each"
             )
@@ -113,25 +112,6 @@ def galois_graph(lat):
     ]
     labels = [str(poset.labels[j]) for j in joins]
     return GaloisGraph(DiGraph(k, edges, labels), chain, tuple(joins), tuple(meets))
-
-
-def galois_graph_by_joins(lat):
-    """Chain-free form: j -> j' when j' lies below j'_* v j.
-
-    Agrees with the chain construction on congruence-uniform lattices, which
-    gives the tests a second, independent route to the same graph.
-    """
-    if not is_extremal(lat):
-        raise NotExtremal("lattice is not extremal: irreducible counts differ from length")
-    join_irr = lat.join_irreducibles()
-    leq = lat.poset.leq
-    edges = []
-    for s, j in enumerate(join_irr):
-        for t, j2 in enumerate(join_irr):
-            if j != j2 and leq[j2, lat.join[lat.j_star(j2), j]]:
-                edges.append((s, t))
-    labels = [str(lat.poset.labels[j]) for j in join_irr]
-    return DiGraph(len(join_irr), edges, labels)
 
 
 def hoch_galois_characterization(n):

@@ -14,7 +14,6 @@ int64 bitmasks over the join-irreducibles (``psi_map``)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -166,10 +165,6 @@ class Lattice:
     def meet_irreducibles(self):
         return sorted(self._meet_irr)
 
-    def m_star(self, m):
-        """The unique upper cover of a meet-irreducible element."""
-        return self._meet_irr[m]
-
     def atoms(self):
         return sorted(self.poset.upper_covers(self.bottom))
 
@@ -200,14 +195,6 @@ class Lattice:
             psi[a] = np.bitwise_or.reduce(masks[leq[nucleus[a]][lows] & below[a][ups]])
         psi.setflags(write=False)
         return psi
-
-    def to_json(self):
-        data = self.poset.to_json()
-        data["join_irreducibles"] = self.join_irreducibles()
-        if is_join_semidistributive(self):
-            labels = jsd_labeling(self)
-            data["cover_labels"] = [labels[c] for c in self.covers]
-        return data
 
     def __repr__(self):
         return f"Lattice(n={self.n}, covers={len(self.covers)})"
@@ -281,27 +268,6 @@ def canonical_joinrep(lat, a):
     """Canonical join representation: the labels of the lower covers of a."""
     labels = jsd_labeling(lat)
     return frozenset(labels[(b, a)] for b in lat.poset.lower_covers(a))
-
-
-@dataclass(frozen=True)
-class CoreLabelSet:
-    element: int
-    nucleus: int
-    labels: frozenset
-
-
-def core_label_set(lat, a):
-    """Nucleus (meet of a with all its lower covers) and the labels in between."""
-    cover_labels = jsd_labeling(lat)
-    nucleus = lat.meet_all([a] + lat.poset.lower_covers(a))
-    poset = lat.poset
-    labels = frozenset(
-        cover_labels[(b, c)]
-        for c in poset.interval(nucleus, a)
-        for b in poset.lower_covers(c)
-        if poset.leq[nucleus, b]
-    )
-    return CoreLabelSet(a, nucleus, labels)
 
 
 def psi_map(lat):

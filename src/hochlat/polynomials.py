@@ -47,9 +47,6 @@ class BiPoly:
     def y(cls):
         return cls({(0, 1): 1})
 
-    def coeff(self, i, j):
-        return self.terms.get((i, j), 0)
-
     def __add__(self, other):
         other = other if isinstance(other, BiPoly) else BiPoly.const(other)
         out = dict(self.terms)
@@ -93,10 +90,16 @@ class BiPoly:
         return out
 
     def __eq__(self, other):
-        other = other if isinstance(other, BiPoly) else BiPoly.const(other)
+        if isinstance(other, (int, Fraction)):
+            other = BiPoly.const(other)
+        elif not isinstance(other, BiPoly):
+            return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
+        """A constant hashes like the number it equals."""
+        if self.terms.keys() <= {(0, 0)}:
+            return hash(self.terms.get((0, 0), 0))
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
@@ -111,29 +114,23 @@ class BiPoly:
         num = sum(c * xs[i] * ys[j] for (i, j), c in self.terms.items())
         return _norm(Fraction(num, x.denominator**dx * y.denominator**dy))
 
-    def swap_vars(self):
-        return BiPoly({(j, i): c for (i, j), c in self.terms.items()})
-
     def deg_x(self):
         return max((i for i, _ in self.terms), default=0)
 
     def deg_y(self):
         return max((j for _, j in self.terms), default=0)
 
-    def total_degree(self):
-        return max((i + j for i, j in self.terms), default=0)
-
     def _sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), -kv[0][0]))
 
-    def to_str(self, names=("x", "y")):
+    def to_str(self):
         if not self.terms:
             return "0"
         parts = []
         for (i, j), c in self._sorted_terms():
             mono = "*".join(
                 name if e == 1 else f"{name}^{e}"
-                for name, e in zip(names, (i, j))
+                for name, e in zip("xy", (i, j))
                 if e > 0
             )
             if not mono:

@@ -138,9 +138,6 @@ class FinitePoset:
     def le(self, a, b):
         return bool(self.leq[a, b])
 
-    def label(self, a):
-        return self.labels[a]
-
     @cached_property
     def _up_adj(self):
         adj = [[] for _ in range(self.n)]
@@ -249,10 +246,9 @@ class FinitePoset:
             raise ValueError("zeta is a counting function only for q >= 1")
         return 1 if q == 1 else sum(s * comb(q - 2, j) for j, s in enumerate(self._chain_counts))
 
-    def zeta_points(self, extra=0):
-        """Exact samples (q, zeta(q)) for q = 1 .. length+2+extra."""
-        top_q = self.length() + 2 + extra
-        return [(q, self.zeta(q)) for q in range(1, top_q + 1)]
+    def zeta_points(self):
+        """Exact samples (q, zeta(q)) for q = 1 .. length+2."""
+        return [(q, self.zeta(q)) for q in range(1, self.length() + 3)]
 
     def mobius_invariant_via_zeta(self):
         """Extrapolate the zeta polynomial to -1 (equals mu(bottom, top))."""

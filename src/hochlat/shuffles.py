@@ -96,9 +96,6 @@ class ShuffleLattice:
         self.index = {w: i for i, w in enumerate(self.words)}
         self.a, self.b = a, b
 
-    def word(self, i):
-        return self.words[i]
-
     def id_of(self, w):
         return self.index[w]
 

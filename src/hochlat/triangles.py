@@ -14,8 +14,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from functools import lru_cache
+from itertools import product
 from math import comb
+from types import MappingProxyType
 
 import numpy as np
 
@@ -49,18 +51,6 @@ def _graded(mat, rows, cols=None):
     if cols is not None:
         acc = acc @ _indicator(cols)
     return BiPoly({(i, j): int(c) for (i, j), c in np.ndenumerate(acc)})
-
-
-def rank_poly(p):
-    """Sum of x^rank over a graded poset: R^T 1."""
-    return _graded(np.ones((p.n, 1), dtype=np.int64), p.rank_vector())
-
-
-def char_poly(p):
-    """Sum of mu(bottom, v) x^rank(v) over a graded bounded poset: the bottom row of mu R."""
-    ranks = p.rank_vector()
-    row = p.mobius_times(_indicator(ranks))[p.bottom()]
-    return BiPoly({(r, 0): int(c) for r, c in enumerate(row)})
 
 
 def rank_poly_closed(n):
@@ -162,14 +152,6 @@ def h_closed(n):
     return (X * Y + ONE) ** (n - 2) * ((X * Y + ONE) ** 2 + (n - 1) * X)
 
 
-def f_coefficient(n, k, l):
-    """Coefficient of x^k y^l in the F-triangle; the division by n is exact."""
-    v = Fraction(comb(n, k) * comb(n - k, l) * (n * (k + 1) - k * (l + 1)), n)
-    if v.denominator != 1:
-        raise InvariantViolated(f"F coefficient {v} is not an integer")
-    return int(v)
-
-
 # -- F and H via triword statistics ------------------------------------------
 
 
@@ -181,9 +163,10 @@ def neg_stat(u):
     return sum(1 for c in u if c == 2) + (1 if l1(u) == 1 else 0)
 
 
+@lru_cache(maxsize=None)
 def _word_stats(n):
-    """Triword counts per (canonical joinand count, neg_stat)."""
-    return Counter((len(canrep_formula(u)), neg_stat(u)) for u in enumerate_triwords(n))
+    """Triword counts per (canonical joinand count, neg_stat), read-only: every caller shares it."""
+    return MappingProxyType(Counter((len(canrep_formula(u)), neg_stat(u)) for u in enumerate_triwords(n)))
 
 
 def f_tilde(n):
@@ -199,44 +182,6 @@ def h_tilde(n):
 
 
 # -- partial cores -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PartialCore:
-    """One element together with a chosen subset of its lower covers.
-
-    ``nucleus`` is the meet of the element with the chosen covers, and
-    ``neg`` counts the atoms among the element's canonical joinands whose
-    cover was NOT chosen (the cover itself is never an atom; its label is
-    what gets tested).
-    """
-
-    element: int
-    covers: frozenset
-    nucleus: int
-    neg: int
-
-
-def partial_cores(lat):
-    """All (element, cover subset) pairs of a join-semidistributive lattice."""
-    labels = jsd_labeling(lat)
-    atomset = set(lat.atoms())
-    out = []
-    for u in range(lat.n):
-        lows = lat.poset.lower_covers(u)
-        total = sum(1 for a in lows if labels[(a, u)] in atomset)
-        for r in range(len(lows) + 1):
-            for chosen in combinations(lows, r):
-                drop = sum(1 for a in chosen if labels[(a, u)] in atomset)
-                out.append(
-                    PartialCore(
-                        element=u,
-                        covers=frozenset(chosen),
-                        nucleus=lat.meet_all([u, *chosen]),
-                        neg=total - drop,
-                    )
-                )
-    return out
 
 
 def f_from_cores(n):

@@ -1,0 +1,103 @@
+"""Definitional routes the tests compare the library's fast routes against.
+
+Each one computes its object straight from the definition, one element or
+one vertex at a time, and is only run at small sizes:
+
+- ``core_label_set``: the oracle for ``lattice.psi_map``;
+- ``partial_cores``: the oracle for ``triangles.f_from_cores`` and
+  ``triangles.face_vector``;
+- ``rank_poly`` and ``char_poly``: the graded sums over a poset that the
+  closed forms ``rank_poly_closed`` and ``char_poly_closed`` must equal;
+- ``is_shedding_vertex``: the admissibility test inside
+  ``complexes.shedding_witness``, restated for one vertex.
+"""
+
+from dataclasses import dataclass
+from itertools import combinations
+
+import numpy as np
+
+from hochlat.complexes import is_vertex_decomposable
+from hochlat.lattice import jsd_labeling
+from hochlat.polynomials import BiPoly
+from hochlat.triangles import _graded, _indicator
+
+
+@dataclass(frozen=True)
+class CoreLabelSet:
+    element: int
+    nucleus: int
+    labels: frozenset
+
+
+def core_label_set(lat, a):
+    """Nucleus (meet of a with all its lower covers) and the labels in between."""
+    cover_labels = jsd_labeling(lat)
+    nucleus = lat.meet_all([a] + lat.poset.lower_covers(a))
+    poset = lat.poset
+    labels = frozenset(
+        cover_labels[(b, c)]
+        for c in poset.interval(nucleus, a)
+        for b in poset.lower_covers(c)
+        if poset.leq[nucleus, b]
+    )
+    return CoreLabelSet(a, nucleus, labels)
+
+
+@dataclass(frozen=True)
+class PartialCore:
+    """One element together with a chosen subset of its lower covers.
+
+    ``nucleus`` is the meet of the element with the chosen covers, and
+    ``neg`` counts the atoms among the element's canonical joinands whose
+    cover was NOT chosen (the cover itself is never an atom; its label is
+    what gets tested).
+    """
+
+    element: int
+    covers: frozenset
+    nucleus: int
+    neg: int
+
+
+def partial_cores(lat):
+    """All (element, cover subset) pairs of a join-semidistributive lattice."""
+    labels = jsd_labeling(lat)
+    atomset = set(lat.atoms())
+    out = []
+    for u in range(lat.n):
+        lows = lat.poset.lower_covers(u)
+        total = sum(1 for a in lows if labels[(a, u)] in atomset)
+        for r in range(len(lows) + 1):
+            for chosen in combinations(lows, r):
+                drop = sum(1 for a in chosen if labels[(a, u)] in atomset)
+                out.append(
+                    PartialCore(
+                        element=u,
+                        covers=frozenset(chosen),
+                        nucleus=lat.meet_all([u, *chosen]),
+                        neg=total - drop,
+                    )
+                )
+    return out
+
+
+def rank_poly(p):
+    """Sum of x^rank over a graded poset: R^T 1."""
+    return _graded(np.ones((p.n, 1), dtype=np.int64), p.rank_vector())
+
+
+def char_poly(p):
+    """Sum of mu(bottom, v) x^rank(v) over a graded bounded poset: the bottom row of mu R."""
+    ranks = p.rank_vector()
+    row = p.mobius_times(_indicator(ranks))[p.bottom()]
+    return BiPoly({(r, 0): int(c) for r, c in enumerate(row)})
+
+
+def is_shedding_vertex(cx, v):
+    """Admissibility of one vertex: the three conditions checked directly."""
+    link = cx.link([v])
+    gone = cx.deletion([v])
+    if any(f in gone.facets for f in link.facets):
+        return False
+    return is_vertex_decomposable(link) and is_vertex_decomposable(gone)

@@ -21,7 +21,6 @@ from hochlat.checks import (
     check_shuffle_stats,
     check_sigma,
     check_structure,
-    conjecture_report,
 )
 from hochlat.cli import _sigma_table_lines
 from hochlat.complexes import cjc
@@ -32,6 +31,7 @@ from hochlat.shuffles import clo_rank_counts, shuffle_stats
 from hochlat.triangles import (
     f_closed,
     face_vector,
+    g_conjecture_check,
     g_triangle,
     h_closed,
     j_poset,
@@ -173,7 +173,7 @@ def test_criterion_13_conjecture_harness():
     ok = all(g_triangle(n, 0) == (X + Y + ONE) ** n for n in range(1, 5))
     verdicts = []
     for n in range(2, 7):
-        report = conjecture_report(n)
+        report = g_conjecture_check(n)
         verdicts.append(f"n={n} {'match' if report['match'] else 'MISMATCH'}")
     # The closed-form guess is reported, never asserted.
     _report(13, "G-triangle harness", ok, "; ".join(verdicts))

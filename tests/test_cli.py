@@ -151,7 +151,7 @@ def test_check_all_runs_every_bundle_at_n10(capsys, monkeypatch):
     # Every bundle is stubbed; the names are the registry's own.
     stubbed = [(name, lambda n: True) for name, _ in checks.CHECKS]
     monkeypatch.setattr(checks, "CHECKS", stubbed)
-    monkeypatch.setattr(checks, "conjecture_report", lambda n: {"match": True})
+    monkeypatch.setattr(checks, "g_conjecture_check", lambda n: {"match": True})
     code, out, _ = run(capsys, "check", "all", "--n", "10")
     assert code == 0
     assert out == CHECK_ALL_10_STUBBED

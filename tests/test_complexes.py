@@ -6,7 +6,6 @@ from hochlat import complexes
 from hochlat.complexes import (
     SimplicialComplex,
     cjc,
-    is_shedding_vertex,
     is_vertex_decomposable,
     shedding_witness,
 )
@@ -14,6 +13,7 @@ from hochlat.errors import InvariantViolated, NotAFace, NotJoinSemidistributive
 from hochlat.hochschild import build_hoch, irreducible_of_triword, parse_triword
 from hochlat.lattice import as_lattice, build_bool
 from hochlat.poset import FinitePoset
+from oracles import is_shedding_vertex
 
 
 def _maximal(sets):

@@ -8,7 +8,6 @@ from hochlat.galois import (
     DiGraph,
     GaloisGraph,
     galois_graph,
-    galois_graph_by_joins,
     hoch_galois_characterization,
     max_ortho_pairs_lattice,
     reconstruction_isomorphic,
@@ -36,9 +35,13 @@ PAIRS_3 = {
 }
 
 
+def edge_labels(graph):
+    return {(graph.labels[s], graph.labels[t]) for s, t in graph.edges}
+
+
 def named_edges(graph):
     out = set()
-    for s, t in graph.edge_labels():
+    for s, t in edge_labels(graph):
         out.add((str(irreducible_of_triword(parse_triword(s))), str(irreducible_of_triword(parse_triword(t)))))
     return out
 
@@ -57,21 +60,15 @@ def test_characterization_matches_chain_construction(n):
     chain_graph = galois_graph(lat).graph
     direct = hoch_galois_characterization(n)
     assert chain_graph.k == direct.k == max(2 * n - 1, 1)
-    assert named_edges(chain_graph) == direct.edge_labels()
+    assert named_edges(chain_graph) == edge_labels(direct)
     assert len(direct.edges) == (n - 1) + n * (n - 1) // 2
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_chain_free_form_agrees(n):
-    lat = build_hoch(n).lattice
-    assert galois_graph(lat).graph.edge_labels() == galois_graph_by_joins(lat).edge_labels()
 
 
 def test_graph_does_not_depend_on_element_order():
     lat = build_hoch(3).lattice
-    base = galois_graph(lat).graph.edge_labels()
+    base = edge_labels(galois_graph(lat).graph)
     shuffled = as_lattice(lat.poset.induced(list(reversed(range(lat.n)))))
-    assert galois_graph(shuffled).graph.edge_labels() == base
+    assert edge_labels(galois_graph(shuffled).graph) == base
 
 
 def test_pinned_ortho_pairs_n3():

@@ -8,7 +8,6 @@ from hochlat.checks import check_doubling, check_lattice_law
 from hochlat.errors import MalformedLabelSet, NotGraded, SizeBound
 from hochlat.hochschild import (
     a_irr,
-    atom_irreducibles,
     b_irr,
     build_hoch,
     HochLattice,
@@ -34,8 +33,9 @@ from hochlat.hochschild import (
     psi_inverse,
     triword_count,
 )
-from hochlat.lattice import Lattice, canonical_joinrep, core_label_set, is_extremal, jsd_labeling
+from hochlat.lattice import Lattice, canonical_joinrep, is_extremal, jsd_labeling, psi_map
 from hochlat.poset import FinitePoset
+from oracles import core_label_set
 
 # 12 elements and 18 labeled cover relations of the length-3 lattice.
 HASSE_3 = {
@@ -244,19 +244,19 @@ def test_not_graded_but_bounded_length():
 def test_doubling_construction_matches_direct(n):
     direct = build_hoch(n)
     doubled = build_hoch_by_doubling(n)
-    assert sorted(doubled.triwords) == list(direct.triwords)
-    perm = [doubled.id_of(u) for u in direct.triwords]
+    assert sorted(doubled.labels) == list(direct.triwords)
+    perm = [doubled.labels.index(u) for u in direct.triwords]
     for a in range(direct.lattice.n):
         for b in range(direct.lattice.n):
-            assert direct.lattice.poset.leq[a, b] == doubled.lattice.poset.leq[perm[a], perm[b]]
+            assert direct.lattice.poset.leq[a, b] == doubled.leq[perm[a], perm[b]]
 
 
 def test_doubling_check_fails_on_a_corrupted_decode(monkeypatch):
     def swapped_words(n):
         doubled = build_hoch_by_doubling(n)
-        words = list(doubled.triwords)
+        words = list(doubled.labels)
         words[0], words[-1] = words[-1], words[0]
-        return HochLattice(doubled.lattice, words)
+        return FinitePoset(doubled.leq, doubled.covers, words)
 
     assert check_doubling(4)
     monkeypatch.setattr(checks, "build_hoch_by_doubling", swapped_words)
@@ -281,7 +281,7 @@ def test_irreducibles(n):
             assert h.triword(star) == (0,) * n
     assert is_extremal(lat)
     atom_words = {h.triword(a) for a in lat.atoms()}
-    assert atom_words == {j.triword(n) for j in atom_irreducibles(n)}
+    assert atom_words == {a_irr(1).triword(n)} | {b_irr(i).triword(n) for i in range(2, n + 1)}
     assert {str(irreducible_of_triword(w)) for w in atom_words} == {"a1"} | {
         f"b{i}" for i in range(2, n + 1)
     }
@@ -313,6 +313,19 @@ def test_nucleus_and_core_labels(n):
         assert h.triword(core.nucleus) == nucleus_formula(u)
         labels = {irreducible_of_triword(h.triword(c)) for c in core.labels}
         assert labels == set(core_labels_formula(u))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_word_formulas_match_the_lattice(n):
+    """core_labels_formula against the psi_map masks and canrep_formula against
+    canonical_joinrep, for every element, with bit i standing for join_irreducibles()[i]."""
+    h = build_hoch(n)
+    lat = h.lattice
+    bit = {irreducible_of_triword(h.triword(j)): 1 << i for i, j in enumerate(lat.join_irreducibles())}
+    psi = psi_map(lat).tolist()
+    for a, u in enumerate(h.triwords):
+        assert sum(bit[j] for j in core_labels_formula(u)) == psi[a]
+        assert {h.id_of(j.triword(n)) for j in canrep_formula(u)} == canonical_joinrep(lat, a)
 
 
 def test_long_word_fixture():

@@ -12,7 +12,6 @@ from hochlat.lattice import (
     as_lattice,
     build_bool,
     canonical_joinrep,
-    core_label_set,
     has_intersection_property,
     is_extremal,
     is_join_semidistributive,
@@ -24,6 +23,7 @@ from hochlat.lattice import (
 )
 from hochlat.poset import FinitePoset, doubling
 from hochlat.shuffles import clo, shuffle_lattice
+from oracles import core_label_set
 
 
 def chain_lattice(k):
@@ -94,7 +94,7 @@ def test_irreducibles_boolean():
     for j in lat.join_irreducibles():
         assert lat.j_star(j) == 0
     for m in lat.meet_irreducibles():
-        assert lat.m_star(m) == 7
+        assert lat.poset.upper_covers(m) == [7]
 
 
 def test_extremal():
@@ -202,7 +202,6 @@ def test_each_side_is_computed_once(monkeypatch):
     for _ in range(3):
         is_semidistributive(lat)
         jsd_labeling(lat)
-        lat.to_json()
     assert len(calls) == 2
 
 
@@ -474,8 +473,7 @@ def test_doubling_covers_match_from_leq_on_every_interval():
 
 def test_lattice_json_export():
     lat = build_bool(2)
-    data = lat.to_json()
-    assert data["n_elements"] == 4
-    assert data["join_irreducibles"] == [1, 2]
-    assert data["cover_labels"] == [1, 2, 2, 1]
-    assert "cover_labels" not in diamond(3).to_json()
+    assert lat.poset.to_json()["n_elements"] == 4
+    assert lat.join_irreducibles() == [1, 2]
+    assert [jsd_labeling(lat)[c] for c in lat.covers] == [1, 2, 2, 1]
+    assert not is_join_semidistributive(diamond(3))

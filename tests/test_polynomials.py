@@ -75,10 +75,18 @@ def test_degrees_and_coeff():
     p = 3 * X**2 * Y + X - 7
     assert p.deg_x() == 2
     assert p.deg_y() == 1
-    assert p.total_degree() == 3
-    assert p.coeff(2, 1) == 3
-    assert p.coeff(0, 0) == -7
-    assert p.coeff(5, 5) == 0
+    assert p.terms.get((2, 1), 0) == 3
+    assert p.terms.get((0, 0), 0) == -7
+    assert p.terms.get((5, 5), 0) == 0
+
+
+def test_equality_with_other_types_keeps_the_hash_contract():
+    assert X != None and X != "x" and not X == [1]
+    assert BiPoly.const(3) == 3 and hash(BiPoly.const(3)) == hash(3)
+    assert BiPoly.const(Fraction(1, 2)) == Fraction(1, 2)
+    assert hash(BiPoly.const(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert BiPoly() == 0 and hash(BiPoly()) == hash(0)
+    assert len({BiPoly.const(3), 3, X + 1, 1 + X}) == 2
 
 
 def test_to_str_deterministic():
@@ -87,12 +95,6 @@ def test_to_str_deterministic():
     assert BiPoly().to_str() == "0"
     assert (-X).to_str() == "-x"
     assert BiPoly.const(Fraction(1, 2)).to_str() == "1/2"
-    assert (X**2).to_str(names=("q", "t")) == "q^2"
-
-
-def test_swap_vars():
-    p = X**2 * Y + 3 * X
-    assert p.swap_vars() == Y**2 * X + 3 * Y
 
 
 def test_json_shape():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hochlat import shuffles
-from hochlat.checks import check_m_triangle, check_shuffle_stats, check_sigma, conjecture_report
+from hochlat.checks import check_m_triangle, check_shuffle_stats, check_sigma
 from hochlat.errors import InvariantViolated, MalformedWord, NotSemidistributive, SizeBound
 from hochlat.hochschild import build_hoch, canrep_formula, enumerate_triwords, l1
 from hochlat.lattice import as_lattice, build_bool
@@ -23,6 +23,7 @@ from hochlat.shuffles import (
     sigma_inverse,
     word_rank,
 )
+from hochlat.triangles import g_conjecture_check
 
 ONE = "\U0001d7d9"
 
@@ -73,8 +74,8 @@ def test_fig5_lattice():
     sl = shuffle_lattice(2, 1)
     lat = sl.lattice
     assert lat.n == 12
-    assert sl.word(lat.bottom) == (2, 3)
-    assert sl.word(lat.top) == (-1,)
+    assert sl.words[lat.bottom] == (2, 3)
+    assert sl.words[lat.top] == (-1,)
     eps, two = sl.id_of(()), sl.id_of((2,))
     assert lat.poset.leq[two, eps]
     assert lat.poset.leq[eps, lat.top]
@@ -109,7 +110,7 @@ def test_shuffle_lattice_is_built_once_per_size():
     shuffle_lattice.cache_clear()
     first = shuffle_lattice(3, 1)
     assert shuffle_lattice(3, 1) is first
-    assert check_sigma(4) and check_shuffle_stats(4) and conjecture_report(4)["match"]
+    assert check_sigma(4) and check_shuffle_stats(4) and g_conjecture_check(4)["match"]
     assert shuffle_lattice.cache_info().misses == 1
 
 

@@ -8,18 +8,15 @@ from test_poset import recursive_mobius
 from hochlat import triangles
 from hochlat.errors import InvariantViolated, NotGraded, SizeBound
 from hochlat.hochschild import build_hoch, canrep_formula, enumerate_triwords, l1, triword_count
-from hochlat.lattice import build_bool, canonical_joinrep, core_label_set
+from hochlat.lattice import build_bool, canonical_joinrep
 from hochlat.polynomials import BiPoly
 from hochlat.poset import FinitePoset
 from hochlat.shuffles import clo, shuffle_lattice, word_rank
 from hochlat.triangles import (
     JPoset,
-    PartialCore,
     boolean_baselines,
-    char_poly,
     char_poly_closed,
     f_closed,
-    f_coefficient,
     f_from_cores,
     f_from_m,
     f_tilde,
@@ -38,11 +35,10 @@ from hochlat.triangles import (
     m_closed,
     m_triangle,
     neg_stat,
-    partial_cores,
-    rank_poly,
     rank_poly_closed,
     shuffle_char_closed,
 )
+from oracles import char_poly, core_label_set, partial_cores, rank_poly
 
 X = BiPoly.x()
 Y = BiPoly.y()
@@ -257,25 +253,12 @@ def test_f_four_ways_agree():
 def test_f3_pinned():
     want = (X + Y + ONE) * (3 * X**2 + 2 * X * Y + 4 * X + (Y + ONE) ** 2)
     assert f_closed(3) == want
-    assert f_closed(3).coeff(1, 1) == 8
+    assert f_closed(3).terms.get((1, 1), 0) == 8
     assert f_closed(3).eval_at(0, 0) == 1
-
-
-def test_f_coefficient_closed():
-    assert f_coefficient(3, 0, 0) == 1
-    assert f_coefficient(3, 1, 1) == 8
-    assert f_coefficient(3, 3, 0) == 3
-    for n in range(1, 6):
-        closed = f_closed(n)
-        for k in range(n + 1):
-            for l in range(n - k + 1):
-                assert f_coefficient(n, k, l) == closed.coeff(k, l)
 
 
 def test_inexact_closed_counts_raise(monkeypatch):
     monkeypatch.setattr(triangles, "comb", lambda a, b: 1)
-    with pytest.raises(InvariantViolated, match="F coefficient 5/3"):
-        f_coefficient(3, 1, 0)  # (3 * 2 - 1) / 3
     with pytest.raises(InvariantViolated, match="face count 8/3"):
         face_count_closed(3, 2)  # 2**-1 * (18 - 2) / 3
 
