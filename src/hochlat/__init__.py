@@ -33,7 +33,7 @@ from .lattice import (
     jsd_labeling,
 )
 from .polynomials import BiPoly, interpolate_from_grid, interpolate_univariate
-from .poset import FinitePoset, IntervalRef, are_isomorphic, doubling
+from .poset import FinitePoset, are_isomorphic, doubling
 from .shuffles import (
     ShuffleLattice,
     clo,

@@ -168,12 +168,16 @@ def check_h_triangle(n):
     )
 
 
-def check_faces(n):
-    got = face_vector(n)
+def face_vector_ok(n, got):
+    """Whether ``got`` is the closed face vector of Hoch(n): triword count to 1, alternating sum 1."""
     if got != [face_count_closed(n, i) for i in range(n + 1)]:
         return False
     alternating = sum((-1) ** i * f for i, f in enumerate(got))
     return got[0] == triword_count(n) and got[n] == 1 and alternating == 1
+
+
+def check_faces(n):
+    return face_vector_ok(n, face_vector(n))
 
 
 def check_baselines(n):

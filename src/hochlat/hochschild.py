@@ -23,7 +23,7 @@ import numpy as np
 from .errors import MalformedLabelSet
 from .lattice import as_lattice
 from .limits import check_n
-from .poset import FinitePoset, IntervalRef, doubling
+from .poset import FinitePoset, doubling
 
 
 def is_triword(u):
@@ -240,7 +240,7 @@ def build_hoch_by_doubling(n):
         nonlocal poset
         words = poset.labels
         members = {words[a] for a in poset.interval(lo, hi)}
-        doubled = doubling(poset, IntervalRef(lo, hi))
+        doubled = doubling(poset, (lo, hi))
         fresh = [u[:-1] + (flip_to,) if copy == 1 and u in members else u for u, copy in doubled.labels]
         poset = FinitePoset(doubled.leq, doubled.covers, labels=fresh)
 

@@ -7,10 +7,10 @@ it must embed the order and be closed under intersection, and the meet is the
 element with the intersected mask (dually for the join).  Otherwise it raises
 NotALattice with a witness pair that has no join or no meet.
 
-On top of that live the irreducibles and one core-label layer, each part
-computed once per lattice: the cover labels (which exist iff the lattice is
-semidistributive), canonical join representations, and core label sets as
-int64 bitmasks over the join-irreducibles (``psi_map``)."""
+On top of that live the irreducibles and one core-label layer, each part computed
+once per lattice: the cover labels, read off the same irreducible masks (they exist
+iff the lattice is semidistributive), canonical join representations, and core
+label sets as int64 bitmasks over the join-irreducibles (``psi_map``)."""
 
 from __future__ import annotations
 
@@ -21,6 +21,14 @@ import numpy as np
 from .errors import InvariantViolated, NoUniqueMin, NotALattice, NotSemidistributive
 from .limits import check_elements, check_label_bits, check_range
 from .poset import FinitePoset
+
+
+def _irr_masks(leq, irrs):
+    """M(x) by element x, bit i set iff irrs[i] <= x; int64 below 64 irreducibles, else Python ints."""
+    masks = np.zeros(len(leq), dtype=np.int64 if len(irrs) < 64 else object)
+    for i, j in enumerate(irrs):
+        masks |= leq[j].astype(masks.dtype) << i
+    return masks
 
 
 def _meet_table(leq, topo, lower_covers):
@@ -41,13 +49,9 @@ def _meet_table(leq, topo, lower_covers):
       join of b and c would lie below both a and y, so it would be a, and a <= y.
     - (a, b) when M(a) & M(b) is no mask: a meet of a and b would have that mask.
 
-    On the dual order the same routine gives the join table (with join and meet swapped
-    above).  Masks are int64 below 64 join-irreducibles and Python ints from 64 on.
+    On the dual order the same routine gives the join table (join and meet swapped above).
     """
-    irrs = [a for a, below in enumerate(lower_covers) if len(below) == 1]
-    masks = np.zeros(len(leq), dtype=np.int64 if len(irrs) < 64 else object)
-    for i, j in enumerate(irrs):
-        masks |= leq[j].astype(masks.dtype) << i
+    masks = _irr_masks(leq, [a for a, below in enumerate(lower_covers) if len(below) == 1])
     order = np.argsort(masks, kind="stable")
     values = masks[order]
     table = np.empty(leq.shape, dtype=np.int32)
@@ -76,28 +80,22 @@ def _single_covers(n, covers_of):
     return {a: cs[0] for a in range(n) if len(cs := covers_of(a)) == 1}
 
 
-def _cover_labels(leq, table, covers):
-    """Label each cover (a, b) by the least x with table[a, x] == b: (labels, None),
-    or (None, (a, b)) at the first cover given with no least x.  Every cover has a label
-    iff the lattice is join-semidistributive (Barnard, arXiv:1610.05137); with the dual
-    order and the meet table, iff it is meet-semidistributive.  One numpy pass per lower
-    element a: a least x has the smallest down-set, and one row of leq checks it.
-    """
-    leq = np.ascontiguousarray(leq)
-    down = leq.sum(axis=0)
-    ends = np.array([b for _, b in covers], dtype=np.int64)
-    by_lower = {}
-    for i, (a, _) in enumerate(covers):
-        by_lower.setdefault(a, []).append(i)
-    labels, bad = np.empty(len(covers), dtype=np.int64), []
-    for a, idx in by_lower.items():
-        same = table[a] == ends[idx, None]
-        cand = np.where(same, down, len(leq) + 1).argmin(axis=1)
-        least = (leq[cand] | ~same).all(axis=1)
-        labels[idx] = cand
-        bad += [i for i, ok in zip(idx, least.tolist()) if not ok]
-    if bad:
-        return None, covers[min(bad)]
+def _cover_labels(leq, irrs, covers):
+    """Label each cover (a, b) by the least join-irreducible in M(b) - M(a): (labels, None), or
+    (None, (a, b)) at the first cover given with none.  It is the least x with a v x = b when either
+    exists: each j in M(b) - M(a) joins a up to b, and each such x lies above one.  Every cover has
+    a label iff the lattice is join-semidistributive (Barnard, arXiv:1610.05137); on the dual order
+    with the meet-irreducibles, iff it is meet-semidistributive.  One numpy pass per irreducible i:
+    bit i is set and every other set bit lies above irrs[i]."""
+    masks, up = _irr_masks(leq, irrs), _irr_masks(leq.T, irrs)[irrs]
+    lows, ups = np.array(covers, dtype=np.int64).reshape(-1, 2).T
+    new = masks[ups] & ~masks[lows]
+    labels = np.full(len(covers), -1, dtype=np.int64)
+    for i, j in enumerate(irrs):
+        labels[(new >> i & 1 == 1) & (new & ~up[i] == 0)] = j
+    bad = np.flatnonzero(labels < 0)
+    if len(bad):
+        return None, covers[bad[0]]
     return dict(zip(covers, labels.tolist())), None
 
 
@@ -170,14 +168,11 @@ class Lattice:
 
     @cached_property
     def _join_labels(self):
-        labels, bad = _cover_labels(self.poset.leq, self.join, self.covers)
-        if labels and not self._join_irr.keys() >= set(labels.values()):
-            raise InvariantViolated("a cover label is not join-irreducible")
-        return labels, bad
+        return _cover_labels(self.poset.leq, self.join_irreducibles(), self.covers)
 
     @cached_property
     def _meet_labels(self):
-        return _cover_labels(self.poset.leq.T, self.meet, [(b, a) for a, b in self.covers])
+        return _cover_labels(self.poset.leq.T, self.meet_irreducibles(), [(b, a) for a, b in self.covers])
 
     @cached_property
     def _psi(self):

@@ -19,7 +19,6 @@ strict chain counts (Stanley, *Enumerative Combinatorics I*, 3.11-3.12).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
@@ -35,14 +34,6 @@ from .errors import (
 )
 from .limits import check_int64
 from .polynomials import interpolate_univariate
-
-
-@dataclass(frozen=True)
-class IntervalRef:
-    """An interval [lo, hi] named by its endpoints' element ids."""
-
-    lo: int
-    hi: int
 
 
 def _toposort(m, up_adj, in_deg):
@@ -333,7 +324,7 @@ class FinitePoset:
 
 
 def doubling(p, b):
-    """Double the poset along the interval ``b`` (an IntervalRef or (lo, hi) pair).
+    """Double the poset along the interval ``b``, a (lo, hi) pair of element ids.
 
     The result lives on pairs (a, 0) for a in the down-set of hi and (a, 1)
     for a outside it or inside the interval itself, ordered componentwise.
@@ -346,12 +337,11 @@ def doubling(p, b):
     iff x = y, or x is covered by y in P, c <= d, and for c < d neither (x, 1)
     nor (y, 0) exists.
     """
-    if not isinstance(b, IntervalRef):
-        b = IntervalRef(*b)
-    if not p.leq[b.lo, b.hi]:
-        raise NotInterval(f"({b.lo}, {b.hi}) is not an interval: lo is not below hi")
-    low = p.leq[:, b.hi]  # (a, 0) exists
-    high = ~low | p.leq[b.lo]  # (a, 1) exists: outside the down-set, or in [lo, hi]
+    lo, hi = b
+    if not p.leq[lo, hi]:
+        raise NotInterval(f"({lo}, {hi}) is not an interval: lo is not below hi")
+    low = p.leq[:, hi]  # (a, 0) exists
+    high = ~low | p.leq[lo]  # (a, 1) exists: outside the down-set, or in [lo, hi]
     ids = np.concatenate([np.nonzero(low)[0], np.nonzero(high)[0]])
     copies = (np.arange(len(ids)) >= low.sum()).astype(np.int64)
     at = np.stack([np.cumsum(low), low.sum() + np.cumsum(high)]) - 1  # at[c, a]: id of (a, c), if any

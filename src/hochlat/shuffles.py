@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import comb, factorial
 from weakref import WeakKeyDictionary
 
@@ -31,29 +30,6 @@ from .poset import FinitePoset
 
 def shuffle_count(a, b):
     return sum(comb(a, k) * comb(b, m) * comb(k + m, k) for k in range(a + 1) for m in range(b + 1))
-
-
-def shuffle_words(a, b):
-    """Every shuffle of a subword of 2..a+1 with a subword of the markers."""
-    out = []
-    letters_a = list(range(2, a + 2))
-    letters_b = [-(j + 1) for j in range(b)]
-    for ka in range(a + 1):
-        for sub_a in combinations(letters_a, ka):
-            for kb in range(b + 1):
-                for sub_b in combinations(letters_b, kb):
-                    ordered_b = sorted(sub_b, reverse=True)
-                    for slots in combinations(range(ka + kb), ka):
-                        word, ia, ib = [], 0, 0
-                        for pos in range(ka + kb):
-                            if pos in slots:
-                                word.append(sub_a[ia])
-                                ia += 1
-                            else:
-                                word.append(ordered_b[ib])
-                                ib += 1
-                        out.append(tuple(word))
-    return sorted(set(out), key=lambda w: (word_rank(w, a), w))
 
 
 def word_rank(w, a):
@@ -126,13 +102,18 @@ def shuffle_lattice(a, b):
     check_range("a", a, 0)
     check_range("b", b, 0)
     check_elements("shuffle lattice", shuffle_count(a, b))
-    words = shuffle_words(a, b)
+    steps, todo = {}, [tuple(range(2, a + 2))]  # every word lies above the full A-word
+    while todo:
+        w = todo.pop()
+        if w not in steps:
+            steps[w] = _up_steps(w, a, b)
+            todo += steps[w]
+    if len(steps) != shuffle_count(a, b):
+        raise InvariantViolated(f"the cover rule reaches {len(steps)} words, not {shuffle_count(a, b)}")
+    words = sorted(steps, key=lambda w: (word_rank(w, a), w))
     index = {w: i for i, w in enumerate(words)}
-    covers = set()
-    for w in words:
-        for w2 in _up_steps(w, a, b):
-            covers.add((index[w], index[w2]))
-    poset = FinitePoset.closure(sorted(covers), len(words), labels=[render_word(w) for w in words])
+    covers = sorted({(index[w], index[w2]) for w in words for w2 in steps[w]})
+    poset = FinitePoset.closure(covers, len(words), labels=[render_word(w) for w in words])
     return ShuffleLattice(as_lattice(poset), words, a, b)
 
 

@@ -3,9 +3,10 @@
 Everything here is exact integer/rational arithmetic on BiPoly values.  The
 M-triangle lives on the core label order (which is graded), and the F- and
 H-triangles are reached along several independent routes: rational
-substitution into M (done by grid evaluation plus interpolation, never by
-symbolic division), closed product formulas, statistics summed over triwords,
-partial-core counts, and antichain counting in a small auxiliary poset.
+substitution into M (term by term: every term x^i y^j of an M-triangle has
+i <= j <= n, so each maps to a polynomial), closed product formulas,
+statistics summed over triwords, partial-core counts, and antichain counting
+in a small auxiliary poset.
 Agreement of the routes is what the test suite checks.
 """
 
@@ -15,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product, repeat
 from math import comb
 from types import MappingProxyType
 
@@ -25,7 +26,7 @@ from .errors import InvariantViolated
 from .hochschild import build_hoch, canrep_formula, enumerate_triwords, l1
 from .lattice import build_bool, canonical_joinrep, jsd_labeling
 from .limits import check_n
-from .polynomials import BiPoly, interpolate_from_grid
+from .polynomials import BiPoly
 from .poset import FinitePoset
 from .shuffles import shuffle_lattice, word_rank
 
@@ -96,37 +97,27 @@ def m_closed(n):
 # -- F and H via rational substitution ---------------------------------------
 
 
+def _substitute(m, n, p, q, r):
+    """The sum of c p^i q^(j-i) r^(n-j) over the terms c x^i y^j of an M-triangle of rank n, each
+    power built once; InvariantViolated unless 0 <= i <= j <= n."""
+    ps, qs, rs = (list(accumulate(repeat(base, n), BiPoly.__mul__, initial=ONE)) for base in (p, q, r))
+    out = BiPoly()
+    for (i, j), c in m.terms.items():
+        if not 0 <= i <= j <= n:
+            raise InvariantViolated(f"M-triangle term x^{i} y^{j} is outside 0 <= i <= j <= {n}")
+        out += c * ps[i] * qs[j - i] * rs[n - j]
+    return out
+
+
 def f_transform(m, n):
-    """y^n * m((y+1)/(y-x), (y-x)/y), recovered exactly by interpolation.
-
-    Sampled on an integer grid with y > x >= 0, so no denominator vanishes.
-    """
-
-    def value(x0, y0):
-        fx = Fraction(y0 + 1, y0 - x0)
-        fy = Fraction(y0 - x0, y0)
-        return Fraction(y0) ** n * m.eval_at(fx, fy)
-
-    xs = list(range(n + 2))
-    ys = list(range(n + 2, 2 * n + 4))
-    return interpolate_from_grid(xs, ys, value)
+    """y^n * m((y+1)/(y-x), (y-x)/y): each term c x^i y^j becomes c (y+1)^i (y-x)^(j-i) y^(n-j)."""
+    return _substitute(m, n, Y + ONE, Y - X, Y)
 
 
 def h_transform(m, n):
-    """(x(y-1)+1)^n * m(y/(y-1), x(y-1)/(x(y-1)+1)), by interpolation.
-
-    Sampled with x >= 0 and y >= 2, keeping both denominators nonzero.
-    """
-
-    def value(x0, y0):
-        base = x0 * (y0 - 1) + 1
-        fx = Fraction(y0, y0 - 1)
-        fy = Fraction(x0 * (y0 - 1), base)
-        return Fraction(base) ** n * m.eval_at(fx, fy)
-
-    xs = list(range(n + 2))
-    ys = list(range(2, n + 4))
-    return interpolate_from_grid(xs, ys, value)
+    """(x(y-1)+1)^n * m(y/(y-1), x(y-1)/(x(y-1)+1)): each term c x^i y^j becomes
+    c (xy)^i (x(y-1))^(j-i) (x(y-1)+1)^(n-j)."""
+    return _substitute(m, n, X * Y, X * (Y - ONE), X * (Y - ONE) + ONE)
 
 
 def f_from_m(n):

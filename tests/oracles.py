@@ -9,17 +9,24 @@ one vertex at a time, and is only run at small sizes:
 - ``rank_poly`` and ``char_poly``: the graded sums over a poset that the
   closed forms ``rank_poly_closed`` and ``char_poly_closed`` must equal;
 - ``is_shedding_vertex``: the admissibility test inside
-  ``complexes.shedding_witness``, restated for one vertex.
+  ``complexes.shedding_witness``, restated for one vertex;
+- ``f_transform_by_grid`` and ``h_transform_by_grid``: the rational
+  substitutions of ``triangles.f_transform`` and ``triangles.h_transform``,
+  sampled on an integer grid and interpolated;
+- ``shuffle_words``: every shuffle word listed by choosing letters and slots,
+  the oracle for the cover-rule closure in ``shuffles.shuffle_lattice``.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
 from hochlat.complexes import is_vertex_decomposable
 from hochlat.lattice import jsd_labeling
-from hochlat.polynomials import BiPoly
+from hochlat.polynomials import BiPoly, interpolate_from_grid
+from hochlat.shuffles import word_rank
 from hochlat.triangles import _graded, _indicator
 
 
@@ -101,3 +108,45 @@ def is_shedding_vertex(cx, v):
     if any(f in gone.facets for f in link.facets):
         return False
     return is_vertex_decomposable(link) and is_vertex_decomposable(gone)
+
+
+def f_transform_by_grid(m, n):
+    """y^n * m((y+1)/(y-x), (y-x)/y), sampled with y > x >= 0 so no denominator vanishes."""
+
+    def value(x0, y0):
+        return Fraction(y0) ** n * m.eval_at(Fraction(y0 + 1, y0 - x0), Fraction(y0 - x0, y0))
+
+    return interpolate_from_grid(list(range(n + 2)), list(range(n + 2, 2 * n + 4)), value)
+
+
+def h_transform_by_grid(m, n):
+    """(x(y-1)+1)^n * m(y/(y-1), x(y-1)/(x(y-1)+1)), sampled with x >= 0 and y >= 2."""
+
+    def value(x0, y0):
+        base = x0 * (y0 - 1) + 1
+        return Fraction(base) ** n * m.eval_at(Fraction(y0, y0 - 1), Fraction(x0 * (y0 - 1), base))
+
+    return interpolate_from_grid(list(range(n + 2)), list(range(2, n + 4)), value)
+
+
+def shuffle_words(a, b):
+    """Every shuffle of a subword of 2..a+1 with a subword of the markers."""
+    out = []
+    letters_a = list(range(2, a + 2))
+    letters_b = [-(j + 1) for j in range(b)]
+    for ka in range(a + 1):
+        for sub_a in combinations(letters_a, ka):
+            for kb in range(b + 1):
+                for sub_b in combinations(letters_b, kb):
+                    ordered_b = sorted(sub_b, reverse=True)
+                    for slots in combinations(range(ka + kb), ka):
+                        word, ia, ib = [], 0, 0
+                        for pos in range(ka + kb):
+                            if pos in slots:
+                                word.append(sub_a[ia])
+                                ia += 1
+                            else:
+                                word.append(ordered_b[ib])
+                                ib += 1
+                        out.append(tuple(word))
+    return sorted(set(out), key=lambda w: (word_rank(w, a), w))

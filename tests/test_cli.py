@@ -117,13 +117,22 @@ def test_faces_golden(capsys):
 
 
 def test_faces_fails_with_the_shared_check(capsys, monkeypatch):
-    from hochlat import checks
+    from hochlat import cli
 
-    monkeypatch.setattr(checks, "face_vector", lambda n: [12, 18, 8, 2])
+    monkeypatch.setattr(cli, "face_vector", lambda n: [12, 18, 8, 2])
     code, out, err = run(capsys, "faces", "--n", "3")
     assert code == 1
     assert out == ""
-    assert err == "counted face vector [12, 18, 8, 1] fails the face-vector check\n"
+    assert err == "counted face vector [12, 18, 8, 2] fails the face-vector check\n"
+
+
+def test_check_faces_checks_the_counted_vector(monkeypatch):
+    from hochlat import checks
+
+    assert checks.check_faces(3)
+    for wrong in ([12, 18, 8, 2], [12, 19, 9, 1]):  # the second keeps both ends and the alternating sum
+        monkeypatch.setattr(checks, "face_vector", lambda n: wrong)
+        assert not checks.check_faces(3)
 
 
 def test_triangles_m3_golden(capsys):

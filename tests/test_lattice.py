@@ -176,15 +176,16 @@ def test_semidistributivity_matches_brute_force():
 
 def test_cover_labels_match_per_cover_oracle():
     lattices = list(oracle_lattices()) + [build_hoch(n).lattice for n in range(6, 9)]
-    assert len(lattices) == 83
+    lattices += [chain_lattice(65), diamond(64), diamond(65)]  # Python-int masks from 64 irreducibles on
+    assert len(lattices) == 86
     failing = 0
     for lat in lattices:
         leq = lat.poset.leq
-        join_side = (leq, lat.join, lat.covers)
-        meet_side = (leq.T, lat.meet, [(b, a) for a, b in lat.covers])
-        for side in (join_side, meet_side):
-            got = lattice_module._cover_labels(*side)
-            assert got == per_cover_labels(*side)
+        join_side = (leq, lat.join, lat.join_irreducibles(), lat.covers)
+        meet_side = (leq.T, lat.meet, lat.meet_irreducibles(), [(b, a) for a, b in lat.covers])
+        for side_leq, table, irrs, covers in (join_side, meet_side):
+            got = lattice_module._cover_labels(side_leq, irrs, covers)
+            assert got == per_cover_labels(side_leq, table, covers)
             failing += got[0] is None
     assert failing >= 10
 
@@ -223,14 +224,6 @@ def test_jsd_labeling_boolean_labels_are_atoms():
 def test_jsd_labeling_no_unique_min_on_diamond():
     with pytest.raises(NoUniqueMin, match=r"cover \(1, 4\) has no unique minimal join complement"):
         jsd_labeling(diamond(3))
-
-
-def test_non_irreducible_label_raises(monkeypatch):
-    monkeypatch.setattr(
-        lattice_module, "_cover_labels", lambda leq, table, covers: ({c: c[1] for c in covers}, None)
-    )
-    with pytest.raises(InvariantViolated):
-        jsd_labeling(build_bool(2))
 
 
 def test_mobius_disagreeing_with_atoms_raises(monkeypatch):

@@ -21,7 +21,6 @@ from hochlat.errors import (
 )
 from hochlat.poset import (
     FinitePoset,
-    IntervalRef,
     are_isomorphic,
     doubling,
 )
@@ -323,7 +322,7 @@ def test_dual_flips_covers():
 
 def test_doubling_singleton_gives_two_chain():
     single = FinitePoset.closure([], 1)
-    d = doubling(single, IntervalRef(0, 0))
+    d = doubling(single, (0, 0))
     assert d.n == 2 and d.covers == ((0, 1),)
 
 

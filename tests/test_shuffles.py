@@ -18,12 +18,12 @@ from hochlat.shuffles import (
     shuffle_lattice,
     shuffle_stats,
     shuffle_stats_closed,
-    shuffle_words,
     sigma,
     sigma_inverse,
     word_rank,
 )
 from hochlat.triangles import g_conjecture_check
+from oracles import shuffle_words
 
 ONE = "\U0001d7d9"
 
@@ -68,6 +68,17 @@ def test_word_enumeration():
     assert not is_shuffle_word((2, 2), 2, 1)
     assert not is_shuffle_word((-1, -1), 2, 1)
     assert not is_shuffle_word((1,), 2, 1)
+
+
+def test_cover_rule_reaches_every_word_in_order():
+    for a, b in [(a, b) for a in range(5) for b in range(3)] + [(1, 4), (2, 3), (7, 1)]:
+        assert list(shuffle_lattice(a, b).words) == shuffle_words(a, b)
+
+
+def test_cover_rule_word_count_mismatch_raises(monkeypatch):
+    monkeypatch.setattr(shuffles, "shuffle_count", lambda a, b: 11)
+    with pytest.raises(InvariantViolated, match="reaches 12 words, not 11"):
+        shuffles.shuffle_lattice.__wrapped__(2, 1)
 
 
 def test_fig5_lattice():

@@ -38,7 +38,14 @@ from hochlat.triangles import (
     rank_poly_closed,
     shuffle_char_closed,
 )
-from oracles import char_poly, core_label_set, partial_cores, rank_poly
+from oracles import (
+    char_poly,
+    core_label_set,
+    f_transform_by_grid,
+    h_transform_by_grid,
+    partial_cores,
+    rank_poly,
+)
 
 X = BiPoly.x()
 Y = BiPoly.y()
@@ -296,6 +303,25 @@ def test_transforms_send_boolean_m_to_boolean_f_and_h():
         m_bool = (X * Y - Y + ONE) ** n
         assert f_transform(m_bool, n) == (X + Y + ONE) ** n
         assert h_transform(m_bool, n) == (X * Y + ONE) ** n
+
+
+def _typed(p):
+    return {k: (type(c), c) for k, c in p.terms.items()}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_transforms_match_grid_interpolation(n):
+    for m in (m_closed(n), (X * Y - Y + ONE) ** n):
+        assert _typed(f_transform(m, n)) == _typed(f_transform_by_grid(m, n))
+        assert _typed(h_transform(m, n)) == _typed(h_transform_by_grid(m, n))
+
+
+@pytest.mark.parametrize("term", [X, X**2 * Y, Y**4, X**4 * Y**4])
+def test_transforms_reject_terms_outside_the_triangle(term):
+    m = m_closed(3) + term
+    for transform in (f_transform, h_transform):
+        with pytest.raises(InvariantViolated, match="outside 0 <= i <= j <= 3"):
+            transform(m, 3)
 
 
 # -- H-triangle ----------------------------------------------------------------
