@@ -7,10 +7,10 @@ it must embed the order and be closed under intersection, and the meet is the
 element with the intersected mask (dually for the join).  Otherwise it raises
 NotALattice with a witness pair that has no join or no meet.
 
-On top of that live the irreducibles and one core-label layer, each part computed
-once per lattice: the cover labels, read off the same irreducible masks (they exist
-iff the lattice is semidistributive), canonical join representations, and core
-label sets as int64 bitmasks over the join-irreducibles (``psi_map``)."""
+On top of that live the irreducibles and one core-label layer, each part computed once
+per lattice from the same irreducible masks: the cover labels (they exist iff the lattice
+is semidistributive), canonical join representations, and core label sets as bitmasks over
+the join-irreducibles (``psi_map``)."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvariantViolated, NoUniqueMin, NotALattice, NotSemidistributive
-from .limits import check_elements, check_label_bits, check_range
+from .limits import check_elements, check_range
 from .poset import FinitePoset
 
 
@@ -176,18 +176,17 @@ class Lattice:
 
     @cached_property
     def _psi(self):
-        """Core label masks: a ORs the label bits of the covers b < c with nucleus(a) <= b
-        and c <= a, the nucleus being the meet of a with its lower covers."""
-        labels, irr = jsd_labeling(self), self.join_irreducibles()
-        check_label_bits(len(irr))
-        bit = {j: 1 << i for i, j in enumerate(irr)}
-        masks = np.array([bit[labels[c]] for c in self.covers], dtype=np.int64)
-        lows, ups = np.array(self.covers, dtype=np.int64).reshape(-1, 2).T
-        nucleus = [self.meet_all([a] + self.poset.lower_covers(a)) for a in range(self.n)]
-        leq, below = self.poset.leq, np.ascontiguousarray(self.poset.leq.T)
-        psi = np.zeros(self.n, dtype=np.int64)
-        for a in range(self.n):
-            psi[a] = np.bitwise_or.reduce(masks[leq[nucleus[a]][lows] & below[a][ups]])
+        """Core label masks: j = join_irreducibles()[i] is in the core label set of a iff j <= a and
+        j is not below nucleus(a) v j_*, nucleus(a) being the meet of a with its lower covers (in a
+        join-semidistributive lattice a cover b < c has label j iff j <= c, j_* <= b, j not <= b)."""
+        jsd_labeling(self)  # NoUniqueMin unless join-semidistributive
+        leq, irr = self.poset.leq, self.join_irreducibles()
+        nucleus = np.array([self.meet_all([a] + self.poset.lower_covers(a)) for a in range(self.n)])
+        masks = _irr_masks(leq, irr)
+        covered = np.zeros_like(masks)
+        for i, j in enumerate(irr):
+            covered |= leq[j, self.join[nucleus, self.j_star(j)]].astype(masks.dtype) << i
+        psi = masks & ~covered
         psi.setflags(write=False)
         return psi
 
@@ -266,8 +265,8 @@ def canonical_joinrep(lat, a):
 
 
 def psi_map(lat):
-    """Core label sets as a read-only int64 array by element id, bit i standing for
-    join_irreducibles()[i]; SizeBound past limits.LABEL_BITS join-irreducibles."""
+    """Core label sets as a read-only array of masks by element id, bit i standing for
+    join_irreducibles()[i]: int64 below 64 of them, Python ints from 64 on."""
     return lat._psi
 
 

@@ -16,18 +16,15 @@ MAX_GRAPH = 22  # vertices of a graph whose orthogonal pairs are enumerated
 # 2**MAX_GRAPH orthogonal pairs), so FinitePoset.from_leq's one float32 product of the 0/1
 # strict order counts exactly.
 
-# The irreducible masks that certify a lattice (lattice._meet_table) are int64 below 64
-# irreducibles and Python ints from 64 on, so the irreducible count needs no cap.  Every
-# structure these caps admit has at most 27 irreducibles a side (Shuf(3, 6)); Hoch(MAX_N) has 19.
+# The irreducible masks that certify a lattice (lattice._meet_table), label its covers and hold its
+# core label sets (lattice.psi_map) are int64 below 64 irreducibles and Python ints from 64 on, so
+# the irreducible count needs no cap.  Every structure these caps admit has at most 27 irreducibles
+# a side (Shuf(3, 6)); Hoch(MAX_N) has 19.
 
 # The Mobius solve (FinitePoset.mobius_times) and the chain counts behind FinitePoset.zeta run in int64;
 # before each step they pass check_int64 a bound on every sum the step forms, so nothing wraps around
 # (the solve checks once more at the end, so the column sums of its result are exact as well).
 INT64_BOUND = 2**63
-
-# Core label sets are int64 masks, one bit per join-irreducible (lattice.psi_map).  The command line
-# reaches at most 19 (Hoch(MAX_N)): Bool(12) has 12, and no Shuf(a, b) with a, b >= 1 is semidistributive.
-LABEL_BITS = 63
 
 
 def check_range(name, value, lo, hi=None):
@@ -46,12 +43,6 @@ def check_elements(what, count):
     """Raise SizeBound when a structure would have more than MAX_ELEMENTS elements."""
     if count > MAX_ELEMENTS:
         raise SizeBound(f"{what} would have {count} elements (cap {MAX_ELEMENTS})")
-
-
-def check_label_bits(count):
-    """Raise SizeBound when count join-irreducibles do not fit an int64 core label mask."""
-    if count > LABEL_BITS:
-        raise SizeBound(f"{count} join-irreducibles do not fit a core label mask (cap {LABEL_BITS})")
 
 
 def check_int64(what, bound):

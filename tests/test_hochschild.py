@@ -303,7 +303,7 @@ def test_canonical_joinreps(n):
         assert len(rep) == len(lat.poset.lower_covers(a))
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_nucleus_and_core_labels(n):
     h = build_hoch(n)
     lat = h.lattice

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hochlat import lattice as lattice_module
-from hochlat.errors import InvariantViolated, NoUniqueMin, NotALattice, NotSemidistributive, SizeBound
+from hochlat.errors import InvariantViolated, NoUniqueMin, NotALattice, NotSemidistributive
 from hochlat.hochschild import build_hoch
 from hochlat.lattice import (
     Lattice,
@@ -44,6 +44,13 @@ def diamond(k):
 def hexagon():
     # weak order shape: 0 < 1 < 3 < 5 and 0 < 2 < 4 < 5
     return as_lattice(FinitePoset.closure([(0, 1), (1, 3), (3, 5), (0, 2), (2, 4), (4, 5)], 6))
+
+
+def nucleus_shortcut_breaker():
+    """Semidistributive.  The top 6 has nucleus 3 and core labels {1, 4}, while M(6) - M(3) is
+    {1, 2, 4}: the label of 3 < 5 is 1, not 2, as 2_* = 1 is not below 3."""
+    covers = [(0, 1), (0, 3), (1, 2), (2, 5), (3, 4), (3, 5), (4, 6), (5, 6)]
+    return as_lattice(FinitePoset.closure(covers, 7))
 
 
 def brute_lub(p, a, b):
@@ -163,6 +170,12 @@ def oracle_lattices():
     yield from (closure_system_lattice(rng) for _ in range(50))
 
 
+def seeded_lattices():
+    """oracle_lattices() and 300 more closure systems on 5 points, seed 2."""
+    rng = random.Random(2)
+    return list(oracle_lattices()) + [closure_system_lattice(rng) for _ in range(300)]
+
+
 def test_semidistributivity_matches_brute_force():
     failing = 0
     for lat in oracle_lattices():
@@ -222,8 +235,9 @@ def test_jsd_labeling_boolean_labels_are_atoms():
 
 
 def test_jsd_labeling_no_unique_min_on_diamond():
-    with pytest.raises(NoUniqueMin, match=r"cover \(1, 4\) has no unique minimal join complement"):
-        jsd_labeling(diamond(3))
+    for route in (jsd_labeling, psi_map):
+        with pytest.raises(NoUniqueMin, match=r"cover \(1, 4\) has no unique minimal join complement"):
+            route(diamond(3))
 
 
 def test_mobius_disagreeing_with_atoms_raises(monkeypatch):
@@ -286,10 +300,19 @@ def test_core_label_set_hexagon():
     assert core_label_set(lat, 3).labels == frozenset({3})
 
 
+def test_core_label_set_is_not_the_nucleus_mask_difference():
+    lat = nucleus_shortcut_breaker()
+    assert is_semidistributive(lat) and lat.join_irreducibles() == [1, 2, 3, 4]
+    core = core_label_set(lat, 6)
+    assert core.nucleus == 3 and core.labels == frozenset({1, 4})
+    assert psi_map(lat)[6] == 0b1001
+
+
 def core_label_lattices():
     yield from (build_hoch(n).lattice for n in range(1, 7))
     yield from (build_bool(n) for n in range(5))
-    yield from (shuffle_lattice(3, 0).lattice, pentagon(), hexagon())
+    yield from (shuffle_lattice(3, 0).lattice, pentagon(), hexagon(), nucleus_shortcut_breaker())
+    yield from (lat for lat in seeded_lattices() if is_join_semidistributive(lat))
 
 
 def test_core_label_set_matches_all_covers_scan():
@@ -327,10 +350,8 @@ def test_intersection_property():
 
 
 def test_intersection_property_matches_frozenset_oracle():
-    rng = random.Random(2)
-    lattices = list(oracle_lattices()) + [closure_system_lattice(rng) for _ in range(300)]
     checked = failing = 0
-    for lat in lattices:
+    for lat in seeded_lattices():
         if not is_semidistributive(lat):
             continue
         got = has_intersection_property(lat)
@@ -340,14 +361,11 @@ def test_intersection_property_matches_frozenset_oracle():
     assert checked >= 200 and failing >= 1
 
 
-def test_core_label_masks_hold_at_most_63_irreducibles():
-    long_chain = chain_lattice(64)  # 63 join-irreducibles; element a's core labels are {a}
-    assert psi_map(long_chain).tolist() == [0] + [1 << i for i in range(63)]
-    too_long = chain_lattice(65)
-    assert is_semidistributive(too_long)
-    for route in (psi_map, has_intersection_property, clo):
-        with pytest.raises(SizeBound):
-            route(too_long)
+def test_core_label_masks_past_63_irreducibles_are_python_ints():
+    long_chain = chain_lattice(65)  # 64 join-irreducibles; element a's core labels are {a}
+    assert psi_map(long_chain).tolist() == [0] + [1 << i for i in range(64)]
+    assert has_intersection_property(long_chain)
+    assert clo(long_chain).covers == tuple((0, i) for i in range(1, 65))
 
 
 def first_common_bound(leq, topo):
