@@ -34,7 +34,7 @@ print(f"characterization edge count: {len(C.edges)} "
 # join-irreducibles in X, and that map is an isomorphism
 MO = max_ortho_pairs_lattice(G.graph)
 print()
-print(f"maximal orthogonal pairs: {MO.lattice.n} "
+print(f"maximal orthogonal pairs: {MO.poset.n} "
       f"(elements of Hoch({n}): {L.n})")
 print("reconstruction isomorphic to original:",
       reconstruction_isomorphic(L, G, MO))

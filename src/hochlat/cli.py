@@ -282,10 +282,10 @@ def _cmd_galois(args):
         mo = max_ortho_pairs_lattice(g)
         iso = reconstruction_isomorphic(lat, geo, mo)
         extra_lines = [
-            f"orthogonal pairs: {mo.lattice.n}",
+            f"orthogonal pairs: {mo.poset.n}",
             f"reconstruction isomorphic: {'yes' if iso else 'no'}",
         ]
-        extra_json = {"orthogonal_pairs": mo.lattice.n, "reconstruction_isomorphic": iso}
+        extra_json = {"orthogonal_pairs": mo.poset.n, "reconstruction_isomorphic": iso}
         code = 0 if iso else 1
     if args.format == "dot":
         _emit(g.to_dot(name=f"galois_of_{slug}"))

@@ -4,7 +4,7 @@ An extremal lattice of length k has exactly k join-irreducibles and k
 meet-irreducibles, and any maximal-length chain meets one new irreducible of
 each kind at every step.  Pairing them up gives a directed graph on k
 vertices; the lattice of maximal orthogonal pairs of that graph recovers the
-lattice, which the tests exercise in both directions.
+lattice (Markowsky, Order 1992), which the tests exercise in both directions.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolated, NotALattice, NotExtremal, SizeBound
-from .lattice import Lattice, as_lattice, is_extremal
-from .limits import MAX_GRAPH
+from .lattice import _closed_under_intersection, is_extremal
+from .limits import MAX_GRAPH, check_elements
 from .poset import FinitePoset, are_isomorphic
 
 
@@ -135,28 +135,24 @@ def _set_label(labels, mask):
 
 @dataclass
 class OrthoPairLattice:
-    """Lattice of maximal orthogonal pairs, with the pair behind each id."""
+    """Lattice of maximal orthogonal pairs, as a poset with no tables, and the pair behind each id."""
 
-    lattice: Lattice
+    poset: FinitePoset
     pairs: tuple
     graph: DiGraph
 
     def pair_sets(self, a):
-        mask_a, mask_b = self.pairs[a]
-        k = self.graph.k
-        return (
-            frozenset(i for i in range(k) if mask_a >> i & 1),
-            frozenset(i for i in range(k) if mask_b >> i & 1),
-        )
+        return tuple(frozenset(i for i in range(self.graph.k) if mask >> i & 1) for mask in self.pairs[a])
 
 
-def max_ortho_pairs_lattice(g):
-    """All maximal pairs (A, B) with no edge from A into B, ordered by A.
+def _maximal_pairs(g):
+    """The maximal orthogonal pairs (A, B) of g as bitmasks, sorted by (|A|, A).
 
     A pair is orthogonal when no edge leaves A and lands in B (A and B
     disjoint), and maximal when neither side can grow.  These are exactly
     the fixed points of the antitone maps A -> {t : no in-edge from A} and
     B -> {s : no out-edge into B}, so seeds of one side enumerate them all.
+    SizeBound past MAX_GRAPH vertices or MAX_ELEMENTS pairs.
     """
     k = g.k
     if k > MAX_GRAPH:
@@ -176,23 +172,28 @@ def max_ortho_pairs_lattice(g):
         keep = (best_a >> t & 1 == 0) & (best_a & int(in_mask[t]) == 0)
         back_b |= keep.astype(np.int64) << t
     fixed = np.nonzero(back_b == seeds)[0]
-    pairs = sorted(
-        ((int(best_a[b]), int(b)) for b in fixed),
-        key=lambda ab: (bin(ab[0]).count("1"), ab[0]),
-    )
-    a_vals = np.array([a for a, _ in pairs], dtype=np.int64)
-    b_vals = np.array([b for _, b in pairs], dtype=np.int64)
-    leq = (a_vals[:, None] & ~a_vals[None, :]) == 0
-    labels = [
-        f"({_set_label(g.labels, a)},{_set_label(g.labels, b)})" for a, b in pairs
-    ]
-    lat = as_lattice(FinitePoset.from_leq(leq, labels=labels))
-    # One row per pass: an m x m int64 array of intersections is 88 MB at m = 3,328 (Hoch(10)).
-    if not all((b_vals[lat.join[a]] == b_vals[a] & b_vals).all() for a in range(lat.n)):
-        raise NotALattice("join of orthogonal pairs is not intersection on the B side")
-    if not all((a_vals[lat.meet[a]] == a_vals[a] & a_vals).all() for a in range(lat.n)):
-        raise NotALattice("meet of orthogonal pairs is not intersection on the A side")
-    return OrthoPairLattice(lat, tuple(pairs), g)
+    check_elements("orthogonal-pair order", len(fixed))
+    return sorted(((int(best_a[b]), int(b)) for b in fixed), key=lambda ab: (bin(ab[0]).count("1"), ab[0]))
+
+
+def max_ortho_pairs_lattice(g):
+    """All maximal pairs (A, B) with no edge from A into B, ordered by A.
+
+    A finite family of sets closed under intersection that holds its union is a
+    lattice under inclusion, so the order is certified by the masks: NotALattice
+    unless the A sides are such a family (the meet is A-intersection) and the B
+    sides are closed under intersection (the join is B-intersection).
+    """
+    pairs = _maximal_pairs(g)
+    a_vals, b_vals = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    # sorted by (|A|, A), a union that is an A side comes last
+    if not _closed_under_intersection(a_vals) or a_vals[-1] != np.bitwise_or.reduce(a_vals):
+        raise NotALattice("A sides of the orthogonal pairs are not closed under intersection and union")
+    if not _closed_under_intersection(b_vals):
+        raise NotALattice("B sides of the orthogonal pairs are not closed under intersection")
+    labels = [f"({_set_label(g.labels, a)},{_set_label(g.labels, b)})" for a, b in pairs]
+    poset = FinitePoset.from_leq((a_vals[:, None] & ~a_vals[None, :]) == 0, labels=labels)
+    return OrthoPairLattice(poset, tuple(pairs), g)
 
 
 def reconstruction_isomorphic(lat, geo, mo):
@@ -201,5 +202,5 @@ def reconstruction_isomorphic(lat, geo, mo):
     Markowsky's correspondence decodes the pair (A, B) to the join of
     joins[s] for s in A; that map is certified with are_isomorphic.
     """
-    image = [lat.join_all(geo.joins[s] for s in mo.pair_sets(a)[0]) for a in range(mo.lattice.n)]
-    return are_isomorphic(mo.lattice.poset, lat.poset, image)
+    image = [lat.join_all(geo.joins[s] for s in mo.pair_sets(a)[0]) for a in range(mo.poset.n)]
+    return are_isomorphic(mo.poset, lat.poset, image)

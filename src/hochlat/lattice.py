@@ -270,15 +270,19 @@ def psi_map(lat):
     return lat._psi
 
 
-def has_intersection_property(lat):
-    """Every pairwise intersection of core label sets is again one."""
-    psi = psi_map(lat)
-    values = np.unique(psi)
-    for a in range(len(psi) - 1):
-        meets = psi[a] & psi[a + 1 :]  # each <= psi[a], so searchsorted stays in range
+def _closed_under_intersection(masks):
+    """Whether every pairwise intersection of the masks (int64 or Python ints) is again one."""
+    values = np.unique(masks)
+    for a in range(len(values) - 1):
+        meets = values[a] & values[a + 1 :]  # each <= values[a], so searchsorted stays in range
         if (values[np.searchsorted(values, meets)] != meets).any():
             return False
     return True
+
+
+def has_intersection_property(lat):
+    """Every pairwise intersection of core label sets is again one."""
+    return _closed_under_intersection(psi_map(lat))
 
 
 def build_bool(n):

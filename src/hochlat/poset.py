@@ -192,12 +192,6 @@ class FinitePoset:
     def dual(self):
         return FinitePoset(self.leq.T.copy(), [(b, a) for a, b in self.covers], self.labels)
 
-    def induced(self, elements):
-        """Subposet on the given elements (ids renumbered in the given order)."""
-        idx = list(elements)
-        sub = self.leq[np.ix_(idx, idx)]
-        return FinitePoset.from_leq(sub, labels=[self.labels[a] for a in idx])
-
     # -- Mobius function and zeta polynomial -----------------------------
 
     def mobius_times(self, rhs):

@@ -14,7 +14,12 @@ one vertex at a time, and is only run at small sizes:
   substitutions of ``triangles.f_transform`` and ``triangles.h_transform``,
   sampled on an integer grid and interpolated;
 - ``shuffle_words``: every shuffle word listed by choosing letters and slots,
-  the oracle for the cover-rule closure in ``shuffles.shuffle_lattice``.
+  the oracle for the cover-rule closure in ``shuffles.shuffle_lattice``;
+- ``max_orthogonal_pairs``: the maximal orthogonal pairs of a digraph found by
+  trying every pair of disjoint vertex sets, the oracle for the seed
+  enumeration in ``galois.max_ortho_pairs_lattice``;
+- ``induced``: the subposet on a list of elements, for tests that renumber or
+  cut out part of a poset.
 """
 
 from dataclasses import dataclass
@@ -26,6 +31,7 @@ import numpy as np
 from hochlat.complexes import is_vertex_decomposable
 from hochlat.lattice import jsd_labeling
 from hochlat.polynomials import BiPoly, interpolate_from_grid
+from hochlat.poset import FinitePoset
 from hochlat.shuffles import word_rank
 from hochlat.triangles import _graded, _indicator
 
@@ -150,3 +156,38 @@ def shuffle_words(a, b):
                                 ib += 1
                         out.append(tuple(word))
     return sorted(set(out), key=lambda w: (word_rank(w, a), w))
+
+
+def max_orthogonal_pairs(g):
+    """Every maximal pair (A, B) of disjoint vertex sets of g with no edge from A into B, as
+    bitmasks.  Orthogonality passes to smaller pairs, so a pair is maximal iff no single vertex
+    can join either side."""
+    full = (1 << g.k) - 1
+    pairs = set()
+    for a in range(full + 1):
+        heads = 0  # vertices an edge from a lands on
+        for s, t in g.edges:
+            if a >> s & 1:
+                heads |= 1 << t
+        b = rest = full & ~a
+        while True:  # every subset b of the vertices outside a
+            if b & heads == 0:
+                pairs.add((a, b))
+            if b == 0:
+                break
+            b = (b - 1) & rest
+    return {
+        (a, b)
+        for a, b in pairs
+        if not any(
+            (a | 1 << v, b) in pairs or (a, b | 1 << v) in pairs
+            for v in range(g.k)
+            if not (a | b) >> v & 1
+        )
+    }
+
+
+def induced(p, elements):
+    """Subposet of p on the given elements, ids renumbered in the given order."""
+    idx = list(elements)
+    return FinitePoset.from_leq(p.leq[np.ix_(idx, idx)], labels=[p.labels[a] for a in idx])

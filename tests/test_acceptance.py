@@ -96,7 +96,7 @@ def test_criterion_04_galois():
     ok = all(check_galois(n) for n in range(1, 9))
     ok = ok and all(check_mo_reconstruction(n) for n in range(1, 6))
     n3 = max_ortho_pairs_lattice(galois_graph(build_hoch(3).lattice).graph)
-    ok = ok and n3.lattice.n == 12
+    ok = ok and n3.poset.n == 12
     _report(4, "galois characterization n<=8, orthogonal-pair rebuild n<=5", ok)
 
 

@@ -83,6 +83,59 @@ ok   boolean baselines
 note g-triangle conjecture at n=10: matches
 """
 
+GALOIS_MO_3 = """vertices: 5
+  (1,0,0)
+  (1,1,0)
+  (1,1,1)
+  (0,0,2)
+  (0,2,0)
+edges: 5
+  (1,1,0) -> (1,0,0)
+  (1,1,1) -> (1,0,0)
+  (1,1,1) -> (1,1,0)
+  (0,0,2) -> (1,1,1)
+  (0,2,0) -> (1,1,0)
+orthogonal pairs: 12
+reconstruction isomorphic: yes
+"""
+
+GALOIS_MO_3_JSON = """{
+  "schema": "hochlat/1",
+  "kind": "digraph",
+  "vertices": [
+    "(1,0,0)",
+    "(1,1,0)",
+    "(1,1,1)",
+    "(0,0,2)",
+    "(0,2,0)"
+  ],
+  "edges": [
+    [
+      1,
+      0
+    ],
+    [
+      2,
+      0
+    ],
+    [
+      2,
+      1
+    ],
+    [
+      3,
+      2
+    ],
+    [
+      4,
+      1
+    ]
+  ],
+  "orthogonal_pairs": 12,
+  "reconstruction_isomorphic": true
+}
+"""
+
 OFF_CJC_3 = """OFF
 5 3 0
 # 0 b3
@@ -232,6 +285,11 @@ def test_triangles_json_terms(capsys):
         {"x": 0, "y": 1, "c": "-1"},
         {"x": 0, "y": 0, "c": "1"},
     ]
+
+
+@pytest.mark.parametrize("fmt, golden", [("text", GALOIS_MO_3), ("json", GALOIS_MO_3_JSON)])
+def test_galois_mo_golden(capsys, fmt, golden):
+    assert run(capsys, "galois", "--family", "hoch", "--n", "3", "--mo", "--format", fmt) == (0, golden, "")
 
 
 def test_galois_mo_verdict(capsys):

