@@ -89,13 +89,13 @@ def _base_structure(family, args):
     raise UsageError(f"not a base family: {family}")
 
 
-def _select(args):
-    """Resolve the selector flags to ("poset"|"digraph", object, slug)."""
-    family = args.family
+def _select(family, of, args):
+    """Resolve a family to ("poset"|"digraph", object, slug); ``of`` is the inner family of
+    clo-of and galois-of."""
     if family in ("hoch", "bool", "shuffle"):
         _, lat, slug = _base_structure(family, args)
         return "poset", lat.poset, slug
-    _, lat, slug = _base_structure(args.of, args)
+    _, lat, slug = _base_structure(of, args)
     if family == "clo-of":
         return "poset", clo(lat), f"clo_of_{slug}"
     if family == "galois-of":
@@ -141,41 +141,43 @@ def _sigma_table_lines(n, ascii_mode):
     return out
 
 
-def _witness_lines(w, label, indent=""):
-    if w[0] == "simplex":
-        members = " ".join(sorted(label(v) for v in w[1]))
-        return [f"{indent}simplex: {members or '(empty)'}"]
-    _, v, link_w, del_w = w
-    out = [f"{indent}shed {label(v)}"]
-    out.append(f"{indent}  link:")
-    out += _witness_lines(link_w, label, indent + "    ")
-    out.append(f"{indent}  deletion:")
-    out += _witness_lines(del_w, label, indent + "    ")
-    return out
+def _render(kind, obj, slug, fmt, verdict=()):
+    """Emit a poset or digraph; json and text add the (key, value, text line) triples of verdict."""
+    if fmt == "dot":
+        _emit(obj.to_dot(name=slug))
+    elif fmt == "json":
+        _emit_json({"kind": kind, **obj.to_json(), **{key: value for key, value, _ in verdict}})
+    else:
+        lines = [_poset_text(obj) if kind == "poset" else _graph_text(obj)]
+        _emit("\n".join(lines + [line for _, _, line in verdict]))
 
 
-def _witness_json(w, label):
+def _witness_tree(w, label):
+    """A shedding witness as the JSON tree; _witness_lines renders the tree as text."""
     if w[0] == "simplex":
         return {"simplex": sorted(label(v) for v in w[1])}
     _, v, link_w, del_w = w
     return {
         "shed": label(v),
-        "link": _witness_json(link_w, label),
-        "deletion": _witness_json(del_w, label),
+        "link": _witness_tree(link_w, label),
+        "deletion": _witness_tree(del_w, label),
     }
+
+
+def _witness_lines(tree, indent=""):
+    if "simplex" in tree:
+        return [f"{indent}simplex: {' '.join(tree['simplex']) or '(empty)'}"]
+    out = [f"{indent}shed {tree['shed']}", f"{indent}  link:"]
+    out += _witness_lines(tree["link"], indent + "    ")
+    out.append(f"{indent}  deletion:")
+    return out + _witness_lines(tree["deletion"], indent + "    ")
 
 
 # -- subcommand handlers ----------------------------------------------------------
 
 
 def _cmd_build(args):
-    kind, obj, slug = _select(args)
-    if args.format == "dot":
-        _emit(obj.to_dot(name=slug))
-    elif args.format == "json":
-        _emit_json({"kind": kind, **obj.to_json()})
-    else:
-        _emit(_poset_text(obj) if kind == "poset" else _graph_text(obj))
+    _render(*_select(args.family, args.of, args), args.format)
     return 0
 
 
@@ -239,7 +241,7 @@ def _cmd_cjc(args):
             "vertex_decomposable": decomposable,
         }
         if decomposable:
-            payload["shedding"] = _witness_json(witness, cx.label)
+            payload["shedding"] = _witness_tree(witness, cx.label)
         _emit_json(payload)
         return 0
     lines = [f"facets: {len(cx.facets)}"]
@@ -247,7 +249,7 @@ def _cmd_cjc(args):
     lines.append(f"vertex decomposable: {'yes' if decomposable else 'no'}")
     if decomposable:
         lines.append("shedding:")
-        lines += _witness_lines(witness, cx.label, "  ")
+        lines += _witness_lines(_witness_tree(witness, cx.label), "  ")
     _emit("\n".join(lines))
     return 0
 
@@ -260,40 +262,23 @@ def _cmd_clo(args):
             raise UsageError("family hoch needs --n")
         _emit("\n".join(_sigma_table_lines(args.n, args.ascii)))
         return 0
-    _, lat, slug = _base_structure(args.family, args)
-    p = clo(lat)
-    if args.format == "dot":
-        _emit(p.to_dot(name=f"clo_of_{slug}"))
-    elif args.format == "json":
-        _emit_json({"kind": "poset", **p.to_json()})
-    else:
-        _emit(_poset_text(p))
+    _render(*_select("clo-of", args.family, args), args.format)
     return 0
 
 
 def _cmd_galois(args):
     _, lat, slug = _base_structure(args.family, args)
     geo = galois_graph(lat)
-    g = geo.graph
-    code = 0
-    extra_lines = []
-    extra_json = {}
+    verdict, iso = [], True
     if args.mo:
-        mo = max_ortho_pairs_lattice(g)
+        mo = max_ortho_pairs_lattice(geo.graph)
         iso = reconstruction_isomorphic(lat, geo, mo)
-        extra_lines = [
-            f"orthogonal pairs: {mo.poset.n}",
-            f"reconstruction isomorphic: {'yes' if iso else 'no'}",
+        verdict = [
+            ("orthogonal_pairs", mo.poset.n, f"orthogonal pairs: {mo.poset.n}"),
+            ("reconstruction_isomorphic", iso, f"reconstruction isomorphic: {'yes' if iso else 'no'}"),
         ]
-        extra_json = {"orthogonal_pairs": mo.poset.n, "reconstruction_isomorphic": iso}
-        code = 0 if iso else 1
-    if args.format == "dot":
-        _emit(g.to_dot(name=f"galois_of_{slug}"))
-    elif args.format == "json":
-        _emit_json({"kind": "digraph", **g.to_json(), **extra_json})
-    else:
-        _emit("\n".join([_graph_text(g)] + extra_lines))
-    return code
+    _render("digraph", geo.graph, f"galois_of_{slug}", args.format, verdict)
+    return 0 if iso else 1
 
 
 def _triangle_polys(n, which):

@@ -5,6 +5,8 @@ meet-irreducibles, and any maximal-length chain meets one new irreducible of
 each kind at every step.  Pairing them up gives a directed graph on k
 vertices; the lattice of maximal orthogonal pairs of that graph recovers the
 lattice (Markowsky, Order 1992), which the tests exercise in both directions.
+The pairs are the formal concepts of "s != t and no edge s -> t", so one
+m x k table of meets certifies the rebuild and gives its covers.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolated, NotALattice, NotExtremal, SizeBound
-from .lattice import _closed_under_intersection, is_extremal
+from .lattice import is_extremal
 from .limits import MAX_GRAPH, check_elements
 from .poset import FinitePoset, are_isomorphic
 
@@ -145,32 +147,34 @@ class OrthoPairLattice:
         return tuple(frozenset(i for i in range(self.graph.k) if mask >> i & 1) for mask in self.pairs[a])
 
 
+def _columns(g):
+    """col[t] as int64 bitmasks: the vertices s != t with no edge s -> t."""
+    col = ((1 << g.k) - 1) ^ (1 << np.arange(g.k, dtype=np.int64))
+    for s, t in g.edges:
+        col[t] &= ~(1 << s)
+    return col
+
+
 def _maximal_pairs(g):
     """The maximal orthogonal pairs (A, B) of g as bitmasks, sorted by (|A|, A).
 
     A pair is orthogonal when no edge leaves A and lands in B (A and B
     disjoint), and maximal when neither side can grow.  These are exactly
-    the fixed points of the antitone maps A -> {t : no in-edge from A} and
-    B -> {s : no out-edge into B}, so seeds of one side enumerate them all.
-    SizeBound past MAX_GRAPH vertices or MAX_ELEMENTS pairs.
+    the fixed points of the antitone maps B -> the intersection of col[t]
+    over t in B and A -> {t : A in col[t]}, so seeds of one side enumerate
+    them all.  SizeBound past MAX_GRAPH vertices or MAX_ELEMENTS pairs.
     """
     k = g.k
     if k > MAX_GRAPH:
         raise SizeBound(f"orthogonal-pair enumeration capped at {MAX_GRAPH} vertices, got {k}")
-    out_mask = np.zeros(k, dtype=np.int64)
-    in_mask = np.zeros(k, dtype=np.int64)
-    for s, t in g.edges:
-        out_mask[s] |= 1 << t
-        in_mask[t] |= 1 << s
+    col = _columns(g)
     seeds = np.arange(1 << k, dtype=np.int64)
-    best_a = np.zeros_like(seeds)
-    for s in range(k):
-        keep = (seeds >> s & 1 == 0) & (seeds & int(out_mask[s]) == 0)
-        best_a |= keep.astype(np.int64) << s
+    best_a = np.full_like(seeds, (1 << k) - 1)
+    for t in range(k):
+        best_a &= np.where(seeds >> t & 1 == 1, col[t], -1)  # -1: every bit kept
     back_b = np.zeros_like(seeds)
     for t in range(k):
-        keep = (best_a >> t & 1 == 0) & (best_a & int(in_mask[t]) == 0)
-        back_b |= keep.astype(np.int64) << t
+        back_b |= (best_a & ~col[t] == 0).astype(np.int64) << t
     fixed = np.nonzero(back_b == seeds)[0]
     check_elements("orthogonal-pair order", len(fixed))
     return sorted(((int(best_a[b]), int(b)) for b in fixed), key=lambda ab: (bin(ab[0]).count("1"), ab[0]))
@@ -179,21 +183,30 @@ def _maximal_pairs(g):
 def max_ortho_pairs_lattice(g):
     """All maximal pairs (A, B) with no edge from A into B, ordered by A.
 
-    A finite family of sets closed under intersection that holds its union is a
-    lattice under inclusion, so the order is certified by the masks: NotALattice
-    unless the A sides are such a family (the meet is A-intersection) and the B
-    sides are closed under intersection (the join is B-intersection).
+    The pairs are the formal concepts of "s != t and no edge s -> t" (Ganter and Wille,
+    Formal Concept Analysis, 1999): the A sides are the intersections of columns col[t],
+    and one m x k table of meets A & col[t] certifies and orders them.  NotALattice unless
+    the full set and every meet are A sides (so every intersection is one) and the B sides
+    are the distinct sets {t : A in col[t]} (so every A side is one).  The intersections
+    form a lattice under inclusion; the lower covers of A are its maximal proper meets.
     """
     pairs = _maximal_pairs(g)
     a_vals, b_vals = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    # sorted by (|A|, A), a union that is an A side comes last
-    if not _closed_under_intersection(a_vals) or a_vals[-1] != np.bitwise_or.reduce(a_vals):
-        raise NotALattice("A sides of the orthogonal pairs are not closed under intersection and union")
-    if not _closed_under_intersection(b_vals):
-        raise NotALattice("B sides of the orthogonal pairs are not closed under intersection")
+    meets = a_vals[:, None] & _columns(g)
+    order = np.argsort(a_vals)
+    ids = order[np.searchsorted(a_vals, meets, sorter=order)]  # meets <= a_vals, so in range
+    if a_vals.max() != (1 << g.k) - 1 or (a_vals[ids] != meets).any():
+        raise NotALattice("A sides of the orthogonal pairs do not hold the full set and every meet")
+    inside = meets == a_vals[:, None]  # t is in B exactly when A lies in col[t]
+    intents = (inside.astype(np.int64) << np.arange(g.k)).sum(axis=1)
+    if (intents != b_vals).any() or len(np.unique(b_vals)) < len(b_vals):
+        raise NotALattice("B sides of the orthogonal pairs are not the distinct sets {t : A in col[t]}")
+    # a proper meet is a lower cover of A unless another proper meet strictly holds it; closure re-checks
+    held = (meets[:, :, None] & ~meets[:, None, :] == 0) & (meets[:, :, None] != meets[:, None, :])
+    lows, ts = np.nonzero(~inside & ~(held & ~inside[:, None, :]).any(axis=2))
+    covers = set(zip(ids[lows, ts].tolist(), lows.tolist()))
     labels = [f"({_set_label(g.labels, a)},{_set_label(g.labels, b)})" for a, b in pairs]
-    poset = FinitePoset.from_leq((a_vals[:, None] & ~a_vals[None, :]) == 0, labels=labels)
-    return OrthoPairLattice(poset, tuple(pairs), g)
+    return OrthoPairLattice(FinitePoset.closure(covers, len(pairs), labels=labels), tuple(pairs), g)
 
 
 def reconstruction_isomorphic(lat, geo, mo):

@@ -117,13 +117,6 @@ class Lattice:
     def covers(self):
         return self.poset.covers
 
-    @property
-    def labels(self):
-        return self.poset.labels
-
-    def le(self, a, b):
-        return self.poset.le(a, b)
-
     def join_of(self, a, b):
         return int(self.join[a, b])
 

@@ -18,6 +18,9 @@ one vertex at a time, and is only run at small sizes:
 - ``max_orthogonal_pairs``: the maximal orthogonal pairs of a digraph found by
   trying every pair of disjoint vertex sets, the oracle for the seed
   enumeration in ``galois.max_ortho_pairs_lattice``;
+- ``pair_order``: the pairs of a rebuilt pair lattice ordered by inclusion of
+  their A sides and reduced to covers by ``FinitePoset.from_leq``, the oracle for
+  the covers ``galois.max_ortho_pairs_lattice`` reads off the column meets;
 - ``induced``: the subposet on a list of elements, for tests that renumber or
   cut out part of a poset.
 """
@@ -185,6 +188,12 @@ def max_orthogonal_pairs(g):
             if not (a | b) >> v & 1
         )
     }
+
+
+def pair_order(mo):
+    """The A-inclusion order on the pairs of ``mo``, with its covers from one product."""
+    a_vals = np.array([a for a, _ in mo.pairs], dtype=np.int64)
+    return FinitePoset.from_leq((a_vals[:, None] & ~a_vals[None, :]) == 0)
 
 
 def induced(p, elements):

@@ -248,6 +248,14 @@ def test_cjc_off_golden(capsys):
     assert out == OFF_CJC_3
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+@pytest.mark.parametrize("family", ["hoch", "bool"])
+def test_clo_prints_what_build_clo_of_prints(capsys, family, fmt):
+    via_clo = run(capsys, "clo", "--family", family, "--n", "3", "--format", fmt)
+    via_build = run(capsys, "build", "--family", "clo-of", "--of", family, "--n", "3", "--format", fmt)
+    assert via_clo == via_build and via_clo[0] == 0 and via_clo[1]
+
+
 def test_output_is_deterministic(capsys):
     seen = {}
     for argv in (

@@ -18,7 +18,7 @@ from hochlat.galois import (
 from hochlat.hochschild import build_hoch, irreducible_of_triword, parse_triword
 from hochlat.lattice import _closed_under_intersection, as_lattice, build_bool
 from hochlat.poset import FinitePoset, are_isomorphic
-from oracles import induced, max_orthogonal_pairs
+from oracles import induced, max_orthogonal_pairs, pair_order
 
 EDGES_3 = {("b3", "a3"), ("b2", "a2"), ("a2", "a1"), ("a3", "a1"), ("a3", "a2")}
 EDGES_4 = EDGES_3 | {("b4", "a4"), ("a4", "a3"), ("a4", "a2"), ("a4", "a1")}
@@ -159,6 +159,17 @@ def test_pairs_match_the_definition_and_order_laws():
             assert (a_vals[lat.meet[a]] == a_vals[a] & a_vals).all(), g
 
 
+def test_covers_and_order_match_the_inclusion_order():
+    """The covers read off the column meets, and the order they generate, equal the A-inclusion
+    order reduced by from_leq."""
+    graphs = [galois_graph(build_hoch(n).lattice).graph for n in range(1, 9)]
+    for g in graphs + [DiGraph(k, []) for k in range(9)] + list(oracle_graphs()):
+        mo = max_ortho_pairs_lattice(g)
+        oracle = pair_order(mo)
+        assert mo.poset.covers == oracle.covers, g
+        assert (mo.poset.leq == oracle.leq).all(), g
+
+
 def test_closed_under_intersection():
     assert not _closed_under_intersection(np.array([0b01, 0b10, 0b11]))
     assert _closed_under_intersection(np.array([0, 0b01, 0b10, 0b11]))
@@ -170,8 +181,10 @@ def test_closed_under_intersection():
         (lambda pairs: pairs[1:], "A"),  # no bottom: {a1} & {b2} is no A side
         (lambda pairs: pairs[:-1], "A"),  # no top: the union of the A sides is none
         (lambda pairs: [(a, 0b11111 ^ a) for a, _ in pairs], "B"),  # complements of A sides
+        # ({a2}, the B side of {a1, a2}): passes the A checks, but {a2} is no intersection of columns
+        (lambda pairs: pairs[:2] + [(0b00010, 0b11100)] + pairs[2:], "B"),
     ],
-    ids=["no-bottom", "no-top", "complement-b"],
+    ids=["no-bottom", "no-top", "complement-b", "unclosed-a"],
 )
 def test_corrupted_pair_families_are_not_lattices(monkeypatch, corrupt, side):
     enumerate_pairs = galois_module._maximal_pairs

@@ -255,7 +255,7 @@ def test_jsd_labels_are_join_irreducible_and_perspective():
             # minimality: nothing strictly below j also joins a up to b
             for c in range(lat.n):
                 if lat.join_of(a, c) == b:
-                    assert lat.le(j, c)
+                    assert lat.poset.le(j, c)
 
 
 def test_canonical_joinrep():
@@ -282,7 +282,7 @@ def test_canonical_joinrep_refines_every_other_join_representation():
                     if lat.join_all(sub) == a:
                         # every canonical part lies below some part of sub
                         for j in rep:
-                            assert any(lat.le(j, s) for s in sub)
+                            assert any(lat.poset.le(j, s) for s in sub)
 
 
 def test_core_label_set_boolean():
@@ -459,7 +459,7 @@ def test_doubling_of_lattice_is_lattice():
     lat = chain_lattice(3)
     for _ in range(6):
         lo = rng.randrange(lat.n)
-        ups = [b for b in range(lat.n) if lat.le(lo, b)]
+        ups = [b for b in range(lat.n) if lat.poset.le(lo, b)]
         hi = rng.choice(ups)
         p2 = doubling(lat.poset, (lo, hi))
         lat2 = as_lattice(p2)  # must succeed
