@@ -12,9 +12,6 @@ MAX_N = 10  # word length n of Hoch(n) and of every per-n check
 MAX_ELEMENTS = 5000  # elements of a built shuffle or Boolean lattice
 MAX_GRAPH = 22  # vertices of a graph whose orthogonal pairs are enumerated from 2**MAX_GRAPH seeds
 
-# FinitePoset.from_leq orders the core label sets of clo with one float32 product of the 0/1 strict
-# order; clo has the elements of its lattice, under 2**24 (Hoch(MAX_N) or MAX_ELEMENTS), so it is exact.
-
 # The irreducible masks that certify a lattice (lattice._meet_table), label its covers and hold its
 # core label sets (lattice.psi_map) are int64 below 64 irreducibles and Python ints from 64 on, so
 # the irreducible count needs no cap.  Every structure these caps admit has at most 27 irreducibles

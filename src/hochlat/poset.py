@@ -9,7 +9,7 @@ shared freely.
 Construction goes through :meth:`FinitePoset.closure` (reflexive-transitive
 closure of a cover list, with cycle and cover validation), through
 :meth:`FinitePoset.from_leq` (an explicit order matrix, reduced to covers by
-one product) or through :func:`doubling` (covers from the doubled covers).
+ORs of its packed rows) or through :func:`doubling` (covers from the doubled covers).
 
 Mobius values are one exact int64 solve, mu = zeta^-1 by back substitution
 (:meth:`FinitePoset.mobius_times`); the zeta polynomial is read off the
@@ -108,26 +108,30 @@ class FinitePoset:
 
     @classmethod
     def from_leq(cls, leq, labels=None):
-        """Build a poset from an explicit order matrix with one product of the strict order:
-        a reflexive, antisymmetric ``leq`` is transitive iff every two-step pair is strict,
-        and its covers are the strict pairs with no two-step path."""
+        """Build a poset from an explicit order matrix by exact bit arithmetic: the OR of the strict
+        rows above a holds the elements two steps above a, so a reflexive, antisymmetric ``leq`` is
+        transitive iff that OR lies inside row a, and the covers of a are the rest of its row."""
         leq = np.asarray(leq, dtype=bool)
+        if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
+            raise ValueError(f"order matrix must be square, got shape {leq.shape}")
         if not leq.diagonal().all():
             raise ValueError("order matrix is not reflexive")
-        lt = leq & ~np.eye(len(leq), dtype=bool)
-        if np.any(lt & lt.T):
+        a, b = np.nonzero(leq)
+        a, b = a[a != b], b[a != b]  # the strict pairs, row by row
+        if leq[b, a].any():
             raise CycleDetected("order matrix is not antisymmetric")
-        strict = lt.astype(np.float32)
-        two = (strict @ strict) > 0.5
-        if np.any(two & ~lt):
+        up = np.zeros((len(leq), -(-len(leq) // 64)), dtype=np.uint64)  # strict rows, 64 bits a word
+        np.bitwise_or.at(up.view(np.uint8), (a, b >> 3), (1 << (b & 7)).astype(np.uint8))
+        two = np.zeros_like(up)
+        for s in range(0, len(a), 4096):  # 4096 pairs at a time: the rows they gather stay in cache
+            first = np.flatnonzero(np.diff(a[s : s + 4096], prepend=-1))  # each row's first pair
+            two[a[s + first]] |= np.bitwise_or.reduceat(up[b[s : s + 4096]], first)
+        if np.any(two & ~up):
             raise ValueError("order matrix is not transitive")
-        covers = np.argwhere(lt & ~two).tolist()
-        return cls(leq, covers, labels)
+        cover = (two.view(np.uint8)[a, b >> 3] >> (b & 7) & 1) == 0
+        return cls(leq, zip(a[cover], b[cover]), labels)
 
     # -- basic queries ---------------------------------------------------
-
-    def le(self, a, b):
-        return bool(self.leq[a, b])
 
     @cached_property
     def _up_adj(self):
@@ -188,9 +192,6 @@ class FinitePoset:
     def interval(self, a, b):
         """Elements c with a <= c <= b, ascending by id."""
         return [int(c) for c in np.nonzero(self.leq[a] & self.leq[:, b])[0]]
-
-    def dual(self):
-        return FinitePoset(self.leq.T.copy(), [(b, a) for a, b in self.covers], self.labels)
 
     # -- Mobius function and zeta polynomial -----------------------------
 

@@ -207,7 +207,9 @@ def clo(lat):
     psi = psi_map(lat)
     if len(np.unique(psi)) != lat.n:
         raise InvariantViolated("two elements share a core label set")
-    leq = (psi[:, None] & ~psi[None, :]) == 0
+    leq = np.empty((lat.n, lat.n), dtype=bool)
+    for lo in range(0, lat.n, 256):  # 256 rows at a time: no m x m mask temporary
+        leq[lo : lo + 256] = (psi[lo : lo + 256, None] & ~psi) == 0
     _CLO[lat] = FinitePoset.from_leq(leq, labels=list(lat.poset.labels))
     return _CLO[lat]
 

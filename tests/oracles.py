@@ -22,7 +22,11 @@ one vertex at a time, and is only run at small sizes:
   their A sides and reduced to covers by ``FinitePoset.from_leq``, the oracle for
   the covers ``galois.max_ortho_pairs_lattice`` reads off the column meets;
 - ``induced``: the subposet on a list of elements, for tests that renumber or
-  cut out part of a poset.
+  cut out part of a poset;
+- ``dual``: the opposite order, for tests that read a poset upside down;
+- ``from_leq_by_product``: an explicit order matrix checked and reduced to
+  covers by one float32 product of its strict order, the oracle for the bit
+  arithmetic of ``FinitePoset.from_leq``.
 """
 
 from dataclasses import dataclass
@@ -32,6 +36,7 @@ from itertools import combinations
 import numpy as np
 
 from hochlat.complexes import is_vertex_decomposable
+from hochlat.errors import CycleDetected
 from hochlat.lattice import jsd_labeling
 from hochlat.polynomials import BiPoly, interpolate_from_grid
 from hochlat.poset import FinitePoset
@@ -200,3 +205,27 @@ def induced(p, elements):
     """Subposet of p on the given elements, ids renumbered in the given order."""
     idx = list(elements)
     return FinitePoset.from_leq(p.leq[np.ix_(idx, idx)], labels=[p.labels[a] for a in idx])
+
+
+def dual(p):
+    """The opposite order of p, on the same ids and labels."""
+    return FinitePoset(p.leq.T.copy(), [(b, a) for a, b in p.covers], p.labels)
+
+
+def from_leq_by_product(leq, labels=None):
+    """``FinitePoset.from_leq`` with one float32 product of the strict order: a reflexive,
+    antisymmetric ``leq`` is transitive iff every two-step pair is strict, and its covers are
+    the strict pairs with no two-step path.  The product counts two-step paths, which is exact
+    while every count stays below 2**24, as it does at the sizes the tests use."""
+    leq = np.asarray(leq, dtype=bool)
+    if not leq.diagonal().all():
+        raise ValueError("order matrix is not reflexive")
+    lt = leq & ~np.eye(len(leq), dtype=bool)
+    if np.any(lt & lt.T):
+        raise CycleDetected("order matrix is not antisymmetric")
+    strict = lt.astype(np.float32)
+    two = (strict @ strict) > 0.5
+    if np.any(two & ~lt):
+        raise ValueError("order matrix is not transitive")
+    covers = np.argwhere(lt & ~two).tolist()
+    return FinitePoset(leq, covers, labels)

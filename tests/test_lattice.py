@@ -23,7 +23,7 @@ from hochlat.lattice import (
 )
 from hochlat.poset import FinitePoset, doubling
 from hochlat.shuffles import clo, shuffle_lattice
-from oracles import core_label_set
+from oracles import core_label_set, dual, from_leq_by_product
 
 
 def chain_lattice(k):
@@ -54,14 +54,14 @@ def nucleus_shortcut_breaker():
 
 
 def brute_lub(p, a, b):
-    ubs = [c for c in range(p.n) if p.le(a, c) and p.le(b, c)]
-    least = [u for u in ubs if all(p.le(u, v) for v in ubs)]
+    ubs = [c for c in range(p.n) if p.leq[a, c] and p.leq[b, c]]
+    least = [u for u in ubs if all(p.leq[u, v] for v in ubs)]
     return least[0] if len(least) == 1 else None
 
 
 def brute_glb(p, a, b):
-    lbs = [c for c in range(p.n) if p.le(c, a) and p.le(c, b)]
-    greatest = [u for u in lbs if all(p.le(v, u) for v in lbs)]
+    lbs = [c for c in range(p.n) if p.leq[c, a] and p.leq[c, b]]
+    greatest = [u for u in lbs if all(p.leq[v, u] for v in lbs)]
     return greatest[0] if len(greatest) == 1 else None
 
 
@@ -181,7 +181,7 @@ def test_semidistributivity_matches_brute_force():
     for lat in oracle_lattices():
         join_sd, meet_sd = is_join_semidistributive(lat), is_meet_semidistributive(lat)
         assert join_sd == brute_jsd(lat)
-        assert meet_sd == brute_jsd(Lattice(lat.poset.dual(), lat.meet, lat.join))
+        assert meet_sd == brute_jsd(Lattice(dual(lat.poset), lat.meet, lat.join))
         assert is_semidistributive(lat) == (join_sd and meet_sd)
         failing += not (join_sd and meet_sd)
     assert failing >= 10
@@ -255,7 +255,7 @@ def test_jsd_labels_are_join_irreducible_and_perspective():
             # minimality: nothing strictly below j also joins a up to b
             for c in range(lat.n):
                 if lat.join_of(a, c) == b:
-                    assert lat.poset.le(j, c)
+                    assert lat.poset.leq[j, c]
 
 
 def test_canonical_joinrep():
@@ -282,7 +282,7 @@ def test_canonical_joinrep_refines_every_other_join_representation():
                     if lat.join_all(sub) == a:
                         # every canonical part lies below some part of sub
                         for j in rep:
-                            assert any(lat.poset.le(j, s) for s in sub)
+                            assert any(lat.poset.leq[j, s] for s in sub)
 
 
 def test_core_label_set_boolean():
@@ -359,6 +359,15 @@ def test_intersection_property_matches_frozenset_oracle():
         checked += 1
         failing += not got
     assert checked >= 200 and failing >= 1
+
+
+def test_clo_covers_match_float32_product():
+    lattices = [build_hoch(n).lattice for n in range(1, 9)] + [build_bool(n) for n in range(7)]
+    lattices += [lat for lat in seeded_lattices() if is_semidistributive(lat)]
+    for lat in lattices:
+        order = clo(lat)
+        assert order.covers == from_leq_by_product(order.leq).covers
+    assert len(lattices) > 200
 
 
 def test_core_label_masks_past_63_irreducibles_are_python_ints():
@@ -459,7 +468,7 @@ def test_doubling_of_lattice_is_lattice():
     lat = chain_lattice(3)
     for _ in range(6):
         lo = rng.randrange(lat.n)
-        ups = [b for b in range(lat.n) if lat.poset.le(lo, b)]
+        ups = [b for b in range(lat.n) if lat.poset.leq[lo, b]]
         hi = rng.choice(ups)
         p2 = doubling(lat.poset, (lo, hi))
         lat2 = as_lattice(p2)  # must succeed

@@ -25,7 +25,7 @@ from hochlat.poset import (
     doubling,
 )
 from hochlat.polynomials import interpolate_univariate
-from oracles import induced
+from oracles import dual, from_leq_by_product, induced
 
 
 def chain(k):
@@ -160,7 +160,7 @@ def test_mobius_dual_sum_identity():
     for p in (boolean(3), chain(5), pentagon()):
         for a in range(p.n):
             for b in range(p.n):
-                if a != b and p.le(a, b):
+                if a != b and p.leq[a, b]:
                     assert sum(p.mobius(a, c) for c in p.interval(a, b)) == 0
 
 
@@ -169,7 +169,7 @@ def brute_multichains(p, k):
         return 1
     total = 0
     for tup in itertools.product(range(p.n), repeat=k):
-        if all(p.le(tup[i], tup[i + 1]) for i in range(k - 1)):
+        if all(p.leq[tup[i], tup[i + 1]] for i in range(k - 1)):
             total += 1
     return total
 
@@ -244,6 +244,14 @@ def test_from_leq_rejects_non_orders():
         FinitePoset.from_leq([[True, True, False], [False, True, True], [False, False, True]])
 
 
+def test_from_leq_rejects_non_square_matrices():
+    for bad in ([[True, False, True]], [True]):
+        with pytest.raises(ValueError, match="order matrix must be square"):
+            FinitePoset.from_leq(bad)
+    assert FinitePoset.from_leq(np.zeros((0, 0), dtype=bool)).n == 0
+    assert FinitePoset.from_leq([[True]]).covers == ()
+
+
 @POSET_SETTINGS
 @given(random_posets(), st.data())
 def test_from_leq_covers_and_transitivity_match_brute_force(p, data):
@@ -253,14 +261,16 @@ def test_from_leq_covers_and_transitivity_match_brute_force(p, data):
         return any(lt[a, c] and lt[c, b] for c in range(p.n))
 
     assert p.covers == tuple((a, b) for a in range(p.n) for b in range(p.n) if lt[a, b] and not between(a, b))
+    assert p.covers == from_leq_by_product(p.leq).covers
     # Dropping one strict pair that has an element between leaves a relation that is not transitive.
     gaps = [(a, b) for a in range(p.n) for b in range(p.n) if lt[a, b] and between(a, b)]
     if gaps:
         a, b = data.draw(st.sampled_from(gaps))
         leq = p.leq.copy()
         leq[a, b] = False
-        with pytest.raises(ValueError, match="not transitive"):
-            FinitePoset.from_leq(leq)
+        for build in (FinitePoset.from_leq, from_leq_by_product):
+            with pytest.raises(ValueError, match="not transitive"):
+                build(leq)
 
 
 def test_mobius_solve_guards_int64(monkeypatch):
@@ -304,7 +314,7 @@ def test_antichains():
     assert len(boolean(3).antichains()) == 20
     for a in boolean(3).antichains():
         for x, y in itertools.combinations(sorted(a), 2):
-            assert not boolean(3).le(x, y) and not boolean(3).le(y, x)
+            assert not boolean(3).leq[x, y] and not boolean(3).leq[y, x]
 
 
 def test_interval_and_induced():
@@ -316,7 +326,7 @@ def test_interval_and_induced():
 
 
 def test_dual_flips_covers():
-    p = chain(3).dual()
+    p = dual(chain(3))
     assert p.covers == ((1, 0), (2, 1))
     assert p.bottom() == 2
 
@@ -335,7 +345,7 @@ def test_doubling_size_formula():
         (chain(4), (1, 2)),
     ]:
         d = doubling(p, (lo, hi))
-        ideal = sum(1 for a in range(p.n) if p.le(a, hi))
+        ideal = sum(1 for a in range(p.n) if p.leq[a, hi])
         members = len(p.interval(lo, hi))
         assert d.n == ideal + (p.n - ideal) + members
 
@@ -355,7 +365,7 @@ def test_are_isomorphic_positive_cases():
     assert are_isomorphic(chain(4), chain(4), range(4))
     assert are_isomorphic(boolean(4), boolean(4), range(16))
     # complement is an isomorphism from the subset lattice onto its dual
-    assert are_isomorphic(boolean(3), boolean(3).dual(), [7 - s for s in range(8)])
+    assert are_isomorphic(boolean(3), dual(boolean(3)), [7 - s for s in range(8)])
     assert are_isomorphic(antichain(0), antichain(0), [])
 
 
