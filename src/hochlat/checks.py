@@ -74,12 +74,12 @@ def check_cardinality(n):
 
 
 def check_lattice_law(n):
-    """Join/meet tables against the word formulas, one row of each table per numpy pass."""
+    """Join/meet rows against the word formulas, one row of each per numpy pass."""
     h = build_hoch(n)
     lat, words = h.lattice, h.word_array
     rows_ok = all(
-        (words.take(lat.join[a], axis=0) == hoch_join_array(words[a], words)).all()
-        and (words.take(lat.meet[a], axis=0) == hoch_meet_array(words[a], words)).all()
+        (words.take(lat.join(a), axis=0) == hoch_join_array(words[a], words)).all()
+        and (words.take(lat.meet(a), axis=0) == hoch_meet_array(words[a], words)).all()
         for a in range(lat.n)
     )
     ends = words.take(lat.covers, axis=0)  # (covers, 2, n): the two words of each cover

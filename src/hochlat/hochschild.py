@@ -230,7 +230,7 @@ def build_hoch_by_doubling(n):
     2), then by the interval of words with a unique zero, in last position
     (flip 0 to 1).  Reaching the lattice this way is a congruence-uniformity
     certificate.  A doubling of a lattice by an interval is again a lattice
-    (Day, Algebra Universalis 1994), so no join or meet table is built; an
+    (Day, Algebra Universalis 1994), so ``as_lattice`` is not run; an
     isomorphism onto ``build_hoch(n)`` certifies the result.
     """
     check_n(n)

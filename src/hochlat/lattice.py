@@ -1,11 +1,12 @@
-"""Finite lattices: eager join/meet tables plus the order-theoretic toolkit.
+"""Finite lattices: joins and meets looked up by irreducible masks, plus the order-theoretic toolkit.
 
-A :class:`Lattice` wraps a bounded :class:`~hochlat.poset.FinitePoset` and
-materializes both m x m bound tables up front.  ``as_lattice`` certifies them
-in O(m^2) by irreducible masks: each element's set of join-irreducibles below
-it must embed the order and be closed under intersection, and the meet is the
-element with the intersected mask (dually for the join).  Otherwise it raises
-NotALattice with a witness pair that has no join or no meet.
+A :class:`Lattice` wraps a bounded :class:`~hochlat.poset.FinitePoset` and keeps, for
+each side, the masks of the irreducibles below (or above) every element, sorted.
+``as_lattice`` certifies them in O(m^2): each element's set of join-irreducibles below it
+must embed the order and be closed under intersection, and the meet is the element with
+the intersected mask (dually for the join), found by ``searchsorted``.  Otherwise it
+raises NotALattice with a witness pair that has no join or no meet.  No m x m table is
+stored besides the order.
 
 On top of that live the irreducibles and one core-label layer, each part computed once
 per lattice from the same irreducible masks: the cover labels (they exist iff the lattice
@@ -31,53 +32,62 @@ def _irr_masks(leq, irrs):
     return masks
 
 
-def _meet_table(leq, topo, lower_covers):
-    """The meet table of a bounded order, certified by join-irreducible masks; NotALattice
-    with a witness pair when some pair has no meet (or, failing first, no join).
+class _Masks:
+    """The join-irreducibles of a bounded order (``irr``, {j: j_*}) and their masks, certified to make
+    it a lattice: ``masks`` by element, ``values`` sorted, ``order`` (int32) from sorted position to
+    element, so that ``find`` answers meets.  NotALattice with a witness pair when some pair has no
+    meet (or, failing first, no join).  On the dual order: the meet-irreducibles, which answer joins.
 
     M(x) is the set of join-irreducibles j <= x (elements with one lower cover).  Every
     element of a finite lattice is the join of the join-irreducibles below it (Davey and
     Priestley, Introduction to Lattices and Order, 2.41), so a bounded order is a lattice
     iff x <= y exactly when M(x) is a subset of M(y), and the masks are closed under
     intersection; then M(a ^ b) = M(a) & M(b), looked up among the sorted masks.  Rows
-    a are checked for both in topological order, a block of rows per numpy pass, and the
-    first failing row gives:
+    a are checked for both in topological order, a block of rows per numpy pass: the
+    embedding against the whole row, the lookups (the meet is symmetric) only against the
+    rows not yet passed.  The first failing row gives:
 
     - (b, c), the first two lower covers of a, when the embedding fails first at a.  a is
       not the bottom (M = 0) and not join-irreducible (a is in M(a)), so it has two lower
       covers; they precede a, so all lie below some y with M(a) in M(y) and not a <= y.  A
       join of b and c would lie below both a and y, so it would be a, and a <= y.
-    - (a, b) when M(a) & M(b) is no mask: a meet of a and b would have that mask.
-
-    On the dual order the same routine gives the join table (join and meet swapped above).
+    - (a, b) with b least when M(a) & M(b) is no mask: a meet of a and b would have that
+      mask.  Any such b comes after a, or its own row would have failed first.
     """
-    masks = _irr_masks(leq, [a for a, below in enumerate(lower_covers) if len(below) == 1])
-    order = np.argsort(masks, kind="stable")
-    values = masks[order]
-    table = np.empty(leq.shape, dtype=np.int32)
-    step = max(1, 2**16 // max(len(leq), 1))  # rows per numpy pass: about 2**16 table entries
-    for start in range(0, len(topo), step):
-        rows = np.asarray(topo[start : start + step])
-        sub = masks[rows, None] & masks
-        pos = np.searchsorted(values, sub)  # sub <= masks[rows], so pos stays in range
-        embeds = ((sub == masks[rows, None]) == leq[rows]).all(axis=1)
-        misses = values[pos] != sub
-        bad = ~embeds | misses.any(axis=1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            a = int(rows[i])
-            if not embeds[i]:
-                b, c = lower_covers[a][:2]
-                raise NotALattice(f"pair ({b}, {c}) has no join", pair=(b, c))
-            b = int(np.argmax(misses[i]))
-            raise NotALattice(f"pair ({a}, {b}) has no meet", pair=(a, b))
-        table[rows] = order[pos]
-    return table
 
+    def __init__(self, leq, topo, lower_covers):
+        self.irr = {a: below[0] for a, below in enumerate(lower_covers) if len(below) == 1}
+        masks = _irr_masks(leq, list(self.irr))
+        order = np.argsort(masks, kind="stable")
+        self.masks, self.values, self.order = masks, masks[order], order.astype(np.int32)
+        pending = np.ones(len(leq), dtype=bool)
+        step = max(1, 2**16 // max(len(leq), 1))  # rows per numpy pass: about 2**16 pairs
+        for start in range(0, len(topo), step):
+            rows = np.asarray(topo[start : start + step])
+            embeds = (((masks[rows, None] & masks) == masks[rows, None]) == leq[rows]).all(axis=1)
+            rest = np.flatnonzero(pending)
+            sub = masks[rows, None] & masks[rest]
+            misses = self.values[np.searchsorted(self.values, sub)] != sub  # sub <= masks[rows]: in range
+            bad = ~embeds | misses.any(axis=1)
+            if bad.any():
+                i = int(np.argmax(bad))
+                a = int(rows[i])
+                if not embeds[i]:
+                    b, c = lower_covers[a][:2]
+                    raise NotALattice(f"pair ({b}, {c}) has no join", pair=(b, c))
+                b = int(rest[np.argmax(misses[i])])
+                raise NotALattice(f"pair ({a}, {b}) has no meet", pair=(a, b))
+            pending[rows] = False
 
-def _single_covers(n, covers_of):
-    """{a: c} for each element a whose covers_of(a) is the single element c."""
-    return {a: cs[0] for a in range(n) if len(cs := covers_of(a)) == 1}
+    def find(self, sub):
+        return self.order[np.searchsorted(self.values, sub)]
+
+    def find_and(self, elems):
+        """The element whose mask is the AND over elems; the full mask, the largest, when there is none."""
+        sub = self.values[-1]
+        for a in elems:
+            sub = sub & self.masks[a]
+        return int(self.find(sub))
 
 
 def _cover_labels(leq, irrs, covers):
@@ -100,12 +110,12 @@ def _cover_labels(leq, irrs, covers):
 
 
 class Lattice:
-    """A finite lattice with eager join and meet tables."""
+    """A finite lattice that looks its meets up by the join-irreducible masks ``_lower`` and its
+    joins by the meet-irreducible masks ``_upper``."""
 
-    def __init__(self, poset, join, meet):
+    def __init__(self, poset, lower, upper):
         self.poset = poset
-        self.join = join
-        self.meet = meet
+        self._lower, self._upper = lower, upper
         self.bottom = poset.bottom()
         self.top = poset.top()
 
@@ -117,44 +127,38 @@ class Lattice:
     def covers(self):
         return self.poset.covers
 
+    def join(self, a):
+        """a v x for every element x, as an int32 row."""
+        return self._upper.find(self._upper.masks[a] & self._upper.masks)
+
+    def meet(self, a):
+        """a ^ x for every element x, as an int32 row."""
+        return self._lower.find(self._lower.masks[a] & self._lower.masks)
+
     def join_of(self, a, b):
-        return int(self.join[a, b])
+        return self._upper.find_and((a, b))
 
     def meet_of(self, a, b):
-        return int(self.meet[a, b])
+        return self._lower.find_and((a, b))
 
     def join_all(self, elems):
-        out = self.bottom
-        for a in elems:
-            out = int(self.join[out, a])
-        return out
+        return self._upper.find_and(elems)
 
     def meet_all(self, elems):
-        out = self.top
-        for a in elems:
-            out = int(self.meet[out, a])
-        return out
+        return self._lower.find_and(elems)
 
     # -- irreducibles -----------------------------------------------------
 
-    @cached_property
-    def _join_irr(self):
-        return _single_covers(self.n, self.poset.lower_covers)
-
-    @cached_property
-    def _meet_irr(self):
-        return _single_covers(self.n, self.poset.upper_covers)
-
     def join_irreducibles(self):
         """Elements with exactly one lower cover, ascending by id."""
-        return sorted(self._join_irr)
+        return sorted(self._lower.irr)
 
     def j_star(self, j):
         """The unique lower cover of a join-irreducible element."""
-        return self._join_irr[j]
+        return self._lower.irr[j]
 
     def meet_irreducibles(self):
-        return sorted(self._meet_irr)
+        return sorted(self._upper.irr)
 
     def atoms(self):
         return sorted(self.poset.upper_covers(self.bottom))
@@ -173,12 +177,15 @@ class Lattice:
         j is not below nucleus(a) v j_*, nucleus(a) being the meet of a with its lower covers (in a
         join-semidistributive lattice a cover b < c has label j iff j <= c, j_* <= b, j not <= b)."""
         jsd_labeling(self)  # NoUniqueMin unless join-semidistributive
-        leq, irr = self.poset.leq, self.join_irreducibles()
-        nucleus = np.array([self.meet_all([a] + self.poset.lower_covers(a)) for a in range(self.n)])
-        masks = _irr_masks(leq, irr)
+        masks, up = self._lower.masks, self._upper.masks
+        lows, ups = np.array(self.covers, dtype=np.int64).reshape(-1, 2).T
+        core = masks.copy()
+        np.bitwise_and.at(core, ups, masks[lows])  # M(nucleus(a)): M(a) & M(b) over a's lower covers b
+        nucleus_up = up[self._lower.find(core)]
         covered = np.zeros_like(masks)
-        for i, j in enumerate(irr):
-            covered |= leq[j, self.join[nucleus, self.j_star(j)]].astype(masks.dtype) << i
+        for i, j in enumerate(self.join_irreducibles()):
+            joined = self._upper.find(nucleus_up & up[self.j_star(j)])
+            covered |= self.poset.leq[j, joined].astype(masks.dtype) << i
         psi = masks & ~covered
         psi.setflags(write=False)
         return psi
@@ -188,23 +195,14 @@ class Lattice:
 
 
 def as_lattice(p):
-    """Check that the poset is a lattice and build its tables.
-
-    Raises NotALattice with a witness pair otherwise.
-    """
-    mins = p.minimal_elements()
-    if len(mins) > 1:
-        raise NotALattice(
-            f"pair ({mins[0]}, {mins[1]}) has no lower bound", pair=(mins[0], mins[1])
-        )
-    maxs = p.maximal_elements()
-    if len(maxs) > 1:
-        raise NotALattice(
-            f"pair ({maxs[0]}, {maxs[1]}) has no upper bound", pair=(maxs[0], maxs[1])
-        )
-    meet = _meet_table(p.leq, p._topo, p._down_adj)
-    join = _meet_table(np.ascontiguousarray(p.leq.T), p._topo[::-1], p._up_adj)
-    return Lattice(p, join, meet)
+    """The lattice of a poset, with the irreducible masks that answer its joins and meets; NotALattice
+    with a witness pair when the poset is no lattice."""
+    for ends, side in ((p.minimal_elements(), "lower"), (p.maximal_elements(), "upper")):
+        if len(ends) > 1:
+            raise NotALattice(f"pair ({ends[0]}, {ends[1]}) has no {side} bound", pair=(ends[0], ends[1]))
+    lower = _Masks(p.leq, p._topo, p._down_adj)
+    upper = _Masks(np.ascontiguousarray(p.leq.T), p._topo[::-1], p._up_adj)
+    return Lattice(p, lower, upper)
 
 
 def is_extremal(lat):

@@ -12,10 +12,10 @@ MAX_N = 10  # word length n of Hoch(n) and of every per-n check
 MAX_ELEMENTS = 5000  # elements of a built shuffle or Boolean lattice
 MAX_GRAPH = 22  # vertices of a graph whose orthogonal pairs are enumerated from 2**MAX_GRAPH seeds
 
-# The irreducible masks that certify a lattice (lattice._meet_table), label its covers and hold its
-# core label sets (lattice.psi_map) are int64 below 64 irreducibles and Python ints from 64 on, so
-# the irreducible count needs no cap.  Every structure these caps admit has at most 27 irreducibles
-# a side (Shuf(3, 6)); Hoch(MAX_N) has 19.
+# The irreducible masks that certify a lattice and answer its joins and meets (lattice.as_lattice),
+# label its covers and hold its core label sets (lattice.psi_map) are int64 below 64 irreducibles
+# and Python ints from 64 on, so the irreducible count needs no cap.  Every structure these caps
+# admit has at most 27 irreducibles a side (Shuf(3, 6)); Hoch(MAX_N) has 19.
 
 # The Mobius solve (FinitePoset.mobius_times) and the chain counts behind FinitePoset.zeta run in int64;
 # before each step they pass check_int64 a bound on every sum the step forms, so nothing wraps around

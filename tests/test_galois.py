@@ -147,7 +147,7 @@ def oracle_graphs():
 
 def test_pairs_match_the_definition_and_order_laws():
     """The seed enumeration finds exactly the maximal orthogonal pairs, and in the certified
-    pair order the join is B-intersection and the meet A-intersection, read off full tables."""
+    pair order the join is B-intersection and the meet A-intersection, read off every row."""
     for g in oracle_graphs():
         mo = max_ortho_pairs_lattice(g)
         assert set(mo.pairs) == max_orthogonal_pairs(g) and len(set(mo.pairs)) == len(mo.pairs), g
@@ -155,8 +155,8 @@ def test_pairs_match_the_definition_and_order_laws():
         a_vals = np.array([a for a, _ in mo.pairs], dtype=np.int64)
         b_vals = np.array([b for _, b in mo.pairs], dtype=np.int64)
         for a in range(lat.n):
-            assert (b_vals[lat.join[a]] == b_vals[a] & b_vals).all(), g
-            assert (a_vals[lat.meet[a]] == a_vals[a] & a_vals).all(), g
+            assert (b_vals[lat.join(a)] == b_vals[a] & b_vals).all(), g
+            assert (a_vals[lat.meet(a)] == a_vals[a] & a_vals).all(), g
 
 
 def test_covers_and_order_match_the_inclusion_order():

@@ -10,7 +10,6 @@ from hochlat.hochschild import (
     a_irr,
     b_irr,
     build_hoch,
-    HochLattice,
     build_hoch_by_doubling,
     canrep_formula,
     core_labels_formula,
@@ -156,10 +155,11 @@ def test_join_meet_formulas_match_tables(n):
     h = build_hoch(n)
     lat = h.lattice
     for a in range(lat.n):
+        joins, meets = lat.join(a), lat.meet(a)
         for b in range(a, lat.n):
             u, v = h.triword(a), h.triword(b)
-            assert h.triword(lat.join[a, b]) == hoch_join(u, v)
-            assert h.triword(lat.meet[a, b]) == hoch_meet(u, v)
+            assert h.triword(joins[b]) == hoch_join(u, v) == h.triword(lat.join_of(a, b))
+            assert h.triword(meets[b]) == hoch_meet(u, v) == h.triword(lat.meet_of(a, b))
 
 
 def test_meet_repairs_one_after_zero():
@@ -194,40 +194,36 @@ def test_lattice_law_holds(n):
     assert check_lattice_law(n)
 
 
-def _swap_in_row(table):
-    """Copy of a bound table with two different entries of its middle row swapped."""
-    table = table.copy()
-    row = table[len(table) // 2]
-    b = int(np.nonzero(row != row[0])[0][0])
-    row[0], row[b] = row[b], row[0]
-    return table
+def _swap_in_row(row_of):
+    """A row method that returns row_of's rows, but with two different entries of the middle row
+    swapped."""
 
+    def swapped(lat, a):
+        row = row_of(lat, a)
+        if a == lat.n // 2:
+            row = row.copy()
+            b = int(np.nonzero(row != row[0])[0][0])
+            row[0], row[b] = row[b], row[0]
+        return row
 
-def _corrupted(n, join=lambda t: t, meet=lambda t: t, extra_covers=()):
-    h = build_hoch(n)
-    lat = h.lattice
-    poset = lat.poset
-    if extra_covers:
-        poset = FinitePoset(poset.leq, list(poset.covers) + list(extra_covers), labels=poset.labels)
-    return HochLattice(Lattice(poset, join(lat.join), meet(lat.meet)), h.triwords)
+    return swapped
 
 
 def test_lattice_law_fails_on_swapped_join_entries(monkeypatch):
-    monkeypatch.setattr(checks, "build_hoch", _corrupted)
     assert check_lattice_law(4)
-    monkeypatch.setattr(checks, "build_hoch", lambda n: _corrupted(n, join=_swap_in_row))
+    monkeypatch.setattr(Lattice, "join", _swap_in_row(Lattice.join))
     assert not check_lattice_law(4)
 
 
 def test_lattice_law_fails_on_swapped_meet_entries(monkeypatch):
-    monkeypatch.setattr(checks, "build_hoch", lambda n: _corrupted(n, meet=_swap_in_row))
+    monkeypatch.setattr(Lattice, "meet", _swap_in_row(Lattice.meet))
     assert not check_lattice_law(4)
 
 
 def test_lattice_law_fails_on_a_two_position_cover(monkeypatch):
     h = build_hoch(4)
     fake = h.id_of((0, 0, 0, 0)), h.id_of((1, 1, 0, 0))
-    monkeypatch.setattr(checks, "build_hoch", lambda n: _corrupted(n, extra_covers=[fake]))
+    monkeypatch.setattr(Lattice, "covers", property(lambda lat: lat.poset.covers + (fake,)))
     assert not check_lattice_law(4)
 
 
