@@ -397,6 +397,8 @@ def rows(lat):
 def test_lub_scan_matches_irreducible_masks():
     lattices = [build_hoch(n).lattice for n in range(6, 9)] + [build_bool(k) for k in range(5, 9)]
     lattices += seeded_lattices()  # Hoch(1..5), Bool(0..4), Shuf(a <= 3, b <= 2), 350 closure systems
+    rng = random.Random(4)
+    lattices += [closure_system_lattice(rng) for _ in range(30)]
     wide = [chain_lattice(65), diamond(64), diamond(65)]  # 64 or 65 irreducibles a side: Python-int masks
     assert [len(lat.join_irreducibles()) for lat in wide] == [len(lat.meet_irreducibles()) for lat in wide]
     assert [len(lat.join_irreducibles()) for lat in wide] == [64, 64, 65]
