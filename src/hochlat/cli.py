@@ -258,6 +258,8 @@ def _cmd_clo(args):
     if args.table:
         if args.family != "hoch":
             raise UsageError("--table is defined for the hoch family")
+        if args.format != "text":
+            raise UsageError(f"--table prints text only, not --format {args.format}")
         if args.n is None:
             raise UsageError("family hoch needs --n")
         _emit("\n".join(_sigma_table_lines(args.n, args.ascii)))

@@ -158,26 +158,22 @@ def _columns(g):
 def _maximal_pairs(g):
     """The maximal orthogonal pairs (A, B) of g as bitmasks, sorted by (|A|, A).
 
-    A pair is orthogonal when no edge leaves A and lands in B (A and B
-    disjoint), and maximal when neither side can grow.  These are exactly
-    the fixed points of the antitone maps B -> the intersection of col[t]
-    over t in B and A -> {t : A in col[t]}, so seeds of one side enumerate
-    them all.  SizeBound past MAX_GRAPH vertices or MAX_ELEMENTS pairs.
+    A pair is orthogonal when no edge leaves A and lands in B (A and B disjoint), and maximal
+    when neither side can grow.  The A sides are the intersections of columns col[t] (the full
+    set is the empty one) and B is {t : A in col[t]}.  Each pass closes the sides found so far
+    under meets with one more column, so its count is a lower bound on the final one.
+    SizeBound past MAX_GRAPH vertices or MAX_ELEMENTS pairs.
     """
     k = g.k
     if k > MAX_GRAPH:
         raise SizeBound(f"orthogonal-pair enumeration capped at {MAX_GRAPH} vertices, got {k}")
     col = _columns(g)
-    seeds = np.arange(1 << k, dtype=np.int64)
-    best_a = np.full_like(seeds, (1 << k) - 1)
-    for t in range(k):
-        best_a &= np.where(seeds >> t & 1 == 1, col[t], -1)  # -1: every bit kept
-    back_b = np.zeros_like(seeds)
-    for t in range(k):
-        back_b |= (best_a & ~col[t] == 0).astype(np.int64) << t
-    fixed = np.nonzero(back_b == seeds)[0]
-    check_elements("orthogonal-pair order", len(fixed))
-    return sorted(((int(best_a[b]), int(b)) for b in fixed), key=lambda ab: (bin(ab[0]).count("1"), ab[0]))
+    a_vals = np.array([(1 << k) - 1], dtype=np.int64)
+    for c in col:
+        a_vals = np.unique(np.concatenate([a_vals, a_vals & c]))
+        check_elements("orthogonal-pair order", len(a_vals))
+    b_vals = ((a_vals[:, None] & ~col == 0).astype(np.int64) << np.arange(k)).sum(axis=1)
+    return sorted(zip(a_vals.tolist(), b_vals.tolist()), key=lambda ab: (bin(ab[0]).count("1"), ab[0]))
 
 
 def max_ortho_pairs_lattice(g):

@@ -1,12 +1,11 @@
 """Finite lattices: joins and meets looked up by irreducible masks, plus the order-theoretic toolkit.
 
-A :class:`Lattice` wraps a bounded :class:`~hochlat.poset.FinitePoset` and keeps, for
-each side, the masks of the irreducibles below (or above) every element, sorted.
-``as_lattice`` certifies them in O(m^2): each element's set of join-irreducibles below it
-must embed the order and be closed under intersection, and the meet is the element with
-the intersected mask (dually for the join), found by ``searchsorted``.  Otherwise it
-raises NotALattice with a witness pair that has no join or no meet.  No m x m table is
-stored besides the order.
+A :class:`Lattice` wraps a bounded :class:`~hochlat.poset.FinitePoset` and keeps, for each side,
+the masks of the irreducibles below (or above) every element, sorted.  ``as_lattice`` certifies
+one side in O(m^2): each element's set of join-irreducibles below it must embed the order and be
+closed under intersection, and the meet is the element with the intersected mask, found by
+``searchsorted``.  Otherwise it raises NotALattice with a witness pair that has no join or no
+meet.  A lattice needs no check of the other side.  No m x m table is stored besides the order.
 
 On top of that live the irreducibles and one core-label layer, each part computed once
 per lattice from the same irreducible masks: the cover labels (they exist iff the lattice
@@ -24,60 +23,19 @@ from .limits import check_elements, check_range
 from .poset import FinitePoset
 
 
-def _irr_masks(leq, irrs):
-    """M(x) by element x, bit i set iff irrs[i] <= x; int64 below 64 irreducibles, else Python ints."""
-    masks = np.zeros(len(leq), dtype=np.int64 if len(irrs) < 64 else object)
-    for i, j in enumerate(irrs):
-        masks |= leq[j].astype(masks.dtype) << i
-    return masks
-
-
 class _Masks:
-    """The join-irreducibles of a bounded order (``irr``, {j: j_*}) and their masks, certified to make
-    it a lattice: ``masks`` by element, ``values`` sorted, ``order`` (int32) from sorted position to
-    element, so that ``find`` answers meets.  NotALattice with a witness pair when some pair has no
-    meet (or, failing first, no join).  On the dual order: the meet-irreducibles, which answer joins.
+    """One side of a lattice: its join-irreducibles (``irr``, {j: j_*}) and the masks M(x) of those
+    below each x, bit i for the i-th (int64 below 64 of them, else Python ints): ``masks`` by element,
+    ``values`` sorted, ``order`` (int32) from sorted position to element, so that ``find`` answers
+    meets.  On the dual order the meet-irreducibles answer joins."""
 
-    M(x) is the set of join-irreducibles j <= x (elements with one lower cover).  Every
-    element of a finite lattice is the join of the join-irreducibles below it (Davey and
-    Priestley, Introduction to Lattices and Order, 2.41), so a bounded order is a lattice
-    iff x <= y exactly when M(x) is a subset of M(y), and the masks are closed under
-    intersection; then M(a ^ b) = M(a) & M(b), looked up among the sorted masks.  Rows
-    a are checked for both in topological order, a block of rows per numpy pass: the
-    embedding against the whole row, the lookups (the meet is symmetric) only against the
-    rows not yet passed.  The first failing row gives:
-
-    - (b, c), the first two lower covers of a, when the embedding fails first at a.  a is
-      not the bottom (M = 0) and not join-irreducible (a is in M(a)), so it has two lower
-      covers; they precede a, so all lie below some y with M(a) in M(y) and not a <= y.  A
-      join of b and c would lie below both a and y, so it would be a, and a <= y.
-    - (a, b) with b least when M(a) & M(b) is no mask: a meet of a and b would have that
-      mask.  Any such b comes after a, or its own row would have failed first.
-    """
-
-    def __init__(self, leq, topo, lower_covers):
+    def __init__(self, leq, lower_covers):
         self.irr = {a: below[0] for a, below in enumerate(lower_covers) if len(below) == 1}
-        masks = _irr_masks(leq, list(self.irr))
+        masks = np.zeros(len(leq), dtype=np.int64 if len(self.irr) < 64 else object)
+        for i, j in enumerate(self.irr):
+            masks |= leq[j].astype(masks.dtype) << i
         order = np.argsort(masks, kind="stable")
         self.masks, self.values, self.order = masks, masks[order], order.astype(np.int32)
-        pending = np.ones(len(leq), dtype=bool)
-        step = max(1, 2**16 // max(len(leq), 1))  # rows per numpy pass: about 2**16 pairs
-        for start in range(0, len(topo), step):
-            rows = np.asarray(topo[start : start + step])
-            embeds = (((masks[rows, None] & masks) == masks[rows, None]) == leq[rows]).all(axis=1)
-            rest = np.flatnonzero(pending)
-            sub = masks[rows, None] & masks[rest]
-            misses = self.values[np.searchsorted(self.values, sub)] != sub  # sub <= masks[rows]: in range
-            bad = ~embeds | misses.any(axis=1)
-            if bad.any():
-                i = int(np.argmax(bad))
-                a = int(rows[i])
-                if not embeds[i]:
-                    b, c = lower_covers[a][:2]
-                    raise NotALattice(f"pair ({b}, {c}) has no join", pair=(b, c))
-                b = int(rest[np.argmax(misses[i])])
-                raise NotALattice(f"pair ({a}, {b}) has no meet", pair=(a, b))
-            pending[rows] = False
 
     def find(self, sub):
         return self.order[np.searchsorted(self.values, sub)]
@@ -90,20 +48,58 @@ class _Masks:
         return int(self.find(sub))
 
 
-def _cover_labels(leq, irrs, covers):
+def _certify(p, side):
+    """NotALattice with a witness pair unless the bounded order p is a lattice.  Every element of a
+    finite lattice is the join of the join-irreducibles below it (Davey and Priestley, Introduction
+    to Lattices and Order, 2.41), so p is a lattice iff on its join-irreducible side x <= y exactly
+    when M(x) is a subset of M(y) and the masks are closed under intersection; by the dual of 2.41
+    the meet-irreducible side then passes as well.  Rows a are checked in topological order, a block
+    per numpy pass: the embedding against the whole row, the lookups (the meet is symmetric) only
+    against the rows not yet passed.  The first failing row gives:
+
+    - (b, c), the first two lower covers of a, when the embedding fails first at a.  a is not the
+      bottom (M = 0) and not join-irreducible (a is in M(a)), so it has two lower covers; they
+      precede a, so all lie below some y with M(a) in M(y) and not a <= y.  A join of b and c
+      would lie below both a and y, so it would be a, and a <= y.
+    - (a, b) with b least when M(a) & M(b) is no mask: a meet of a and b would have that mask.
+      Any such b comes after a, or its own row would have failed first.
+    """
+    masks = side.masks
+    pending = np.ones(p.n, dtype=bool)
+    step = max(1, 2**16 // max(p.n, 1))  # rows per numpy pass: about 2**16 pairs
+    for start in range(0, p.n, step):
+        rows = np.asarray(p._topo[start : start + step])
+        embeds = (((masks[rows, None] & masks) == masks[rows, None]) == p.leq[rows]).all(axis=1)
+        rest = np.flatnonzero(pending)
+        sub = masks[rows, None] & masks[rest]
+        misses = side.values[np.searchsorted(side.values, sub)] != sub  # sub <= masks[rows]: in range
+        bad = ~embeds | misses.any(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            a = int(rows[i])
+            if not embeds[i]:
+                b, c = p._down_adj[a][:2]
+                raise NotALattice(f"pair ({b}, {c}) has no join", pair=(b, c))
+            b = int(rest[np.argmax(misses[i])])
+            raise NotALattice(f"pair ({a}, {b}) has no meet", pair=(a, b))
+        pending[rows] = False
+
+
+def _cover_labels(side, covers):
     """Label each cover (a, b) by the least join-irreducible in M(b) - M(a): (labels, None), or
     (None, (a, b)) at the first cover given with none.  It is the least x with a v x = b when either
     exists: each j in M(b) - M(a) joins a up to b, and each such x lies above one.  Every cover has
-    a label iff the lattice is join-semidistributive (Barnard, arXiv:1610.05137); on the dual order
-    with the meet-irreducibles, iff it is meet-semidistributive.  One numpy pass per irreducible i:
-    bit i is set and every other set bit lies above irrs[i]."""
-    masks, up = _irr_masks(leq, irrs), _irr_masks(leq.T, irrs)[irrs]
+    a label iff the lattice is join-semidistributive (Barnard, arXiv:1610.05137); on the meet side,
+    with covers flipped, iff it is meet-semidistributive.  One numpy pass per irreducible j, which
+    is minimal in M(b) - M(a) when M(j) meets it in j alone; a unique minimal one is least."""
     lows, ups = np.array(covers, dtype=np.int64).reshape(-1, 2).T
-    new = masks[ups] & ~masks[lows]
-    labels = np.full(len(covers), -1, dtype=np.int64)
-    for i, j in enumerate(irrs):
-        labels[(new >> i & 1 == 1) & (new & ~up[i] == 0)] = j
-    bad = np.flatnonzero(labels < 0)
+    new = side.masks[ups] & ~side.masks[lows]
+    labels, minima = np.full(len(covers), -1, dtype=np.int64), np.zeros(len(covers), dtype=np.int64)
+    for i, j in enumerate(side.irr):
+        hit = new & side.masks[j] == 1 << i  # j is minimal in M(b) - M(a)
+        labels[hit] = j
+        minima += hit
+    bad = np.flatnonzero(minima != 1)
     if len(bad):
         return None, covers[bad[0]]
     return dict(zip(covers, labels.tolist())), None
@@ -165,11 +161,11 @@ class Lattice:
 
     @cached_property
     def _join_labels(self):
-        return _cover_labels(self.poset.leq, self.join_irreducibles(), self.covers)
+        return _cover_labels(self._lower, self.covers)
 
     @cached_property
     def _meet_labels(self):
-        return _cover_labels(self.poset.leq.T, self.meet_irreducibles(), [(b, a) for a, b in self.covers])
+        return _cover_labels(self._upper, [(b, a) for a, b in self.covers])
 
     @cached_property
     def _psi(self):
@@ -200,9 +196,9 @@ def as_lattice(p):
     for ends, side in ((p.minimal_elements(), "lower"), (p.maximal_elements(), "upper")):
         if len(ends) > 1:
             raise NotALattice(f"pair ({ends[0]}, {ends[1]}) has no {side} bound", pair=(ends[0], ends[1]))
-    lower = _Masks(p.leq, p._topo, p._down_adj)
-    upper = _Masks(np.ascontiguousarray(p.leq.T), p._topo[::-1], p._up_adj)
-    return Lattice(p, lower, upper)
+    lower = _Masks(p.leq, p._down_adj)
+    _certify(p, lower)
+    return Lattice(p, lower, _Masks(p.leq.T, p._up_adj))
 
 
 def is_extremal(lat):

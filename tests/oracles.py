@@ -16,8 +16,11 @@ one vertex at a time, and is only run at small sizes:
 - ``shuffle_words``: every shuffle word listed by choosing letters and slots,
   the oracle for the cover-rule closure in ``shuffles.shuffle_lattice``;
 - ``max_orthogonal_pairs``: the maximal orthogonal pairs of a digraph found by
-  trying every pair of disjoint vertex sets, the oracle for the seed
-  enumeration in ``galois.max_ortho_pairs_lattice``;
+  trying every pair of disjoint vertex sets, the oracle for the pairs of
+  ``galois.max_ortho_pairs_lattice``;
+- ``maximal_pairs_by_seeds``: the same pairs as the fixed points of the two
+  antitone maps, found from all 2**k seeds, the oracle for the intersection
+  closure in ``galois._maximal_pairs``;
 - ``pair_order``: the pairs of a rebuilt pair lattice ordered by inclusion of
   their A sides and reduced to covers by ``FinitePoset.from_leq``, the oracle for
   the covers ``galois.max_ortho_pairs_lattice`` reads off the column meets;
@@ -37,6 +40,7 @@ import numpy as np
 
 from hochlat.complexes import is_vertex_decomposable
 from hochlat.errors import CycleDetected
+from hochlat.galois import _columns
 from hochlat.lattice import jsd_labeling
 from hochlat.polynomials import BiPoly, interpolate_from_grid
 from hochlat.poset import FinitePoset
@@ -193,6 +197,23 @@ def max_orthogonal_pairs(g):
             if not (a | b) >> v & 1
         )
     }
+
+
+def maximal_pairs_by_seeds(g):
+    """The maximal orthogonal pairs (A, B) of g as bitmasks, sorted by (|A|, A): the fixed points
+    of the antitone maps B -> the intersection of col[t] over t in B and A -> {t : A in col[t]},
+    found by mapping every one of the 2**k seeds B there and back."""
+    k = g.k
+    col = _columns(g)
+    seeds = np.arange(1 << k, dtype=np.int64)
+    best_a = np.full_like(seeds, (1 << k) - 1)
+    for t in range(k):
+        best_a &= np.where(seeds >> t & 1 == 1, col[t], -1)  # -1: every bit kept
+    back_b = np.zeros_like(seeds)
+    for t in range(k):
+        back_b |= (best_a & ~col[t] == 0).astype(np.int64) << t
+    fixed = np.nonzero(back_b == seeds)[0]
+    return sorted(((int(best_a[b]), int(b)) for b in fixed), key=lambda ab: (bin(ab[0]).count("1"), ab[0]))
 
 
 def pair_order(mo):

@@ -369,6 +369,14 @@ def test_table_rejects_non_hoch(capsys):
     assert "hoch" in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_table_rejects_non_text_format(capsys, fmt):
+    code, out, err = run(capsys, "clo", "--family", "hoch", "--n", "2", "--table", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert "--format" in err
+
+
 def test_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "hochlat.cli", "faces", "--n", "3"],

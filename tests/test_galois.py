@@ -18,7 +18,7 @@ from hochlat.galois import (
 from hochlat.hochschild import build_hoch, irreducible_of_triword, parse_triword
 from hochlat.lattice import _closed_under_intersection, as_lattice, build_bool
 from hochlat.poset import FinitePoset, are_isomorphic
-from oracles import induced, max_orthogonal_pairs, pair_order
+from oracles import induced, max_orthogonal_pairs, maximal_pairs_by_seeds, pair_order
 
 EDGES_3 = {("b3", "a3"), ("b2", "a2"), ("a2", "a1"), ("a3", "a1"), ("a3", "a2")}
 EDGES_4 = EDGES_3 | {("b4", "a4"), ("a4", "a3"), ("a4", "a2"), ("a4", "a1")}
@@ -157,6 +157,16 @@ def test_pairs_match_the_definition_and_order_laws():
         for a in range(lat.n):
             assert (b_vals[lat.join(a)] == b_vals[a] & b_vals).all(), g
             assert (a_vals[lat.meet(a)] == a_vals[a] & a_vals).all(), g
+
+
+def test_intersection_closure_matches_the_seed_scan():
+    """The column-by-column intersection closure finds the same pairs, in the same order, as the
+    fixed points of all 2**k seeds."""
+    graphs = [galois_graph(build_hoch(n).lattice).graph for n in range(1, 11)]
+    graphs += [DiGraph(k, []) for k in range(13)] + list(oracle_graphs())
+    for g in graphs:
+        assert galois_module._maximal_pairs(g) == maximal_pairs_by_seeds(g), g
+    assert len(galois_module._maximal_pairs(graphs[9])) == 3328  # Hoch(10), on 19 vertices
 
 
 def test_covers_and_order_match_the_inclusion_order():

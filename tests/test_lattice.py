@@ -196,10 +196,10 @@ def test_cover_labels_match_per_cover_oracle():
     failing = 0
     for lat in lattices:
         leq = lat.poset.leq
-        join_side = (leq, lat.join, lat.join_irreducibles(), lat.covers)
-        meet_side = (leq.T, lat.meet, lat.meet_irreducibles(), [(b, a) for a, b in lat.covers])
-        for side_leq, row_of, irrs, covers in (join_side, meet_side):
-            got = lattice_module._cover_labels(side_leq, irrs, covers)
+        join_side = (leq, lat.join, lat._lower, lat.covers)
+        meet_side = (leq.T, lat.meet, lat._upper, [(b, a) for a, b in lat.covers])
+        for side_leq, row_of, side, covers in (join_side, meet_side):
+            got = lattice_module._cover_labels(side, covers)
             assert got == per_cover_labels(side_leq, row_of, covers)
             failing += got[0] is None
     assert failing >= 10
@@ -454,6 +454,32 @@ def test_as_lattice_witnesses_on_random_bounded_posets():
     # the 276 messages, each naming its pair, as the full-row certification of the m x m tables gave them
     digest = hashlib.sha256("\n".join(witnesses).encode()).hexdigest()
     assert digest == "99dba9bf968e78bbef30d498e4729bdbc7884dacdd03ec6734e98b5dfa35f033"
+
+
+def test_one_certified_side_certifies_the_dual():
+    """as_lattice certifies the join-irreducible side only.  Its verdict must not depend on which
+    way up the order is read, and the meet-irreducible side it builds uncertified must be the
+    certified join-irreducible side of the dual order."""
+    rng = random.Random(8)  # the posets of test_as_lattice_witnesses_on_random_bounded_posets
+    posets = [random_bounded_poset(rng) for _ in range(1200)]
+    lattices = [build_hoch(n).lattice for n in range(1, 9)] + [build_bool(k) for k in range(9)]
+    lattices += seeded_lattices() + [chain_lattice(65), diamond(64), diamond(65)]
+    posets += [lat.poset for lat in lattices]
+    failing = 0
+    for p in posets:
+        try:
+            upper = as_lattice(p)._upper
+        except NotALattice:
+            failing += 1
+            with pytest.raises(NotALattice):
+                as_lattice(dual(p))
+            continue
+        lower = as_lattice(dual(p))._lower
+        assert upper.irr == lower.irr
+        for name in ("masks", "values", "order"):
+            assert getattr(upper, name).dtype == getattr(lower, name).dtype
+            assert np.array_equal(getattr(upper, name), getattr(lower, name))
+    assert failing == 276
 
 
 def test_as_lattice_witness_when_only_the_embedding_fails():
