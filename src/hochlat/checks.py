@@ -74,12 +74,12 @@ def check_cardinality(n):
 
 
 def check_lattice_law(n):
-    """Join/meet rows against the word formulas, one row of each per numpy pass."""
+    """Join/meet rows against the word formulas; both are symmetric, so row a only up to a."""
     h = build_hoch(n)
     lat, words = h.lattice, h.word_array
     rows_ok = all(
-        (words.take(lat.join(a), axis=0) == hoch_join_array(words[a], words)).all()
-        and (words.take(lat.meet(a), axis=0) == hoch_meet_array(words[a], words)).all()
+        (words.take(lat.join(a)[: a + 1], axis=0) == hoch_join_array(words[a], words[: a + 1])).all()
+        and (words.take(lat.meet(a)[: a + 1], axis=0) == hoch_meet_array(words[a], words[: a + 1])).all()
         for a in range(lat.n)
     )
     ends = words.take(lat.covers, axis=0)  # (covers, 2, n): the two words of each cover

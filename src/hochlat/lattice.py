@@ -2,10 +2,10 @@
 
 A :class:`Lattice` wraps a bounded :class:`~hochlat.poset.FinitePoset` and keeps, for each side,
 the masks of the irreducibles below (or above) every element, sorted.  ``as_lattice`` certifies
-one side in O(m^2): each element's set of join-irreducibles below it must embed the order and be
-closed under intersection, and the meet is the element with the intersected mask, found by
-``searchsorted``.  Otherwise it raises NotALattice with a witness pair that has no join or no
-meet.  A lattice needs no check of the other side.  No m x m table is stored besides the order.
+the join-irreducible side by m x k' lookups: the masks must embed the order and meet the masks of
+the k' meet-irreducibles in masks; then the meet of a and b is the element with mask M(a) & M(b),
+found by ``searchsorted``.  Otherwise NotALattice names a witness pair with no join or no meet.
+No m x m table is stored besides the order.
 
 On top of that live the irreducibles and one core-label layer, each part computed once
 per lattice from the same irreducible masks: the cover labels (they exist iff the lattice
@@ -48,14 +48,18 @@ class _Masks:
         return int(self.find(sub))
 
 
-def _certify(p, side):
+def _certify(p, side, tops):
     """NotALattice with a witness pair unless the bounded order p is a lattice.  Every element of a
     finite lattice is the join of the join-irreducibles below it (Davey and Priestley, Introduction
     to Lattices and Order, 2.41), so p is a lattice iff on its join-irreducible side x <= y exactly
-    when M(x) is a subset of M(y) and the masks are closed under intersection; by the dual of 2.41
-    the meet-irreducible side then passes as well.  Rows a are checked in topological order, a block
-    per numpy pass: the embedding against the whole row, the lookups (the meet is symmetric) only
-    against the rows not yet passed.  The first failing row gives:
+    when M(x) is a subset of M(y) and the masks are closed under intersection.  Given the embedding,
+    it is enough that M(x) & M(g) is a mask for every x and every meet-irreducible g in ``tops``: top
+    down, a y with upper covers c != d has M(d) an intersection of such M(g), so M(c) & M(g) & ...
+    ends in a mask M(z) with y <= z < c, that is M(y) = M(z).  So every mask is an intersection of
+    M(g)s, and M(x) & M(y) is reached one g at a time: m x len(tops) lookups accept, in row blocks.
+
+    Only on failure are the rows scanned in topological order, a block a pass: the embedding against
+    the whole row, the (symmetric) lookups only against rows not yet passed.  The first bad row a gives:
 
     - (b, c), the first two lower covers of a, when the embedding fails first at a.  a is not the
       bottom (M = 0) and not join-irreducible (a is in M(a)), so it has two lower covers; they
@@ -64,15 +68,22 @@ def _certify(p, side):
     - (a, b) with b least when M(a) & M(b) is no mask: a meet of a and b would have that mask.
       Any such b comes after a, or its own row would have failed first.
     """
-    masks = side.masks
-    pending = np.ones(p.n, dtype=bool)
+    masks, values, tops = side.masks, side.values, side.masks[list(tops)]
     step = max(1, 2**16 // max(p.n, 1))  # rows per numpy pass: about 2**16 pairs
+
+    def check(rows, against):  # whether each row embeds, and which of its meets with against miss
+        embeds = (((masks[rows, None] & masks) == masks[rows, None]) == p.leq[rows]).all(axis=1)
+        sub = masks[rows, None] & against
+        return embeds, values[np.searchsorted(values, sub)] != sub  # sub <= masks[rows]: in range
+
+    blocks = (check(slice(start, start + step), tops) for start in range(0, p.n, step))
+    if all(embeds.all() and not misses.any() for embeds, misses in blocks):
+        return
+    pending = np.ones(p.n, dtype=bool)
     for start in range(0, p.n, step):
         rows = np.asarray(p._topo[start : start + step])
-        embeds = (((masks[rows, None] & masks) == masks[rows, None]) == p.leq[rows]).all(axis=1)
         rest = np.flatnonzero(pending)
-        sub = masks[rows, None] & masks[rest]
-        misses = side.values[np.searchsorted(side.values, sub)] != sub  # sub <= masks[rows]: in range
+        embeds, misses = check(rows, masks[rest])
         bad = ~embeds | misses.any(axis=1)
         if bad.any():
             i = int(np.argmax(bad))
@@ -83,6 +94,7 @@ def _certify(p, side):
             b = int(rest[np.argmax(misses[i])])
             raise NotALattice(f"pair ({a}, {b}) has no meet", pair=(a, b))
         pending[rows] = False
+    raise InvariantViolated("the meet-irreducible lookups failed, but no pair lacks a join or a meet")
 
 
 def _cover_labels(side, covers):
@@ -196,9 +208,9 @@ def as_lattice(p):
     for ends, side in ((p.minimal_elements(), "lower"), (p.maximal_elements(), "upper")):
         if len(ends) > 1:
             raise NotALattice(f"pair ({ends[0]}, {ends[1]}) has no {side} bound", pair=(ends[0], ends[1]))
-    lower = _Masks(p.leq, p._down_adj)
-    _certify(p, lower)
-    return Lattice(p, lower, _Masks(p.leq.T, p._up_adj))
+    lower, upper = _Masks(p.leq, p._down_adj), _Masks(p.leq.T, p._up_adj)
+    _certify(p, lower, upper.irr)
+    return Lattice(p, lower, upper)
 
 
 def is_extremal(lat):

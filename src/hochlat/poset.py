@@ -52,6 +52,27 @@ def _toposort(m, up_adj, in_deg):
     return order
 
 
+def _two_step(leq, a, b):
+    """For pairs (a, b) of a reflexive order matrix, sorted by a: is b in the OR of the strict rows
+    of the c paired with a, and is each OR inside a's strict row?  Rows are packed, b at byte b >> 3."""
+    m = len(leq)
+    up = np.zeros((m, -(-m // 64)), dtype=np.uint64)
+    for s in range(0, m, step := max(1, 2**16 // max(m, 1))):  # about 2**16 bits packed a pass
+        strict = leq[s : s + step] ^ np.eye(min(step, m - s), m, s, dtype=bool)  # the diagonal off
+        up.view(np.uint8)[s : s + step, : -(-m // 8)] = np.packbits(strict, 1, bitorder="little")
+    bounds = np.append(np.flatnonzero(np.diff(a, prepend=-1)), len(a))  # each row's first pair, the end
+    # passes of about 16 * step pairs, 2**20 bits gathered, that take whole rows: each OR is complete
+    cuts = sorted(set((np.searchsorted(bounds, np.arange(0, len(a), 16 * step), "right") - 1).tolist()))
+    hit, inside = np.zeros(len(a), dtype=bool), True
+    for i, j in zip(cuts, cuts[1:] + [len(bounds) - 1]):  # the pairs of rows i..j-1
+        lo, hi = bounds[i], bounds[j]
+        ors = np.bitwise_or.reduceat(up[b[lo:hi]], bounds[i:j] - lo)
+        rows = np.repeat(np.arange(j - i), np.diff(bounds[i : j + 1]))
+        hit[lo:hi] = ors.view(np.uint8)[rows, b[lo:hi] >> 3] >> (b[lo:hi] & 7) & 1
+        inside &= not (ors & ~up[a[bounds[i:j]]]).any()
+    return hit, inside
+
+
 class FinitePoset:
     """A finite partial order with dense integer ids and decoded labels."""
 
@@ -86,24 +107,17 @@ class FinitePoset:
             if a == b:
                 raise CycleDetected(f"loop at element {a}")
             pairs.add((a, b))
-        up_adj = [[] for _ in range(m)]
-        in_deg = [0] * m
-        for a, b in pairs:
-            up_adj[a].append(b)
-            in_deg[b] += 1
-        order = _toposort(m, up_adj, in_deg)
+        a, b = np.divmod(np.sort(np.fromiter((x * m + y for x, y in pairs), np.int64, len(pairs))), m)
+        up_adj = [ups.tolist() for ups in np.split(b, np.searchsorted(a, np.arange(1, m)))]
         leq = np.zeros((m, m), dtype=bool)
-        for a in reversed(order):
-            row = leq[a]
-            row[a] = True
-            for b in up_adj[a]:
-                np.logical_or(row, leq[b], out=row)
-        for a in range(m):  # (a, b) is no cover iff another upper neighbour c of a has c <= b
-            ups = up_adj[a]
-            if len(ups) > 1 and (below := leq[np.ix_(ups, ups)].sum(axis=0) > 1).any():
-                b = ups[int(np.argmax(below))]
-                between = int(np.count_nonzero(leq[a] & leq[:, b]))
-                raise NotCover(f"({a}, {b}) is not a cover: interval has {between} elements")
+        for x in reversed(_toposort(m, up_adj, np.bincount(b, minlength=m).tolist())):
+            row = leq[x]
+            row[x] = True
+            for y in up_adj[x]:
+                np.logical_or(row, leq[y], out=row)
+        if (hit := _two_step(leq, a, b)[0]).any():  # another upper neighbour of a lies below b
+            a, b = int(a[np.argmax(hit)]), int(b[np.argmax(hit)])
+            raise NotCover(f"({a}, {b}) is not a cover: interval has {(leq[a] & leq[:, b]).sum()} elements")
         return cls(leq, pairs, labels)
 
     @classmethod
@@ -120,16 +134,10 @@ class FinitePoset:
         a, b = a[a != b], b[a != b]  # the strict pairs, row by row
         if leq[b, a].any():
             raise CycleDetected("order matrix is not antisymmetric")
-        up = np.zeros((len(leq), -(-len(leq) // 64)), dtype=np.uint64)  # strict rows, 64 bits a word
-        np.bitwise_or.at(up.view(np.uint8), (a, b >> 3), (1 << (b & 7)).astype(np.uint8))
-        two = np.zeros_like(up)
-        for s in range(0, len(a), 4096):  # 4096 pairs at a time: the rows they gather stay in cache
-            first = np.flatnonzero(np.diff(a[s : s + 4096], prepend=-1))  # each row's first pair
-            two[a[s + first]] |= np.bitwise_or.reduceat(up[b[s : s + 4096]], first)
-        if np.any(two & ~up):
+        hit, transitive = _two_step(leq, a, b)
+        if not transitive:
             raise ValueError("order matrix is not transitive")
-        cover = (two.view(np.uint8)[a, b >> 3] >> (b & 7) & 1) == 0
-        return cls(leq, zip(a[cover], b[cover]), labels)
+        return cls(leq, zip(a[~hit], b[~hit]), labels)
 
     # -- basic queries ---------------------------------------------------
 

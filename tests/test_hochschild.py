@@ -220,6 +220,27 @@ def test_lattice_law_fails_on_swapped_meet_entries(monkeypatch):
     assert not check_lattice_law(4)
 
 
+@pytest.mark.parametrize("side", ["join", "meet"])
+def test_lattice_law_fails_on_one_wrong_pair_in_both_orders(monkeypatch, side):
+    """The bundle checks each unordered pair in one of its two rows; a wrong entry planted at a
+    single pair a < b, in row a and in row b alike, must still fail it."""
+    lat = build_hoch(4).lattice
+    a, b = 1, lat.n - 2
+    right = getattr(Lattice, side)
+    wrong = (int(right(lat, a)[b]) + 1) % lat.n
+
+    def planted(lat, x):
+        row = right(lat, x)
+        if x in (a, b):
+            row = row.copy()
+            row[a + b - x] = wrong
+        return row
+
+    assert check_lattice_law(4)
+    monkeypatch.setattr(Lattice, side, planted)
+    assert not check_lattice_law(4)
+
+
 def test_lattice_law_fails_on_a_two_position_cover(monkeypatch):
     h = build_hoch(4)
     fake = h.id_of((0, 0, 0, 0)), h.id_of((1, 1, 0, 0))

@@ -456,17 +456,22 @@ def test_as_lattice_witnesses_on_random_bounded_posets():
     assert digest == "99dba9bf968e78bbef30d498e4729bdbc7884dacdd03ec6734e98b5dfa35f033"
 
 
+def certification_corpus():
+    """1,600 orders: the 1,200 posets of test_as_lattice_witnesses_on_random_bounded_posets (276 of
+    them no lattice), then Hoch(1..8), Bool(0..8), seeded_lattices(), chain(65) and diamond(64/65)."""
+    rng = random.Random(8)
+    posets = [random_bounded_poset(rng) for _ in range(1200)]
+    lattices = [build_hoch(n).lattice for n in range(1, 9)] + [build_bool(k) for k in range(9)]
+    lattices += seeded_lattices() + [chain_lattice(65), diamond(64), diamond(65)]
+    return posets + [lat.poset for lat in lattices]
+
+
 def test_one_certified_side_certifies_the_dual():
     """as_lattice certifies the join-irreducible side only.  Its verdict must not depend on which
     way up the order is read, and the meet-irreducible side it builds uncertified must be the
     certified join-irreducible side of the dual order."""
-    rng = random.Random(8)  # the posets of test_as_lattice_witnesses_on_random_bounded_posets
-    posets = [random_bounded_poset(rng) for _ in range(1200)]
-    lattices = [build_hoch(n).lattice for n in range(1, 9)] + [build_bool(k) for k in range(9)]
-    lattices += seeded_lattices() + [chain_lattice(65), diamond(64), diamond(65)]
-    posets += [lat.poset for lat in lattices]
     failing = 0
-    for p in posets:
+    for p in certification_corpus():
         try:
             upper = as_lattice(p)._upper
         except NotALattice:
@@ -480,6 +485,32 @@ def test_one_certified_side_certifies_the_dual():
             assert getattr(upper, name).dtype == getattr(lower, name).dtype
             assert np.array_equal(getattr(upper, name), getattr(lower, name))
     assert failing == 276
+
+
+def test_meet_irreducible_lookups_decide_intersection_closure():
+    """The lemma behind as_lattice's acceptance: where the join-irreducible masks embed the order,
+    they are closed under intersection iff every mask meets each meet-irreducible's mask in a mask.
+    as_lattice accepts exactly then and never raises InvariantViolated."""
+    verdicts = []
+    for p in certification_corpus():
+        lower = lattice_module._Masks(p.leq, p._down_adj)
+        upper = lattice_module._Masks(p.leq.T, p._up_adj)
+        masks = lower.masks
+        if not (((masks[:, None] & masks) == masks[:, None]) == p.leq).all():
+            continue
+        known = set(masks.tolist())
+        lookups = (masks[:, None] & masks[sorted(upper.irr)]).ravel().tolist()
+        verdict = all(sub in known for sub in lookups)
+        assert verdict == lattice_module._closed_under_intersection(masks)
+        try:
+            as_lattice(p)  # an InvariantViolated would mean a failed lookup with no witness pair
+        except NotALattice:
+            assert not verdict
+        else:
+            assert verdict
+        verdicts.append(verdict)
+    assert verdicts.count(True) == 1600 - 276
+    assert verdicts.count(False) == 13  # non-lattices whose masks embed the order
 
 
 def test_as_lattice_witness_when_only_the_embedding_fails():

@@ -98,6 +98,15 @@ def test_closure_rejects_cycles_and_non_covers():
         FinitePoset.closure([(0, 1), (1, 2), (0, 2)], 3)
 
 
+def test_closure_reports_the_least_non_cover():
+    # the chain 0 < 1 < 2 < 3 with shortcuts; the least of the non-cover pairs is named, whatever
+    # the order of the input
+    with pytest.raises(NotCover, match=r"^\(0, 2\) is not a cover: interval has 3 elements$"):
+        FinitePoset.closure([(1, 3), (0, 3), (0, 1), (1, 2), (2, 3), (0, 2)], 4)
+    with pytest.raises(NotCover, match=r"^\(0, 3\) is not a cover: interval has 4 elements$"):
+        FinitePoset.closure([(2, 3), (1, 3), (0, 1), (1, 2), (0, 3)], 4)
+
+
 def test_closure_cover_check_matches_interval_counts():
     """NotCover fires exactly when some input pair's interval has other than 2 elements (the
     per-pair count), and its message names such a pair with that count."""
