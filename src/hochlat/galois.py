@@ -170,7 +170,8 @@ def _maximal_pairs(g):
     col = _columns(g)
     a_vals = np.array([(1 << k) - 1], dtype=np.int64)
     for c in col:
-        a_vals = np.unique(np.concatenate([a_vals, a_vals & c]))
+        a_vals = np.sort(np.concatenate([a_vals, a_vals & c]))
+        a_vals = a_vals[np.diff(a_vals, prepend=-1) != 0]  # repeats dropped; the sides are >= 0
         check_elements("orthogonal-pair order", len(a_vals))
     b_vals = ((a_vals[:, None] & ~col == 0).astype(np.int64) << np.arange(k)).sum(axis=1)
     return sorted(zip(a_vals.tolist(), b_vals.tolist()), key=lambda ab: (bin(ab[0]).count("1"), ab[0]))
@@ -195,7 +196,7 @@ def max_ortho_pairs_lattice(g):
         raise NotALattice("A sides of the orthogonal pairs do not hold the full set and every meet")
     inside = meets == a_vals[:, None]  # t is in B exactly when A lies in col[t]
     intents = (inside.astype(np.int64) << np.arange(g.k)).sum(axis=1)
-    if (intents != b_vals).any() or len(np.unique(b_vals)) < len(b_vals):
+    if (intents != b_vals).any() or (np.diff(np.sort(b_vals)) == 0).any():
         raise NotALattice("B sides of the orthogonal pairs are not the distinct sets {t : A in col[t]}")
     # a proper meet is a lower cover of A unless another proper meet strictly holds it; closure re-checks
     held = (meets[:, :, None] & ~meets[:, None, :] == 0) & (meets[:, :, None] != meets[:, None, :])

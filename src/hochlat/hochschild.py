@@ -170,19 +170,6 @@ def irreducibles(n):
 # -- lattice builders -------------------------------------------------------
 
 
-def lower_cover_triwords(u):
-    """Lower covers by the one-position-change rule."""
-    last1, first0 = l1(u), f0(u)
-    out = []
-    if last1 > 0:
-        out.append(u[: last1 - 1] + (0,) + u[last1:])
-    for i, x in enumerate(u, start=1):
-        if x == 2:
-            drop = 1 if i < first0 else 0
-            out.append(u[: i - 1] + (drop,) + u[i:])
-    return out
-
-
 class HochLattice:
     """Lattice of triwords plus the id <-> triword decoding."""
 
@@ -208,15 +195,21 @@ class HochLattice:
 
 @lru_cache(maxsize=None)
 def build_hoch(n):
-    """The triword lattice of length n on lexicographic ids."""
+    """The triword lattice of length n on lexicographic ids, which order the base-3 keys.  A lower
+    cover lowers the last 1 to 0, or a 2 at position i to 1 before the first 0 and to 0 after it:
+    3**(n-i) or 2 * 3**(n-i) off the key, whose id ``searchsorted`` finds."""
     check_n(n)
     words = enumerate_triwords(n)
-    index = {u: i for i, u in enumerate(words)}
-    covers = []
-    for u in words:
-        for v in lower_cover_triwords(u):
-            covers.append((index[v], index[u]))
-    poset = FinitePoset.closure(covers, len(words), labels=[format_triword(u) for u in words])
+    w = np.array(words, dtype=np.int64).reshape(len(words), n)
+    place = 3 ** np.arange(n - 1, -1, -1)
+    key = w @ place
+    ones = np.flatnonzero((w == 1).any(axis=1))
+    last1 = n - 1 - np.argmax(w[ones, ::-1] == 1, axis=1)
+    twos, at = np.nonzero(w == 2)
+    drop = np.where(np.logical_or.accumulate(w == 0, axis=1)[twos, at], 2, 1)  # 2 -> 0 after the first 0
+    ups = np.concatenate([ones, twos])
+    lows = np.searchsorted(key, key[ups] - np.concatenate([place[last1], drop * place[at]]))
+    poset = FinitePoset.closure(np.stack([lows, ups], axis=1), len(words), [format_triword(u) for u in words])
     return HochLattice(as_lattice(poset), words)
 
 

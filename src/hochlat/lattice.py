@@ -271,7 +271,8 @@ def psi_map(lat):
 
 def _closed_under_intersection(masks):
     """Whether every pairwise intersection of the masks (int64 or Python ints) is again one."""
-    values = np.unique(masks)
+    values = np.sort(masks)
+    values = values[np.diff(values, prepend=-1) != 0]  # repeats dropped; masks are >= 0
     for a in range(len(values) - 1):
         meets = values[a] & values[a + 1 :]  # each <= values[a], so searchsorted stays in range
         if (values[np.searchsorted(values, meets)] != meets).any():

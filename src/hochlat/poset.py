@@ -52,6 +52,17 @@ def _toposort(m, up_adj, in_deg):
     return order
 
 
+def _pairs(covers):
+    """The lower and upper ends of a (k, 2) int array or an iterable of pairs, as int64 arrays."""
+    return np.asarray(covers if isinstance(covers, np.ndarray) else list(covers), np.int64).reshape(-1, 2).T
+
+
+def _split(keys, values, m):
+    """The values grouped by their keys, which are sorted: one list for each key 0..m-1."""
+    cuts, values = np.searchsorted(keys, np.arange(m + 1)).tolist(), values.tolist()
+    return [values[i:j] for i, j in zip(cuts, cuts[1:])]
+
+
 def _two_step(leq, a, b):
     """For pairs (a, b) of a reflexive order matrix, sorted by a: is b in the OR of the strict rows
     of the c paired with a, and is each OR inside a's strict row?  Rows are packed, b at byte b >> 3."""
@@ -84,7 +95,11 @@ class FinitePoset:
         leq.setflags(write=False)
         self.n = n
         self.leq = leq
-        self.covers = tuple(sorted((int(a), int(b)) for a, b in covers))
+        a, b = _pairs(covers)
+        order = np.lexsort((b, a))
+        self._ends = a[order].astype(np.int32), b[order].astype(np.int32)  # the covers' ends, sorted
+        self._ids = np.arange(n, dtype=object)  # one int per element, which the pairs and lists share
+        self.covers = tuple(zip(self._ids[a[order]].tolist(), self._ids[b[order]].tolist()))
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
         if len(self.labels) != n:
             raise ValueError(f"{len(self.labels)} labels for {n} elements")
@@ -95,30 +110,41 @@ class FinitePoset:
     def closure(cls, covers, m, labels=None):
         """Build the poset generated by a list of cover pairs on m elements.
 
-        Raises CycleDetected if the pairs are cyclic and NotCover if some
-        input pair (a, b) is not a cover of the order it generates (i.e. an
-        element sits strictly between a and b).
+        Maximal elements are peeled a level at a time (Kahn's algorithm); the packed strict up-row of
+        a level's elements is the OR of (row c | bit c) over their upper covers c, one ``reduceat`` a
+        level.  Raises CycleDetected if the pairs are cyclic, and NotCover if an input pair (a, b) is
+        no cover of the order they generate: b is in the OR for a before the bits go in.
         """
-        pairs = set()
-        for a, b in covers:
-            a, b = int(a), int(b)
-            if not (0 <= a < m and 0 <= b < m):
-                raise ValueError(f"element id out of range: ({a}, {b})")
-            if a == b:
-                raise CycleDetected(f"loop at element {a}")
-            pairs.add((a, b))
-        a, b = np.divmod(np.sort(np.fromiter((x * m + y for x, y in pairs), np.int64, len(pairs))), m)
-        up_adj = [ups.tolist() for ups in np.split(b, np.searchsorted(a, np.arange(1, m)))]
-        leq = np.zeros((m, m), dtype=bool)
-        for x in reversed(_toposort(m, up_adj, np.bincount(b, minlength=m).tolist())):
-            row = leq[x]
-            row[x] = True
-            for y in up_adj[x]:
-                np.logical_or(row, leq[y], out=row)
-        if (hit := _two_step(leq, a, b)[0]).any():  # another upper neighbour of a lies below b
+        a, b = _pairs(covers)
+        if (bad := (outside := (a < 0) | (a >= m) | (b < 0) | (b >= m)) | (a == b)).any():
+            i = int(np.argmax(bad))  # the first bad pair, in input order
+            if outside[i]:
+                raise ValueError(f"element id out of range: ({a[i]}, {b[i]})")
+            raise CycleDetected(f"loop at element {a[i]}")
+        key = np.sort(a * m + b)
+        a, b = np.divmod(key[np.diff(key, prepend=-1) != 0], m)  # sorted, repeats dropped
+        first = np.diff(a, prepend=-1) != 0  # the first pair of each lower element
+        byte, bit = b >> 3, (1 << (b & 7)).astype(np.uint8)  # where b sits in a packed row
+        up = np.zeros((m, -(-m // 64)), dtype=np.uint64)  # the strict up-rows
+        hit, outdeg, rank = np.zeros(len(a), dtype=bool), np.bincount(a, minlength=m), np.full(m, -1)
+        level, r = np.flatnonzero(outdeg == 0), 0
+        while len(level):
+            rank[level] = r
+            if len(sel := np.flatnonzero(rank[a] == r)):  # the pairs from level r, by lower element
+                ors = np.bitwise_or.reduceat(up[b[sel]], np.flatnonzero(first[sel]))
+                hit[sel] = ors.view(np.uint8)[np.cumsum(first[sel]) - 1, byte[sel]] & bit[sel]
+                up[level] = ors  # every element past level 0 has an upper cover
+                np.bitwise_or.at(up.view(np.uint8), (a[sel], byte[sel]), bit[sel])
+            outdeg -= np.bincount(a[rank[b] == r], minlength=m)
+            level, r = np.flatnonzero((outdeg == 0) & (rank < 0)), r + 1
+        if (rank < 0).any():
+            raise CycleDetected("cover relation contains a cycle")
+        leq = np.unpackbits(up.view(np.uint8), axis=1, count=m, bitorder="little").view(bool)
+        np.fill_diagonal(leq, True)
+        if hit.any():  # another upper cover of a lies below b; pairs are sorted, so this is the least
             a, b = int(a[np.argmax(hit)]), int(b[np.argmax(hit)])
             raise NotCover(f"({a}, {b}) is not a cover: interval has {(leq[a] & leq[:, b]).sum()} elements")
-        return cls(leq, pairs, labels)
+        return cls(leq, np.stack([a, b], axis=1), labels)
 
     @classmethod
     def from_leq(cls, leq, labels=None):
@@ -137,23 +163,19 @@ class FinitePoset:
         hit, transitive = _two_step(leq, a, b)
         if not transitive:
             raise ValueError("order matrix is not transitive")
-        return cls(leq, zip(a[~hit], b[~hit]), labels)
+        return cls(leq, np.stack([a[~hit], b[~hit]], axis=1), labels)
 
     # -- basic queries ---------------------------------------------------
 
     @cached_property
     def _up_adj(self):
-        adj = [[] for _ in range(self.n)]
-        for a, b in self.covers:
-            adj[a].append(b)
-        return adj
+        return _split(self._ends[0], self._ids[self._ends[1]], self.n)
 
     @cached_property
     def _down_adj(self):
-        adj = [[] for _ in range(self.n)]
-        for a, b in self.covers:
-            adj[b].append(a)
-        return adj
+        a, b = self._ends
+        order = np.lexsort((a, b))
+        return _split(b[order], self._ids[a[order]], self.n)
 
     def upper_covers(self, a):
         return list(self._up_adj[a])

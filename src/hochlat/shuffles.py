@@ -205,7 +205,7 @@ def clo(lat):
     if not is_semidistributive(lat):
         raise NotSemidistributive("core label order needs a semidistributive lattice")
     psi = psi_map(lat)
-    if len(np.unique(psi)) != lat.n:
+    if (np.diff(np.sort(psi)) == 0).any():
         raise InvariantViolated("two elements share a core label set")
     leq = np.empty((lat.n, lat.n), dtype=bool)
     for lo in range(0, lat.n, 256):  # 256 rows at a time: no m x m mask temporary

@@ -29,7 +29,13 @@ one vertex at a time, and is only run at small sizes:
 - ``dual``: the opposite order, for tests that read a poset upside down;
 - ``from_leq_by_product``: an explicit order matrix checked and reduced to
   covers by one float32 product of its strict order, the oracle for the bit
-  arithmetic of ``FinitePoset.from_leq``.
+  arithmetic of ``FinitePoset.from_leq``;
+- ``closure_by_covers``: a cover list validated pair by pair and closed one
+  cover at a time in topological order, the oracle for the level-wise packed
+  rows of ``FinitePoset.closure``;
+- ``lower_cover_triwords``: the lower covers of one triword by the
+  one-position-change rule, the oracle for the base-3 key arithmetic of
+  ``hochschild.build_hoch``.
 """
 
 from dataclasses import dataclass
@@ -39,11 +45,12 @@ from itertools import combinations
 import numpy as np
 
 from hochlat.complexes import is_vertex_decomposable
-from hochlat.errors import CycleDetected
+from hochlat.errors import CycleDetected, NotCover
 from hochlat.galois import _columns
+from hochlat.hochschild import f0, l1
 from hochlat.lattice import jsd_labeling
 from hochlat.polynomials import BiPoly, interpolate_from_grid
-from hochlat.poset import FinitePoset
+from hochlat.poset import FinitePoset, _toposort, _two_step
 from hochlat.shuffles import word_rank
 from hochlat.triangles import _graded, _indicator
 
@@ -250,3 +257,43 @@ def from_leq_by_product(leq, labels=None):
         raise ValueError("order matrix is not transitive")
     covers = np.argwhere(lt & ~two).tolist()
     return FinitePoset(leq, covers, labels)
+
+
+def closure_by_covers(covers, m, labels=None):
+    """``FinitePoset.closure`` a pair and a cover at a time: the pairs are validated in input order,
+    then each row of the order is the OR of the rows of its upper covers, filled in reverse
+    topological order, and the least input pair whose b lies in the OR of the strict rows of a's
+    other upper covers is named as no cover."""
+    pairs = set()
+    for a, b in covers:
+        a, b = int(a), int(b)
+        if not (0 <= a < m and 0 <= b < m):
+            raise ValueError(f"element id out of range: ({a}, {b})")
+        if a == b:
+            raise CycleDetected(f"loop at element {a}")
+        pairs.add((a, b))
+    a, b = np.divmod(np.sort(np.fromiter((x * m + y for x, y in pairs), np.int64, len(pairs))), m)
+    up_adj = [ups.tolist() for ups in np.split(b, np.searchsorted(a, np.arange(1, m)))]
+    leq = np.zeros((m, m), dtype=bool)
+    for x in reversed(_toposort(m, up_adj, np.bincount(b, minlength=m).tolist())):
+        row = leq[x]
+        row[x] = True
+        for y in up_adj[x]:
+            np.logical_or(row, leq[y], out=row)
+    if (hit := _two_step(leq, a, b)[0]).any():
+        a, b = int(a[np.argmax(hit)]), int(b[np.argmax(hit)])
+        raise NotCover(f"({a}, {b}) is not a cover: interval has {(leq[a] & leq[:, b]).sum()} elements")
+    return FinitePoset(leq, sorted(pairs), labels)
+
+
+def lower_cover_triwords(u):
+    """Lower covers of the triword u by the one-position-change rule."""
+    last1, first0 = l1(u), f0(u)
+    out = []
+    if last1 > 0:
+        out.append(u[: last1 - 1] + (0,) + u[last1:])
+    for i, x in enumerate(u, start=1):
+        if x == 2:
+            drop = 1 if i < first0 else 0
+            out.append(u[: i - 1] + (drop,) + u[i:])
+    return out

@@ -377,6 +377,19 @@ def test_table_rejects_non_text_format(capsys, fmt):
     assert "--format" in err
 
 
+def test_check_bundles_do_not_load_numpy_ma():
+    """The 14 bundles deduplicate by sorting, not by np.unique, which loads numpy.ma on its first call."""
+    code = (
+        "import sys\n"
+        "from hochlat.checks import CHECKS\n"
+        "print(len(CHECKS), [name for name, fn in CHECKS if not fn(6)],"
+        " sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "14 [] []\n"
+
+
 def test_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "hochlat.cli", "faces", "--n", "3"],

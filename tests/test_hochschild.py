@@ -26,7 +26,6 @@ from hochlat.hochschild import (
     irreducibles,
     is_triword,
     l1,
-    lower_cover_triwords,
     nucleus_formula,
     parse_triword,
     psi_inverse,
@@ -34,7 +33,7 @@ from hochlat.hochschild import (
 )
 from hochlat.lattice import Lattice, canonical_joinrep, is_extremal, jsd_labeling, psi_map
 from hochlat.poset import FinitePoset
-from oracles import core_label_set
+from oracles import core_label_set, lower_cover_triwords
 
 # 12 elements and 18 labeled cover relations of the length-3 lattice.
 HASSE_3 = {
@@ -397,6 +396,13 @@ def test_small_cases():
     two = build_hoch(2)
     assert two.lattice.n == 5
     assert set(two.triwords) == {(0, 0), (1, 0), (1, 1), (0, 2), (1, 2)}
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_base3_covers_match_the_one_position_change_rule(n):
+    h = build_hoch(n)
+    rule = {(h.id_of(v), h.id_of(u)) for u in h.triwords for v in lower_cover_triwords(u)}
+    assert h.lattice.covers == tuple(sorted(rule))
 
 
 def test_cover_count_equals_canrep_size():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -19,13 +20,15 @@ from hochlat.errors import (
     NotInterval,
     SizeBound,
 )
+from hochlat.hochschild import build_hoch
 from hochlat.poset import (
     FinitePoset,
     are_isomorphic,
     doubling,
 )
 from hochlat.polynomials import interpolate_univariate
-from oracles import dual, from_leq_by_product, induced
+from hochlat.shuffles import shuffle_lattice
+from oracles import closure_by_covers, dual, from_leq_by_product, induced
 
 
 def chain(k):
@@ -137,6 +140,89 @@ def test_closure_cover_check_matches_interval_counts():
         a, b, k = map(int, found.groups())
         assert counts[(a, b)] == k != 2
     assert 50 < fired < 350
+
+
+def closure_outcome(build, covers, m, labels=None):
+    """The SHA-256 digests of the order, the covers and the labels a closure builds, or the type
+    and message of the error it raises."""
+    try:
+        p = build(covers, m, labels)
+    except (ValueError, CycleDetected, NotCover) as err:
+        return type(err), str(err)
+    parts = p.leq.tobytes(), repr(p.covers).encode(), repr(p.labels).encode()
+    return tuple(hashlib.sha256(x).hexdigest() for x in parts)
+
+
+def scrambled(covers, rng):
+    """The pairs in random order, about a quarter of them twice."""
+    pairs = [tuple(pair) for pair in covers]
+    pairs += rng.sample(pairs, len(pairs) // 4)
+    rng.shuffle(pairs)
+    return pairs
+
+
+def random_dag_covers(rng):
+    """The covers of the order a random DAG generates, on random ids: (covers, m)."""
+    m = rng.randrange(1, 40)
+    perm = np.array(rng.sample(range(m), m))
+    lt = np.triu(np.array([[rng.random() < 0.15 for _ in range(m)] for _ in range(m)]), 1)
+    for c in range(m):  # transitive closure, one intermediate element at a time
+        lt |= lt[:, c : c + 1] & lt[c]
+    two = (lt.astype(np.int64) @ lt.astype(np.int64)) > 0
+    a, b = np.nonzero(lt & ~two)
+    return list(zip(perm[a].tolist(), perm[b].tolist())), m
+
+
+def test_closure_matches_the_per_cover_oracle():
+    """Digest-identical order, covers and labels to the per-cover closure on Hoch(1..10),
+    Bool(0..12), Shuf(a <= 3, b <= 2) and 200 random orders, given shuffled and with repeats."""
+    rng = random.Random(21)
+    lattices = [build_hoch(n).lattice for n in range(1, 11)]
+    lattices += [shuffle_lattice(a, b).lattice for a in range(4) for b in range(3)]
+    cases = [(lat.covers, lat.n, lat.poset.labels) for lat in lattices]
+    cases += [(boolean(n).covers, 1 << n, None) for n in range(13)]
+    cases += [(*random_dag_covers(rng), None) for _ in range(200)]
+    for covers, m, labels in cases:
+        pairs = scrambled(covers, rng)
+        got = closure_outcome(FinitePoset.closure, pairs, m, labels)
+        assert len(got) == 3 and got == closure_outcome(closure_by_covers, pairs, m, labels)
+    lat = build_hoch(6).lattice
+    pairs = np.array(scrambled(lat.covers, rng))  # a (k, 2) array is taken as it is
+    got = closure_outcome(FinitePoset.closure, pairs, lat.n)
+    assert len(got) == 3 and got == closure_outcome(closure_by_covers, pairs, lat.n)
+
+
+def test_closure_errors_match_the_per_cover_oracle():
+    """The same error type and message as the per-cover closure on seeded bad inputs: an id out
+    of range, a loop, both (the first in input order is named), a cycle, and added transitive
+    pairs (the least non-cover is named)."""
+    rng = random.Random(22)
+    seen = set()
+    for _ in range(300):
+        covers, m = random_dag_covers(rng)
+        p = FinitePoset.closure(covers, m)
+        strict = [(int(a), int(b)) for a, b in zip(*np.nonzero(p.leq)) if a != b and (a, b) not in p.covers]
+        x = rng.randrange(m)
+        out_of_range = rng.choice([(x, m + rng.randrange(3)), (-1, x), (m, m)])
+        kind = rng.choice(["range", "loop", "both", "cycle"] + ["shortcut"] * bool(strict))
+        if kind == "both":
+            bad = rng.sample([out_of_range, (x, x)], 2)
+            expect = ValueError if bad[0] == out_of_range else CycleDetected
+        else:
+            bad = {
+                "range": [out_of_range],
+                "loop": [(x, x)],
+                "cycle": [tuple(reversed(rng.choice(strict + list(p.covers))))] if covers else [(x, x)],
+                "shortcut": rng.sample(strict, min(len(strict), rng.randrange(1, 4))),
+            }[kind]
+            expect = {"range": ValueError, "shortcut": NotCover}.get(kind, CycleDetected)
+        pairs = scrambled(covers, rng)
+        for at, pair in zip(sorted(rng.sample(range(len(pairs) + len(bad)), len(bad))), bad):
+            pairs.insert(at, pair)  # in the order of bad
+        got = closure_outcome(FinitePoset.closure, pairs, m)
+        assert got[0] is expect and got == closure_outcome(closure_by_covers, pairs, m)
+        seen.add(kind)
+    assert seen == {"range", "loop", "both", "cycle", "shortcut"}
 
 
 def test_bounds_and_length():
