@@ -97,6 +97,9 @@ def check_structure(n):
 
 
 def check_doubling(n):
+    """Congruence uniformity of Hoch(n) by Day's characterization: a finite lattice is congruence
+    uniform iff it arises from a point by interval doublings.  The rebuild by doublings is
+    certified by its isomorphism, the triword map, onto ``build_hoch(n)``."""
     direct = build_hoch(n)
     doubled = build_hoch_by_doubling(n)
     image = [direct.index.get(u, -1) for u in doubled.labels]

@@ -6,11 +6,11 @@ words form a lattice: joins are componentwise maxima, meets are
 componentwise minima with every 1 that lands after a 0 lowered to 0.
 
 Two builders are provided: ``build_hoch`` (direct, covers generated by the
-one-position-change rule) and ``build_hoch_by_doubling`` (iterated interval
-doublings starting from the singleton, which certifies congruence
-uniformity).  The closed-form combinatorics of the lattice lives here too:
-canonical join representations, the nucleus, core label sets, and the
-inverse of the core labeling.
+one-position-change rule) and ``build_hoch_by_doubling`` (interval doublings
+from the singleton, replayed on cover arrays and closed once, which certify
+congruence uniformity).  The closed-form combinatorics of the lattice lives
+here too: canonical join representations, the nucleus, core label sets, and
+the inverse of the core labeling.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from .errors import MalformedLabelSet
 from .lattice import as_lattice
 from .limits import check_n
-from .poset import FinitePoset, doubling
+from .poset import FinitePoset, _double, _reach
 
 
 def is_triword(u):
@@ -214,36 +214,26 @@ def build_hoch(n):
 
 
 def build_hoch_by_doubling(n):
-    """Rebuild the triword order by iterated interval doublings, as a poset labelled by
-    its triwords.
-
-    Starting from the singleton: append 0 to every word; the first step
-    doubles by the whole (one-element) lattice, flipping the new copy's last
-    letter to 1.  Every later step doubles by the whole lattice (flip 0 to
-    2), then by the interval of words with a unique zero, in last position
-    (flip 0 to 1).  Reaching the lattice this way is a congruence-uniformity
-    certificate.  A doubling of a lattice by an interval is again a lattice
-    (Day, Algebra Universalis 1994), so ``as_lattice`` is not run; an
-    isomorphism onto ``build_hoch(n)`` certifies the result.
-    """
+    """Rebuild the triword order by iterated interval doublings, as a poset labelled by its
+    triwords.  From the singleton, each step appends 0 to every word and doubles by the whole
+    lattice, flipping the new copy's last letter to 1 at the first step and to 2 after it; every
+    later step then doubles by the interval of words with a unique 0, in last position (flip to 1).
+    The steps run on covers and words alone, an interval's down-set of hi and up-set of lo reached
+    along the covers; one ``FinitePoset.closure`` builds the order and rejects any non-cover."""
     check_n(n)
-    poset = FinitePoset.closure([], 1, labels=[()])  # labels are the triwords
-
-    def double_and_decode(lo, hi, flip_to):
-        nonlocal poset
-        words = poset.labels
-        members = {words[a] for a in poset.interval(lo, hi)}
-        doubled = doubling(poset, (lo, hi))
-        fresh = [u[:-1] + (flip_to,) if copy == 1 and u in members else u for u, copy in doubled.labels]
-        poset = FinitePoset(doubled.leq, doubled.covers, labels=fresh)
-
+    words, covers = np.zeros((1, 0), dtype=np.uint8), np.zeros((0, 2), dtype=np.int64)
     for step in range(1, n + 1):
-        poset = FinitePoset(poset.leq, poset.covers, labels=[u + (0,) for u in poset.labels])
-        double_and_decode(poset.bottom(), poset.top(), 1 if step == 1 else 2)
-        if step > 1:
-            index = {u: i for i, u in enumerate(poset.labels)}
-            double_and_decode(index[(1,) * (step - 1) + (0,)], index[(1,) + (2,) * (step - 2) + (0,)], 1)
-    return poset
+        words = np.pad(words, ((0, 0), (0, 1)))  # append 0 to every word
+        for bounds in [None] + [((1,) * (step - 1) + (0,), (1,) + (2,) * (step - 2) + (0,))] * (step > 1):
+            low = high = np.ones(len(words), dtype=bool)  # the whole lattice needs no order
+            if bounds:
+                lo, hi = (int(np.argmax((words == u).all(axis=1))) for u in bounds)
+                low = _reach(covers[:, 1], covers[:, 0], hi, len(words))
+                high = ~low | _reach(covers[:, 0], covers[:, 1], lo, len(words))
+            ids, copies, covers = _double(covers[:, 0], covers[:, 1], low, high)
+            words = words[ids]
+            words[(copies == 1) & low[ids], -1] = 1 if bounds or step == 1 else 2  # the new copy of [lo, hi]
+    return FinitePoset.closure(covers, len(words), labels=[tuple(u) for u in words.tolist()])
 
 
 # -- closed-form combinatorics ----------------------------------------------

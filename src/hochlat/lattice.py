@@ -97,24 +97,23 @@ def _certify(p, side, tops):
     raise InvariantViolated("the meet-irreducible lookups failed, but no pair lacks a join or a meet")
 
 
-def _cover_labels(side, covers):
-    """Label each cover (a, b) by the least join-irreducible in M(b) - M(a): (labels, None), or
-    (None, (a, b)) at the first cover given with none.  It is the least x with a v x = b when either
-    exists: each j in M(b) - M(a) joins a up to b, and each such x lies above one.  Every cover has
-    a label iff the lattice is join-semidistributive (Barnard, arXiv:1610.05137); on the meet side,
-    with covers flipped, iff it is meet-semidistributive.  One numpy pass per irreducible j, which
-    is minimal in M(b) - M(a) when M(j) meets it in j alone; a unique minimal one is least."""
-    lows, ups = np.array(covers, dtype=np.int64).reshape(-1, 2).T
+def _cover_labels(side, lows, ups):
+    """Label each cover (a, b) = (lows[i], ups[i]) by the least join-irreducible in M(b) - M(a):
+    (labels, None) with labels[i] that of the i-th cover, or (None, (a, b)) at the first cover
+    given with none.  It is the least x with a v x = b when either exists: each j in M(b) - M(a)
+    joins a up to b, and each such x lies above one.  Every cover has a label iff the lattice is
+    join-semidistributive (Barnard, arXiv:1610.05137); on the meet side, with the ends swapped, iff
+    it is meet-semidistributive.  One numpy pass per irreducible j, which is minimal in M(b) - M(a)
+    when M(j) meets it in j alone; a unique minimal one is least."""
     new = side.masks[ups] & ~side.masks[lows]
-    labels, minima = np.full(len(covers), -1, dtype=np.int64), np.zeros(len(covers), dtype=np.int64)
+    labels, minima = np.full(len(lows), -1, dtype=np.int64), np.zeros(len(lows), dtype=np.int64)
     for i, j in enumerate(side.irr):
         hit = new & side.masks[j] == 1 << i  # j is minimal in M(b) - M(a)
         labels[hit] = j
         minima += hit
-    bad = np.flatnonzero(minima != 1)
-    if len(bad):
-        return None, covers[bad[0]]
-    return dict(zip(covers, labels.tolist())), None
+    if len(bad := np.flatnonzero(minima != 1)):
+        return None, (int(lows[bad[0]]), int(ups[bad[0]]))
+    return labels.tolist(), None
 
 
 class Lattice:
@@ -173,11 +172,12 @@ class Lattice:
 
     @cached_property
     def _join_labels(self):
-        return _cover_labels(self._lower, self.covers)
+        labels, bad = _cover_labels(self._lower, *self.poset._ends)
+        return None if bad else dict(zip(self.covers, labels)), bad  # covers are in _ends' order
 
     @cached_property
     def _meet_labels(self):
-        return _cover_labels(self._upper, [(b, a) for a, b in self.covers])
+        return _cover_labels(self._upper, *self.poset._ends[::-1])
 
     @cached_property
     def _psi(self):
@@ -186,7 +186,7 @@ class Lattice:
         join-semidistributive lattice a cover b < c has label j iff j <= c, j_* <= b, j not <= b)."""
         jsd_labeling(self)  # NoUniqueMin unless join-semidistributive
         masks, up = self._lower.masks, self._upper.masks
-        lows, ups = np.array(self.covers, dtype=np.int64).reshape(-1, 2).T
+        lows, ups = self.poset._ends
         core = masks.copy()
         np.bitwise_and.at(core, ups, masks[lows])  # M(nucleus(a)): M(a) & M(b) over a's lower covers b
         nucleus_up = up[self._lower.find(core)]

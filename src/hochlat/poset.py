@@ -9,7 +9,8 @@ shared freely.
 Construction goes through :meth:`FinitePoset.closure` (reflexive-transitive
 closure of a cover list, with cycle and cover validation), through
 :meth:`FinitePoset.from_leq` (an explicit order matrix, reduced to covers by
-ORs of its packed rows) or through :func:`doubling` (covers from the doubled covers).
+ORs of its packed rows) or through :func:`doubling` (covers by ``_double``'s
+rule on cover arrays, order gathered from the doubled poset).
 
 Mobius values are one exact int64 solve, mu = zeta^-1 by back substitution
 (:meth:`FinitePoset.mobius_times`); the zeta polynomial is read off the
@@ -348,34 +349,40 @@ class FinitePoset:
         return f"FinitePoset(n={self.n}, covers={len(self.covers)})"
 
 
+def _reach(s, t, start, m):
+    """The mask of the m elements reached from ``start`` along the pairs s -> t, a pass a cover step."""
+    seen = np.zeros(m, dtype=bool)
+    seen[start] = True
+    while not seen[more := t[seen[s]]].all():
+        seen[more] = True
+    return seen
+
+
+def _double(x, y, low, high):
+    """Double the order with covers x < y along ``low``, the down-set of hi, and ``high``, the
+    elements outside it or in [lo, hi]: the old id and copy of each new element, and the new covers
+    as a (k, 2) array.  On copy 0 of ``low`` and copy 1 of ``high``, ordered componentwise, (x, c) <
+    (y, d) is a cover iff x = y, or x < y is a cover, c <= d and, if c < d, (x, 1) and (y, 0) are missing."""
+    ids = np.concatenate([np.flatnonzero(low), np.flatnonzero(high)])
+    copies = (np.arange(len(ids)) >= low.sum()).astype(np.int64)
+    at = np.stack([np.cumsum(low), low.sum() + np.cumsum(high)]) - 1  # at[c, a]: id of (a, c), if any
+    both = np.flatnonzero(low & high)
+    pairs = [(at[0, both], at[1, both])]  # (a, 0) < (a, 1)
+    across = low[x] & ~high[x] & high[y] & ~low[y]  # (x, 1) and (y, 0) are both missing
+    for c, d, keep in ((0, 0, low[x] & low[y]), (1, 1, high[x] & high[y]), (0, 1, across)):
+        pairs.append((at[c, x[keep]], at[d, y[keep]]))
+    return ids, copies, np.concatenate([np.stack(ends, axis=1) for ends in pairs])
+
+
 def doubling(p, b):
-    """Double the poset along the interval ``b``, a (lo, hi) pair of element ids.
-
-    The result lives on pairs (a, 0) for a in the down-set of hi and (a, 1)
-    for a outside it or inside the interval itself, ordered componentwise.
-    Labels become (old label, copy). The input should be a lattice for the
-    output to be one.
-
-    The result is the componentwise order on a subset of P x 2, so it is an
-    order by construction and needs no check.  Its covers come from those of P
-    (copy 0 is a down-set of P, copy 1 an up-set): (x, c) < (y, d) is a cover
-    iff x = y, or x is covered by y in P, c <= d, and for c < d neither (x, 1)
-    nor (y, 0) exists.
-    """
+    """Double the poset along the interval ``b``, a (lo, hi) pair of element ids, by ``_double``
+    on P's covers; the order is gathered from P's.  A componentwise order on a subset of P x 2 is
+    an order by construction and needs no check.  Labels become (old label, copy).  The input
+    should be a lattice for the output to be one."""
     lo, hi = b
     if not p.leq[lo, hi]:
         raise NotInterval(f"({lo}, {hi}) is not an interval: lo is not below hi")
-    low = p.leq[:, hi]  # (a, 0) exists
-    high = ~low | p.leq[lo]  # (a, 1) exists: outside the down-set, or in [lo, hi]
-    ids = np.concatenate([np.nonzero(low)[0], np.nonzero(high)[0]])
-    copies = (np.arange(len(ids)) >= low.sum()).astype(np.int64)
-    at = np.stack([np.cumsum(low), low.sum() + np.cumsum(high)]) - 1  # at[c, a]: id of (a, c), if any
-    x, y = np.array(p.covers, dtype=np.int64).reshape(-1, 2).T
-    both = np.nonzero(low & high)[0]
-    covers = list(zip(at[0, both], at[1, both]))  # (a, 0) < (a, 1)
-    across = low[x] & ~high[x] & high[y] & ~low[y]  # (x, 1) and (y, 0) are both missing
-    for c, d, keep in ((0, 0, low[x] & low[y]), (1, 1, high[x] & high[y]), (0, 1, across)):
-        covers += zip(at[c, x[keep]], at[d, y[keep]])
+    ids, copies, covers = _double(*p._ends, p.leq[:, hi], ~p.leq[:, hi] | p.leq[lo])
     leq = p.leq[np.ix_(ids, ids)] & (copies[:, None] <= copies[None, :])
     labels = [(p.labels[a], c) for a, c in zip(ids.tolist(), copies.tolist())]
     return FinitePoset(leq, covers, labels)

@@ -35,7 +35,11 @@ one vertex at a time, and is only run at small sizes:
   rows of ``FinitePoset.closure``;
 - ``lower_cover_triwords``: the lower covers of one triword by the
   one-position-change rule, the oracle for the base-3 key arithmetic of
-  ``hochschild.build_hoch``.
+  ``hochschild.build_hoch``;
+- ``hoch_by_poset_doublings``: Hoch(n) rebuilt one ``poset.doubling`` at a
+  time, each step gathering its order from the last and relabelling its
+  words, the oracle for the cover-array replay in
+  ``hochschild.build_hoch_by_doubling``.
 """
 
 from dataclasses import dataclass
@@ -50,7 +54,7 @@ from hochlat.galois import _columns
 from hochlat.hochschild import f0, l1
 from hochlat.lattice import jsd_labeling
 from hochlat.polynomials import BiPoly, interpolate_from_grid
-from hochlat.poset import FinitePoset, _toposort, _two_step
+from hochlat.poset import FinitePoset, _toposort, _two_step, doubling
 from hochlat.shuffles import word_rank
 from hochlat.triangles import _graded, _indicator
 
@@ -297,3 +301,25 @@ def lower_cover_triwords(u):
             drop = 1 if i < first0 else 0
             out.append(u[: i - 1] + (drop,) + u[i:])
     return out
+
+
+def hoch_by_poset_doublings(n):
+    """The doubling rebuild of Hoch(n) as a chain of posets: every step is a ``doubling`` with its
+    gathered order, then a re-wrap that flips the last letter of the new copy of the interval."""
+    poset = FinitePoset.closure([], 1, labels=[()])  # labels are the triwords
+
+    def double_and_decode(lo, hi, flip_to):
+        nonlocal poset
+        words = poset.labels
+        members = {words[a] for a in poset.interval(lo, hi)}
+        doubled = doubling(poset, (lo, hi))
+        fresh = [u[:-1] + (flip_to,) if copy == 1 and u in members else u for u, copy in doubled.labels]
+        poset = FinitePoset(doubled.leq, doubled.covers, labels=fresh)
+
+    for step in range(1, n + 1):
+        poset = FinitePoset(poset.leq, poset.covers, labels=[u + (0,) for u in poset.labels])
+        double_and_decode(poset.bottom(), poset.top(), 1 if step == 1 else 2)
+        if step > 1:
+            index = {u: i for i, u in enumerate(poset.labels)}
+            double_and_decode(index[(1,) * (step - 1) + (0,)], index[(1,) + (2,) * (step - 2) + (0,)], 1)
+    return poset

@@ -33,7 +33,7 @@ from hochlat.hochschild import (
 )
 from hochlat.lattice import Lattice, canonical_joinrep, is_extremal, jsd_labeling, psi_map
 from hochlat.poset import FinitePoset
-from oracles import core_label_set, lower_cover_triwords
+from oracles import core_label_set, hoch_by_poset_doublings, lower_cover_triwords
 
 # 12 elements and 18 labeled cover relations of the length-3 lattice.
 HASSE_3 = {
@@ -265,6 +265,14 @@ def test_doubling_construction_matches_direct(n):
     for a in range(direct.lattice.n):
         for b in range(direct.lattice.n):
             assert direct.lattice.poset.leq[a, b] == doubled.leq[perm[a], perm[b]]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_doubling_on_covers_matches_poset_by_poset_replay(n):
+    got, want = build_hoch_by_doubling(n), hoch_by_poset_doublings(n)
+    assert np.array_equal(got.leq, want.leq)
+    assert got.covers == want.covers
+    assert got.labels == want.labels
 
 
 def test_doubling_check_fails_on_a_corrupted_decode(monkeypatch):

@@ -21,7 +21,7 @@ from hochlat.lattice import (
     jsd_labeling,
     psi_map,
 )
-from hochlat.poset import FinitePoset, doubling
+from hochlat.poset import FinitePoset, _reach, doubling
 from hochlat.shuffles import clo, shuffle_lattice
 from oracles import core_label_set, dual, from_leq_by_product
 
@@ -196,12 +196,13 @@ def test_cover_labels_match_per_cover_oracle():
     failing = 0
     for lat in lattices:
         leq = lat.poset.leq
-        join_side = (leq, lat.join, lat._lower, lat.covers)
-        meet_side = (leq.T, lat.meet, lat._upper, [(b, a) for a, b in lat.covers])
-        for side_leq, row_of, side, covers in (join_side, meet_side):
-            got = lattice_module._cover_labels(side, covers)
-            assert got == per_cover_labels(side_leq, row_of, covers)
-            failing += got[0] is None
+        join_side = (leq, lat.join, lat._lower, lat.covers, lat.poset._ends)
+        meet_side = (leq.T, lat.meet, lat._upper, [(b, a) for a, b in lat.covers], lat.poset._ends[::-1])
+        for side_leq, row_of, side, covers, ends in (join_side, meet_side):
+            labels, bad = lattice_module._cover_labels(side, *ends)
+            got = None if labels is None else dict(zip(covers, labels))
+            assert (got, bad) == per_cover_labels(side_leq, row_of, covers)
+            failing += got is None
     assert failing >= 10
 
 
@@ -547,6 +548,16 @@ def test_doubling_of_lattice_is_lattice():
         lat = lat2
         if lat.n > 40:
             break
+
+
+def test_reach_along_covers_gives_every_up_set_and_down_set():
+    posets = [lat.poset for lat in seeded_lattices()]
+    posets += [FinitePoset.closure([(i, i + 1) for i in range(39)], 40), FinitePoset.closure([], 5)]
+    for p in posets:
+        x, y = p._ends
+        for a in range(p.n):
+            assert np.array_equal(_reach(x, y, a, p.n), p.leq[a])
+            assert np.array_equal(_reach(y, x, a, p.n), p.leq[:, a])
 
 
 def test_doubling_covers_match_from_leq_on_every_interval():
