@@ -16,7 +16,7 @@ the inverse of the core labeling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,19 +69,12 @@ def triword_count(n):
 
 def l1(u):
     """Position of the last 1 (1-based), 0 if none."""
-    out = 0
-    for i, x in enumerate(u, start=1):
-        if x == 1:
-            out = i
-    return out
+    return len(u) - u[::-1].index(1) if 1 in u else 0
 
 
 def f0(u):
     """Position of the first 0 (1-based), n+1 if none."""
-    for i, x in enumerate(u, start=1):
-        if x == 0:
-            return i
-    return len(u) + 1
+    return u.index(0) + 1 if 0 in u else len(u) + 1
 
 
 def hoch_join(u, v):
@@ -162,6 +155,13 @@ def b_irr(i):
     return HochIrreducible("b", i)
 
 
+@lru_cache(maxsize=None)
+def _irr(n):
+    """The one-label sets ({a1}..{an}, {b2}..{bn}) the label sets of triwords of length n are
+    unions of; a union copies the stored hashes, so no label is hashed again."""
+    return tuple(frozenset({a_irr(i)}) for i in range(1, n + 1)), tuple(frozenset({b_irr(j)}) for j in range(2, n + 1))
+
+
 def irreducibles(n):
     """The 2n - 1 join-irreducible labels a1..an, b2..bn."""
     return [a_irr(i) for i in range(1, n + 1)] + [b_irr(i) for i in range(2, n + 1)]
@@ -171,23 +171,20 @@ def irreducibles(n):
 
 
 class HochLattice:
-    """Lattice of triwords plus the id <-> triword decoding."""
+    """Lattice of triwords plus the id <-> triword decoding; ``word_array`` holds the triwords as
+    one read-only (m x n) uint8 array, row a the triword of element a."""
 
-    def __init__(self, lattice, triwords):
+    def __init__(self, lattice, triwords, word_array):
         self.lattice = lattice
         self.triwords = tuple(triwords)
         self.index = {u: i for i, u in enumerate(self.triwords)}
+        self.word_array = word_array
 
     def triword(self, a):
         return self.triwords[a]
 
     def id_of(self, u):
         return self.index[u]
-
-    @cached_property
-    def word_array(self):
-        """The triwords as one (m x n) uint8 array; row a is the triword of element a."""
-        return np.array(self.triwords, dtype=np.uint8)
 
     def __repr__(self):
         return f"HochLattice(n={len(self.triwords[0])}, elements={len(self.triwords)})"
@@ -197,10 +194,12 @@ class HochLattice:
 def build_hoch(n):
     """The triword lattice of length n on lexicographic ids, which order the base-3 keys.  A lower
     cover lowers the last 1 to 0, or a 2 at position i to 1 before the first 0 and to 0 after it:
-    3**(n-i) or 2 * 3**(n-i) off the key, whose id ``searchsorted`` finds."""
+    3**(n-i) or 2 * 3**(n-i) off the key, whose id ``searchsorted`` finds.  The labels are the
+    ``format_triword`` strings, written as one (m x 2n+1) byte array."""
     check_n(n)
     words = enumerate_triwords(n)
-    w = np.array(words, dtype=np.int64).reshape(len(words), n)
+    w = np.array(words, dtype=np.uint8).reshape(len(words), n)
+    w.flags.writeable = False
     place = 3 ** np.arange(n - 1, -1, -1)
     key = w @ place
     ones = np.flatnonzero((w == 1).any(axis=1))
@@ -209,8 +208,11 @@ def build_hoch(n):
     drop = np.where(np.logical_or.accumulate(w == 0, axis=1)[twos, at], 2, 1)  # 2 -> 0 after the first 0
     ups = np.concatenate([ones, twos])
     lows = np.searchsorted(key, key[ups] - np.concatenate([place[last1], drop * place[at]]))
-    poset = FinitePoset.closure(np.stack([lows, ups], axis=1), len(words), [format_triword(u) for u in words])
-    return HochLattice(as_lattice(poset), words)
+    text = np.full((len(words), 2 * n + 1), ord(","), dtype=np.uint8)
+    text[:, 0], text[:, -1], text[:, 1::2] = ord("("), ord(")"), w + ord("0")
+    labels = text.view(f"S{2 * n + 1}").ravel().astype(str).tolist()
+    poset = FinitePoset.closure(np.stack([lows, ups], axis=1), len(words), labels)
+    return HochLattice(as_lattice(poset), words, w)
 
 
 def build_hoch_by_doubling(n):
@@ -258,16 +260,23 @@ def cover_label_formula(u, v):
     raise ValueError(f"{u} -> {v} is not a cover")
 
 
+def _labels(u, last1, first0):
+    """a_last1 .. a_(first0 - 1), none when last1 is 0, and b_i for each 2 at a position i of u:
+    one union of the one-label sets of ``_irr``.  ValueError for a 2 at position 1 (no b1)."""
+    if 2 in u[:1]:
+        raise ValueError("no irreducible b1")
+    a, b = _irr(len(u))
+    parts, i = list(a[last1 - 1 : first0 - 1] if last1 else ()), 0
+    for _ in range(u.count(2)):
+        i = u.index(2, i) + 1
+        parts.append(b[i - 2])
+    return frozenset().union(*parts)
+
+
 def canrep_formula(u):
     """Canonical join representation read off the word directly."""
-    out = set()
     last1 = l1(u)
-    if last1 > 0:
-        out.add(a_irr(last1))
-    for i, x in enumerate(u, start=1):
-        if x == 2:
-            out.add(b_irr(i))
-    return frozenset(out)
+    return _labels(u, last1, last1 + 1)
 
 
 def nucleus_formula(u):
@@ -288,42 +297,32 @@ def nucleus_formula(u):
 
 def core_labels_formula(u):
     """Core label set: a-run from the last 1 up to the first 0, plus all b's."""
-    out = set()
-    last1, first0 = l1(u), f0(u)
-    if last1 > 0:
-        for i in range(last1, first0):
-            out.add(a_irr(i))
-    for i, x in enumerate(u, start=1):
-        if x == 2:
-            out.add(b_irr(i))
-    return frozenset(out)
+    return _labels(u, l1(u), f0(u))
 
 
 def psi_inverse(n, labels):
     """The unique triword whose core label set is ``labels``.
 
-    Raises MalformedLabelSet when no triword has that label set.
+    One pass range-checks every label, places a 2 for each b and finds the lowest a, which
+    becomes the last 1 with 1s before it wherever no 2 stands; no b sits at position 1 and no 1
+    follows a 0, so the word is a triword.  Raises MalformedLabelSet for a label outside 1..n,
+    an a-run that begins on a 2, and any word whose core label set is not ``labels`` after all.
     """
     check_n(n)
     labels = frozenset(labels)
-    a_idx = sorted(j.index for j in labels if j.kind == "a")
-    b_idx = sorted(j.index for j in labels if j.kind == "b")
-    if any(not 1 <= j.index <= n for j in labels):
-        raise MalformedLabelSet(f"label index out of range for n={n}")
-    w = [None] * n
-    for i in b_idx:
-        if w[i - 1] is not None:
-            raise MalformedLabelSet("repeated position")
-        w[i - 1] = 2
-    if a_idx:
-        last1 = a_idx[0]
-        if w[last1 - 1] is not None:
+    w, last1 = [0] * n, n + 1
+    for j in labels:
+        if not 1 <= j.index <= n:
+            raise MalformedLabelSet(f"label index out of range for n={n}")
+        if j.kind == "a":
+            last1 = min(last1, j.index)
+        elif j.kind == "b":
+            w[j.index - 1] = 2
+    if last1 <= n:
+        if w[last1 - 1]:
             raise MalformedLabelSet("a-run begins on an occupied position")
-        w[last1 - 1] = 1
-        for i in range(1, last1):
-            if w[i - 1] is None:
-                w[i - 1] = 1
-    u = tuple(0 if x is None else x for x in w)
-    if not is_triword(u) or core_labels_formula(u) != labels:
+        w[:last1] = [x or 1 for x in w[:last1]]
+    u = tuple(w)
+    if core_labels_formula(u) != labels:
         raise MalformedLabelSet(f"no triword has core label set {sorted(labels)}")
     return u

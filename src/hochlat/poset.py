@@ -220,10 +220,6 @@ class FinitePoset:
         """Longest chain length of the whole poset (cover steps)."""
         return max(self.heights, default=0)
 
-    def interval(self, a, b):
-        """Elements c with a <= c <= b, ascending by id."""
-        return [int(c) for c in np.nonzero(self.leq[a] & self.leq[:, b])[0]]
-
     # -- Mobius function and zeta polynomial -----------------------------
 
     def mobius_times(self, rhs):
@@ -310,20 +306,21 @@ class FinitePoset:
         return paths[top]
 
     def antichains(self):
-        """All antichains (as frozensets), the empty one included."""
-        incomparable = ~(self.leq | self.leq.T)
+        """All antichains (as frozensets), the empty one included, depth first: each antichain is
+        followed by its extensions by a larger element, in ascending order.  The candidates for the
+        next element are a Python-int bitmask, cut by the incomparability row of each one taken."""
+        rows = np.packbits(~(self.leq | self.leq.T), axis=1, bitorder="little")
+        inc = [int.from_bytes(row.tobytes(), "little") for row in rows]
         out = []
-        chosen = []
 
-        def grow(start):
+        def grow(chosen, cand):
             out.append(frozenset(chosen))
-            for a in range(start, self.n):
-                if all(incomparable[a, c] for c in chosen):
-                    chosen.append(a)
-                    grow(a + 1)
-                    chosen.pop()
+            while cand:
+                a = (cand & -cand).bit_length() - 1
+                cand ^= 1 << a  # only elements above a remain
+                grow(chosen + [a], cand & inc[a])
 
-        grow(0)
+        grow([], (1 << self.n) - 1)
         return out
 
     # -- export ------------------------------------------------------------

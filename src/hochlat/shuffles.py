@@ -40,11 +40,21 @@ def word_rank(w, a):
 
 
 def is_shuffle_word(w, a, b):
-    pos = [x for x in w if x > 0]
-    neg = [-x for x in w if x < 0]
-    if any(x == 0 or x == 1 or x > a + 1 or -x > b for x in w):
-        return False
-    return sorted(set(pos)) == pos and sorted(set(neg)) == neg
+    """True iff every letter of w is an A-letter 2..a+1 or a marker -1..-b, the A-letters strictly
+    ascending and the markers strictly descending: one pass, each part held to its last letter."""
+    top = bottom = 0
+    for x in w:
+        if x > 0:
+            if x == 1 or x > a + 1 or x <= top:
+                return False
+            top = x
+        elif x < 0:
+            if -x > b or x >= bottom:
+                return False
+            bottom = x
+        elif x == 0:
+            return False
+    return True
 
 
 def render_word(w, ascii_mode=False):
@@ -155,36 +165,25 @@ def sigma(u):
     right after the letter equal to the last-1 position, at the front when
     that position is 1, nowhere when there is no 1 at all.
     """
-    n = len(u)
-    tau = [i for i in range(2, n + 1) if u[i - 1] != 2]
+    tau = [i for i in range(2, len(u) + 1) if u[i - 1] != 2]
     last1 = l1(u)
     if last1 == 0:
         return tuple(tau)
-    if last1 == 1:
-        return tuple([-1] + tau)
-    k = tau.index(last1)
-    return tuple(tau[: k + 1] + [-1] + tau[k + 1 :])
+    k = last1 - 1 - u[1:last1].count(2)  # the letters of tau up to last1
+    return (*tau[:k], -1, *tau[k:])
 
 
 def sigma_inverse(n, w):
-    """Rebuild the triword: marker position fixes where the 1-run ends."""
+    """Rebuild the triword: marker position fixes where the 1-run ends.  Every absent A-letter is
+    a 2, the letters before the marker are 1s and those after it 0s."""
     if not is_shuffle_word(w, n - 1, 1):
         raise MalformedWord(f"{w!r} is not a valid one-marker shuffle word for n={n}")
-    present = [x for x in w if x > 0]
-    u = [None] * n
-    for i in range(2, n + 1):
-        if i not in present:
-            u[i - 1] = 2
-    if -1 not in w:
-        u[0] = 0
-        for i in present:
-            u[i - 1] = 0
-    else:
-        k = w.index(-1)
-        prev = w[k - 1] if k > 0 else 1
-        u[0] = 1
-        for i in present:
-            u[i - 1] = 1 if i <= prev else 0
+    u = [2] * n
+    u[0] = int(-1 in w)
+    k = w.index(-1) if u[0] else 0
+    for j, x in enumerate(w):
+        if x > 0:
+            u[x - 1] = int(j < k)
     out = tuple(u)
     if sigma(out) != tuple(w):
         raise MalformedWord(f"{w!r} does not come from a triword of length {n}")

@@ -151,7 +151,7 @@ def neg_stat(u):
 
     Equivalently: how many canonical joinands of the word are atoms.
     """
-    return sum(1 for c in u if c == 2) + (1 if l1(u) == 1 else 0)
+    return u.count(2) + (l1(u) == 1)
 
 
 @lru_cache(maxsize=None)

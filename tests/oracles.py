@@ -39,7 +39,18 @@ one vertex at a time, and is only run at small sizes:
 - ``hoch_by_poset_doublings``: Hoch(n) rebuilt one ``poset.doubling`` at a
   time, each step gathering its order from the last and relabelling its
   words, the oracle for the cover-array replay in
-  ``hochschild.build_hoch_by_doubling``.
+  ``hochschild.build_hoch_by_doubling``;
+- ``interval``: the elements between two elements of a poset, for tests that
+  cut an interval out;
+- ``l1``, ``f0``, ``core_labels_formula``, ``canrep_formula``,
+  ``psi_inverse``, ``sigma``, ``sigma_inverse``, ``is_shuffle_word`` and
+  ``neg_stat``: the word functions of ``hochschild``, ``shuffles`` and
+  ``triangles`` with one Python step per letter and one ``set.add`` per
+  label, the oracles for their scans by ``tuple.index`` and ``tuple.count``
+  and label sets cut from per-n tables;
+- ``antichains``: every antichain of a poset grown by recursion, each
+  candidate tested against every element already chosen, the oracle for the
+  bitmask search of ``FinitePoset.antichains``.
 """
 
 from dataclasses import dataclass
@@ -49,9 +60,10 @@ from itertools import combinations
 import numpy as np
 
 from hochlat.complexes import is_vertex_decomposable
-from hochlat.errors import CycleDetected, NotCover
+from hochlat.errors import CycleDetected, MalformedLabelSet, MalformedWord, NotCover
 from hochlat.galois import _columns
-from hochlat.hochschild import f0, l1
+from hochlat.hochschild import a_irr, b_irr, is_triword
+from hochlat.limits import check_n
 from hochlat.lattice import jsd_labeling
 from hochlat.polynomials import BiPoly, interpolate_from_grid
 from hochlat.poset import FinitePoset, _toposort, _two_step, doubling
@@ -73,7 +85,7 @@ def core_label_set(lat, a):
     poset = lat.poset
     labels = frozenset(
         cover_labels[(b, c)]
-        for c in poset.interval(nucleus, a)
+        for c in interval(poset, nucleus, a)
         for b in poset.lower_covers(c)
         if poset.leq[nucleus, b]
     )
@@ -311,7 +323,7 @@ def hoch_by_poset_doublings(n):
     def double_and_decode(lo, hi, flip_to):
         nonlocal poset
         words = poset.labels
-        members = {words[a] for a in poset.interval(lo, hi)}
+        members = {words[a] for a in interval(poset, lo, hi)}
         doubled = doubling(poset, (lo, hi))
         fresh = [u[:-1] + (flip_to,) if copy == 1 and u in members else u for u, copy in doubled.labels]
         poset = FinitePoset(doubled.leq, doubled.covers, labels=fresh)
@@ -323,3 +335,147 @@ def hoch_by_poset_doublings(n):
             index = {u: i for i, u in enumerate(poset.labels)}
             double_and_decode(index[(1,) * (step - 1) + (0,)], index[(1,) + (2,) * (step - 2) + (0,)], 1)
     return poset
+
+
+def interval(p, a, b):
+    """Elements c with a <= c <= b, ascending by id."""
+    return [int(c) for c in np.nonzero(p.leq[a] & p.leq[:, b])[0]]
+
+
+def l1(u):
+    """Position of the last 1 (1-based), 0 if none."""
+    out = 0
+    for i, x in enumerate(u, start=1):
+        if x == 1:
+            out = i
+    return out
+
+
+def f0(u):
+    """Position of the first 0 (1-based), n+1 if none."""
+    for i, x in enumerate(u, start=1):
+        if x == 0:
+            return i
+    return len(u) + 1
+
+
+def canrep_formula(u):
+    """Canonical join representation: a at the last 1, b at every 2."""
+    out = set()
+    last1 = l1(u)
+    if last1 > 0:
+        out.add(a_irr(last1))
+    for i, x in enumerate(u, start=1):
+        if x == 2:
+            out.add(b_irr(i))
+    return frozenset(out)
+
+
+def core_labels_formula(u):
+    """Core label set: a-run from the last 1 up to the first 0, plus all b's."""
+    out = set()
+    last1, first0 = l1(u), f0(u)
+    if last1 > 0:
+        for i in range(last1, first0):
+            out.add(a_irr(i))
+    for i, x in enumerate(u, start=1):
+        if x == 2:
+            out.add(b_irr(i))
+    return frozenset(out)
+
+
+def psi_inverse(n, labels):
+    """The triword whose core label set is ``labels``: the b's as 2s, the least a as the last 1."""
+    check_n(n)
+    labels = frozenset(labels)
+    a_idx = sorted(j.index for j in labels if j.kind == "a")
+    b_idx = sorted(j.index for j in labels if j.kind == "b")
+    if any(not 1 <= j.index <= n for j in labels):
+        raise MalformedLabelSet(f"label index out of range for n={n}")
+    w = [None] * n
+    for i in b_idx:
+        if w[i - 1] is not None:
+            raise MalformedLabelSet("repeated position")
+        w[i - 1] = 2
+    if a_idx:
+        last1 = a_idx[0]
+        if w[last1 - 1] is not None:
+            raise MalformedLabelSet("a-run begins on an occupied position")
+        w[last1 - 1] = 1
+        for i in range(1, last1):
+            if w[i - 1] is None:
+                w[i - 1] = 1
+    u = tuple(0 if x is None else x for x in w)
+    if not is_triword(u) or core_labels_formula(u) != labels:
+        raise MalformedLabelSet(f"no triword has core label set {sorted(labels)}")
+    return u
+
+
+def is_shuffle_word(w, a, b):
+    """Letters in 2..a+1 or -1..-b, each part ascending without repeats (markers by -x)."""
+    pos = [x for x in w if x > 0]
+    neg = [-x for x in w if x < 0]
+    if any(x == 0 or x == 1 or x > a + 1 or -x > b for x in w):
+        return False
+    return sorted(set(pos)) == pos and sorted(set(neg)) == neg
+
+
+def sigma(u):
+    """Triword to one-marker shuffle word: the non-2 positions 2..n, the marker after l1(u)."""
+    n = len(u)
+    tau = [i for i in range(2, n + 1) if u[i - 1] != 2]
+    last1 = l1(u)
+    if last1 == 0:
+        return tuple(tau)
+    if last1 == 1:
+        return tuple([-1] + tau)
+    k = tau.index(last1)
+    return tuple(tau[: k + 1] + [-1] + tau[k + 1 :])
+
+
+def sigma_inverse(n, w):
+    """The triword sigma sends to w: absent letters are 2s, present ones 1 up to the marker."""
+    if not is_shuffle_word(w, n - 1, 1):
+        raise MalformedWord(f"{w!r} is not a valid one-marker shuffle word for n={n}")
+    present = [x for x in w if x > 0]
+    u = [None] * n
+    for i in range(2, n + 1):
+        if i not in present:
+            u[i - 1] = 2
+    if -1 not in w:
+        u[0] = 0
+        for i in present:
+            u[i - 1] = 0
+    else:
+        k = w.index(-1)
+        prev = w[k - 1] if k > 0 else 1
+        u[0] = 1
+        for i in present:
+            u[i - 1] = 1 if i <= prev else 0
+    out = tuple(u)
+    if sigma(out) != tuple(w):
+        raise MalformedWord(f"{w!r} does not come from a triword of length {n}")
+    return out
+
+
+def neg_stat(u):
+    """Number of 2s in the word, plus one when the last 1 sits in slot 1."""
+    return sum(1 for c in u if c == 2) + (1 if l1(u) == 1 else 0)
+
+
+def antichains(p):
+    """All antichains of p as frozensets, the empty one first, each followed by its extensions."""
+    incomparable = ~(p.leq | p.leq.T)
+    out = []
+    chosen = []
+
+    def grow(start):
+        out.append(frozenset(chosen))
+        for a in range(start, p.n):
+            if all(incomparable[a, c] for c in chosen):
+                chosen.append(a)
+                grow(a + 1)
+                chosen.pop()
+
+    grow(0)
+    return out

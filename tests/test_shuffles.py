@@ -23,7 +23,7 @@ from hochlat.shuffles import (
     word_rank,
 )
 from hochlat.triangles import g_conjecture_check
-from oracles import induced, shuffle_words
+from oracles import induced, interval, shuffle_words
 
 ONE = "\U0001d7d9"
 
@@ -220,7 +220,7 @@ def test_clo_upper_intervals(n):
     for a in range(order.n):
         u = h.triword(a)
         k = order.heights[a]
-        above = order.interval(a, top)
+        above = interval(order, a, top)
         part = induced(order, above)
         if l1(u) == 0:
             # drop the k positions where u has a 2: CLO(Hoch(n - k))

@@ -43,6 +43,7 @@ from oracles import (
     core_label_set,
     f_transform_by_grid,
     h_transform_by_grid,
+    interval,
     partial_cores,
     rank_poly,
 )
@@ -232,7 +233,7 @@ def test_m_decomposes_over_upper_intervals():
         for u in range(c.n):
             k = ranks[u]
             got = BiPoly()
-            for v in c.interval(u, top):
+            for v in interval(c, u, top):
                 got += c.mobius(u, v) * Y ** ranks[v]
             if l1(h.triword(u)) == 0:
                 base = char_poly_closed(n - k)
