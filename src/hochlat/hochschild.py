@@ -94,16 +94,11 @@ def hoch_meet(u, v):
     return tuple(w)
 
 
-def hoch_join_array(x, y):
-    """hoch_join on uint8 word arrays (last axis = positions); broadcasts."""
-    return np.maximum(x, y)
-
-
-def hoch_meet_array(x, y):
-    """hoch_meet on uint8 word arrays (last axis = positions); broadcasts."""
-    w = np.minimum(x, y)
-    w[(w == 1) & np.logical_or.accumulate(w == 0, axis=-1)] = 0
-    return w
+def hoch_meet_code(x, y, n):
+    """hoch_meet on codes (ints or int64 arrays; broadcasts): >= 1 where both words are, up to the
+    first letter either has at 0, and = 2 wherever both are 2.  The join is ``x | y``."""
+    ge, eq = x & y & ((1 << n) - 1), (x & y) >> n
+    return ge & ~(ge + 1) | eq | eq << n
 
 
 def format_triword(u):
@@ -171,14 +166,14 @@ def irreducibles(n):
 
 
 class HochLattice:
-    """Lattice of triwords plus the id <-> triword decoding; ``word_array`` holds the triwords as
-    one read-only (m x n) uint8 array, row a the triword of element a."""
+    """Lattice of triwords plus the id <-> triword decoding; ``codes`` holds one read-only int64
+    ``ge1 | eq2 << n`` per element, bit i - 1 of ge1 (eq2) set where letter i is >= 1 (= 2)."""
 
-    def __init__(self, lattice, triwords, word_array):
+    def __init__(self, lattice, triwords, codes):
         self.lattice = lattice
         self.triwords = tuple(triwords)
         self.index = {u: i for i, u in enumerate(self.triwords)}
-        self.word_array = word_array
+        self.codes = codes
 
     def triword(self, a):
         return self.triwords[a]
@@ -195,11 +190,14 @@ def build_hoch(n):
     """The triword lattice of length n on lexicographic ids, which order the base-3 keys.  A lower
     cover lowers the last 1 to 0, or a 2 at position i to 1 before the first 0 and to 0 after it:
     3**(n-i) or 2 * 3**(n-i) off the key, whose id ``searchsorted`` finds.  The labels are the
-    ``format_triword`` strings, written as one (m x 2n+1) byte array."""
+    ``format_triword`` strings, written as one (m x 2n+1) byte array; the codes ``ge1 | eq2 << n``
+    are two products of the letter tests with the bit weights."""
     check_n(n)
     words = enumerate_triwords(n)
     w = np.array(words, dtype=np.uint8).reshape(len(words), n)
-    w.flags.writeable = False
+    bits = 1 << np.arange(n, dtype=np.int64)
+    codes = (w >= 1) @ bits | ((w == 2) @ bits) << n
+    codes.flags.writeable = False
     place = 3 ** np.arange(n - 1, -1, -1)
     key = w @ place
     ones = np.flatnonzero((w == 1).any(axis=1))
@@ -212,7 +210,7 @@ def build_hoch(n):
     text[:, 0], text[:, -1], text[:, 1::2] = ord("("), ord(")"), w + ord("0")
     labels = text.view(f"S{2 * n + 1}").ravel().astype(str).tolist()
     poset = FinitePoset.closure(np.stack([lows, ups], axis=1), len(words), labels)
-    return HochLattice(as_lattice(poset), words, w)
+    return HochLattice(as_lattice(poset), words, codes)
 
 
 def build_hoch_by_doubling(n):

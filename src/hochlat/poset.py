@@ -391,8 +391,10 @@ def are_isomorphic(p, q, image):
     Order isomorphisms are exactly the bijections that map covers onto
     covers, so the given map is certified as it stands; no search is made.
     A size mismatch, a repeated id or an out-of-range id gives False.
+    Covers compare as the sorted keys a * n + b of the cover-end arrays.
     """
-    image = list(image)
-    if p.n != q.n or sorted(image) != list(range(q.n)):
+    image = np.asarray(list(image), dtype=np.int64)
+    if p.n != q.n or not np.array_equal(np.sort(image), np.arange(q.n)):
         return False
-    return {(image[a], image[b]) for a, b in p.covers} == set(q.covers)
+    (a, b), (c, d) = p._ends, q._ends
+    return np.array_equal(np.sort(image[a] * q.n + image[b]), c.astype(np.int64) * q.n + d)

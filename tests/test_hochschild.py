@@ -1,3 +1,4 @@
+import inspect
 import itertools
 
 import numpy as np
@@ -19,9 +20,8 @@ from hochlat.hochschild import (
     format_triword,
     HochIrreducible,
     hoch_join,
-    hoch_join_array,
     hoch_meet,
-    hoch_meet_array,
+    hoch_meet_code,
     irreducible_of_triword,
     irreducibles,
     is_triword,
@@ -161,6 +161,15 @@ def test_join_meet_formulas_match_tables(n):
             assert h.triword(meets[b]) == hoch_meet(u, v) == h.triword(lat.meet_of(a, b))
 
 
+def _code(u):
+    """The code ge1 | eq2 << n of a triword u of length n."""
+    return sum((x >= 1) << i | (x == 2) << (len(u) + i) for i, x in enumerate(u))
+
+
+def _word(code, n):
+    return tuple((code >> i & 1) + (code >> (n + i) & 1) for i in range(n))
+
+
 def test_meet_repairs_one_after_zero():
     for u, v, want in [
         ((1, 0, 2), (1, 2, 1), (1, 0, 0)),
@@ -168,24 +177,24 @@ def test_meet_repairs_one_after_zero():
         ((1, 1, 0), (0, 2, 2), (0, 0, 0)),
     ]:
         assert hoch_meet(u, v) == want
-        x, y = np.array(u, dtype=np.uint8), np.array(v, dtype=np.uint8)
-        assert tuple(hoch_meet_array(x, y)) == want
+        assert hoch_meet_code(_code(u), _code(v), 3) == _code(want)
     assert hoch_join((1, 0, 0), (0, 2, 0)) == (1, 2, 0)
-    assert tuple(hoch_join_array(np.array((1, 0, 0)), np.array((0, 2, 0)))) == (1, 2, 0)
+    assert _code((1, 0, 0)) | _code((0, 2, 0)) == _code((1, 2, 0))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_word_arrays_match_scalar_join_meet(n):
+    """The word array is ``h.codes``, one code ge1 | eq2 << n per triword."""
     h = build_hoch(n)
-    words = h.word_array
-    assert words.dtype == np.uint8 and words.shape == (h.lattice.n, n)
-    assert [tuple(int(x) for x in row) for row in words] == list(h.triwords)
-    joins = hoch_join_array(words[:, None], words[None, :])
-    meets = hoch_meet_array(words[:, None], words[None, :])
+    codes = h.codes
+    assert codes.dtype == np.int64 and codes.shape == (h.lattice.n,) and not codes.flags.writeable
+    assert [_word(int(c), n) for c in codes] == list(h.triwords)
+    joins = codes[:, None] | codes[None, :]
+    meets = hoch_meet_code(codes[:, None], codes[None, :], n)
     for a, u in enumerate(h.triwords):
         for b, v in enumerate(h.triwords):
-            assert tuple(joins[a, b]) == hoch_join(u, v)
-            assert tuple(meets[a, b]) == hoch_meet(u, v)
+            assert _word(int(joins[a, b]), n) == hoch_join(u, v)
+            assert _word(int(meets[a, b]), n) == hoch_meet(u, v)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -238,6 +247,22 @@ def test_lattice_law_fails_on_one_wrong_pair_in_both_orders(monkeypatch, side):
     assert check_lattice_law(4)
     monkeypatch.setattr(Lattice, side, planted)
     assert not check_lattice_law(4)
+
+
+def test_lattice_law_fails_without_the_meet_run_repair(monkeypatch):
+    """With no 1 after a 0 lowered, the meet of two codes is the componentwise minimum x & y."""
+    assert check_lattice_law(4)
+    monkeypatch.setattr(checks, "hoch_meet_code", lambda x, y, n: x & y)
+    assert not check_lattice_law(4)
+
+
+def test_lattice_law_fails_on_the_join_taken_as_and():
+    source = inspect.getsource(checks.check_lattice_law)
+    mutated = source.replace("codes[a] | codes", "codes[a] & codes")
+    assert mutated != source
+    namespace = dict(vars(checks))
+    exec(mutated, namespace)
+    assert not namespace["check_lattice_law"](4)
 
 
 def test_lattice_law_fails_on_a_two_position_cover(monkeypatch):

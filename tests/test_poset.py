@@ -487,6 +487,10 @@ def test_are_isomorphic_negative_cases():
     assert not are_isomorphic(chain(3), chain(3), [0, 1, -1])
     assert not are_isomorphic(chain(3), chain(3), [0, 1, 3])
     assert not are_isomorphic(chain(3), chain(3), [0, 1])
+    # ... also where the mapped covers match: no covers at all, or -1 keyed as the id below it
+    assert not are_isomorphic(antichain(2), antichain(2), [0, 0])
+    assert not are_isomorphic(antichain(2), antichain(2), [0, 2])
+    assert not are_isomorphic(chain(2), chain(2), [1, -1])
     # a bijection that breaks covers
     assert not are_isomorphic(chain(3), chain(3), [1, 0, 2])
     # covers land in covers but do not cover them all

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hochlat import shuffles
+from hochlat import checks, shuffles
 from hochlat.checks import check_m_triangle, check_shuffle_stats, check_sigma
 from hochlat.errors import InvariantViolated, MalformedWord, NotSemidistributive, SizeBound
 from hochlat.hochschild import build_hoch, canrep_formula, enumerate_triwords, l1
@@ -123,6 +123,22 @@ def test_shuffle_lattice_is_built_once_per_size():
     assert shuffle_lattice(3, 1) is first
     assert check_sigma(4) and check_shuffle_stats(4) and g_conjecture_check(4)["match"]
     assert shuffle_lattice.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("fault", ["repeated image", "non-word image", "two images swapped"])
+def test_sigma_check_fails_on_a_faulty_sigma(monkeypatch, fault):
+    """The last triword's image is wrong: a repeat of the first, no shuffle word at all, or the
+    second-to-last triword's image, which keeps the map a bijection that breaks the covers."""
+    words = enumerate_triwords(4)
+    last, before = words[-1], words[-2]
+    planted = {
+        "repeated image": {last: sigma(words[0])},
+        "non-word image": {last: (9,)},
+        "two images swapped": {last: sigma(before), before: sigma(last)},
+    }[fault]
+    assert check_sigma(4)
+    monkeypatch.setattr(checks, "sigma", lambda u: planted[u] if u in planted else sigma(u))
+    assert not check_sigma(4)
 
 
 def test_zeta_route_counts_in_the_verdict(monkeypatch):
