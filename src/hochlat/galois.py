@@ -201,7 +201,7 @@ def max_ortho_pairs_lattice(g):
     # a proper meet is a lower cover of A unless another proper meet strictly holds it; closure re-checks
     held = (meets[:, :, None] & ~meets[:, None, :] == 0) & (meets[:, :, None] != meets[:, None, :])
     lows, ts = np.nonzero(~inside & ~(held & ~inside[:, None, :]).any(axis=2))
-    covers = set(zip(ids[lows, ts].tolist(), lows.tolist()))
+    covers = np.stack([ids[lows, ts], lows], axis=1)  # closure drops the repeats
     labels = [f"({_set_label(g.labels, a)},{_set_label(g.labels, b)})" for a, b in pairs]
     return OrthoPairLattice(FinitePoset.closure(covers, len(pairs), labels=labels), tuple(pairs), g)
 

@@ -7,10 +7,10 @@ is computed from ``leq`` and ``covers`` alone, so the same object can be
 shared freely.
 
 Construction goes through :meth:`FinitePoset.closure` (reflexive-transitive
-closure of a cover list, with cycle and cover validation), through
-:meth:`FinitePoset.from_leq` (an explicit order matrix, reduced to covers by
-ORs of its packed rows) or through :func:`doubling` (covers by ``_double``'s
-rule on cover arrays, order gathered from the doubled poset).
+closure of a cover list, with cycle and cover validation; :func:`doubling`
+closes the covers of ``_double``'s rule with it) or :meth:`FinitePoset.from_leq`
+(an explicit order matrix, checked and reduced to covers).  Both find what lies
+two steps above each element by ``_two_step``'s capped ORs of packed rows.
 
 Mobius values are one exact int64 solve, mu = zeta^-1 by back substitution
 (:meth:`FinitePoset.mobius_times`); the zeta polynomial is read off the
@@ -19,6 +19,7 @@ strict chain counts (Stanley, *Enumerative Combinatorics I*, 3.11-3.12).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from functools import cached_property
 from math import comb
@@ -64,25 +65,22 @@ def _split(keys, values, m):
     return [values[i:j] for i, j in zip(cuts, cuts[1:])]
 
 
-def _two_step(leq, a, b):
-    """For pairs (a, b) of a reflexive order matrix, sorted by a: is b in the OR of the strict rows
-    of the c paired with a, and is each OR inside a's strict row?  Rows are packed, b at byte b >> 3."""
-    m = len(leq)
-    up = np.zeros((m, -(-m // 64)), dtype=np.uint64)
-    for s in range(0, m, step := max(1, 2**16 // max(m, 1))):  # about 2**16 bits packed a pass
-        strict = leq[s : s + step] ^ np.eye(min(step, m - s), m, s, dtype=bool)  # the diagonal off
-        up.view(np.uint8)[s : s + step, : -(-m // 8)] = np.packbits(strict, 1, bitorder="little")
-    bounds = np.append(np.flatnonzero(np.diff(a, prepend=-1)), len(a))  # each row's first pair, the end
-    # passes of about 16 * step pairs, 2**20 bits gathered, that take whole rows: each OR is complete
-    cuts = sorted(set((np.searchsorted(bounds, np.arange(0, len(a), 16 * step), "right") - 1).tolist()))
-    hit, inside = np.zeros(len(a), dtype=bool), True
-    for i, j in zip(cuts, cuts[1:] + [len(bounds) - 1]):  # the pairs of rows i..j-1
-        lo, hi = bounds[i], bounds[j]
-        ors = np.bitwise_or.reduceat(up[b[lo:hi]], bounds[i:j] - lo)
-        rows = np.repeat(np.arange(j - i), np.diff(bounds[i : j + 1]))
+def _two_step(up, a, b):
+    """For pairs (a, b) sorted by a and packed strict up-rows ``up`` (b at byte b >> 3): the OR of
+    the rows of the b paired with each distinct a, and whether each b lies in its a's OR.  The ORs
+    run over the pairs of whole a's, about 2**20 bits gathered at a time."""
+    new = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=new[1:])  # the first pair of each a
+    starts = np.flatnonzero(new)
+    ors, hit = np.empty((len(starts), up.shape[1]), dtype=np.uint64), np.empty(len(a), dtype=bool)
+    per, first = max(1, 2**14 // max(1, up.shape[1])), starts.tolist()  # per block: 2**20 bits of rows
+    cuts = sorted({bisect_right(first, k) - 1 for k in range(0, len(a), per)})  # the a's opening blocks
+    ends = [first[i] for i in cuts] + [len(a)]
+    for i, j, lo, hi in zip(cuts, cuts[1:] + [len(first)], ends, ends[1:]):  # the pairs of a's i..j-1
+        ors[i:j] = np.bitwise_or.reduceat(up[b[lo:hi]], starts[i:j] - lo)
+        rows = new[lo:hi].cumsum() + (i - 1)  # each pair's a, as a row of ors
         hit[lo:hi] = ors.view(np.uint8)[rows, b[lo:hi] >> 3] >> (b[lo:hi] & 7) & 1
-        inside &= not (ors & ~up[a[bounds[i:j]]]).any()
-    return hit, inside
+    return ors, hit
 
 
 class FinitePoset:
@@ -112,7 +110,7 @@ class FinitePoset:
         """Build the poset generated by a list of cover pairs on m elements.
 
         Maximal elements are peeled a level at a time (Kahn's algorithm); the packed strict up-row of
-        a level's elements is the OR of (row c | bit c) over their upper covers c, one ``reduceat`` a
+        a level's elements is the OR of (row c | bit c) over their upper covers c, one ``_two_step`` a
         level.  Raises CycleDetected if the pairs are cyclic, and NotCover if an input pair (a, b) is
         no cover of the order they generate: b is in the OR for a before the bits go in.
         """
@@ -124,7 +122,6 @@ class FinitePoset:
             raise CycleDetected(f"loop at element {a[i]}")
         key = np.sort(a * m + b)
         a, b = np.divmod(key[np.diff(key, prepend=-1) != 0], m)  # sorted, repeats dropped
-        first = np.diff(a, prepend=-1) != 0  # the first pair of each lower element
         byte, bit = b >> 3, (1 << (b & 7)).astype(np.uint8)  # where b sits in a packed row
         up = np.zeros((m, -(-m // 64)), dtype=np.uint64)  # the strict up-rows
         hit, outdeg, rank = np.zeros(len(a), dtype=bool), np.bincount(a, minlength=m), np.full(m, -1)
@@ -132,9 +129,7 @@ class FinitePoset:
         while len(level):
             rank[level] = r
             if len(sel := np.flatnonzero(rank[a] == r)):  # the pairs from level r, by lower element
-                ors = np.bitwise_or.reduceat(up[b[sel]], np.flatnonzero(first[sel]))
-                hit[sel] = ors.view(np.uint8)[np.cumsum(first[sel]) - 1, byte[sel]] & bit[sel]
-                up[level] = ors  # every element past level 0 has an upper cover
+                up[level], hit[sel] = _two_step(up, a[sel], b[sel])  # level r > 0: each has a cover
                 np.bitwise_or.at(up.view(np.uint8), (a[sel], byte[sel]), bit[sel])
             outdeg -= np.bincount(a[rank[b] == r], minlength=m)
             level, r = np.flatnonzero((outdeg == 0) & (rank < 0)), r + 1
@@ -161,8 +156,13 @@ class FinitePoset:
         a, b = a[a != b], b[a != b]  # the strict pairs, row by row
         if leq[b, a].any():
             raise CycleDetected("order matrix is not antisymmetric")
-        hit, transitive = _two_step(leq, a, b)
-        if not transitive:
+        m = len(leq)
+        up = np.zeros((m, -(-m // 64)), dtype=np.uint64)  # the strict up-rows
+        for s in range(0, m, step := max(1, 2**16 // max(m, 1))):  # about 2**16 bits packed a pass
+            strict = leq[s : s + step] ^ np.eye(min(step, m - s), m, s, dtype=bool)  # the diagonal off
+            up.view(np.uint8)[s : s + step, : -(-m // 8)] = np.packbits(strict, 1, bitorder="little")
+        ors, hit = _two_step(up, a, b)
+        if (ors & ~up[up.any(axis=1)]).any():  # the rows of the a's, in order
             raise ValueError("order matrix is not transitive")
         return cls(leq, np.stack([a[~hit], b[~hit]], axis=1), labels)
 
@@ -373,16 +373,15 @@ def _double(x, y, low, high):
 
 def doubling(p, b):
     """Double the poset along the interval ``b``, a (lo, hi) pair of element ids, by ``_double``
-    on P's covers; the order is gathered from P's.  A componentwise order on a subset of P x 2 is
-    an order by construction and needs no check.  Labels become (old label, copy).  The input
-    should be a lattice for the output to be one."""
+    on P's covers.  A componentwise order on a subset of P x 2 is an order by construction; its
+    covers are closed and checked by ``FinitePoset.closure``.  Labels become (old label, copy).
+    The input should be a lattice for the output to be one."""
     lo, hi = b
     if not p.leq[lo, hi]:
         raise NotInterval(f"({lo}, {hi}) is not an interval: lo is not below hi")
     ids, copies, covers = _double(*p._ends, p.leq[:, hi], ~p.leq[:, hi] | p.leq[lo])
-    leq = p.leq[np.ix_(ids, ids)] & (copies[:, None] <= copies[None, :])
     labels = [(p.labels[a], c) for a, c in zip(ids.tolist(), copies.tolist())]
-    return FinitePoset(leq, covers, labels)
+    return FinitePoset.closure(covers, len(ids), labels)
 
 
 def are_isomorphic(p, q, image):

@@ -122,7 +122,7 @@ def shuffle_lattice(a, b):
         raise InvariantViolated(f"the cover rule reaches {len(steps)} words, not {shuffle_count(a, b)}")
     words = sorted(steps, key=lambda w: (word_rank(w, a), w))
     index = {w: i for i, w in enumerate(words)}
-    covers = sorted({(index[w], index[w2]) for w in words for w2 in steps[w]})
+    covers = [(index[w], index[v]) for w in words for v in steps[w]]
     poset = FinitePoset.closure(covers, len(words), labels=[render_word(w) for w in words])
     return ShuffleLattice(as_lattice(poset), words, a, b)
 

@@ -30,14 +30,15 @@ one vertex at a time, and is only run at small sizes:
 - ``from_leq_by_product``: an explicit order matrix checked and reduced to
   covers by one float32 product of its strict order, the oracle for the bit
   arithmetic of ``FinitePoset.from_leq``;
-- ``closure_by_covers``: a cover list validated pair by pair and closed one
-  cover at a time in topological order, the oracle for the level-wise packed
+- ``closure_by_covers``: a cover list validated pair by pair, closed one
+  cover at a time in topological order and checked for non-covers by one
+  float32 product of its strict order, the oracle for the level-wise packed
   rows of ``FinitePoset.closure``;
 - ``lower_cover_triwords``: the lower covers of one triword by the
   one-position-change rule, the oracle for the base-3 key arithmetic of
   ``hochschild.build_hoch``;
 - ``hoch_by_poset_doublings``: Hoch(n) rebuilt one ``poset.doubling`` at a
-  time, each step gathering its order from the last and relabelling its
+  time, each step closing its covers into a poset and relabelling its
   words, the oracle for the cover-array replay in
   ``hochschild.build_hoch_by_doubling``;
 - ``interval``: the elements between two elements of a poset, for tests that
@@ -66,7 +67,7 @@ from hochlat.hochschild import a_irr, b_irr, is_triword
 from hochlat.limits import check_n
 from hochlat.lattice import jsd_labeling
 from hochlat.polynomials import BiPoly, interpolate_from_grid
-from hochlat.poset import FinitePoset, _toposort, _two_step, doubling
+from hochlat.poset import FinitePoset, _toposort, doubling
 from hochlat.shuffles import word_rank
 from hochlat.triangles import _graded, _indicator
 
@@ -278,8 +279,9 @@ def from_leq_by_product(leq, labels=None):
 def closure_by_covers(covers, m, labels=None):
     """``FinitePoset.closure`` a pair and a cover at a time: the pairs are validated in input order,
     then each row of the order is the OR of the rows of its upper covers, filled in reverse
-    topological order, and the least input pair whose b lies in the OR of the strict rows of a's
-    other upper covers is named as no cover."""
+    topological order, and the least input pair (a, b) with an element strictly between is named
+    as no cover.  One float32 product of the strict order counts the elements between, which is
+    exact while every count stays below 2**24, as it does at the sizes the tests use."""
     pairs = set()
     for a, b in covers:
         a, b = int(a), int(b)
@@ -296,7 +298,9 @@ def closure_by_covers(covers, m, labels=None):
         row[x] = True
         for y in up_adj[x]:
             np.logical_or(row, leq[y], out=row)
-    if (hit := _two_step(leq, a, b)[0]).any():
+    strict = leq.astype(np.float32)
+    np.fill_diagonal(strict, 0)
+    if (hit := (strict @ strict)[a, b] > 0.5).any():
         a, b = int(a[np.argmax(hit)]), int(b[np.argmax(hit)])
         raise NotCover(f"({a}, {b}) is not a cover: interval has {(leq[a] & leq[:, b]).sum()} elements")
     return FinitePoset(leq, sorted(pairs), labels)
@@ -316,8 +320,8 @@ def lower_cover_triwords(u):
 
 
 def hoch_by_poset_doublings(n):
-    """The doubling rebuild of Hoch(n) as a chain of posets: every step is a ``doubling`` with its
-    gathered order, then a re-wrap that flips the last letter of the new copy of the interval."""
+    """The doubling rebuild of Hoch(n) as a chain of posets: every step is a ``doubling``, whose
+    covers ``FinitePoset.closure`` closes, then a re-wrap that flips the last letter of the new copy of the interval."""
     poset = FinitePoset.closure([], 1, labels=[()])  # labels are the triwords
 
     def double_and_decode(lo, hi, flip_to):

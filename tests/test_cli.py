@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -224,6 +225,17 @@ def test_check_all_golden_with_conjecture_note(capsys):
     assert code == 0
     assert out == CHECK_ALL_7
     assert err == ""
+
+
+def test_check_all_golden_at_n1_to_8(capsys):
+    """The stdout of ``check all --n 1`` to ``--n 8`` in turn, byte for byte."""
+    outs = []
+    for n in range(1, 9):
+        code, out, err = run(capsys, "check", "all", "--n", str(n))
+        assert (code, err) == (0, "")
+        outs.append(out)
+    golden = Path(__file__).resolve().parent / "golden" / "check_all.txt"
+    assert "".join(outs) == golden.read_text(encoding="utf-8")
 
 
 def test_triangles_closed_form_past_max_n(capsys):

@@ -566,8 +566,11 @@ def test_doubling_covers_match_from_leq_on_every_interval():
     lattices += [closure_system_lattice(rng) for _ in range(50)]
     doubled = 0
     for lat in lattices:
-        for lo, hi in np.argwhere(lat.poset.leq).tolist():
-            d = doubling(lat.poset, (lo, hi))
+        p = FinitePoset(lat.poset.leq, lat.covers, labels=range(lat.n))  # labels are the ids
+        for lo, hi in np.argwhere(p.leq).tolist():
+            d = doubling(p, (lo, hi))
+            ids, copies = np.array(d.labels).T  # the order gathered from P's is the oracle for leq
+            assert np.array_equal(d.leq, p.leq[np.ix_(ids, ids)] & (copies[:, None] <= copies[None, :]))
             assert d.covers == FinitePoset.from_leq(d.leq).covers
             doubled += 1
     assert doubled > 1000

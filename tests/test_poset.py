@@ -225,6 +225,24 @@ def test_closure_errors_match_the_per_cover_oracle():
     assert seen == {"range", "loop", "both", "cycle", "shortcut"}
 
 
+def test_two_step_blocks_match_the_oracles():
+    """Orders that span several gather blocks of about 2**20 bits: the widest level of Bool(10)
+    has 1,260 pairs against 1,024 a block, and the order of Bool(8) 6,305 strict pairs against
+    4,096.  A shortcut in that level and a strict pair cut from that order are found too."""
+    covers = list(boolean(10).covers)
+    for pairs in (covers, covers + [(0b11111, 0b1111111)]):
+        got = closure_outcome(FinitePoset.closure, pairs, 1 << 10)
+        assert len(got) in (2, 3) and got == closure_outcome(closure_by_covers, pairs, 1 << 10)
+    leq = boolean(8).leq
+    got, want = FinitePoset.from_leq(leq), from_leq_by_product(leq)
+    assert np.array_equal(got.leq, want.leq) and got.covers == want.covers
+    leq = leq.copy()
+    leq[0, 255] = False
+    for build in (FinitePoset.from_leq, from_leq_by_product):
+        with pytest.raises(ValueError, match="not transitive"):
+            build(leq)
+
+
 def test_bounds_and_length():
     p = boolean(3)
     assert p.bottom() == 0 and p.top() == 7
