@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .checks import TRIANGLE_CHECKS, face_vector_ok, run_all, run_checks
@@ -428,6 +429,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except BrokenPipeError:  # the reader left; exit 1 would claim a failed check
+        sys.stdout = open(os.devnull, "w")  # the flush at exit writes here, not to the pipe
+        print("error: stdout closed before the output was written", file=sys.stderr)
+        return 2
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

@@ -269,20 +269,22 @@ def psi_map(lat):
     return lat._psi
 
 
-def _closed_under_intersection(masks):
-    """Whether every pairwise intersection of the masks (int64 or Python ints) is again one."""
-    values = np.sort(masks)
-    values = values[np.diff(values, prepend=-1) != 0]  # repeats dropped; masks are >= 0
-    for a in range(len(values) - 1):
-        meets = values[a] & values[a + 1 :]  # each <= values[a], so searchsorted stays in range
-        if (values[np.searchsorted(values, meets)] != meets).any():
-            return False
-    return True
-
-
 def has_intersection_property(lat):
-    """Every pairwise intersection of core label sets is again one."""
-    return _closed_under_intersection(psi_map(lat))
+    """Whether core label sets are closed under intersection; needs semidistributivity.  Certified
+    as the lattice law is: the core label order, with the union U of all adjoined on top when no
+    element has it (U & A = A), is a lattice whose meet-irreducibles' meet rows are ``psi[q] & psi``."""
+    from .shuffles import clo  # shuffles imports this module
+
+    psi, order = psi_map(lat), clo(lat)
+    if len(tops := order.maximal_elements()) > 1:
+        leq = np.pad(order.leq, ((0, 1), (0, 1))) | (np.arange(lat.n + 1) == lat.n)  # all below the top
+        order = FinitePoset(leq, order.covers + tuple((t, lat.n) for t in tops))
+        psi = np.append(psi, np.bitwise_or.reduce(psi))
+    try:
+        cl = as_lattice(order)
+    except NotALattice:
+        return False
+    return all((psi[cl.meet(q)] == psi[q] & psi).all() for q in cl.meet_irreducibles())
 
 
 def build_bool(n):

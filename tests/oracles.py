@@ -51,7 +51,14 @@ one vertex at a time, and is only run at small sizes:
   and label sets cut from per-n tables;
 - ``antichains``: every antichain of a poset grown by recursion, each
   candidate tested against every element already chosen, the oracle for the
-  bitmask search of ``FinitePoset.antichains``.
+  bitmask search of ``FinitePoset.antichains``;
+- ``lattice_law_by_pairs``: every join and meet of Hoch(n) compared with OR and
+  a meet formula on the codes, row by row, and every cover with one changed
+  letter, the oracle for the irreducible-row certificate
+  ``checks.check_lattice_law``;
+- ``closed_under_intersection``: every pairwise AND of a list of masks looked
+  up among them, the oracle for the certificate
+  ``lattice.has_intersection_property``.
 """
 
 from dataclasses import dataclass
@@ -63,7 +70,7 @@ import numpy as np
 from hochlat.complexes import is_vertex_decomposable
 from hochlat.errors import CycleDetected, MalformedLabelSet, MalformedWord, NotCover
 from hochlat.galois import _columns
-from hochlat.hochschild import a_irr, b_irr, is_triword
+from hochlat.hochschild import a_irr, b_irr, build_hoch, hoch_meet_code, is_triword
 from hochlat.limits import check_n
 from hochlat.lattice import jsd_labeling
 from hochlat.polynomials import BiPoly, interpolate_from_grid
@@ -483,3 +490,30 @@ def antichains(p):
 
     grow(0)
     return out
+
+
+def lattice_law_by_pairs(n, meet_code=hoch_meet_code):
+    """Join and meet rows of Hoch(n) against OR and ``meet_code`` on the codes; both are symmetric,
+    so row a only up to a.  A cover changes one letter: its codes' XOR, halves ORed, is a single bit."""
+    h = build_hoch(n)
+    lat, codes = h.lattice, h.codes
+    rows_ok = all(
+        (codes[lat.join(a)[: a + 1]] == codes[a] | codes[: a + 1]).all()
+        and (codes[lat.meet(a)[: a + 1]] == meet_code(codes[a], codes[: a + 1], n)).all()
+        for a in range(lat.n)
+    )
+    ends = codes.take(lat.covers, axis=0)
+    d = ends[:, 0] ^ ends[:, 1]
+    e = d & ((1 << n) - 1) | d >> n
+    return rows_ok and bool(((e != 0) & (e & (e - 1) == 0)).all())
+
+
+def closed_under_intersection(masks):
+    """Whether every pairwise intersection of the masks (int64 or Python ints) is again one."""
+    values = np.sort(masks)
+    values = values[np.diff(values, prepend=-1) != 0]  # repeats dropped; masks are >= 0
+    for a in range(len(values) - 1):
+        meets = values[a] & values[a + 1 :]  # each <= values[a], so searchsorted stays in range
+        if (values[np.searchsorted(values, meets)] != meets).any():
+            return False
+    return True

@@ -1,6 +1,8 @@
 """Byte-level golden tests for the command line front end."""
 
+import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -387,6 +389,23 @@ def test_table_rejects_non_text_format(capsys, fmt):
     assert code == 2
     assert out == ""
     assert "--format" in err
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_2_with_one_line(capsys, monkeypatch):
+    """Exit 1 means a failed check; a reader that leaves early, as in ``check all | head -1``, gets
+    exit 2 and one stderr line, and stdout then points at os.devnull for the flush at exit."""
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["check", "all", "--n", "2"])
+    sys.stdout.close()  # the file main opened; monkeypatch restores the captured stdout
+    assert code == 2 and sys.stdout.name == os.devnull
+    assert capsys.readouterr().err == "error: stdout closed before the output was written\n"
 
 
 def test_check_bundles_do_not_load_numpy_ma():

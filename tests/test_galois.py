@@ -16,9 +16,9 @@ from hochlat.galois import (
     reconstruction_isomorphic,
 )
 from hochlat.hochschild import build_hoch, irreducible_of_triword, parse_triword
-from hochlat.lattice import _closed_under_intersection, as_lattice, build_bool
+from hochlat.lattice import as_lattice, build_bool
 from hochlat.poset import FinitePoset, are_isomorphic
-from oracles import induced, max_orthogonal_pairs, maximal_pairs_by_seeds, pair_order
+from oracles import closed_under_intersection, induced, max_orthogonal_pairs, maximal_pairs_by_seeds, pair_order
 
 EDGES_3 = {("b3", "a3"), ("b2", "a2"), ("a2", "a1"), ("a3", "a1"), ("a3", "a2")}
 EDGES_4 = EDGES_3 | {("b4", "a4"), ("a4", "a3"), ("a4", "a2"), ("a4", "a1")}
@@ -181,8 +181,8 @@ def test_covers_and_order_match_the_inclusion_order():
 
 
 def test_closed_under_intersection():
-    assert not _closed_under_intersection(np.array([0b01, 0b10, 0b11]))
-    assert _closed_under_intersection(np.array([0, 0b01, 0b10, 0b11]))
+    assert not closed_under_intersection(np.array([0b01, 0b10, 0b11]))
+    assert closed_under_intersection(np.array([0, 0b01, 0b10, 0b11]))
 
 
 @pytest.mark.parametrize(

@@ -33,7 +33,7 @@ from hochlat.hochschild import (
 )
 from hochlat.lattice import Lattice, canonical_joinrep, is_extremal, jsd_labeling, psi_map
 from hochlat.poset import FinitePoset
-from oracles import core_label_set, hoch_by_poset_doublings, lower_cover_triwords
+from oracles import core_label_set, hoch_by_poset_doublings, lattice_law_by_pairs, lower_cover_triwords
 
 # 12 elements and 18 labeled cover relations of the length-3 lattice.
 HASSE_3 = {
@@ -202,19 +202,24 @@ def test_lattice_law_holds(n):
     assert check_lattice_law(n)
 
 
-def _swap_in_row(row_of):
-    """A row method that returns row_of's rows, but with two different entries of the middle row
-    swapped."""
+def _swap_in_row(row_of, row=lambda lat: lat.n // 2):
+    """A row method that returns row_of's rows, but with two different entries of row ``row(lat)``
+    swapped; the middle row by default, which is join-irreducible in Hoch(4)."""
 
     def swapped(lat, a):
-        row = row_of(lat, a)
-        if a == lat.n // 2:
-            row = row.copy()
-            b = int(np.nonzero(row != row[0])[0][0])
-            row[0], row[b] = row[b], row[0]
-        return row
+        out = row_of(lat, a)
+        if a == row(lat):
+            out = out.copy()
+            b = int(np.nonzero(out != out[0])[0][0])
+            out[0], out[b] = out[b], out[0]
+        return out
 
     return swapped
+
+
+def _middle_meet_irreducible(lat):
+    irr = lat.meet_irreducibles()
+    return irr[len(irr) // 2]
 
 
 def test_lattice_law_fails_on_swapped_join_entries(monkeypatch):
@@ -224,14 +229,16 @@ def test_lattice_law_fails_on_swapped_join_entries(monkeypatch):
 
 
 def test_lattice_law_fails_on_swapped_meet_entries(monkeypatch):
-    monkeypatch.setattr(Lattice, "meet", _swap_in_row(Lattice.meet))
+    """The bundle reads the meet rows of the meet-irreducibles only, so the swap goes into one."""
+    monkeypatch.setattr(Lattice, "meet", _swap_in_row(Lattice.meet, _middle_meet_irreducible))
     assert not check_lattice_law(4)
 
 
 @pytest.mark.parametrize("side", ["join", "meet"])
 def test_lattice_law_fails_on_one_wrong_pair_in_both_orders(monkeypatch, side):
-    """The bundle checks each unordered pair in one of its two rows; a wrong entry planted at a
-    single pair a < b, in row a and in row b alike, must still fail it."""
+    """A wrong entry planted at a single pair a < b, in row a and in row b alike, must fail the
+    bundle; in Hoch(4) a = 1 is join-irreducible and b = lat.n - 2 meet-irreducible, so each side
+    reads one of the two rows."""
     lat = build_hoch(4).lattice
     a, b = 1, lat.n - 2
     right = getattr(Lattice, side)
@@ -263,6 +270,47 @@ def test_lattice_law_fails_on_the_join_taken_as_and():
     namespace = dict(vars(checks))
     exec(mutated, namespace)
     assert not namespace["check_lattice_law"](4)
+
+
+def _lowered_after_a_two(code, n):
+    """A code with every 1 after its first 2 lowered to 0."""
+    eq = code >> n
+    after = -((eq & -eq) << 1) & ((1 << n) - 1)  # the positions past the first 2
+    return code & ~(after & ~eq)
+
+
+def test_lattice_law_fails_on_a_rho_that_also_lowers_a_one_after_a_two(monkeypatch):
+    """That rho is no kernel operator: raising a 1 to 2 lowers the 1s after it, so it is not
+    monotone.  Only rho(x) = hoch_meet_code(x, x, n) changes; the meet rows pass two different
+    arrays and still see the true formula, so the kernel check alone must fail."""
+    real = checks.hoch_meet_code
+
+    def meet_code(x, y, n):
+        return _lowered_after_a_two(real(x, y, n), n) if x is y else real(x, y, n)
+
+    assert check_lattice_law(4)
+    monkeypatch.setattr(checks, "hoch_meet_code", meet_code)
+    assert not check_lattice_law(4)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lattice_law_certificate_matches_the_pairwise_oracle(monkeypatch, n):
+    """The irreducible-row certificate and the all-pairs comparison of tests/oracles.py agree on
+    Hoch(n) as built, with the meet formula broken two ways, and with a meet-irreducible row
+    swapped; from n = 3 on each break fails both."""
+    real = checks.hoch_meet_code
+    breaks = [lambda x, y, n: x & y, lambda x, y, n: _lowered_after_a_two(real(x, y, n), n)]
+    verdicts = [(check_lattice_law(n), lattice_law_by_pairs(n))]
+    for meet_code in breaks:
+        monkeypatch.setattr(checks, "hoch_meet_code", meet_code)
+        verdicts.append((check_lattice_law(n), lattice_law_by_pairs(n, meet_code)))
+    monkeypatch.undo()
+    if n > 1:
+        monkeypatch.setattr(Lattice, "meet", _swap_in_row(Lattice.meet, _middle_meet_irreducible))
+        verdicts.append((check_lattice_law(n), lattice_law_by_pairs(n)))
+    assert all(got == want for got, want in verdicts)
+    assert verdicts[0] == (True, True)
+    assert n < 3 or verdicts[1:] == [(False, False)] * 3
 
 
 def test_lattice_law_fails_on_a_two_position_cover(monkeypatch):

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import random
 
@@ -9,6 +10,7 @@ from hochlat import lattice as lattice_module
 from hochlat.errors import InvariantViolated, NoUniqueMin, NotALattice, NotSemidistributive
 from hochlat.hochschild import build_hoch
 from hochlat.lattice import (
+    Lattice,
     as_lattice,
     build_bool,
     canonical_joinrep,
@@ -23,7 +25,7 @@ from hochlat.lattice import (
 )
 from hochlat.poset import FinitePoset, _reach, doubling
 from hochlat.shuffles import clo, shuffle_lattice
-from oracles import core_label_set, dual, from_leq_by_product
+from oracles import closed_under_intersection, core_label_set, dual, from_leq_by_product
 
 
 def chain_lattice(k):
@@ -364,6 +366,59 @@ def test_intersection_property_matches_frozenset_oracle():
     assert checked >= 200 and failing >= 1
 
 
+def intersection_lattices():
+    """The semidistributive lattices of certification_corpus(): Hoch(1..8), Bool(0..8), those of
+    seeded_lattices() and of the random bounded posets, and chain(65)."""
+    lattices = []
+    for p in certification_corpus():
+        try:
+            lattices.append(as_lattice(p))
+        except NotALattice:
+            continue
+    return [lat for lat in lattices if is_semidistributive(lat)]
+
+
+def test_intersection_certificate_matches_the_pairwise_oracle():
+    """The certificate on the core label order agrees with every pairwise AND looked up, also where
+    the family is not closed and where no element has the union of all core label sets."""
+    verdicts, topless = [], 0
+    for lat in intersection_lattices():
+        got = has_intersection_property(lat)
+        assert got == closed_under_intersection(psi_map(lat))
+        verdicts.append(got)
+        topless += len(clo(lat).maximal_elements()) > 1
+    assert (len(verdicts), verdicts.count(False), topless) == (856, 4, 544)
+
+
+def test_intersection_property_fails_on_a_clo_meet_row_taken_as_its_join_row(monkeypatch):
+    lat = build_hoch(4).lattice
+    real = Lattice.meet
+
+    def planted(cl, a):  # the core label order's first meet-irreducible row only
+        return cl.join(a) if cl is not lat and a == cl.meet_irreducibles()[0] else real(cl, a)
+
+    assert has_intersection_property(lat)
+    monkeypatch.setattr(Lattice, "meet", planted)
+    assert not has_intersection_property(lat)
+
+
+def test_intersection_property_needs_the_adjoined_top():
+    """A seeded lattice whose core label sets are closed under intersection, with no element having
+    their union: without the union adjoined, the core label order is no lattice."""
+    lat = next(
+        lat
+        for lat in seeded_lattices()
+        if is_semidistributive(lat) and len(clo(lat).maximal_elements()) > 1 and closed_under_intersection(psi_map(lat))
+    )
+    source = inspect.getsource(lattice_module.has_intersection_property)
+    mutated = source.replace("if len(tops := order.maximal_elements()) > 1:", "if False:")
+    assert mutated != source
+    namespace = dict(vars(lattice_module))
+    exec(mutated, namespace)
+    assert has_intersection_property(lat)
+    assert not namespace["has_intersection_property"](lat)
+
+
 def test_clo_covers_match_float32_product():
     lattices = [build_hoch(n).lattice for n in range(1, 9)] + [build_bool(n) for n in range(7)]
     lattices += [lat for lat in seeded_lattices() if is_semidistributive(lat)]
@@ -502,7 +557,7 @@ def test_meet_irreducible_lookups_decide_intersection_closure():
         known = set(masks.tolist())
         lookups = (masks[:, None] & masks[sorted(upper.irr)]).ravel().tolist()
         verdict = all(sub in known for sub in lookups)
-        assert verdict == lattice_module._closed_under_intersection(masks)
+        assert verdict == closed_under_intersection(masks)
         try:
             as_lattice(p)  # an InvariantViolated would mean a failed lookup with no witness pair
         except NotALattice:

@@ -6,7 +6,7 @@ import pytest
 from hochlat import checks, shuffles
 from hochlat.checks import check_m_triangle, check_shuffle_stats, check_sigma
 from hochlat.errors import InvariantViolated, MalformedWord, NotSemidistributive, SizeBound
-from hochlat.hochschild import build_hoch, canrep_formula, enumerate_triwords, l1
+from hochlat.hochschild import build_hoch, canrep_formula, enumerate_triwords, is_triword, l1
 from hochlat.lattice import as_lattice, build_bool
 from hochlat.poset import FinitePoset, are_isomorphic
 from hochlat.shuffles import (
@@ -178,6 +178,15 @@ def test_sigma_is_a_bijection(n):
     assert image == words
     for u in enumerate_triwords(n):
         assert sigma_inverse(n, sigma(u)) == u
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sigma_inverse_gives_a_triword_that_sigma_sends_back(n):
+    """sigma_inverse makes no round trip through sigma, so on every one-marker shuffle word it must
+    give a triword whose sigma is that word."""
+    for w in shuffle_words(n - 1, 1):
+        u = sigma_inverse(n, w)
+        assert is_triword(u) and sigma(u) == w
 
 
 def test_sigma_inverse_rejects_bad_words():
