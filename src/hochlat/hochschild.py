@@ -16,7 +16,7 @@ the inverse of the core labeling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -170,10 +170,11 @@ class HochLattice:
     ``ge1 | eq2 << n`` per element, bit i - 1 of ge1 (eq2) set where letter i is >= 1 (= 2)."""
 
     def __init__(self, lattice, triwords, codes):
-        self.lattice = lattice
-        self.triwords = tuple(triwords)
-        self.index = {u: i for i, u in enumerate(self.triwords)}
-        self.codes = codes
+        self.lattice, self.triwords, self.codes = lattice, tuple(triwords), codes
+
+    @cached_property
+    def index(self):
+        return {u: i for i, u in enumerate(self.triwords)}
 
     def triword(self, a):
         return self.triwords[a]

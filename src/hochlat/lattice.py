@@ -2,10 +2,11 @@
 
 A :class:`Lattice` wraps a bounded :class:`~hochlat.poset.FinitePoset` and keeps, for each side,
 the masks of the irreducibles below (or above) every element, sorted.  ``as_lattice`` certifies
-the join-irreducible side by m x k' lookups: the masks must embed the order and meet the masks of
-the k' meet-irreducibles in masks; then the meet of a and b is the element with mask M(a) & M(b),
-found by ``searchsorted``.  Otherwise NotALattice names a witness pair with no join or no meet.
-No m x m table is stored besides the order.
+the join-irreducible side, or NotALattice names a witness pair: the masks embed the order iff each
+element with two lower covers is their join (Davey and Priestley 2.41 and its converse), and m x k'
+lookups meet them with the k' meet-irreducibles' masks in masks.  The meet of a and b is then the
+element with mask M(a) & M(b), by ``searchsorted`` for rows and a dict for single pairs.  No m x m
+table is stored besides the order.
 
 On top of that live the irreducibles and one core-label layer, each part computed once
 per lattice from the same irreducible masks: the cover labels (they exist iff the lattice
@@ -40,23 +41,42 @@ class _Masks:
     def find(self, sub):
         return self.order[np.searchsorted(self.values, sub)]
 
+    @cached_property
+    def _element(self):  # the masks as Python ints, and {mask: element} with -1 (all bits) for the top
+        masks = self.masks.tolist()
+        return masks, {**dict(zip(masks, range(len(masks)))), -1: int(self.order[-1])}
+
     def find_and(self, elems):
-        """The element whose mask is the AND over elems; the full mask, the largest, when there is none."""
-        sub = self.values[-1]
+        """The element whose mask is the AND over elems; the full mask's, the top's, when there is none."""
+        (masks, element), sub = self._element, -1
         for a in elems:
-            sub = sub & self.masks[a]
-        return int(self.find(sub))
+            sub &= masks[a]
+        return element[sub]
+
+
+def _lower_covers_join(p):
+    """Whether each element with lower covers b, c, ... (the first two) has as up-set the AND of the
+    packed up-rows of b and c, gathered in blocks of about 2**17 bytes (see ``_certify``)."""
+    order = np.argsort(p._ends[1], kind="stable")  # by upper end, then lower end, as in _down_adj
+    lo, hi = p._ends[0][order], p._ends[1][order]
+    i = np.flatnonzero((np.diff(hi, prepend=-1) != 0)[:-1] & (hi[1:] == hi[:-1]))  # first of 2 or more
+    ends, up = np.stack([hi[i], lo[i], lo[i + 1]], axis=1), np.packbits(p.leq, axis=1)  # x, b, c
+    step = max(1, 2**17 // (3 * up.shape[1]))
+    blocks = (up[ends[s : s + step]] for s in range(0, len(i), step))  # rows of x, b, c
+    return all((g[:, 1] & g[:, 2] == g[:, 0]).all() for g in blocks)
 
 
 def _certify(p, side, tops):
     """NotALattice with a witness pair unless the bounded order p is a lattice.  Every element of a
     finite lattice is the join of the join-irreducibles below it (Davey and Priestley, Introduction
     to Lattices and Order, 2.41), so p is a lattice iff on its join-irreducible side x <= y exactly
-    when M(x) is a subset of M(y) and the masks are closed under intersection.  Given the embedding,
-    it is enough that M(x) & M(g) is a mask for every x and every meet-irreducible g in ``tops``: top
-    down, a y with upper covers c != d has M(d) an intersection of such M(g), so M(c) & M(g) & ...
-    ends in a mask M(z) with y <= z < c, that is M(y) = M(z).  So every mask is an intersection of
-    M(g)s, and M(x) & M(y) is reached one g at a time: m x len(tops) lookups accept, in row blocks.
+    when M(x) is a subset of M(y) and the masks are closed under intersection.  The embedding holds
+    iff each x with lower covers b, c, ... is b v c (``_lower_covers_join``): in a lattice, as b < b v c
+    <= x and b is covered by x; conversely, by induction up(x) = {y : M(x) in M(y)} for the bottom,
+    each join-irreducible and each b v c.  Given it, M(x) & M(g) must be a mask for every x and each
+    meet-irreducible g in ``tops``, and that is enough: top down, a y with upper covers c != d has M(d)
+    an intersection of such M(g), so M(c) & M(g) & ... ends in a mask M(z) with y <= z < c, that is
+    M(y) = M(z).  So every mask is an intersection of M(g)s, and M(x) & M(y) is reached one g at a time.
 
     Only on failure are the rows scanned in topological order, a block a pass: the embedding against
     the whole row, the (symmetric) lookups only against rows not yet passed.  The first bad row a gives:
@@ -69,32 +89,31 @@ def _certify(p, side, tops):
       Any such b comes after a, or its own row would have failed first.
     """
     masks, values, tops = side.masks, side.values, side.masks[list(tops)]
-    step = max(1, 2**16 // max(p.n, 1))  # rows per numpy pass: about 2**16 pairs
 
-    def check(rows, against):  # whether each row embeds, and which of its meets with against miss
-        embeds = (((masks[rows, None] & masks) == masks[rows, None]) == p.leq[rows]).all(axis=1)
-        sub = masks[rows, None] & against
-        return embeds, values[np.searchsorted(values, sub)] != sub  # sub <= masks[rows]: in range
+    def misses(sub):  # which ANDs with masks are no mask; each is <= a mask, so in range
+        return values[np.searchsorted(values, sub)] != sub
 
-    blocks = (check(slice(start, start + step), tops) for start in range(0, p.n, step))
-    if all(embeds.all() and not misses.any() for embeds, misses in blocks):
+    step = max(1, 2**16 // max(p.n, 1))  # about 2**16 pairs a pass: rows of tops, or rows of p
+    lookups = (misses(values & tops[s : s + step, None]).any() for s in range(0, len(tops), step))
+    if _lower_covers_join(p) and not any(lookups):
         return
     pending = np.ones(p.n, dtype=bool)
     for start in range(0, p.n, step):
         rows = np.asarray(p._topo[start : start + step])
         rest = np.flatnonzero(pending)
-        embeds, misses = check(rows, masks[rest])
-        bad = ~embeds | misses.any(axis=1)
+        embeds = (((masks[rows, None] & masks) == masks[rows, None]) == p.leq[rows]).all(axis=1)
+        missed = misses(masks[rows, None] & masks[rest])
+        bad = ~embeds | missed.any(axis=1)
         if bad.any():
             i = int(np.argmax(bad))
             a = int(rows[i])
             if not embeds[i]:
                 b, c = p._down_adj[a][:2]
                 raise NotALattice(f"pair ({b}, {c}) has no join", pair=(b, c))
-            b = int(rest[np.argmax(misses[i])])
+            b = int(rest[np.argmax(missed[i])])
             raise NotALattice(f"pair ({a}, {b}) has no meet", pair=(a, b))
         pending[rows] = False
-    raise InvariantViolated("the meet-irreducible lookups failed, but no pair lacks a join or a meet")
+    raise InvariantViolated("the certificate failed, but no pair lacks a join or a meet")
 
 
 def _cover_labels(side, lows, ups):

@@ -58,7 +58,9 @@ one vertex at a time, and is only run at small sizes:
   ``checks.check_lattice_law``;
 - ``closed_under_intersection``: every pairwise AND of a list of masks looked
   up among them, the oracle for the certificate
-  ``lattice.has_intersection_property``.
+  ``lattice.has_intersection_property``;
+- ``masks_embed_order``: every pair of masks compared by inclusion against the
+  order, the oracle for the cover check ``lattice._lower_covers_join``.
 """
 
 from dataclasses import dataclass
@@ -517,3 +519,13 @@ def closed_under_intersection(masks):
         if (values[np.searchsorted(values, meets)] != meets).any():
             return False
     return True
+
+
+def masks_embed_order(masks, leq):
+    """Whether x <= y exactly when masks[x] lies inside masks[y], over all m x m pairs, rows in blocks
+    of about 2**16 pairs."""
+    step = max(1, 2**16 // max(len(masks), 1))
+    return all(
+        (((masks[s : s + step, None] & masks) == masks[s : s + step, None]) == leq[s : s + step]).all()
+        for s in range(0, len(masks), step)
+    )

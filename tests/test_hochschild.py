@@ -87,6 +87,14 @@ def test_counts_match_closed_formula():
         assert sizes[n - 1] == 2 * sizes[n - 2] + 2 ** (n - 2)
 
 
+def test_index_is_built_on_first_use():
+    for n in range(1, 9):
+        h = build_hoch.__wrapped__(n)  # not the cached lattice, whose index other tests have read
+        assert "index" not in vars(h)
+        assert [h.id_of(u) for u in h.triwords] == list(range(h.lattice.n))
+        assert h.index == dict(zip(build_hoch(n).triwords, range(h.lattice.n)))
+
+
 def test_triword_predicate_rejects_bad_words():
     assert not is_triword((2, 0))
     assert not is_triword((0, 1))

@@ -25,7 +25,7 @@ from hochlat.lattice import (
 )
 from hochlat.poset import FinitePoset, _reach, doubling
 from hochlat.shuffles import clo, shuffle_lattice
-from oracles import closed_under_intersection, core_label_set, dual, from_leq_by_product
+from oracles import closed_under_intersection, core_label_set, dual, from_leq_by_product, masks_embed_order
 
 
 def chain_lattice(k):
@@ -552,7 +552,7 @@ def test_meet_irreducible_lookups_decide_intersection_closure():
         lower = lattice_module._Masks(p.leq, p._down_adj)
         upper = lattice_module._Masks(p.leq.T, p._up_adj)
         masks = lower.masks
-        if not (((masks[:, None] & masks) == masks[:, None]) == p.leq).all():
+        if not masks_embed_order(masks, p.leq):
             continue
         known = set(masks.tolist())
         lookups = (masks[:, None] & masks[sorted(upper.irr)]).ravel().tolist()
@@ -567,6 +567,77 @@ def test_meet_irreducible_lookups_decide_intersection_closure():
         verdicts.append(verdict)
     assert verdicts.count(True) == 1600 - 276
     assert verdicts.count(False) == 13  # non-lattices whose masks embed the order
+
+
+def test_cover_check_implies_the_embedding_and_holds_on_every_lattice():
+    """_lower_covers_join against the m x m oracle.  It is stricter than the embedding only on
+    non-lattices: on 6 corpus orders two lower covers have an upper bound not above their upper cover."""
+    rejected = stricter = 0
+    posets = certification_corpus() + [build_hoch(9).lattice.poset, build_hoch(10).lattice.poset]
+    for p in posets:
+        covers_join = lattice_module._lower_covers_join(p)
+        embeds = masks_embed_order(lattice_module._Masks(p.leq, p._down_adj).masks, p.leq)
+        assert embeds or not covers_join
+        try:
+            as_lattice(p)
+        except NotALattice:
+            rejected += 1
+            stricter += embeds and not covers_join
+            continue
+        assert covers_join
+    assert (rejected, stricter) == (276, 6)
+
+
+def mutated_cover_check(old, new):
+    source = inspect.getsource(lattice_module._lower_covers_join)
+    mutated = source.replace(old, new)
+    assert mutated != source
+    namespace = dict(vars(lattice_module))
+    exec(mutated, namespace)
+    return namespace["_lower_covers_join"]
+
+
+def test_cover_check_fails_against_one_lower_cover_alone(monkeypatch):
+    one_row = mutated_cover_check("g[:, 1] & g[:, 2] ==", "g[:, 1] ==")
+    p = build_hoch(4).lattice.poset
+    assert lattice_module._lower_covers_join(p) and not one_row(p)
+    monkeypatch.setattr(lattice_module, "_lower_covers_join", one_row)
+    with pytest.raises(InvariantViolated):  # the scan finds no witness in a lattice
+        as_lattice(p)
+
+
+def test_cover_check_needs_the_elements_with_two_lower_covers():
+    three_up = mutated_cover_check("& (hi[1:] == hi[:-1])", "& np.append(hi[2:] == hi[:-2], False)")
+    passed = 0
+    for p in certification_corpus():
+        if three_up(p) and not masks_embed_order(lattice_module._Masks(p.leq, p._down_adj).masks, p.leq):
+            assert not lattice_module._lower_covers_join(p)
+            passed += 1
+    assert passed == 183
+
+
+def test_cover_check_catches_a_failure_past_its_first_block():
+    lat = build_hoch(10).lattice
+    p = FinitePoset.closure([c for c in lat.covers if c != (3323, 3326)], lat.n)
+    first_block = mutated_cover_check("range(0, len(i), step)", "range(0, min(step, len(i)), step)")
+    assert first_block(p) and not lattice_module._lower_covers_join(p)
+    with pytest.raises(NotALattice) as err:
+        as_lattice(p)
+    assert err.value.args[0] == "pair (2043, 2747) has no join"  # as the m x m scan named it
+
+
+def test_scalar_joins_and_meets_match_the_rows():
+    lattices = [build_hoch(n).lattice for n in range(1, 7)] + [build_bool(k) for k in range(6)]
+    lattices += seeded_lattices() + [chain_lattice(65), diamond(64), diamond(65)]  # object masks last
+    for lat in lattices:
+        for a in range(lat.n):
+            joins, meets = lat.join(a).tolist(), lat.meet(a).tolist()
+            assert [lat.join_of(a, b) for b in range(lat.n)] == joins
+            assert [lat.meet_of(a, b) for b in range(lat.n)] == meets
+            assert [lat.join_all((a, b)) for b in range(lat.n)] == joins
+            assert [lat.meet_all([b, a]) for b in range(lat.n)] == meets
+        assert lat.join_all(()) == lat.bottom and lat.meet_all(()) == lat.top
+    assert lattices[-1]._lower.masks.dtype == object
 
 
 def test_as_lattice_witness_when_only_the_embedding_fails():
