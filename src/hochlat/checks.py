@@ -103,7 +103,7 @@ def check_lattice_law(n):
 
 def check_structure(n):
     """Extremal, semidistributive, spherical, and core label sets closed under intersection, certified
-    on the core label order's meet-irreducible rows (every element is the meet of those above it)."""
+    by looking up each set's AND with the sets of the core label order's elements of at most one upper cover."""
     lat = build_hoch(n).lattice
     return (
         is_extremal(lat)
@@ -142,8 +142,8 @@ def check_mo_reconstruction(n):
 
 
 def check_cjc(n):
-    """The canonical join complex is vertex-decomposable.  Its face count, the element count, is
-    certified inside ``cjc``, which raises InvariantViolated when they differ."""
+    """The canonical join complex is vertex-decomposable.  ``cjc`` certifies that the canonical join
+    representations are its faces, one per element, and raises InvariantViolated when they are not."""
     return is_vertex_decomposable(cjc(build_hoch(n).lattice))
 
 

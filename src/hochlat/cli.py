@@ -285,15 +285,9 @@ def _cmd_galois(args):
 
 
 def _triangle_polys(n, which):
-    table = {
-        "m": lambda: m_closed(n),
-        "f": lambda: f_closed(n),
-        "h": lambda: h_closed(n),
-        "rank": lambda: rank_poly_closed(n),
-        "char": lambda: char_poly_closed(n),
-    }
+    table = {"m": m_closed, "f": f_closed, "h": h_closed, "rank": rank_poly_closed, "char": char_poly_closed}
     picked = list(table) if which == "all" else [which]
-    return {w: table[w]() for w in picked}
+    return {w: table[w](n) for w in picked}
 
 
 def _cmd_triangles(args):

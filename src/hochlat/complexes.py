@@ -116,15 +116,18 @@ class SimplicialComplex:
 
 
 def cjc(lat):
-    """Canonical join complex: one face per element of the lattice."""
+    """Canonical join complex: one face per element of the lattice.  The canonical join representations
+    are certified to be its faces, as lat.n distinct sets closed under dropping one vertex; its facets
+    are then the faces that no join-irreducible extends."""
     if not is_join_semidistributive(lat):
         raise NotJoinSemidistributive("lattice is not join-semidistributive")
-    reps = [canonical_joinrep(lat, a) for a in range(lat.n)]
-    labels = {a: str(lat.poset.labels[a]) for a in lat.join_irreducibles()}
-    out = SimplicialComplex(reps, labels)
-    if out.face_count() != lat.n:
-        raise InvariantViolated(f"{out.face_count()} faces for {lat.n} elements")
-    return out
+    faces, irr = {canonical_joinrep(lat, a) for a in range(lat.n)}, lat.join_irreducibles()
+    if len(faces) != lat.n:
+        raise InvariantViolated(f"{len(faces)} distinct canonical join representations for {lat.n} elements")
+    if any(f - {v} not in faces for f in faces for v in f):
+        raise InvariantViolated("the canonical join representations are not closed under dropping a vertex")
+    facets = [f for f in faces if not any(j not in f and f | {j} in faces for j in irr)]
+    return SimplicialComplex(facets, {a: str(lat.poset.labels[a]) for a in irr})
 
 
 def is_vertex_decomposable(cx):

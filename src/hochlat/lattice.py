@@ -11,7 +11,8 @@ table is stored besides the order.
 On top of that live the irreducibles and one core-label layer, each part computed once
 per lattice from the same irreducible masks: the cover labels (they exist iff the lattice
 is semidistributive), canonical join representations, and core label sets as bitmasks over
-the join-irreducibles (``psi_map``)."""
+the join-irreducibles (``psi_map``), which ``_certify``'s lookups (``_closed``) find closed under
+intersection or not."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvariantViolated, NoUniqueMin, NotALattice, NotSemidistributive
+from .errors import InvariantViolated, NoUniqueMin, NotALattice, NotBounded, NotSemidistributive
 from .limits import check_elements, check_range
 from .poset import FinitePoset
 
@@ -66,6 +67,18 @@ def _lower_covers_join(p):
     return all((g[:, 1] & g[:, 2] == g[:, 0]).all() for g in blocks)
 
 
+def _misses(values, sub):
+    """Which of sub are no mask in the sorted values; each is a subset of a mask, so in range."""
+    return values[np.searchsorted(values, sub)] != sub
+
+
+def _closed(values, gens):
+    """Whether values & g is again one of the sorted masks values for each g of gens, about 2**16
+    pairs a pass (see ``_certify``)."""
+    step = max(1, 2**16 // max(len(values), 1))
+    return not any(_misses(values, values & gens[s : s + step, None]).any() for s in range(0, len(gens), step))
+
+
 def _certify(p, side, tops):
     """NotALattice with a witness pair unless the bounded order p is a lattice.  Every element of a
     finite lattice is the join of the join-irreducibles below it (Davey and Priestley, Introduction
@@ -74,9 +87,10 @@ def _certify(p, side, tops):
     iff each x with lower covers b, c, ... is b v c (``_lower_covers_join``): in a lattice, as b < b v c
     <= x and b is covered by x; conversely, by induction up(x) = {y : M(x) in M(y)} for the bottom,
     each join-irreducible and each b v c.  Given it, M(x) & M(g) must be a mask for every x and each
-    meet-irreducible g in ``tops``, and that is enough: top down, a y with upper covers c != d has M(d)
-    an intersection of such M(g), so M(c) & M(g) & ... ends in a mask M(z) with y <= z < c, that is
-    M(y) = M(z).  So every mask is an intersection of M(g)s, and M(x) & M(y) is reached one g at a time.
+    meet-irreducible g in ``tops``, and that is enough (``_closed``).  This lookup lemma holds for any
+    finite family of sets with a top, ordered by inclusion: top down, a y with upper covers c != d has
+    M(d) an intersection of such M(g), so M(c) & M(g) & ... ends in a mask M(z) with y <= z < c, that
+    is M(y) = M(z).  So every mask is an intersection of M(g)s, and M(x) & M(y) is reached one g at a time.
 
     Only on failure are the rows scanned in topological order, a block a pass: the embedding against
     the whole row, the (symmetric) lookups only against rows not yet passed.  The first bad row a gives:
@@ -88,21 +102,16 @@ def _certify(p, side, tops):
     - (a, b) with b least when M(a) & M(b) is no mask: a meet of a and b would have that mask.
       Any such b comes after a, or its own row would have failed first.
     """
-    masks, values, tops = side.masks, side.values, side.masks[list(tops)]
-
-    def misses(sub):  # which ANDs with masks are no mask; each is <= a mask, so in range
-        return values[np.searchsorted(values, sub)] != sub
-
-    step = max(1, 2**16 // max(p.n, 1))  # about 2**16 pairs a pass: rows of tops, or rows of p
-    lookups = (misses(values & tops[s : s + step, None]).any() for s in range(0, len(tops), step))
-    if _lower_covers_join(p) and not any(lookups):
+    masks, values = side.masks, side.values
+    if _lower_covers_join(p) and _closed(values, masks[list(tops)]):
         return
+    step = max(1, 2**16 // max(p.n, 1))  # about 2**16 pairs a pass, as in _closed
     pending = np.ones(p.n, dtype=bool)
     for start in range(0, p.n, step):
         rows = np.asarray(p._topo[start : start + step])
         rest = np.flatnonzero(pending)
         embeds = (((masks[rows, None] & masks) == masks[rows, None]) == p.leq[rows]).all(axis=1)
-        missed = misses(masks[rows, None] & masks[rest])
+        missed = _misses(values, masks[rows, None] & masks[rest])
         bad = ~embeds | missed.any(axis=1)
         if bad.any():
             i = int(np.argmax(bad))
@@ -139,11 +148,10 @@ class Lattice:
     """A finite lattice that looks its meets up by the join-irreducible masks ``_lower`` and its
     joins by the meet-irreducible masks ``_upper``."""
 
-    def __init__(self, poset, lower, upper):
+    def __init__(self, poset, lower, upper, bottom, top):
         self.poset = poset
         self._lower, self._upper = lower, upper
-        self.bottom = poset.bottom()
-        self.top = poset.top()
+        self.bottom, self.top = bottom, top
 
     @property
     def n(self):
@@ -223,13 +231,16 @@ class Lattice:
 
 def as_lattice(p):
     """The lattice of a poset, with the irreducible masks that answer its joins and meets; NotALattice
-    with a witness pair when the poset is no lattice."""
-    for ends, side in ((p.minimal_elements(), "lower"), (p.maximal_elements(), "upper")):
+    with a witness pair when the poset is no lattice, and NotBounded when it is empty."""
+    mins, maxs = p.minimal_elements(), p.maximal_elements()
+    if not mins:
+        raise NotBounded("poset has 0 minimal elements")
+    for ends, side in ((mins, "lower"), (maxs, "upper")):
         if len(ends) > 1:
             raise NotALattice(f"pair ({ends[0]}, {ends[1]}) has no {side} bound", pair=(ends[0], ends[1]))
     lower, upper = _Masks(p.leq, p._down_adj), _Masks(p.leq.T, p._up_adj)
     _certify(p, lower, upper.irr)
-    return Lattice(p, lower, upper)
+    return Lattice(p, lower, upper, mins[0], maxs[0])
 
 
 def is_extremal(lat):
@@ -289,21 +300,15 @@ def psi_map(lat):
 
 
 def has_intersection_property(lat):
-    """Whether core label sets are closed under intersection; needs semidistributivity.  Certified
-    as the lattice law is: the core label order, with the union U of all adjoined on top when no
-    element has it (U & A = A), is a lattice whose meet-irreducibles' meet rows are ``psi[q] & psi``."""
+    """Whether core label sets are closed under intersection; needs semidistributivity.  By the lookup
+    lemma of ``_certify`` on the family ordered by inclusion (the core label order) with the union U of
+    all adjoined on top: its meet-irreducibles are the elements with one upper cover and, when there
+    are several, the maximal ones.  A unique maximal element is U itself, and A & U = A."""
     from .shuffles import clo  # shuffles imports this module
 
-    psi, order = psi_map(lat), clo(lat)
-    if len(tops := order.maximal_elements()) > 1:
-        leq = np.pad(order.leq, ((0, 1), (0, 1))) | (np.arange(lat.n + 1) == lat.n)  # all below the top
-        order = FinitePoset(leq, order.covers + tuple((t, lat.n) for t in tops))
-        psi = np.append(psi, np.bitwise_or.reduce(psi))
-    try:
-        cl = as_lattice(order)
-    except NotALattice:
-        return False
-    return all((psi[cl.meet(q)] == psi[q] & psi).all() for q in cl.meet_irreducibles())
+    psi = psi_map(lat)
+    gens = np.bincount(clo(lat)._ends[0], minlength=lat.n) < 2  # at most one upper cover
+    return _closed(np.sort(psi), psi[gens])
 
 
 def build_bool(n):

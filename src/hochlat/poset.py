@@ -287,11 +287,7 @@ class FinitePoset:
 
     def rank_profile(self):
         """Count of elements of each rank, index 0 = minimal rank."""
-        ranks = self.rank_vector()
-        profile = [0] * (max(ranks) + 1 if ranks else 1)
-        for r in ranks:
-            profile[r] += 1
-        return profile
+        return np.bincount(self.rank_vector(), minlength=1).tolist()
 
     # -- chains and antichains --------------------------------------------
 

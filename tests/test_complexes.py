@@ -11,9 +11,10 @@ from hochlat.complexes import (
 )
 from hochlat.errors import InvariantViolated, NotAFace, NotJoinSemidistributive
 from hochlat.hochschild import build_hoch, irreducible_of_triword, parse_triword
-from hochlat.lattice import as_lattice, build_bool
+from hochlat.lattice import as_lattice, build_bool, canonical_joinrep, is_semidistributive
 from hochlat.poset import FinitePoset
 from oracles import is_shedding_vertex
+from test_lattice import chain_lattice, seeded_lattices
 
 
 def _maximal(sets):
@@ -111,6 +112,35 @@ def test_face_count_mismatch_raises(monkeypatch):
     monkeypatch.setattr(complexes, "canonical_joinrep", lambda lat, a: frozenset())
     with pytest.raises(InvariantViolated):
         cjc(build_bool(2))
+
+
+def test_facets_match_the_maximal_representations():
+    lattices = [build_hoch(n).lattice for n in range(1, 9)] + [build_bool(n) for n in range(7)]
+    lattices += [lat for lat in seeded_lattices() if is_semidistributive(lat)] + [chain_lattice(65)]
+    for lat in lattices:
+        reps = [canonical_joinrep(lat, a) for a in range(lat.n)]
+        assert cjc(lat).facets == complexes._maximal_sets(reps)
+    assert len(lattices) > 200
+
+
+def test_duplicated_representation_raises(monkeypatch):
+    """Bool(2) with the representation {2} replaced by {1}: four elements, three distinct sets, whose
+    subsets are still four faces."""
+    lat = build_bool(2)
+    real = complexes.canonical_joinrep
+    monkeypatch.setattr(complexes, "canonical_joinrep", lambda lat, a: real(lat, 1 if a == 2 else a))
+    with pytest.raises(InvariantViolated, match="3 distinct canonical join representations for 4"):
+        cjc(lat)
+
+
+def test_representation_gaining_a_vertex_raises(monkeypatch):
+    lat = build_hoch(3).lattice
+    real = complexes.canonical_joinrep
+    reps = [real(lat, a) for a in range(lat.n)]
+    a, v = next((a, v) for a in range(lat.n) if reps[a] for v in lat.join_irreducibles() if reps[a] | {v} not in reps)
+    monkeypatch.setattr(complexes, "canonical_joinrep", lambda lat, b: reps[b] | {v} if b == a else reps[b])
+    with pytest.raises(InvariantViolated, match="not closed under dropping a vertex"):
+        cjc(lat)
 
 
 def test_link_and_deletion():

@@ -2,15 +2,16 @@ import hashlib
 import inspect
 import itertools
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from hochlat import lattice as lattice_module
-from hochlat.errors import InvariantViolated, NoUniqueMin, NotALattice, NotSemidistributive
+from hochlat import shuffles
+from hochlat.errors import InvariantViolated, NoUniqueMin, NotALattice, NotBounded, NotSemidistributive
 from hochlat.hochschild import build_hoch
 from hochlat.lattice import (
-    Lattice,
     as_lattice,
     build_bool,
     canonical_joinrep,
@@ -390,33 +391,65 @@ def test_intersection_certificate_matches_the_pairwise_oracle():
     assert (len(verdicts), verdicts.count(False), topless) == (856, 4, 544)
 
 
+def random_families(rng, count):
+    """Families of distinct subsets of a set of at most 6 points, as int64 masks."""
+    for _ in range(count):
+        k = rng.randrange(1, 7)
+        yield np.array(rng.sample(range(2**k), rng.randrange(1, min(2**k, 12) + 1)), dtype=np.int64)
+
+
+def family_verdicts(check, families, monkeypatch):
+    """check on each family read as the core label sets of a stand-in lattice, whose core label
+    order is the family ordered by inclusion."""
+    monkeypatch.setattr(shuffles, "clo", lambda family: family.order)
+    orders = [FinitePoset.from_leq((psi[:, None] & ~psi) == 0) for psi in families]
+    return [check(SimpleNamespace(n=len(psi), _psi=psi, order=order)) for psi, order in zip(families, orders)]
+
+
+def test_intersection_property_matches_the_pairwise_oracle_on_random_families(monkeypatch):
+    families = list(random_families(random.Random(5), 2000))
+    got = family_verdicts(has_intersection_property, families, monkeypatch)
+    assert got == [closed_under_intersection(psi) for psi in families]
+    topless = sum(np.bitwise_or.reduce(psi) not in psi for psi in families)  # no member is the union
+    assert (got.count(False), topless) == (1042, 782)
+
+
+def only_wrongly_accepts(check, tops, count, monkeypatch):
+    """check, a mutation of has_intersection_property, differs from it on corpus lattices whose core
+    label orders have tops maximal elements and on count random families, each time accepting."""
+    wrong = [lat for lat in intersection_lattices() if check(lat) != has_intersection_property(lat)]
+    assert [len(clo(lat).maximal_elements()) for lat in wrong] == tops
+    assert not any(has_intersection_property(lat) for lat in wrong)
+    families = list(random_families(random.Random(5), 2000))
+    want = family_verdicts(has_intersection_property, families, monkeypatch)
+    got = family_verdicts(check, families, monkeypatch)
+    assert sum(g != w for g, w in zip(got, want)) == count
+    assert all(g for g, w in zip(got, want) if g != w)
+
+
 def test_intersection_property_fails_on_a_clo_meet_row_taken_as_its_join_row(monkeypatch):
+    """With each lookup an OR (the join of two core label sets) instead of an AND (their meet),
+    Hoch(4), whose core label sets are closed under intersection, is rejected."""
     lat = build_hoch(4).lattice
-    real = Lattice.meet
-
-    def planted(cl, a):  # the core label order's first meet-irreducible row only
-        return cl.join(a) if cl is not lat and a == cl.meet_irreducibles()[0] else real(cl, a)
-
+    as_join = mutated("_closed", "values & gens", "values | gens")
     assert has_intersection_property(lat)
-    monkeypatch.setattr(Lattice, "meet", planted)
+    monkeypatch.setattr(lattice_module, "_closed", as_join)
     assert not has_intersection_property(lat)
 
 
-def test_intersection_property_needs_the_adjoined_top():
-    """A seeded lattice whose core label sets are closed under intersection, with no element having
-    their union: without the union adjoined, the core label order is no lattice."""
-    lat = next(
-        lat
-        for lat in seeded_lattices()
-        if is_semidistributive(lat) and len(clo(lat).maximal_elements()) > 1 and closed_under_intersection(psi_map(lat))
-    )
-    source = inspect.getsource(lattice_module.has_intersection_property)
-    mutated = source.replace("if len(tops := order.maximal_elements()) > 1:", "if False:")
-    assert mutated != source
-    namespace = dict(vars(lattice_module))
-    exec(mutated, namespace)
-    assert has_intersection_property(lat)
-    assert not namespace["has_intersection_property"](lat)
+def test_intersection_property_needs_the_adjoined_top(monkeypatch):
+    """Generators with exactly one upper cover in the core label order leave out the maximal
+    elements, whose one upper cover is the adjoined union when there are several; that wrongly
+    accepts the corpus lattice whose core label order has 2 maximal elements, and random families."""
+    one_cover = mutated("has_intersection_property", "minlength=lat.n) < 2", "minlength=lat.n) == 1")
+    only_wrongly_accepts(one_cover, [2], 187, monkeypatch)
+
+
+def test_intersection_property_needs_every_generator(monkeypatch):
+    """Lookups against the first generator only wrongly accept corpus lattices and random families
+    whose core label sets are not closed."""
+    first_only = mutated("has_intersection_property", "psi[gens])", "psi[gens][:1])")
+    only_wrongly_accepts(first_only, [1, 1, 2], 112, monkeypatch)
 
 
 def test_clo_covers_match_float32_product():
@@ -588,17 +621,18 @@ def test_cover_check_implies_the_embedding_and_holds_on_every_lattice():
     assert (rejected, stricter) == (276, 6)
 
 
-def mutated_cover_check(old, new):
-    source = inspect.getsource(lattice_module._lower_covers_join)
-    mutated = source.replace(old, new)
-    assert mutated != source
+def mutated(name, old, new):
+    """The function ``name`` of the lattice module with ``old`` replaced by ``new`` in its source."""
+    source = inspect.getsource(getattr(lattice_module, name))
+    edited = source.replace(old, new)
+    assert edited != source
     namespace = dict(vars(lattice_module))
-    exec(mutated, namespace)
-    return namespace["_lower_covers_join"]
+    exec(edited, namespace)
+    return namespace[name]
 
 
 def test_cover_check_fails_against_one_lower_cover_alone(monkeypatch):
-    one_row = mutated_cover_check("g[:, 1] & g[:, 2] ==", "g[:, 1] ==")
+    one_row = mutated("_lower_covers_join", "g[:, 1] & g[:, 2] ==", "g[:, 1] ==")
     p = build_hoch(4).lattice.poset
     assert lattice_module._lower_covers_join(p) and not one_row(p)
     monkeypatch.setattr(lattice_module, "_lower_covers_join", one_row)
@@ -607,7 +641,7 @@ def test_cover_check_fails_against_one_lower_cover_alone(monkeypatch):
 
 
 def test_cover_check_needs_the_elements_with_two_lower_covers():
-    three_up = mutated_cover_check("& (hi[1:] == hi[:-1])", "& np.append(hi[2:] == hi[:-2], False)")
+    three_up = mutated("_lower_covers_join", "& (hi[1:] == hi[:-1])", "& np.append(hi[2:] == hi[:-2], False)")
     passed = 0
     for p in certification_corpus():
         if three_up(p) and not masks_embed_order(lattice_module._Masks(p.leq, p._down_adj).masks, p.leq):
@@ -619,7 +653,7 @@ def test_cover_check_needs_the_elements_with_two_lower_covers():
 def test_cover_check_catches_a_failure_past_its_first_block():
     lat = build_hoch(10).lattice
     p = FinitePoset.closure([c for c in lat.covers if c != (3323, 3326)], lat.n)
-    first_block = mutated_cover_check("range(0, len(i), step)", "range(0, min(step, len(i)), step)")
+    first_block = mutated("_lower_covers_join", "range(0, len(i), step)", "range(0, min(step, len(i)), step)")
     assert first_block(p) and not lattice_module._lower_covers_join(p)
     with pytest.raises(NotALattice) as err:
         as_lattice(p)
@@ -638,6 +672,11 @@ def test_scalar_joins_and_meets_match_the_rows():
             assert [lat.meet_all([b, a]) for b in range(lat.n)] == meets
         assert lat.join_all(()) == lat.bottom and lat.meet_all(()) == lat.top
     assert lattices[-1]._lower.masks.dtype == object
+
+
+def test_as_lattice_of_the_empty_order_is_not_bounded():
+    with pytest.raises(NotBounded, match="poset has 0 minimal elements"):
+        as_lattice(FinitePoset.closure([], 0))
 
 
 def test_as_lattice_witness_when_only_the_embedding_fails():
