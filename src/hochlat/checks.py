@@ -24,7 +24,6 @@ from .hochschild import (
     enumerate_triwords,
     hoch_meet_code,
     irreducible_of_triword,
-    parse_triword,
     triword_count,
 )
 from .lattice import (
@@ -124,11 +123,11 @@ def check_doubling(n):
 
 
 def check_galois(n):
-    geo = galois_graph(build_hoch(n).lattice)
-    want = hoch_galois_characterization(n)
+    h = build_hoch(n)
+    geo, want = galois_graph(h.lattice), hoch_galois_characterization(n)
 
     def irr_name(v):
-        return str(irreducible_of_triword(parse_triword(geo.graph.labels[v])))
+        return str(irreducible_of_triword(h.triword(geo.joins[v])))
 
     got = {(irr_name(s), irr_name(t)) for s, t in geo.graph.edges}
     expected = {(want.labels[s], want.labels[t]) for s, t in want.edges}

@@ -130,11 +130,6 @@ def hoch_galois_characterization(n):
     return DiGraph(len(labels), edges, labels)
 
 
-def _set_label(labels, mask):
-    names = [str(labels[i]) for i in range(len(labels)) if mask >> i & 1]
-    return "{" + ",".join(names) + "}"
-
-
 @dataclass
 class OrthoPairLattice:
     """Lattice of maximal orthogonal pairs, as a poset with no tables, and the pair behind each id."""
@@ -202,8 +197,7 @@ def max_ortho_pairs_lattice(g):
     held = (meets[:, :, None] & ~meets[:, None, :] == 0) & (meets[:, :, None] != meets[:, None, :])
     lows, ts = np.nonzero(~inside & ~(held & ~inside[:, None, :]).any(axis=2))
     covers = np.stack([ids[lows, ts], lows], axis=1)  # closure drops the repeats
-    labels = [f"({_set_label(g.labels, a)},{_set_label(g.labels, b)})" for a, b in pairs]
-    return OrthoPairLattice(FinitePoset.closure(covers, len(pairs), labels=labels), tuple(pairs), g)
+    return OrthoPairLattice(FinitePoset.closure(covers, len(pairs)), tuple(pairs), g)
 
 
 def reconstruction_isomorphic(lat, geo, mo):

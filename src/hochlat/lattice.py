@@ -26,13 +26,15 @@ from .poset import FinitePoset
 
 
 class _Masks:
-    """One side of a lattice: its join-irreducibles (``irr``, {j: j_*}) and the masks M(x) of those
-    below each x, bit i for the i-th (int64 below 64 of them, else Python ints): ``masks`` by element,
-    ``values`` sorted, ``order`` (int32) from sorted position to element, so that ``find`` answers
-    meets.  On the dual order the meet-irreducibles answer joins."""
+    """One side of a lattice, from its order and the lower and upper ends of its covers: ``irr``,
+    {j: j_*} ascending in j, holds the join-irreducibles (each the upper end of one cover alone), and
+    M(x) the mask of those below x, bit i for the i-th (int64 below 64 of them, else Python ints):
+    ``masks`` by element, ``values`` sorted, ``order`` (int32) from sorted position to element, so
+    that ``find`` answers meets.  On the dual order, its ends swapped, the meet-irreducibles answer joins."""
 
-    def __init__(self, leq, lower_covers):
-        self.irr = {a: below[0] for a, below in enumerate(lower_covers) if len(below) == 1}
+    def __init__(self, leq, lows, ups):
+        once = np.bincount(ups, minlength=len(leq))[ups] == 1  # the covers alone below their upper end
+        self.irr = dict(sorted(zip(ups[once].tolist(), lows[once].tolist())))
         masks = np.zeros(len(leq), dtype=np.int64 if len(self.irr) < 64 else object)
         for i, j in enumerate(self.irr):
             masks |= leq[j].astype(masks.dtype) << i
@@ -238,7 +240,7 @@ def as_lattice(p):
     for ends, side in ((mins, "lower"), (maxs, "upper")):
         if len(ends) > 1:
             raise NotALattice(f"pair ({ends[0]}, {ends[1]}) has no {side} bound", pair=(ends[0], ends[1]))
-    lower, upper = _Masks(p.leq, p._down_adj), _Masks(p.leq.T, p._up_adj)
+    lower, upper = _Masks(p.leq, *p._ends), _Masks(p.leq.T, *p._ends[::-1])
     _certify(p, lower, upper.irr)
     return Lattice(p, lower, upper, mins[0], maxs[0])
 

@@ -1,10 +1,11 @@
 """Finite posets on dense integer element ids.
 
 Elements are the integers 0..n-1.  The order relation is stored as a dense
-read-only boolean matrix ``leq`` (leq[a, b] iff a <= b), covers as a sorted
-tuple of pairs.  Instances are immutable once built; every derived quantity
-is computed from ``leq`` and ``covers`` alone, so the same object can be
-shared freely.
+read-only boolean matrix ``leq`` (leq[a, b] iff a <= b), covers as two sorted
+int32 arrays ``_ends`` of their lower and upper ends.  Instances are immutable
+once built; every derived quantity is computed from ``leq`` and ``_ends`` alone
+(the ``covers`` tuple and the adjacency lists on first read), so the same
+object can be shared freely.
 
 Construction goes through :meth:`FinitePoset.closure` (reflexive-transitive
 closure of a cover list, with cycle and cover validation; :func:`doubling`
@@ -94,11 +95,8 @@ class FinitePoset:
         leq.setflags(write=False)
         self.n = n
         self.leq = leq
-        a, b = _pairs(covers)
-        order = np.lexsort((b, a))
-        self._ends = a[order].astype(np.int32), b[order].astype(np.int32)  # the covers' ends, sorted
-        self._ids = np.arange(n, dtype=object)  # one int per element, which the pairs and lists share
-        self.covers = tuple(zip(self._ids[a[order]].tolist(), self._ids[b[order]].tolist()))
+        key = np.sort(np.ravel_multi_index(tuple(_pairs(covers)), (n, n)))  # ValueError past 0..n-1
+        self._ends = tuple(e.astype(np.int32) for e in np.divmod(key, n))  # the covers' ends, sorted
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
         if len(self.labels) != n:
             raise ValueError(f"{len(self.labels)} labels for {n} elements")
@@ -169,14 +167,19 @@ class FinitePoset:
     # -- basic queries ---------------------------------------------------
 
     @cached_property
+    def covers(self):
+        """The cover pairs (a, b) as a tuple, sorted."""
+        return tuple(zip(*(e.tolist() for e in self._ends)))
+
+    @cached_property
     def _up_adj(self):
-        return _split(self._ends[0], self._ids[self._ends[1]], self.n)
+        return _split(*self._ends, self.n)
 
     @cached_property
     def _down_adj(self):
         a, b = self._ends
-        order = np.lexsort((a, b))
-        return _split(b[order], self._ids[a[order]], self.n)
+        order = np.argsort(b, kind="stable")  # by upper end, then lower end
+        return _split(b[order], a[order], self.n)
 
     def upper_covers(self, a):
         return list(self._up_adj[a])
@@ -186,14 +189,13 @@ class FinitePoset:
 
     @cached_property
     def _topo(self):
-        in_deg = [len(self._down_adj[a]) for a in range(self.n)]
-        return _toposort(self.n, self._up_adj, in_deg)
+        return _toposort(self.n, self._up_adj, np.bincount(self._ends[1], minlength=self.n).tolist())
 
     def minimal_elements(self):
-        return [a for a in range(self.n) if not self._down_adj[a]]
+        return np.flatnonzero(np.bincount(self._ends[1], minlength=self.n) == 0).tolist()
 
     def maximal_elements(self):
-        return [a for a in range(self.n) if not self._up_adj[a]]
+        return np.flatnonzero(np.bincount(self._ends[0], minlength=self.n) == 0).tolist()
 
     def bottom(self):
         mins = self.minimal_elements()

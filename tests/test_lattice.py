@@ -576,14 +576,41 @@ def test_one_certified_side_certifies_the_dual():
     assert failing == 276
 
 
+def test_cover_ends_give_what_the_adjacency_lists_gave():
+    """The views read off the sorted cover ends ``_ends`` against the adjacency-list definitions, on
+    the corpus and on its duals, whose covers reach FinitePoset unsorted: the irreducibles of both
+    sides in bit order, the minimal and maximal elements, and the lists and the covers tuple against
+    a pass over the pairs sorted in Python."""
+    for p in certification_corpus():
+        for q, given in ((p, p.covers), (dual(p), [(b, a) for a, b in p.covers])):
+            up, down = [[] for _ in range(q.n)], [[] for _ in range(q.n)]
+            for a, b in sorted(given):
+                up[a].append(b)
+                down[b].append(a)
+            assert q.covers == tuple(sorted(given))
+            assert q._up_adj == up and q._down_adj == down
+            for ends, lists, leq in ((q._ends, down, q.leq), (q._ends[::-1], up, q.leq.T)):
+                want = [(a, near[0]) for a, near in enumerate(lists) if len(near) == 1]
+                assert list(lattice_module._Masks(leq, *ends).irr.items()) == want
+            assert q.minimal_elements() == [a for a in range(q.n) if not down[a]]
+            assert q.maximal_elements() == [a for a in range(q.n) if not up[a]]
+
+
+def test_as_lattice_reads_the_cover_ends_alone():
+    lat = build_hoch(6).lattice
+    p = FinitePoset.closure(lat.covers, lat.n)
+    assert as_lattice(p).n == lat.n
+    assert not {"covers", "_up_adj", "_down_adj"} & set(vars(p))
+
+
 def test_meet_irreducible_lookups_decide_intersection_closure():
     """The lemma behind as_lattice's acceptance: where the join-irreducible masks embed the order,
     they are closed under intersection iff every mask meets each meet-irreducible's mask in a mask.
     as_lattice accepts exactly then and never raises InvariantViolated."""
     verdicts = []
     for p in certification_corpus():
-        lower = lattice_module._Masks(p.leq, p._down_adj)
-        upper = lattice_module._Masks(p.leq.T, p._up_adj)
+        lower = lattice_module._Masks(p.leq, *p._ends)
+        upper = lattice_module._Masks(p.leq.T, *p._ends[::-1])
         masks = lower.masks
         if not masks_embed_order(masks, p.leq):
             continue
@@ -609,7 +636,7 @@ def test_cover_check_implies_the_embedding_and_holds_on_every_lattice():
     posets = certification_corpus() + [build_hoch(9).lattice.poset, build_hoch(10).lattice.poset]
     for p in posets:
         covers_join = lattice_module._lower_covers_join(p)
-        embeds = masks_embed_order(lattice_module._Masks(p.leq, p._down_adj).masks, p.leq)
+        embeds = masks_embed_order(lattice_module._Masks(p.leq, *p._ends).masks, p.leq)
         assert embeds or not covers_join
         try:
             as_lattice(p)
@@ -644,7 +671,7 @@ def test_cover_check_needs_the_elements_with_two_lower_covers():
     three_up = mutated("_lower_covers_join", "& (hi[1:] == hi[:-1])", "& np.append(hi[2:] == hi[:-2], False)")
     passed = 0
     for p in certification_corpus():
-        if three_up(p) and not masks_embed_order(lattice_module._Masks(p.leq, p._down_adj).masks, p.leq):
+        if three_up(p) and not masks_embed_order(lattice_module._Masks(p.leq, *p._ends).masks, p.leq):
             assert not lattice_module._lower_covers_join(p)
             passed += 1
     assert passed == 183

@@ -530,6 +530,13 @@ def test_constructor_rejects_bad_shapes():
         FinitePoset(np.eye(2, dtype=bool), [], labels=["only one"])
 
 
+@pytest.mark.parametrize("pair", [(-1, 0), (0, 5), (3, 0)])
+def test_constructor_rejects_out_of_range_ids(pair):
+    """An id past 0..n-1 is a ValueError, as in closure; a -1 must not wrap round to n - 1."""
+    with pytest.raises(ValueError):
+        FinitePoset(np.eye(3, dtype=bool), [pair])
+
+
 def test_mobius_via_zeta_rejects_fractional_value(monkeypatch):
     monkeypatch.setattr(poset_module, "interpolate_univariate", lambda points: [Fraction(1, 2)])
     with pytest.raises(InvariantViolated, match="not an integer"):
