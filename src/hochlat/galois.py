@@ -194,8 +194,10 @@ def max_ortho_pairs_lattice(g):
     if (intents != b_vals).any() or (np.diff(np.sort(b_vals)) == 0).any():
         raise NotALattice("B sides of the orthogonal pairs are not the distinct sets {t : A in col[t]}")
     # a proper meet is a lower cover of A unless another proper meet strictly holds it; closure re-checks
-    held = (meets[:, :, None] & ~meets[:, None, :] == 0) & (meets[:, :, None] != meets[:, None, :])
-    lows, ts = np.nonzero(~inside & ~(held & ~inside[:, None, :]).any(axis=2))
+    held = np.zeros_like(inside)  # held[x, t]: meets[x, t] lies strictly inside a proper meets[x, u]
+    for u in range(g.k):
+        held |= ~inside[:, [u]] & (meets & ~meets[:, [u]] == 0) & (meets != meets[:, [u]])
+    lows, ts = np.nonzero(~inside & ~held)
     covers = np.stack([ids[lows, ts], lows], axis=1)  # closure drops the repeats
     return OrthoPairLattice(FinitePoset.closure(covers, len(pairs)), tuple(pairs), g)
 

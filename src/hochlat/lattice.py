@@ -2,11 +2,11 @@
 
 A :class:`Lattice` wraps a bounded :class:`~hochlat.poset.FinitePoset` and keeps, for each side,
 the masks of the irreducibles below (or above) every element, sorted.  ``as_lattice`` certifies
-the join-irreducible side, or NotALattice names a witness pair: the masks embed the order iff each
-element with two lower covers is their join (Davey and Priestley 2.41 and its converse), and m x k'
-lookups meet them with the k' meet-irreducibles' masks in masks.  The meet of a and b is then the
-element with mask M(a) & M(b), by ``searchsorted`` for rows and a dict for single pairs.  No m x m
-table is stored besides the order.
+the join-irreducible side: the masks embed the order iff each element with two lower covers is their
+join (Davey and Priestley 2.41 and its converse), and m x k' lookups meet them with the k' meet-irreducibles'
+masks in masks; a failing test names the pair with no join or meet that NotALattice carries.  The meet
+of a and b is then the element with mask M(a) & M(b), by ``searchsorted`` for rows and a dict for single
+pairs.  No m x m table is stored besides the order.
 
 On top of that live the irreducibles and one core-label layer, each part computed once
 per lattice from the same irreducible masks: the cover labels (they exist iff the lattice
@@ -58,27 +58,30 @@ class _Masks:
 
 
 def _lower_covers_join(p):
-    """Whether each element with lower covers b, c, ... (the first two) has as up-set the AND of the
-    packed up-rows of b and c, gathered in blocks of about 2**17 bytes (see ``_certify``)."""
-    order = np.argsort(p._ends[1], kind="stable")  # by upper end, then lower end, as in _down_adj
+    """The first two lower covers (b, c) of the least x whose up-set is not the AND of the packed up-rows
+    of b and c, or None; the rows are gathered in blocks of about 2**17 bytes (see ``_certify``)."""
+    order = np.argsort(p._ends[1], kind="stable")  # by upper end, then lower end
     lo, hi = p._ends[0][order], p._ends[1][order]
     i = np.flatnonzero((np.diff(hi, prepend=-1) != 0)[:-1] & (hi[1:] == hi[:-1]))  # first of 2 or more
     ends, up = np.stack([hi[i], lo[i], lo[i + 1]], axis=1), np.packbits(p.leq, axis=1)  # x, b, c
     step = max(1, 2**17 // (3 * up.shape[1]))
-    blocks = (up[ends[s : s + step]] for s in range(0, len(i), step))  # rows of x, b, c
-    return all((g[:, 1] & g[:, 2] == g[:, 0]).all() for g in blocks)
-
-
-def _misses(values, sub):
-    """Which of sub are no mask in the sorted values; each is a subset of a mask, so in range."""
-    return values[np.searchsorted(values, sub)] != sub
+    for s in range(0, len(i), step):
+        g = up[ends[s : s + step]]  # rows of x, b, c
+        if len(bad := np.flatnonzero(~(g[:, 1] & g[:, 2] == g[:, 0]).all(axis=1))):
+            return tuple(ends[s + bad[0], 1:].tolist())
+    return None
 
 
 def _closed(values, gens):
-    """Whether values & g is again one of the sorted masks values for each g of gens, about 2**16
-    pairs a pass (see ``_certify``)."""
+    """The first (i, k), k least, with values[i] & gens[k] no mask among the sorted values, about
+    2**16 pairs a pass; None when each is one (see ``_certify``).  Each is a subset of a mask, so in range."""
     step = max(1, 2**16 // max(len(values), 1))
-    return not any(_misses(values, values & gens[s : s + step, None]).any() for s in range(0, len(gens), step))
+    for s in range(0, len(gens), step):
+        sub = values & gens[s : s + step, None]
+        if (missed := values[np.searchsorted(values, sub)] != sub).any():
+            k, i = np.unravel_index(np.argmax(missed), missed.shape)
+            return int(i), s + int(k)
+    return None
 
 
 def _certify(p, side, tops):
@@ -94,37 +97,18 @@ def _certify(p, side, tops):
     M(d) an intersection of such M(g), so M(c) & M(g) & ... ends in a mask M(z) with y <= z < c, that
     is M(y) = M(z).  So every mask is an intersection of M(g)s, and M(x) & M(y) is reached one g at a time.
 
-    Only on failure are the rows scanned in topological order, a block a pass: the embedding against
-    the whole row, the (symmetric) lookups only against rows not yet passed.  The first bad row a gives:
+    Each failing test names its witness:
 
-    - (b, c), the first two lower covers of a, when the embedding fails first at a.  a is not the
-      bottom (M = 0) and not join-irreducible (a is in M(a)), so it has two lower covers; they
-      precede a, so all lie below some y with M(a) in M(y) and not a <= y.  A join of b and c
-      would lie below both a and y, so it would be a, and a <= y.
-    - (a, b) with b least when M(a) & M(b) is no mask: a meet of a and b would have that mask.
-      Any such b comes after a, or its own row would have failed first.
+    - (b, c), the first two lower covers of the least x that is not b v c.  They are incomparable, so
+      a join of b and c would lie above b and at or below x, so it would be x; but some upper bound
+      of b and c is not above x.
+    - (x, g) when M(x) & M(g) is no mask, the embedding given: a meet of x and g would have that mask.
     """
-    masks, values = side.masks, side.values
-    if _lower_covers_join(p) and _closed(values, masks[list(tops)]):
-        return
-    step = max(1, 2**16 // max(p.n, 1))  # about 2**16 pairs a pass, as in _closed
-    pending = np.ones(p.n, dtype=bool)
-    for start in range(0, p.n, step):
-        rows = np.asarray(p._topo[start : start + step])
-        rest = np.flatnonzero(pending)
-        embeds = (((masks[rows, None] & masks) == masks[rows, None]) == p.leq[rows]).all(axis=1)
-        missed = _misses(values, masks[rows, None] & masks[rest])
-        bad = ~embeds | missed.any(axis=1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            a = int(rows[i])
-            if not embeds[i]:
-                b, c = p._down_adj[a][:2]
-                raise NotALattice(f"pair ({b}, {c}) has no join", pair=(b, c))
-            b = int(rest[np.argmax(missed[i])])
-            raise NotALattice(f"pair ({a}, {b}) has no meet", pair=(a, b))
-        pending[rows] = False
-    raise InvariantViolated("the certificate failed, but no pair lacks a join or a meet")
+    if (pair := _lower_covers_join(p)) is not None:
+        raise NotALattice(f"pair {pair} has no join", pair=pair)
+    if (miss := _closed(side.values, side.masks[tops])) is not None:
+        pair = int(side.order[miss[0]]), tops[miss[1]]
+        raise NotALattice(f"pair {pair} has no meet", pair=pair)
 
 
 def _cover_labels(side, lows, ups):
@@ -241,7 +225,7 @@ def as_lattice(p):
         if len(ends) > 1:
             raise NotALattice(f"pair ({ends[0]}, {ends[1]}) has no {side} bound", pair=(ends[0], ends[1]))
     lower, upper = _Masks(p.leq, *p._ends), _Masks(p.leq.T, *p._ends[::-1])
-    _certify(p, lower, upper.irr)
+    _certify(p, lower, list(upper.irr))
     return Lattice(p, lower, upper, mins[0], maxs[0])
 
 
@@ -310,7 +294,7 @@ def has_intersection_property(lat):
 
     psi = psi_map(lat)
     gens = np.bincount(clo(lat)._ends[0], minlength=lat.n) < 2  # at most one upper cover
-    return _closed(np.sort(psi), psi[gens])
+    return _closed(np.sort(psi), psi[gens]) is None
 
 
 def build_bool(n):

@@ -10,7 +10,7 @@ from .errors import SizeBound
 
 MAX_N = 10  # word length n of Hoch(n) and of every per-n check
 MAX_ELEMENTS = 5000  # elements of a built shuffle or Boolean lattice
-MAX_GRAPH = 22  # vertices of a graph whose pair lattice is rebuilt; bounds its m x k x k cover table
+MAX_GRAPH = 22  # vertices of a graph whose pair lattice is rebuilt; bounds its m x k meet table
 
 # The irreducible masks that certify a lattice and answer its joins and meets (lattice.as_lattice),
 # label its covers and hold its core label sets (lattice.psi_map) are int64 below 64 irreducibles

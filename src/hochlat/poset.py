@@ -13,6 +13,9 @@ closes the covers of ``_double``'s rule with it) or :meth:`FinitePoset.from_leq`
 (an explicit order matrix, checked and reduced to covers).  Both find what lies
 two steps above each element by ``_two_step``'s capped ORs of packed rows.
 
+``heights`` peels minimal elements in numpy rounds as ``closure`` peels maximal
+ones; no result depends on which topological order ``_topo`` gives.
+
 Mobius values are one exact int64 solve, mu = zeta^-1 by back substitution
 (:meth:`FinitePoset.mobius_times`); the zeta polynomial is read off the
 strict chain counts (Stanley, *Enumerative Combinatorics I*, 3.11-3.12).
@@ -21,7 +24,6 @@ strict chain counts (Stanley, *Enumerative Combinatorics I*, 3.11-3.12).
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
 from functools import cached_property
 from math import comb
 
@@ -37,22 +39,6 @@ from .errors import (
 )
 from .limits import check_int64
 from .polynomials import interpolate_univariate
-
-
-def _toposort(m, up_adj, in_deg):
-    order = []
-    queue = deque(a for a in range(m) if in_deg[a] == 0)
-    in_deg = list(in_deg)
-    while queue:
-        a = queue.popleft()
-        order.append(a)
-        for b in up_adj[a]:
-            in_deg[b] -= 1
-            if in_deg[b] == 0:
-                queue.append(b)
-    if len(order) != m:
-        raise CycleDetected("cover relation contains a cycle")
-    return order
 
 
 def _pairs(covers):
@@ -189,7 +175,7 @@ class FinitePoset:
 
     @cached_property
     def _topo(self):
-        return _toposort(self.n, self._up_adj, np.bincount(self._ends[1], minlength=self.n).tolist())
+        return np.argsort(self.heights, kind="stable").tolist()
 
     def minimal_elements(self):
         return np.flatnonzero(np.bincount(self._ends[1], minlength=self.n) == 0).tolist()
@@ -211,12 +197,18 @@ class FinitePoset:
 
     @cached_property
     def heights(self):
-        """heights[a] = longest chain ending at a, counted in cover steps."""
-        h = [0] * self.n
-        for a in self._topo:
-            for b in self._up_adj[a]:
-                h[b] = max(h[b], h[a] + 1)
-        return h
+        """heights[a] = longest chain ending at a, counted in cover steps: Kahn's rounds, round r
+        peeling every element whose lower covers are all gone.  CycleDetected if some are never peeled."""
+        a, b = self._ends
+        indeg, h = np.bincount(b, minlength=self.n), np.full(self.n, -1)
+        level, r = np.flatnonzero(indeg == 0), 0
+        while len(level):
+            h[level] = r
+            indeg -= np.bincount(b[h[a] == r], minlength=self.n)
+            level, r = np.flatnonzero((indeg == 0) & (h < 0)), r + 1
+        if (h < 0).any():
+            raise CycleDetected("cover relation contains a cycle")
+        return h.tolist()
 
     def length(self):
         """Longest chain length of the whole poset (cover steps)."""
@@ -278,11 +270,10 @@ class FinitePoset:
 
     def rank_vector(self):
         """Ranks when graded (all maximal chains share one length); NotGraded otherwise."""
-        h = self.heights
-        for a, b in self.covers:
-            if h[b] != h[a] + 1:
-                raise NotGraded(f"cover ({a}, {b}) skips a rank")
-        tops = {h[a] for a in self.maximal_elements()}
+        h, (a, b) = self.heights, self._ends
+        if len(skips := np.flatnonzero(np.take(h, b) != np.take(h, a) + 1)):
+            raise NotGraded(f"cover ({a[skips[0]]}, {b[skips[0]]}) skips a rank")
+        tops = {h[x] for x in self.maximal_elements()}
         if len(tops) > 1:
             raise NotGraded(f"maximal elements at distinct ranks {sorted(tops)}")
         return list(h)
@@ -375,6 +366,8 @@ def doubling(p, b):
     covers are closed and checked by ``FinitePoset.closure``.  Labels become (old label, copy).
     The input should be a lattice for the output to be one."""
     lo, hi = b
+    if not (0 <= lo < p.n and 0 <= hi < p.n):
+        raise ValueError(f"element id out of range: ({lo}, {hi})")
     if not p.leq[lo, hi]:
         raise NotInterval(f"({lo}, {hi}) is not an interval: lo is not below hi")
     ids, copies, covers = _double(*p._ends, p.leq[:, hi], ~p.leq[:, hi] | p.leq[lo])

@@ -30,6 +30,10 @@ one vertex at a time, and is only run at small sizes:
 - ``from_leq_by_product``: an explicit order matrix checked and reduced to
   covers by one float32 product of its strict order, the oracle for the bit
   arithmetic of ``FinitePoset.from_leq``;
+- ``toposort`` and ``heights_by_queue``: Kahn's algorithm with a Python queue,
+  one element at a time, and the longest chain below each element relaxed one
+  cover at a time in that order, the oracles for the numpy rounds of
+  ``FinitePoset.heights`` and the order ``FinitePoset._topo`` sorted by them;
 - ``closure_by_covers``: a cover list validated pair by pair, closed one
   cover at a time in topological order and checked for non-covers by one
   float32 product of its strict order, the oracle for the level-wise packed
@@ -63,6 +67,7 @@ one vertex at a time, and is only run at small sizes:
   order, the oracle for the cover check ``lattice._lower_covers_join``.
 """
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -76,7 +81,7 @@ from hochlat.hochschild import a_irr, b_irr, build_hoch, hoch_meet_code, is_triw
 from hochlat.limits import check_n
 from hochlat.lattice import jsd_labeling
 from hochlat.polynomials import BiPoly, interpolate_from_grid
-from hochlat.poset import FinitePoset, _toposort, doubling
+from hochlat.poset import FinitePoset, doubling
 from hochlat.shuffles import word_rank
 from hochlat.triangles import _graded, _indicator
 
@@ -285,6 +290,34 @@ def from_leq_by_product(leq, labels=None):
     return FinitePoset(leq, covers, labels)
 
 
+def toposort(m, up_adj, in_deg):
+    """A topological order of the m elements with upper covers up_adj and in-degrees in_deg, by
+    Kahn's queue; CycleDetected when some element is never reached."""
+    order = []
+    queue = deque(a for a in range(m) if in_deg[a] == 0)
+    in_deg = list(in_deg)
+    while queue:
+        a = queue.popleft()
+        order.append(a)
+        for b in up_adj[a]:
+            in_deg[b] -= 1
+            if in_deg[b] == 0:
+                queue.append(b)
+    if len(order) != m:
+        raise CycleDetected("cover relation contains a cycle")
+    return order
+
+
+def heights_by_queue(p):
+    """The longest chain ending at each element of p, in cover steps, relaxed cover by cover in
+    the order of ``toposort``."""
+    h, ups = [0] * p.n, [p.upper_covers(a) for a in range(p.n)]
+    for a in toposort(p.n, ups, [len(p.lower_covers(a)) for a in range(p.n)]):
+        for b in ups[a]:
+            h[b] = max(h[b], h[a] + 1)
+    return h
+
+
 def closure_by_covers(covers, m, labels=None):
     """``FinitePoset.closure`` a pair and a cover at a time: the pairs are validated in input order,
     then each row of the order is the OR of the rows of its upper covers, filled in reverse
@@ -302,7 +335,7 @@ def closure_by_covers(covers, m, labels=None):
     a, b = np.divmod(np.sort(np.fromiter((x * m + y for x, y in pairs), np.int64, len(pairs))), m)
     up_adj = [ups.tolist() for ups in np.split(b, np.searchsorted(a, np.arange(1, m)))]
     leq = np.zeros((m, m), dtype=bool)
-    for x in reversed(_toposort(m, up_adj, np.bincount(b, minlength=m).tolist())):
+    for x in reversed(toposort(m, up_adj, np.bincount(b, minlength=m).tolist())):
         row = leq[x]
         row[x] = True
         for y in up_adj[x]:

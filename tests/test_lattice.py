@@ -9,7 +9,14 @@ import pytest
 
 from hochlat import lattice as lattice_module
 from hochlat import shuffles
-from hochlat.errors import InvariantViolated, NoUniqueMin, NotALattice, NotBounded, NotSemidistributive
+from hochlat.errors import (
+    InvariantViolated,
+    NoUniqueMin,
+    NotALattice,
+    NotBounded,
+    NotGraded,
+    NotSemidistributive,
+)
 from hochlat.hochschild import build_hoch
 from hochlat.lattice import (
     as_lattice,
@@ -26,7 +33,14 @@ from hochlat.lattice import (
 )
 from hochlat.poset import FinitePoset, _reach, doubling
 from hochlat.shuffles import clo, shuffle_lattice
-from oracles import closed_under_intersection, core_label_set, dual, from_leq_by_product, masks_embed_order
+from oracles import (
+    closed_under_intersection,
+    core_label_set,
+    dual,
+    from_leq_by_product,
+    heights_by_queue,
+    masks_embed_order,
+)
 
 
 def chain_lattice(k):
@@ -534,15 +548,16 @@ def test_as_lattice_witnesses_on_random_bounded_posets():
             lat = as_lattice(p)
         except NotALattice as err:
             a, b = err.pair
-            assert joins[a, b] < 0 or meets[a, b] < 0
+            assert err.args[0] in (f"pair ({a}, {b}) has no join", f"pair ({a}, {b}) has no meet")
+            assert (joins if err.args[0].endswith("join") else meets)[a, b] < 0
             witnesses.append(err.args[0])
             continue
         got_joins, got_meets = rows(lat)
         assert (got_joins == joins).all() and (got_meets == meets).all()
     assert len(witnesses) == 276
-    # the 276 messages, each naming its pair, as the full-row certification of the m x m tables gave them
+    # the 276 messages, each naming the pair that the first failing test of the certificate proves
     digest = hashlib.sha256("\n".join(witnesses).encode()).hexdigest()
-    assert digest == "99dba9bf968e78bbef30d498e4729bdbc7884dacdd03ec6734e98b5dfa35f033"
+    assert digest == "d6ed2f78cb2753c7bff1511e81fd31da8b694800a4ba8fb4343042ff7df3525b"
 
 
 def certification_corpus():
@@ -596,6 +611,35 @@ def test_cover_ends_give_what_the_adjacency_lists_gave():
             assert q.maximal_elements() == [a for a in range(q.n) if not up[a]]
 
 
+def test_heights_match_kahns_queue_and_topo_ascends_along_every_cover():
+    """heights, Kahn's rounds in numpy, against a Python queue relaxing one cover at a time, on the
+    corpus and on its duals; _topo, the ids sorted by height, puts each lower end before its upper end."""
+    for p in certification_corpus():
+        for q in (p, dual(p)):
+            assert q.heights == heights_by_queue(q)
+            assert sorted(q._topo) == list(range(q.n))
+            place = np.empty(q.n, dtype=np.int64)
+            place[q._topo] = np.arange(q.n)
+            assert (place[q._ends[0]] < place[q._ends[1]]).all()
+
+
+def test_rank_vector_names_the_first_cover_that_skips_a_rank():
+    """On the corpus orders that are not graded, rank_vector names the cover that a loop over the
+    sorted covers finds first with heights[b] != heights[a] + 1; the rest are graded."""
+    skipping = 0
+    for p in certification_corpus():
+        h = p.heights
+        first = next(((a, b) for a, b in p.covers if h[b] != h[a] + 1), None)
+        if first is None:
+            assert p.rank_vector() == h
+            continue
+        with pytest.raises(NotGraded) as err:
+            p.rank_vector()
+        assert err.value.args[0] == f"cover {first} skips a rank"
+        skipping += 1
+    assert skipping == 700
+
+
 def test_as_lattice_reads_the_cover_ends_alone():
     lat = build_hoch(6).lattice
     p = FinitePoset.closure(lat.covers, lat.n)
@@ -606,7 +650,7 @@ def test_as_lattice_reads_the_cover_ends_alone():
 def test_meet_irreducible_lookups_decide_intersection_closure():
     """The lemma behind as_lattice's acceptance: where the join-irreducible masks embed the order,
     they are closed under intersection iff every mask meets each meet-irreducible's mask in a mask.
-    as_lattice accepts exactly then and never raises InvariantViolated."""
+    as_lattice accepts exactly then."""
     verdicts = []
     for p in certification_corpus():
         lower = lattice_module._Masks(p.leq, *p._ends)
@@ -619,7 +663,7 @@ def test_meet_irreducible_lookups_decide_intersection_closure():
         verdict = all(sub in known for sub in lookups)
         assert verdict == closed_under_intersection(masks)
         try:
-            as_lattice(p)  # an InvariantViolated would mean a failed lookup with no witness pair
+            as_lattice(p)
         except NotALattice:
             assert not verdict
         else:
@@ -635,7 +679,7 @@ def test_cover_check_implies_the_embedding_and_holds_on_every_lattice():
     rejected = stricter = 0
     posets = certification_corpus() + [build_hoch(9).lattice.poset, build_hoch(10).lattice.poset]
     for p in posets:
-        covers_join = lattice_module._lower_covers_join(p)
+        covers_join = lattice_module._lower_covers_join(p) is None
         embeds = masks_embed_order(lattice_module._Masks(p.leq, *p._ends).masks, p.leq)
         assert embeds or not covers_join
         try:
@@ -659,20 +703,25 @@ def mutated(name, old, new):
 
 
 def test_cover_check_fails_against_one_lower_cover_alone(monkeypatch):
+    """Checked against its first lower cover alone, the cover check rejects Hoch(4), a lattice, and
+    names as its witness a pair that does have a join."""
     one_row = mutated("_lower_covers_join", "g[:, 1] & g[:, 2] ==", "g[:, 1] ==")
-    p = build_hoch(4).lattice.poset
-    assert lattice_module._lower_covers_join(p) and not one_row(p)
+    lat = build_hoch(4).lattice
+    assert lattice_module._lower_covers_join(lat.poset) is None and one_row(lat.poset) is not None
     monkeypatch.setattr(lattice_module, "_lower_covers_join", one_row)
-    with pytest.raises(InvariantViolated):  # the scan finds no witness in a lattice
-        as_lattice(p)
+    with pytest.raises(NotALattice, match="has no join") as err:
+        as_lattice(lat.poset)
+    a, b = err.value.pair
+    assert brute_bound_table(lat.poset.leq)[a, b] == lat.join_of(a, b) >= 0
 
 
 def test_cover_check_needs_the_elements_with_two_lower_covers():
     three_up = mutated("_lower_covers_join", "& (hi[1:] == hi[:-1])", "& np.append(hi[2:] == hi[:-2], False)")
     passed = 0
     for p in certification_corpus():
-        if three_up(p) and not masks_embed_order(lattice_module._Masks(p.leq, *p._ends).masks, p.leq):
-            assert not lattice_module._lower_covers_join(p)
+        embeds = masks_embed_order(lattice_module._Masks(p.leq, *p._ends).masks, p.leq)
+        if three_up(p) is None and not embeds:
+            assert lattice_module._lower_covers_join(p) is not None
             passed += 1
     assert passed == 183
 
@@ -681,10 +730,10 @@ def test_cover_check_catches_a_failure_past_its_first_block():
     lat = build_hoch(10).lattice
     p = FinitePoset.closure([c for c in lat.covers if c != (3323, 3326)], lat.n)
     first_block = mutated("_lower_covers_join", "range(0, len(i), step)", "range(0, min(step, len(i)), step)")
-    assert first_block(p) and not lattice_module._lower_covers_join(p)
+    assert first_block(p) is None and lattice_module._lower_covers_join(p) == (2043, 2747)
     with pytest.raises(NotALattice) as err:
         as_lattice(p)
-    assert err.value.args[0] == "pair (2043, 2747) has no join"  # as the m x m scan named it
+    assert err.value.args[0] == "pair (2043, 2747) has no join"  # as the scan of all rows named it too
 
 
 def test_scalar_joins_and_meets_match_the_rows():

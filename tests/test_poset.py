@@ -468,6 +468,20 @@ def test_doubling_requires_interval():
         doubling(antichain(2), (0, 1))
 
 
+def test_doubling_rejects_out_of_range_ids():
+    for bounds in ((-1, 2), (0, 3)):  # -1 would wrap to the last element, 3 is past it
+        with pytest.raises(ValueError, match=re.escape(f"element id out of range: {bounds}")):
+            doubling(chain(3), bounds)
+
+
+def test_heights_raise_on_cyclic_covers_given_to_the_constructor():
+    for covers in ([(0, 1), (1, 2), (2, 0)], [(0, 1), (1, 2), (2, 1)]):  # no minimal element; one
+        p = FinitePoset(np.eye(3, dtype=bool), covers)
+        for name in ("heights", "_topo"):
+            with pytest.raises(CycleDetected, match="cover relation contains a cycle"):
+                getattr(p, name)
+
+
 def test_doubling_chain_by_full_is_grid():
     d = doubling(chain(2), (0, 1))
     # (a, copy) sits at bitmask a + 2 * copy of the square
