@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvariantViolated, NotALattice, NotExtremal, SizeBound
 from .lattice import is_extremal
 from .limits import MAX_GRAPH, check_elements
-from .poset import FinitePoset, are_isomorphic
+from .poset import FinitePoset, _rounds, are_isomorphic
 
 
 class DiGraph:
@@ -70,11 +70,10 @@ class GaloisGraph:
 
 
 def _longest_chain(poset):
-    """Lexicographically least maximum-length chain from bottom to top."""
-    up_height = [0] * poset.n
-    for a in reversed(poset._topo):
-        ups = poset.upper_covers(a)
-        up_height[a] = 1 + max(up_height[b] for b in ups) if ups else 0
+    """Lexicographically least maximum-length chain from bottom to top, by the longest chain above
+    each element: Kahn's rounds peeling maximal elements (``_rounds`` on the covers turned down)."""
+    order = np.argsort(poset._ends[1], kind="stable")
+    up_height = _rounds(poset._ends[1][order], poset._ends[0][order], poset.n)[1]
     chain = [poset.bottom()]
     while chain[-1] != poset.top():
         here = chain[-1]
@@ -89,31 +88,19 @@ def galois_graph(lat):
         raise NotExtremal("lattice is not extremal: irreducible counts differ from length")
     poset = lat.poset
     chain = _longest_chain(poset)
-    k = len(chain) - 1
-    leq = poset.leq
-    join_irr = lat.join_irreducibles()
-    meet_irr = lat.meet_irreducibles()
-    joins, meets = [], []
-    for s in range(1, k + 1):
-        fresh_j = [j for j in join_irr if leq[j, chain[s]] and not leq[j, chain[s - 1]]]
-        fresh_m = [m for m in meet_irr if leq[chain[s - 1], m] and not leq[chain[s], m]]
-        # Each of the k steps exposes at least one join-irreducible (chain[s] is the join of
-        # those below it), and there are only k of them, so exactly one; dually for meets.
-        if len(fresh_j) != 1 or len(fresh_m) != 1:
-            raise InvariantViolated(
-                f"chain step {s} exposes {len(fresh_j)} join- and "
-                f"{len(fresh_m)} meet-irreducibles instead of one each"
-            )
-        joins.append(fresh_j[0])
-        meets.append(fresh_m[0])
-    edges = [
-        (s, t)
-        for s in range(k)
-        for t in range(k)
-        if s != t and not leq[joins[s], meets[t]]
-    ]
-    labels = [str(poset.labels[j]) for j in joins]
-    return GaloisGraph(DiGraph(k, edges, labels), chain, tuple(joins), tuple(meets))
+    js, ms, ch = (np.array(e, dtype=np.int64) for e in (lat.join_irreducibles(), lat.meet_irreducibles(), chain))
+    fresh_j = poset.le(js[:, None], ch[1:]) & ~poset.le(js[:, None], ch[:-1])  # [j, s - 1]: j first below chain[s]
+    fresh_m = poset.le(ch[:-1, None], ms) & ~poset.le(ch[1:, None], ms)  # [s - 1, m]: m last above chain[s - 1]
+    # Each of the k steps exposes at least one join-irreducible (chain[s] is the join of
+    # those below it), and there are only k of them, so exactly one; dually for meets.
+    if len(bad := np.flatnonzero((fresh_j.sum(0) != 1) | (fresh_m.sum(1) != 1))):
+        j, m = fresh_j[:, bad[0]].sum(), fresh_m[bad[0]].sum()
+        raise InvariantViolated(f"chain step {bad[0] + 1} exposes {j} join- and {m} meet-irreducibles instead of one each")
+    joins, meets = js[np.nonzero(fresh_j.T)[1]], ms[np.nonzero(fresh_m)[1]]
+    leq = poset.le(joins[:, None], meets)
+    edges = [(s, t) for s in range(len(joins)) for t in range(len(joins)) if s != t and not leq[s, t]]
+    labels = [str(poset.labels[j]) for j in joins.tolist()]
+    return GaloisGraph(DiGraph(len(joins), edges, labels), chain, tuple(joins.tolist()), tuple(meets.tolist()))
 
 
 def hoch_galois_characterization(n):

@@ -1,18 +1,16 @@
 """Finite lattices: joins and meets looked up by irreducible masks, plus the order-theoretic toolkit.
 
 A :class:`Lattice` wraps a bounded :class:`~hochlat.poset.FinitePoset` and keeps, for each side,
-the masks of the irreducibles below (or above) every element, sorted.  ``as_lattice`` certifies
-the join-irreducible side: the masks embed the order iff each element with two lower covers is their
-join (Davey and Priestley 2.41 and its converse), and m x k' lookups meet them with the k' meet-irreducibles'
-masks in masks; a failing test names the pair with no join or meet that NotALattice carries.  The meet
-of a and b is then the element with mask M(a) & M(b), by ``searchsorted`` for rows and a dict for single
-pairs.  No m x m table is stored besides the order.
-
-On top of that live the irreducibles and one core-label layer, each part computed once
-per lattice from the same irreducible masks: the cover labels (they exist iff the lattice
-is semidistributive), canonical join representations, and core label sets as bitmasks over
-the join-irreducibles (``psi_map``), which ``_certify``'s lookups (``_closed``) find closed under
-intersection or not."""
+the masks of the irreducibles below (or above) every element, sorted, read off the poset's packed
+up-rows by bit tests.  ``as_lattice`` certifies the join-irreducible side: the masks embed the order
+iff each element with two lower covers is their join (Davey and Priestley 2.41 and its converse), and
+m x k' lookups meet them with the k' meet-irreducibles' masks in masks; a failing test names the pair
+with no join or meet that NotALattice carries.  The meet of a and b is then the element with mask
+M(a) & M(b), by ``searchsorted`` for rows and a dict for single pairs.  No m x m table is stored.
+On top of that live the irreducibles and one core-label layer, each computed once per lattice from
+the same masks: the cover labels (they exist iff the lattice is semidistributive), canonical join
+representations, and core label sets as bitmasks over the join-irreducibles (``psi_map``), which
+``_certify``'s lookups (``_closed``) find closed under intersection or not."""
 
 from __future__ import annotations
 
@@ -26,18 +24,19 @@ from .poset import FinitePoset
 
 
 class _Masks:
-    """One side of a lattice, from its order and the lower and upper ends of its covers: ``irr``,
-    {j: j_*} ascending in j, holds the join-irreducibles (each the upper end of one cover alone), and
-    M(x) the mask of those below x, bit i for the i-th (int64 below 64 of them, else Python ints):
-    ``masks`` by element, ``values`` sorted, ``order`` (int32) from sorted position to element, so
-    that ``find`` answers meets.  On the dual order, its ends swapped, the meet-irreducibles answer joins."""
+    """One side of a lattice, from its poset and the lower and upper ends of its covers: ``irr``, {j: j_*}
+    ascending in j, holds the join-irreducibles (each the upper end of one cover alone), and M(x) the
+    mask of those below x, bit i for the i-th (int64 below 64 of them, else Python ints): ``masks`` by
+    element, ``values`` sorted, ``order`` (int32) from sorted position to element, so that ``find``
+    answers meets.  On the ``dual`` order, ends swapped, the meet-irreducibles answer joins."""
 
-    def __init__(self, leq, lows, ups):
-        once = np.bincount(ups, minlength=len(leq))[ups] == 1  # the covers alone below their upper end
+    def __init__(self, p, lows, ups, dual=False):
+        once = np.bincount(ups, minlength=p.n)[ups] == 1  # the covers alone below their upper end
         self.irr = dict(sorted(zip(ups[once].tolist(), lows[once].tolist())))
-        masks = np.zeros(len(leq), dtype=np.int64 if len(self.irr) < 64 else object)
-        for i, j in enumerate(self.irr):
-            masks |= leq[j].astype(masks.dtype) << i
+        masks = np.zeros(p.n, dtype=np.int64 if len(self.irr) < 64 else object)
+        x, j = np.arange(p.n), np.array(list(self.irr), dtype=np.int64)[:, None]
+        for i, row in enumerate(p.le(x, j) if dual else p.le(j, x)):  # bit tests on p's up-rows: columns or rows j
+            masks |= row.astype(masks.dtype) << i
         order = np.argsort(masks, kind="stable")
         self.masks, self.values, self.order = masks, masks[order], order.astype(np.int32)
 
@@ -58,15 +57,16 @@ class _Masks:
 
 
 def _lower_covers_join(p):
-    """The first two lower covers (b, c) of the least x whose up-set is not the AND of the packed up-rows
+    """The first two lower covers (b, c) of the least x whose up-set is not the AND of the strict up-rows
     of b and c, or None; the rows are gathered in blocks of about 2**17 bytes (see ``_certify``)."""
     order = np.argsort(p._ends[1], kind="stable")  # by upper end, then lower end
     lo, hi = p._ends[0][order], p._ends[1][order]
     i = np.flatnonzero((np.diff(hi, prepend=-1) != 0)[:-1] & (hi[1:] == hi[:-1]))  # first of 2 or more
-    ends, up = np.stack([hi[i], lo[i], lo[i + 1]], axis=1), np.packbits(p.leq, axis=1)  # x, b, c
+    ends, up = np.stack([hi[i], lo[i], lo[i + 1]], axis=1), p._up.view(np.uint8)  # x, b, c
     step = max(1, 2**17 // (3 * up.shape[1]))
     for s in range(0, len(i), step):
-        g = up[ends[s : s + step]]  # rows of x, b, c
+        g, x = up[ends[s : s + step]], ends[s : s + step, 0]  # strict up-rows of x, b, c
+        g[np.arange(len(x)), 0, x >> 3] |= (1 << (x & 7)).astype(np.uint8)  # x into its own row
         if len(bad := np.flatnonzero(~(g[:, 1] & g[:, 2] == g[:, 0]).all(axis=1))):
             return tuple(ends[s + bad[0], 1:].tolist())
     return None
@@ -206,7 +206,7 @@ class Lattice:
         covered = np.zeros_like(masks)
         for i, j in enumerate(self.join_irreducibles()):
             joined = self._upper.find(nucleus_up & up[self.j_star(j)])
-            covered |= self.poset.leq[j, joined].astype(masks.dtype) << i
+            covered |= self.poset.le(j, joined).astype(masks.dtype) << i
         psi = masks & ~covered
         psi.setflags(write=False)
         return psi
@@ -224,7 +224,7 @@ def as_lattice(p):
     for ends, side in ((mins, "lower"), (maxs, "upper")):
         if len(ends) > 1:
             raise NotALattice(f"pair ({ends[0]}, {ends[1]}) has no {side} bound", pair=(ends[0], ends[1]))
-    lower, upper = _Masks(p.leq, *p._ends), _Masks(p.leq.T, *p._ends[::-1])
+    lower, upper = _Masks(p, *p._ends), _Masks(p, *p._ends[::-1], dual=True)
     _certify(p, lower, list(upper.irr))
     return Lattice(p, lower, upper, mins[0], maxs[0])
 

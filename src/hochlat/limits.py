@@ -18,8 +18,8 @@ MAX_GRAPH = 22  # vertices of a graph whose pair lattice is rebuilt; bounds its 
 # admit has at most 27 irreducibles a side (Shuf(3, 6)); Hoch(MAX_N) has 19.
 
 # The Mobius solve (FinitePoset.mobius_times) and the chain counts behind FinitePoset.zeta run in int64;
-# before each step they pass check_int64 a bound on every sum the step forms, so nothing wraps around
-# (the solve checks once more at the end, so the column sums of its result are exact as well).
+# before each height level they pass check_int64 a bound on every sum the level forms, so nothing wraps
+# around (and once more at the end, so the column sums of their results are exact as well).
 INT64_BOUND = 2**63
 
 

@@ -1,24 +1,14 @@
-"""Finite posets on dense integer element ids.
+"""Finite posets on dense integer element ids 0..n-1, immutable and shareable once built.
 
-Elements are the integers 0..n-1.  The order relation is stored as a dense
-read-only boolean matrix ``leq`` (leq[a, b] iff a <= b), covers as two sorted
-int32 arrays ``_ends`` of their lower and upper ends.  Instances are immutable
-once built; every derived quantity is computed from ``leq`` and ``_ends`` alone
-(the ``covers`` tuple and the adjacency lists on first read), so the same
-object can be shared freely.
-
-Construction goes through :meth:`FinitePoset.closure` (reflexive-transitive
-closure of a cover list, with cycle and cover validation; :func:`doubling`
-closes the covers of ``_double``'s rule with it) or :meth:`FinitePoset.from_leq`
-(an explicit order matrix, checked and reduced to covers).  Both find what lies
-two steps above each element by ``_two_step``'s capped ORs of packed rows.
-
-``heights`` peels minimal elements in numpy rounds as ``closure`` peels maximal
-ones; no result depends on which topological order ``_topo`` gives.
-
-Mobius values are one exact int64 solve, mu = zeta^-1 by back substitution
-(:meth:`FinitePoset.mobius_times`); the zeta polynomial is read off the
-strict chain counts (Stanley, *Enumerative Combinatorics I*, 3.11-3.12).
+The order is stored as packed strict up-rows ``_up`` (uint64, n x ceil(n/64); b > a is bit b of row
+a, at byte b >> 3), read by the bit test ``le``; the boolean ``leq`` is unpacked only when read, for
+tests, oracles and small displays.  Covers are the sorted int32 arrays ``_ends`` of their two ends.
+:meth:`FinitePoset.closure` builds the order of a cover list (:func:`doubling` closes ``_double``'s
+covers with it), :meth:`FinitePoset.from_leq` packs an order matrix; both find what lies two steps
+above each element by ``_two_step``'s capped ORs of packed rows.  Heights are Kahn's rounds; no result
+depends on the topological order ``_topo``.  Mobius values are one exact int64 solve, a height level at
+a time (:meth:`FinitePoset.mobius_times`), as are the chain counts behind the zeta polynomial (Stanley,
+*Enumerative Combinatorics I*, 3.11-3.12).
 """
 
 from __future__ import annotations
@@ -29,14 +19,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import (
-    CycleDetected,
-    InvariantViolated,
-    NotBounded,
-    NotCover,
-    NotGraded,
-    NotInterval,
-)
+from .errors import CycleDetected, InvariantViolated, NotBounded, NotCover, NotGraded, NotInterval
 from .limits import check_int64
 from .polynomials import interpolate_univariate
 
@@ -52,35 +35,82 @@ def _split(keys, values, m):
     return [values[i:j] for i, j in zip(cuts, cuts[1:])]
 
 
-def _two_step(up, a, b):
-    """For pairs (a, b) sorted by a and packed strict up-rows ``up`` (b at byte b >> 3): the OR of
-    the rows of the b paired with each distinct a, and whether each b lies in its a's OR.  The ORs
-    run over the pairs of whole a's, about 2**20 bits gathered at a time."""
-    new = np.ones(len(a), dtype=bool)
-    np.not_equal(a[1:], a[:-1], out=new[1:])  # the first pair of each a
-    starts = np.flatnonzero(new)
+def _two_step(up, a, b, levels=None):
+    """For pairs (a, b) grouped by a and packed strict up-rows ``up``: the OR of the rows of the b paired
+    with each a, and whether each b lies in its a's OR, about 2**20 bits of rows gathered at a time.  Given
+    closure's ``levels`` (where each begins), blocks stop at them and write their ORs, then bits, to ``up``."""
+    starts = np.flatnonzero(new := np.diff(a, prepend=-1) != 0)  # the first pair of each a
+    row, byte, bit = new.cumsum() - 1, b >> 3, (1 << (b & 7)).astype(np.uint8)  # each pair's a in ors; b's bit
     ors, hit = np.empty((len(starts), up.shape[1]), dtype=np.uint64), np.empty(len(a), dtype=bool)
     per, first = max(1, 2**14 // max(1, up.shape[1])), starts.tolist()  # per block: 2**20 bits of rows
-    cuts = sorted({bisect_right(first, k) - 1 for k in range(0, len(a), per)})  # the a's opening blocks
+    cuts = sorted({bisect_right(first, k) - 1 for k in [*range(0, len(a), per), *(levels or ())]})
     ends = [first[i] for i in cuts] + [len(a)]
     for i, j, lo, hi in zip(cuts, cuts[1:] + [len(first)], ends, ends[1:]):  # the pairs of a's i..j-1
         ors[i:j] = np.bitwise_or.reduceat(up[b[lo:hi]], starts[i:j] - lo)
-        rows = new[lo:hi].cumsum() + (i - 1)  # each pair's a, as a row of ors
-        hit[lo:hi] = ors.view(np.uint8)[rows, b[lo:hi] >> 3] >> (b[lo:hi] & 7) & 1
+        hit[lo:hi] = ors.view(np.uint8)[row[lo:hi], byte[lo:hi]] & bit[lo:hi]
+        if levels:
+            up[a[starts[i:j]]] = ors[i:j]
+            np.bitwise_or.at(up.view(np.uint8), (a[lo:hi], byte[lo:hi]), bit[lo:hi])
     return ors, hit
 
 
+def _rounds(src, dst, n):
+    """Kahn's rounds along the pairs src -> dst, src sorted: the elements each round peels and the round
+    of each, following only the pairs out of the last round (slices of dst).  CycleDetected on a cycle."""
+    cuts, out, indeg = np.searchsorted(src, np.arange(n + 1)).tolist(), dst.tolist(), np.bincount(dst, minlength=n).tolist()
+    levels, r = [[x for x in range(n) if not indeg[x]]], [-1] * n
+    while levels[-1]:
+        levels.append([])
+        for x in levels[-2]:
+            r[x] = len(levels) - 2
+            for y in out[cuts[x] : cuts[x + 1]]:
+                indeg[y] -= 1
+                if not indeg[y]:
+                    levels[-1].append(y)
+    if -1 in r:
+        raise CycleDetected("cover relation contains a cycle")
+    return levels[:-1], r
+
+
+def _pack(rows, m):
+    """The packed strict up-rows of the order on m elements whose boolean rows at a slice are ``rows(slice)``."""
+    up = np.zeros((m, -(-m // 64)), dtype=np.uint64)
+    for s in range(0, m, step := max(1, 2**16 // max(m, 1))):  # about 2**16 bits a pass, the diagonal off
+        strict = rows(slice(s, s + step)) & ~np.eye(min(step, m - s), m, s, dtype=bool)
+        up.view(np.uint8)[s : s + step, : -(-m // 8)] = np.packbits(strict, 1, bitorder="little")
+    return up
+
+
+def _bits(up):
+    """The set bits of packed rows ``up`` as sorted (row, column) arrays, found byte by byte."""
+    row, byte = np.nonzero(up8 := up.view(np.uint8))
+    k, bit = np.nonzero(np.unpackbits(up8[row, byte][:, None], axis=1, bitorder="little"))
+    return row[k], byte[k] * 8 + bit
+
+
+def _covers(up):
+    """The covers of the order with packed strict up-rows ``up``, a sorted (k, 2) array: its pairs less
+    those two steps up, about 2**17 bits of rows at a time.  ValueError if an OR leaves its row."""
+    m, out = len(up), [np.zeros((0, 2), dtype=np.int64)]
+    for s in range(0, m, step := max(1, 2**17 // max(m, 1))):
+        a, b = _bits(blk := up[s : s + step])
+        ors, hit = _two_step(up, a + s, b)
+        if (ors & ~blk[blk.any(axis=1)]).any():  # the rows of the a's, in order
+            raise ValueError("order matrix is not transitive")
+        out.append(np.stack([a[~hit] + s, b[~hit]], axis=1))
+    return np.concatenate(out)
+
+
 class FinitePoset:
-    """A finite partial order with dense integer ids and decoded labels."""
+    """A finite partial order with dense integer ids and decoded labels, from an order matrix or packed up-rows."""
 
     def __init__(self, leq, covers, labels=None):
-        leq = np.asarray(leq, dtype=bool)
-        if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
-            raise ValueError(f"order matrix must be square, got shape {leq.shape}")
-        n = len(leq)
-        leq.setflags(write=False)
-        self.n = n
-        self.leq = leq
+        if (up := np.asarray(leq)).dtype != np.uint64:
+            if up.ndim != 2 or up.shape[0] != up.shape[-1]:
+                raise ValueError(f"order matrix must be square, got shape {up.shape}")
+            up = _pack(up.astype(bool, copy=False).__getitem__, len(up))
+        up.setflags(write=False)
+        self.n, self._up = (n := len(up)), up
         key = np.sort(np.ravel_multi_index(tuple(_pairs(covers)), (n, n)))  # ValueError past 0..n-1
         self._ends = tuple(e.astype(np.int32) for e in np.divmod(key, n))  # the covers' ends, sorted
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
@@ -91,13 +121,9 @@ class FinitePoset:
 
     @classmethod
     def closure(cls, covers, m, labels=None):
-        """Build the poset generated by a list of cover pairs on m elements.
-
-        Maximal elements are peeled a level at a time (Kahn's algorithm); the packed strict up-row of
-        a level's elements is the OR of (row c | bit c) over their upper covers c, one ``_two_step`` a
-        level.  Raises CycleDetected if the pairs are cyclic, and NotCover if an input pair (a, b) is
-        no cover of the order they generate: b is in the OR for a before the bits go in.
-        """
+        """The poset generated by cover pairs on m elements: top down by height (``_rounds``), each strict
+        up-row is the OR of (row c | bit c) over the upper covers c, one ``_two_step`` over the pairs by level.
+        CycleDetected if the pairs are cyclic; NotCover if a pair (a, b) is no cover: b is in a's OR."""
         a, b = _pairs(covers)
         if (bad := (outside := (a < 0) | (a >= m) | (b < 0) | (b >= m)) | (a == b)).any():
             i = int(np.argmax(bad))  # the first bad pair, in input order
@@ -106,49 +132,44 @@ class FinitePoset:
             raise CycleDetected(f"loop at element {a[i]}")
         key = np.sort(a * m + b)
         a, b = np.divmod(key[np.diff(key, prepend=-1) != 0], m)  # sorted, repeats dropped
-        byte, bit = b >> 3, (1 << (b & 7)).astype(np.uint8)  # where b sits in a packed row
+        peeled = _rounds(a, b, m)  # CycleDetected on a cycle
+        down = np.argsort(-(h := np.asarray(peeled[1])[a]), kind="stable")  # by the height of a, descending
         up = np.zeros((m, -(-m // 64)), dtype=np.uint64)  # the strict up-rows
-        hit, outdeg, rank = np.zeros(len(a), dtype=bool), np.bincount(a, minlength=m), np.full(m, -1)
-        level, r = np.flatnonzero(outdeg == 0), 0
-        while len(level):
-            rank[level] = r
-            if len(sel := np.flatnonzero(rank[a] == r)):  # the pairs from level r, by lower element
-                up[level], hit[sel] = _two_step(up, a[sel], b[sel])  # level r > 0: each has a cover
-                np.bitwise_or.at(up.view(np.uint8), (a[sel], byte[sel]), bit[sel])
-            outdeg -= np.bincount(a[rank[b] == r], minlength=m)
-            level, r = np.flatnonzero((outdeg == 0) & (rank < 0)), r + 1
-        if (rank < 0).any():
-            raise CycleDetected("cover relation contains a cycle")
-        leq = np.unpackbits(up.view(np.uint8), axis=1, count=m, bitorder="little").view(bool)
-        np.fill_diagonal(leq, True)
-        if hit.any():  # another upper cover of a lies below b; pairs are sorted, so this is the least
-            a, b = int(a[np.argmax(hit)]), int(b[np.argmax(hit)])
-            raise NotCover(f"({a}, {b}) is not a cover: interval has {(leq[a] & leq[:, b]).sum()} elements")
-        return cls(leq, np.stack([a, b], axis=1), labels)
+        hit = _two_step(up, a[down], b[down], np.flatnonzero(np.diff(h[down], prepend=-1)).tolist())[1]
+        p = cls(up, np.stack([a, b], axis=1), labels)
+        p._peeled = peeled  # the rounds of its covers, as ``heights`` finds them
+        if hit.any():  # another upper cover of a lies below b; the least such pair
+            a, b = divmod(int((a * m + b)[down][hit].min()), m)
+            size = (p.le(a, np.arange(m)) & p.le(np.arange(m), b)).sum()
+            raise NotCover(f"({a}, {b}) is not a cover: interval has {size} elements")
+        return p
 
     @classmethod
     def from_leq(cls, leq, labels=None):
-        """Build a poset from an explicit order matrix by exact bit arithmetic: the OR of the strict
-        rows above a holds the elements two steps above a, so a reflexive, antisymmetric ``leq`` is
-        transitive iff that OR lies inside row a, and the covers of a are the rest of its row."""
-        leq = np.asarray(leq, dtype=bool)
-        if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
-            raise ValueError(f"order matrix must be square, got shape {leq.shape}")
-        if not leq.diagonal().all():
+        """Build a poset from a reflexive, antisymmetric order matrix; ``_covers`` finds the covers and transitivity."""
+        up = cls(leq, [])._up  # ValueError unless square
+        if not (leq := np.asarray(leq, dtype=bool)).diagonal().all():
             raise ValueError("order matrix is not reflexive")
-        a, b = np.nonzero(leq)
-        a, b = a[a != b], b[a != b]  # the strict pairs, row by row
-        if leq[b, a].any():
+        if leq[_bits(up)[::-1]].any():  # leq[b, a] for the strict pairs (a, b)
             raise CycleDetected("order matrix is not antisymmetric")
-        m = len(leq)
-        up = np.zeros((m, -(-m // 64)), dtype=np.uint64)  # the strict up-rows
-        for s in range(0, m, step := max(1, 2**16 // max(m, 1))):  # about 2**16 bits packed a pass
-            strict = leq[s : s + step] ^ np.eye(min(step, m - s), m, s, dtype=bool)  # the diagonal off
-            up.view(np.uint8)[s : s + step, : -(-m // 8)] = np.packbits(strict, 1, bitorder="little")
-        ors, hit = _two_step(up, a, b)
-        if (ors & ~up[up.any(axis=1)]).any():  # the rows of the a's, in order
-            raise ValueError("order matrix is not transitive")
-        return cls(leq, np.stack([a[~hit], b[~hit]], axis=1), labels)
+        return cls(up, _covers(up), labels)
+
+    @cached_property
+    def leq(self):
+        """The order as a read-only boolean matrix (leq[a, b] iff a <= b), unpacked on first read."""
+        leq = self.rows(slice(None))
+        leq.flags.writeable = False
+        return leq
+
+    def rows(self, idx):
+        """The rows of ``leq`` at idx (an index array, mask or slice), unpacked from the up-rows."""
+        out = np.unpackbits(self._up[idx].view(np.uint8), axis=1, count=self.n, bitorder="little").view(bool)
+        out[np.arange(len(out)), np.arange(self.n)[idx]] = True
+        return out
+
+    def le(self, a, b):
+        """Whether a <= b for int ids or, elementwise, broadcast id arrays (a column, a row, a block of ``leq``)."""
+        return (self._up.view(np.uint8)[a, b >> 3] >> (b & 7) & 1).astype(bool) | (a == b)
 
     # -- basic queries ---------------------------------------------------
 
@@ -196,19 +217,13 @@ class FinitePoset:
         return maxs[0]
 
     @cached_property
+    def _peeled(self):
+        return _rounds(*self._ends, self.n)
+
+    @property
     def heights(self):
-        """heights[a] = longest chain ending at a, counted in cover steps: Kahn's rounds, round r
-        peeling every element whose lower covers are all gone.  CycleDetected if some are never peeled."""
-        a, b = self._ends
-        indeg, h = np.bincount(b, minlength=self.n), np.full(self.n, -1)
-        level, r = np.flatnonzero(indeg == 0), 0
-        while len(level):
-            h[level] = r
-            indeg -= np.bincount(b[h[a] == r], minlength=self.n)
-            level, r = np.flatnonzero((indeg == 0) & (h < 0)), r + 1
-        if (h < 0).any():
-            raise CycleDetected("cover relation contains a cycle")
-        return h.tolist()
+        """heights[a] = longest chain ending at a, in cover steps: its round in ``_rounds`` on the covers."""
+        return self._peeled[1]
 
     def length(self):
         """Longest chain length of the whole poset (cover steps)."""
@@ -216,35 +231,41 @@ class FinitePoset:
 
     # -- Mobius function and zeta polynomial -----------------------------
 
+    def _above(self, idx, w):
+        """For each a in idx, the sum of the rows b > a of w, over the set bits of a's up-row (``_bits``)."""
+        out = np.zeros((len(idx), *w.shape[1:]), dtype=w.dtype)
+        for s in range(0, len(idx), step := max(1, 2**17 // max(self.n, 1))):
+            r, b = _bits(self._up[idx[s : s + step]])
+            starts = np.flatnonzero(np.diff(r, prepend=-1))  # the first bit of each nonzero row
+            out[s + r[starts]] = np.add.reduceat(w[b], starts)
+        return out
+
+    def _top_down(self, first, what, row):
+        """An int64 array like ``first`` filled a height level (an antichain) at a time, top down, as ``row(level,
+        sums of the filled rows above each)``; check_int64 bounds every sum by max |first| plus each filled row's max."""
+        out, bound = np.zeros_like(first), max(int(first.max(initial=0)), -int(first.min(initial=0)))
+        for level in self._peeled[0][::-1]:
+            check_int64(what, bound)
+            out[level] = row(level, self._above(level, out))
+            bound += sum(np.abs(out[level]).reshape(len(level), -1).max(axis=1, initial=0).tolist())
+        check_int64(what, bound)
+        return out
+
     def mobius_times(self, rhs):
-        """mu @ rhs in int64: solves zeta @ W = rhs in reverse topological order, one
-        ``leq[a] @ W`` per element (row a is still zero, so this sums the rows above a)."""
+        """mu @ rhs in int64: solves zeta @ W = rhs, each row of W that of rhs less the rows above it."""
         rhs = np.asarray(rhs, dtype=np.int64)
-        w = np.zeros_like(rhs)
-        bound = max(int(rhs.max(initial=0)), -int(rhs.min(initial=0)))  # grows by each row's max |w|
-        for a in reversed(self._topo):
-            check_int64("Mobius solve", bound)
-            w[a] = rhs[a] - self.leq[a] @ w
-            bound += int(np.abs(w[a]).max(initial=0))
-        check_int64("Mobius solve", bound)  # every column sum of w is exact too
-        return w
+        return self._top_down(rhs, "Mobius solve", lambda level, above: rhs[level] - above)
 
     def mobius(self, a, b):
         """Mobius function mu(a, b); 0 when a and b are incomparable.  One column of mobius_times."""
-        e_b = np.zeros(self.n, dtype=np.int64)
-        e_b[b] = 1
-        return int(self.mobius_times(e_b)[a])
+        return int(self.mobius_times(np.arange(self.n) == b)[a])
 
     @cached_property
     def _chain_counts(self):
-        """counts[j] = number of chains x0 < ... < xj, from length() int64 mat-vecs with the strict order."""
-        ends = np.ones(self.n, dtype=np.int64)  # chains of j+1 elements, by their top element
-        counts = [self.n]
-        for _ in range(self.length()):
-            check_int64("chain count", counts[-1])  # bounds every partial sum of the mat-vec
-            ends = np.einsum("a,ab->b", ends, self.leq) - ends
-            counts.append(sum(ends.tolist()))
-        return counts
+        """counts[j] = number of chains x0 < ... < xj, the column sums of c, where c[a, j] counts those
+        with x0 = a: c[a, 0] = 1 and c[a, j + 1] sums c[b, j] over b > a."""
+        ones = np.ones((self.n, self.length() + 1), dtype=np.int64)
+        return self._top_down(ones, "chain count", lambda lv, above: np.hstack([ones[lv, :1], above[:, :-1]])).sum(0).tolist()
 
     def zeta(self, q):
         """Number of weakly increasing (q-1)-tuples; zeta(1) = 1, zeta(2) = n.  Those with
@@ -298,8 +319,8 @@ class FinitePoset:
         """All antichains (as frozensets), the empty one included, depth first: each antichain is
         followed by its extensions by a larger element, in ascending order.  The candidates for the
         next element are a Python-int bitmask, cut by the incomparability row of each one taken."""
-        rows = np.packbits(~(self.leq | self.leq.T), axis=1, bitorder="little")
-        inc = [int.from_bytes(row.tobytes(), "little") for row in rows]
+        x = np.arange(self.n)
+        inc = [int.from_bytes(np.packbits(~(self.le(a, x) | self.le(x, a)), bitorder="little").tobytes(), "little") for a in x]
         out = []
 
         def grow(chosen, cand):
@@ -315,11 +336,7 @@ class FinitePoset:
     # -- export ------------------------------------------------------------
 
     def to_json(self):
-        return {
-            "n_elements": self.n,
-            "covers": [[a, b] for a, b in self.covers],
-            "labels": [str(lbl) for lbl in self.labels],
-        }
+        return {"n_elements": self.n, "covers": [[a, b] for a, b in self.covers], "labels": [str(lbl) for lbl in self.labels]}
 
     def to_dot(self, name="poset"):
         lines = [f"digraph {name} {{", "  rankdir=BT;"]
@@ -368,21 +385,17 @@ def doubling(p, b):
     lo, hi = b
     if not (0 <= lo < p.n and 0 <= hi < p.n):
         raise ValueError(f"element id out of range: ({lo}, {hi})")
-    if not p.leq[lo, hi]:
+    if not p.le(lo, hi):
         raise NotInterval(f"({lo}, {hi}) is not an interval: lo is not below hi")
-    ids, copies, covers = _double(*p._ends, p.leq[:, hi], ~p.leq[:, hi] | p.leq[lo])
+    ids, copies, covers = _double(*p._ends, down := p.le(np.arange(p.n), hi), ~down | p.le(lo, np.arange(p.n)))
     labels = [(p.labels[a], c) for a, c in zip(ids.tolist(), copies.tolist())]
     return FinitePoset.closure(covers, len(ids), labels)
 
 
 def are_isomorphic(p, q, image):
-    """Whether ``image`` (the q-id of each p-id) is an order isomorphism from p onto q.
-
-    Order isomorphisms are exactly the bijections that map covers onto
-    covers, so the given map is certified as it stands; no search is made.
-    A size mismatch, a repeated id or an out-of-range id gives False.
-    Covers compare as the sorted keys a * n + b of the cover-end arrays.
-    """
+    """Whether ``image`` (the q-id of each p-id) is an order isomorphism from p onto q: a bijection
+    mapping covers onto covers, compared as the sorted keys a * n + b of the cover ends, so the map is
+    certified as it stands.  A size mismatch, a repeated id or an out-of-range id gives False."""
     image = np.asarray(list(image), dtype=np.int64)
     if p.n != q.n or not np.array_equal(np.sort(image), np.arange(q.n)):
         return False

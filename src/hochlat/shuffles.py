@@ -25,7 +25,7 @@ from .hochschild import l1
 from .lattice import as_lattice, is_semidistributive, psi_map
 from .limits import check_elements, check_n, check_range
 from .polynomials import interpolate_univariate
-from .poset import FinitePoset
+from .poset import FinitePoset, _covers, _pack
 
 
 def shuffle_count(a, b):
@@ -204,10 +204,8 @@ def clo(lat):
     psi = psi_map(lat)
     if (np.diff(np.sort(psi)) == 0).any():
         raise InvariantViolated("two elements share a core label set")
-    leq = np.empty((lat.n, lat.n), dtype=bool)
-    for lo in range(0, lat.n, 256):  # 256 rows at a time: no m x m mask temporary
-        leq[lo : lo + 256] = (psi[lo : lo + 256, None] & ~psi) == 0
-    _CLO[lat] = FinitePoset.from_leq(leq, labels=list(lat.poset.labels))
+    up = _pack(lambda rows: (psi[rows, None] & ~psi) == 0, lat.n)  # psi[a] inside psi[b]
+    _CLO[lat] = FinitePoset(up, _covers(up), labels=list(lat.poset.labels))
     return _CLO[lat]
 
 

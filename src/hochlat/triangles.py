@@ -45,10 +45,12 @@ def _indicator(grades):
 
 
 def _graded(mat, rows, cols=None):
-    """BiPoly of R^T mat C, R and C the indicators of rows and cols (C = 1 when cols is None).
-    R^T mat is one row sum per grade, so a boolean mat is never widened to int64 whole."""
-    rows = np.asarray(rows)
-    acc = np.stack([mat[rows == g].sum(0) for g in range(rows.max(initial=0) + 1)])
+    """BiPoly of R^T mat C, R and C the indicators of rows and cols (C = 1 when cols is None), mat a
+    matrix or a poset's order.  R^T mat is one row sum per grade, about 2**16 entries summed at a time,
+    so an order is unpacked (``FinitePoset.rows``) a block at a time and never widened to int64 whole."""
+    rows, take = np.asarray(rows), mat.rows if isinstance(mat, FinitePoset) else mat.__getitem__
+    grades = [np.flatnonzero(rows == g) for g in range(rows.max(initial=0) + 1)]
+    acc = np.stack([sum(take(blk).sum(0) for blk in np.array_split(i, max(1, len(i) * len(rows) >> 16))) for i in grades])
     if cols is not None:
         acc = acc @ _indicator(cols)
     return BiPoly({(i, j): int(c) for (i, j), c in np.ndenumerate(acc)})
@@ -248,7 +250,7 @@ def g_triangle(a, b):
     """Comparable pairs of a shuffle lattice, graded by rank and corank: R^T zeta C."""
     sl = shuffle_lattice(a, b)
     ranks = np.array([word_rank(w, a) for w in sl.words])
-    return _graded(sl.lattice.poset.leq, ranks, a + b - ranks)
+    return _graded(sl.lattice.poset, ranks, a + b - ranks)
 
 
 def g_conjecture_closed(n):
@@ -292,7 +294,7 @@ def boolean_baselines(n):
 
     return {
         "m": m_triangle(p),
-        "f": _graded(p.leq, ranks, n - ranks),
+        "f": _graded(p, ranks, n - ranks),
         "h": BiPoly(h_terms),
         "m_closed": (X * Y - Y + ONE) ** n,
         "f_closed": (X + Y + ONE) ** n,

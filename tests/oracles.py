@@ -32,8 +32,13 @@ one vertex at a time, and is only run at small sizes:
   arithmetic of ``FinitePoset.from_leq``;
 - ``toposort`` and ``heights_by_queue``: Kahn's algorithm with a Python queue,
   one element at a time, and the longest chain below each element relaxed one
-  cover at a time in that order, the oracles for the numpy rounds of
+  cover at a time in that order, the oracles for the rounds of
   ``FinitePoset.heights`` and the order ``FinitePoset._topo`` sorted by them;
+- ``mobius_times_by_rows`` and ``chain_counts_by_matvec``: the Mobius solve one
+  row at a time in reverse topological order, guarded before every row, and
+  the chain counts by one mat-vec with the dense order a chain length, the
+  oracles for the height-level solves of ``FinitePoset.mobius_times`` and
+  ``FinitePoset.zeta``;
 - ``closure_by_covers``: a cover list validated pair by pair, closed one
   cover at a time in topological order and checked for non-covers by one
   float32 product of its strict order, the oracle for the level-wise packed
@@ -80,6 +85,7 @@ from hochlat.galois import _columns
 from hochlat.hochschild import a_irr, b_irr, build_hoch, hoch_meet_code, is_triword
 from hochlat.limits import check_n
 from hochlat.lattice import jsd_labeling
+from hochlat.limits import check_int64
 from hochlat.polynomials import BiPoly, interpolate_from_grid
 from hochlat.poset import FinitePoset, doubling
 from hochlat.shuffles import word_rank
@@ -316,6 +322,31 @@ def heights_by_queue(p):
         for b in ups[a]:
             h[b] = max(h[b], h[a] + 1)
     return h
+
+
+def mobius_times_by_rows(p, rhs):
+    """``FinitePoset.mobius_times`` a row at a time: zeta @ W = rhs solved in reverse topological
+    order, row a of W being rhs[a] less ``leq[a] @ W`` (row a is still zero, so this sums the rows
+    above a), with the int64 bound checked before every row and once more at the end."""
+    rhs = np.asarray(rhs, dtype=np.int64)
+    w = np.zeros_like(rhs)
+    bound = max(int(rhs.max(initial=0)), -int(rhs.min(initial=0)))  # grows by each row's max |w|
+    for a in reversed(p._topo):
+        check_int64("Mobius solve", bound)
+        w[a] = rhs[a] - p.leq[a] @ w
+        bound += int(np.abs(w[a]).max(initial=0))
+    check_int64("Mobius solve", bound)
+    return w
+
+
+def chain_counts_by_matvec(p):
+    """The chain counts behind ``FinitePoset.zeta``: the chains of j + 1 elements by their top
+    element, one int64 mat-vec with the strict order for each j."""
+    ends, counts = np.ones(p.n, dtype=np.int64), [p.n]
+    for _ in range(p.length()):
+        ends = np.einsum("a,ab->b", ends, p.leq) - ends
+        counts.append(sum(ends.tolist()))
+    return counts
 
 
 def closure_by_covers(covers, m, labels=None):

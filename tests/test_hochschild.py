@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,6 +336,20 @@ def test_not_graded_but_bounded_length():
         assert lat.poset.length() == 2 * n - 1 if n > 1 else 1
     with pytest.raises(NotGraded):
         build_hoch(3).lattice.poset.rank_profile()
+
+
+def test_cold_build_hoch_10_traces_under_8_mb():
+    """A cold build_hoch(10) keeps its order as 1.4 MB of packed up-rows: its traced peak stays under
+    8 MB, where an 11 MB dense matrix alone would pass it."""
+    build_hoch.cache_clear()
+    tracemalloc.start()
+    try:
+        lat = build_hoch(10).lattice
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lat.n == 3328 and "leq" not in vars(lat.poset)
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("n", range(1, 5))

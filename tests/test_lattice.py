@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from hochlat import checks, triangles
 from hochlat import lattice as lattice_module
 from hochlat import shuffles
 from hochlat.errors import (
@@ -604,15 +605,15 @@ def test_cover_ends_give_what_the_adjacency_lists_gave():
                 down[b].append(a)
             assert q.covers == tuple(sorted(given))
             assert q._up_adj == up and q._down_adj == down
-            for ends, lists, leq in ((q._ends, down, q.leq), (q._ends[::-1], up, q.leq.T)):
+            for ends, lists, flip in ((q._ends, down, False), (q._ends[::-1], up, True)):
                 want = [(a, near[0]) for a, near in enumerate(lists) if len(near) == 1]
-                assert list(lattice_module._Masks(leq, *ends).irr.items()) == want
+                assert list(lattice_module._Masks(q, *ends, dual=flip).irr.items()) == want
             assert q.minimal_elements() == [a for a in range(q.n) if not down[a]]
             assert q.maximal_elements() == [a for a in range(q.n) if not up[a]]
 
 
 def test_heights_match_kahns_queue_and_topo_ascends_along_every_cover():
-    """heights, Kahn's rounds in numpy, against a Python queue relaxing one cover at a time, on the
+    """heights, Kahn's rounds over slices of the covers, against a Python queue relaxing one cover at a time, on the
     corpus and on its duals; _topo, the ids sorted by height, puts each lower end before its upper end."""
     for p in certification_corpus():
         for q in (p, dual(p)):
@@ -647,14 +648,67 @@ def test_as_lattice_reads_the_cover_ends_alone():
     assert not {"covers", "_up_adj", "_down_adj"} & set(vars(p))
 
 
+def test_packed_row_readers_give_the_rows_columns_and_entries_of_leq():
+    """FinitePoset.rows, unpacking up-rows, and FinitePoset.le, bit tests on them, against leq: the rows
+    at a random mask, every row le(a, ids), every column le(ids, b), the whole table at once and single
+    entries with int ids, on the corpus (it holds Hoch(1..8) and Bool(0..8)) and its duals."""
+    rng = random.Random(31)
+    for p in certification_corpus():
+        for q in (p, dual(p)):
+            ids, leq = np.arange(q.n), q.leq
+            mask = np.array([rng.random() < 0.5 for _ in range(q.n)], dtype=bool)
+            assert np.array_equal(q.rows(mask), leq[mask]) and np.array_equal(q.rows(ids[::-1]), leq[::-1])
+            assert np.array_equal(q.le(ids[:, None], ids), leq)
+            for a in range(q.n):
+                assert np.array_equal(q.le(a, ids), leq[a]) and np.array_equal(q.le(ids, a), leq[:, a])
+            for a, b in ((rng.randrange(q.n), rng.randrange(q.n)) for _ in range(8 * bool(q.n))):
+                assert bool(q.le(a, b)) == leq[a, b]
+
+
+def test_no_bundle_unpacks_an_order(monkeypatch):
+    """After the 14 bundles at n = 8 and the G-triangle note, no order the library built has ``leq``
+    in its __dict__: Hoch(8) and its CLO, Shuf(7, 1), Bool(8) and its CLO, and the poset of
+    build_hoch_by_doubling(8).  The caches are cleared first, so no earlier test has read them."""
+    built = []
+
+    def keep(real):
+        return lambda n: built.append(real(n)) or built[-1]
+
+    for module, name in ((checks, "build_hoch_by_doubling"), (checks, "build_bool"), (triangles, "build_bool")):
+        monkeypatch.setattr(module, name, keep(getattr(module, name)))
+    build_hoch.cache_clear()
+    shuffle_lattice.cache_clear()
+    assert checks.run_all(8, write=lambda line: None)
+    lat = build_hoch(8).lattice
+    posets = [lat.poset, clo(lat), shuffle_lattice(7, 1).lattice.poset, built[0]]
+    posets += [q for b in built[1:] for q in (b.poset, clo(b))]
+    assert len(posets) == 8 and [p.n for p in posets[-4:]] == [256] * 4
+    assert not [p for p in posets if "leq" in vars(p)]
+
+
+def test_clo_covers_match_from_leq_on_the_inclusion_matrix():
+    """clo packs the inclusion order of the core label sets a block of rows at a time and finds its
+    covers with _two_step.  from_leq and the float32 product oracle on the dense inclusion matrix give
+    the same order and covers, on Hoch(1..8), Bool(0..6) and the semidistributive seeded_lattices()."""
+    lattices = [build_hoch(n).lattice for n in range(1, 9)] + [build_bool(k) for k in range(7)]
+    lattices += [lat for lat in seeded_lattices() if is_semidistributive(lat)]
+    assert len(lattices) > 15
+    for lat in lattices:
+        psi = psi_map(lat)
+        leq = (psi[:, None] & ~psi) == 0
+        got = clo(lat)
+        for want in (FinitePoset.from_leq(leq), from_leq_by_product(leq)):
+            assert got.covers == want.covers and np.array_equal(got.leq, want.leq)
+
+
 def test_meet_irreducible_lookups_decide_intersection_closure():
     """The lemma behind as_lattice's acceptance: where the join-irreducible masks embed the order,
     they are closed under intersection iff every mask meets each meet-irreducible's mask in a mask.
     as_lattice accepts exactly then."""
     verdicts = []
     for p in certification_corpus():
-        lower = lattice_module._Masks(p.leq, *p._ends)
-        upper = lattice_module._Masks(p.leq.T, *p._ends[::-1])
+        lower = lattice_module._Masks(p, *p._ends)
+        upper = lattice_module._Masks(p, *p._ends[::-1], dual=True)
         masks = lower.masks
         if not masks_embed_order(masks, p.leq):
             continue
@@ -680,7 +734,7 @@ def test_cover_check_implies_the_embedding_and_holds_on_every_lattice():
     posets = certification_corpus() + [build_hoch(9).lattice.poset, build_hoch(10).lattice.poset]
     for p in posets:
         covers_join = lattice_module._lower_covers_join(p) is None
-        embeds = masks_embed_order(lattice_module._Masks(p.leq, *p._ends).masks, p.leq)
+        embeds = masks_embed_order(lattice_module._Masks(p, *p._ends).masks, p.leq)
         assert embeds or not covers_join
         try:
             as_lattice(p)
@@ -719,7 +773,7 @@ def test_cover_check_needs_the_elements_with_two_lower_covers():
     three_up = mutated("_lower_covers_join", "& (hi[1:] == hi[:-1])", "& np.append(hi[2:] == hi[:-2], False)")
     passed = 0
     for p in certification_corpus():
-        embeds = masks_embed_order(lattice_module._Masks(p.leq, *p._ends).masks, p.leq)
+        embeds = masks_embed_order(lattice_module._Masks(p, *p._ends).masks, p.leq)
         if three_up(p) is None and not embeds:
             assert lattice_module._lower_covers_join(p) is not None
             passed += 1

@@ -28,7 +28,15 @@ from hochlat.poset import (
 )
 from hochlat.polynomials import interpolate_univariate
 from hochlat.shuffles import shuffle_lattice
-from oracles import closure_by_covers, dual, from_leq_by_product, induced, interval
+from oracles import (
+    chain_counts_by_matvec,
+    closure_by_covers,
+    dual,
+    from_leq_by_product,
+    induced,
+    interval,
+    mobius_times_by_rows,
+)
 
 
 def chain(k):
@@ -392,6 +400,50 @@ def test_mobius_solve_guards_int64(monkeypatch):
     with pytest.raises(SizeBound, match="Mobius solve"):
         boolean(3).mobius(0, 7)
     assert chain(2).mobius(0, 1) == -1  # every sum stays below 4
+
+
+def solve_corpus():
+    """Orders for the height-level solves: small named ones, Hoch(1..5), and 60 random DAG closures
+    with their duals, seed 31."""
+    rng = random.Random(31)
+    posets = [boolean(k) for k in range(5)] + [chain(6), antichain(3), pentagon()]
+    posets += [build_hoch(n).lattice.poset for n in range(1, 6)]
+    for _ in range(60):
+        p = FinitePoset.closure(*random_dag_covers(rng))
+        posets += [p, dual(p)]
+    return posets
+
+
+def test_level_solve_matches_the_row_solve_and_its_int64_verdicts(monkeypatch):
+    """mobius_times, a height level at a time, against the per-row solve on identity, random
+    matrix and random vector right-hand sides; under small int64 bounds both raise SizeBound on
+    the same inputs, as both check the same final bound and every earlier one is below it."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for p in solve_corpus():
+        for rhs in (np.eye(p.n, dtype=np.int64), rng.integers(-3, 4, size=(p.n, 3)), rng.integers(-3, 4, size=p.n)):
+            assert np.array_equal(p.mobius_times(rhs), mobius_times_by_rows(p, rhs))
+            cases.append((p, rhs))
+    raised = 0
+    for bound in (2, 4, 16, 256):
+        monkeypatch.setattr(limits, "INT64_BOUND", bound)
+        for p, rhs in cases:
+            verdicts = []
+            for solve in (p.mobius_times, lambda r: mobius_times_by_rows(p, r)):
+                try:
+                    verdicts.append(solve(rhs).tolist())
+                except SizeBound:
+                    verdicts.append(None)
+            assert verdicts[0] == verdicts[1]
+            raised += verdicts[0] is None
+    assert 0 < raised < 4 * len(cases)
+
+
+def test_chain_counts_match_the_mat_vecs_with_the_dense_order():
+    """The chain counts, solved a height level at a time, against one mat-vec with the dense order
+    a chain length."""
+    for p in solve_corpus():
+        assert p._chain_counts == chain_counts_by_matvec(p)
 
 
 def test_chain_counts_guard_int64(monkeypatch):

@@ -281,14 +281,14 @@ def test_clo_rejects_repeated_core_label_sets(monkeypatch):
 
 def test_sigma_and_m_triangle_share_one_core_label_order(monkeypatch):
     built = []
-    real = FinitePoset.from_leq.__func__
+    real = shuffles._covers
 
-    def counted(cls, leq, labels=None):
-        built.append(len(leq))
-        return real(cls, leq, labels)
+    def counted(up):
+        built.append(len(up))
+        return real(up)
 
     build_hoch.cache_clear()
-    monkeypatch.setattr(FinitePoset, "from_leq", classmethod(counted))
+    monkeypatch.setattr(shuffles, "_covers", counted)
     assert check_sigma(5) and check_m_triangle(5)
     assert built == [build_hoch(5).lattice.n]
     assert clo(build_hoch(5).lattice) is clo(build_hoch(5).lattice)
