@@ -42,22 +42,13 @@ def is_triword(u):
 
 @lru_cache(maxsize=None)
 def enumerate_triwords(n):
-    """All triwords of length n in lexicographic order."""
+    """All triwords of length n in lexicographic order, grown a letter at a time in ascending order:
+    0 or 1 first, 0 or 2 once the word holds a 0, and 0, 1 or 2 otherwise.  The levels are chained
+    generators, so only the words of length n are ever held together, no shorter prefixes."""
     check_n(n)
-    words = []
-
-    def grow(prefix, seen_zero):
-        if len(prefix) == n:
-            words.append(prefix)
-            return
-        for x in (0, 1, 2):
-            if x == 2 and not prefix:
-                continue
-            if x == 1 and seen_zero:
-                continue
-            grow(prefix + (x,), seen_zero or x == 0)
-
-    grow((), False)
+    words = [()]
+    for _ in range(n):
+        words = (u + (x,) for u in words for x in ((0, 2) if 0 in u else (0, 1, 2) if u else (0, 1)))
     return tuple(words)
 
 
@@ -152,9 +143,11 @@ def b_irr(i):
 
 @lru_cache(maxsize=None)
 def _irr(n):
-    """The one-label sets ({a1}..{an}, {b2}..{bn}) the label sets of triwords of length n are
-    unions of; a union copies the stored hashes, so no label is hashed again."""
-    return tuple(frozenset({a_irr(i)}) for i in range(1, n + 1)), tuple(frozenset({b_irr(j)}) for j in range(2, n + 1))
+    """The a-runs ``runs[l][f]`` = {a_l .. a_(f-1)} (empty for l = 0 or l >= f; l, f <= n + 1) and the sets
+    {b2}..{bn} that label sets of length n unite; a union copies their hashes, so no label is rehashed."""
+    a = [a_irr(i) for i in range(1, n + 1)]
+    runs = tuple(tuple(frozenset(a[l - 1 : f - 1] if l else ()) for f in range(n + 2)) for l in range(n + 2))
+    return runs, tuple(frozenset({b_irr(j)}) for j in range(2, n + 1))
 
 
 def irreducibles(n):
@@ -260,16 +253,16 @@ def cover_label_formula(u, v):
 
 
 def _labels(u, last1, first0):
-    """a_last1 .. a_(first0 - 1), none when last1 is 0, and b_i for each 2 at a position i of u:
-    one union of the one-label sets of ``_irr``.  ValueError for a 2 at position 1 (no b1)."""
+    """a_last1 .. a_(first0 - 1), none when last1 is 0, and b_i for each 2 at a position i of u: the
+    a-run of ``_irr`` joined with its one-label b sets.  ValueError for a 2 at position 1 (no b1)."""
     if 2 in u[:1]:
         raise ValueError("no irreducible b1")
-    a, b = _irr(len(u))
-    parts, i = list(a[last1 - 1 : first0 - 1] if last1 else ()), 0
+    runs, b = _irr(len(u))
+    parts, i = [], 0
     for _ in range(u.count(2)):
         i = u.index(2, i) + 1
         parts.append(b[i - 2])
-    return frozenset().union(*parts)
+    return runs[last1][first0].union(*parts)
 
 
 def canrep_formula(u):
@@ -302,21 +295,24 @@ def core_labels_formula(u):
 def psi_inverse(n, labels):
     """The unique triword whose core label set is ``labels``.
 
-    One pass range-checks every label, places a 2 for each b and finds the lowest a, which
-    becomes the last 1 with 1s before it wherever no 2 stands; no b sits at position 1 and no 1
-    follows a 0, so the word is a triword.  Raises MalformedLabelSet for a label outside 1..n,
-    an a-run that begins on a 2, and any word whose core label set is not ``labels`` after all.
+    One pass reads each label's kind and index once, places a 2 for each b and finds the lowest a, the
+    last 1, with 1s before it wherever no 2 stands; no b sits at position 1 and no 1 follows a 0, so the
+    word is a triword.  Raises MalformedLabelSet for a non-label, a label outside 1..n, an a-run that
+    begins on a 2, and any word whose core label set is not ``labels`` after all.
     """
     check_n(n)
     labels = frozenset(labels)
     w, last1 = [0] * n, n + 1
     for j in labels:
-        if not 1 <= j.index <= n:
+        if not isinstance(j, HochIrreducible):
+            raise MalformedLabelSet(f"{j!r} is not a label")
+        kind, i = j.kind, j.index
+        if not 1 <= i <= n:
             raise MalformedLabelSet(f"label index out of range for n={n}")
-        if j.kind == "a":
-            last1 = min(last1, j.index)
-        elif j.kind == "b":
-            w[j.index - 1] = 2
+        if kind == "b":
+            w[i - 1] = 2
+        elif i < last1:
+            last1 = i
     if last1 <= n:
         if w[last1 - 1]:
             raise MalformedLabelSet("a-run begins on an occupied position")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
+from operator import index
 
 from .errors import InterpolationDegeneracy
 
@@ -30,10 +31,19 @@ class BiPoly:
     def __init__(self, terms=None):
         clean = {}
         for (i, j), c in (terms or {}).items():
+            if not all(hasattr(type(e), "__index__") and index(e) >= 0 for e in (i, j)):
+                raise ValueError(f"exponents must be non-negative integers, got {(i, j)!r}")
             c = _norm(c)
             if c != 0:
-                clean[(int(i), int(j))] = c
+                clean[(index(i), index(j))] = c
         self.terms = clean
+
+    @classmethod
+    def _of(cls, terms):
+        """The BiPoly of int and Fraction terms on sums of valid keys: zeros dropped, non-ints normalized."""
+        out = cls.__new__(cls)
+        out.terms = {k: c if type(c) is int else _norm(c) for k, c in terms.items() if c}
+        return out
 
     @classmethod
     def const(cls, c):
@@ -52,12 +62,12 @@ class BiPoly:
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, 0) + c
-        return BiPoly(out)
+        return BiPoly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BiPoly({k: -c for k, c in self.terms.items()})
+        return BiPoly._of({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         other = other if isinstance(other, BiPoly) else BiPoly.const(other)
@@ -73,7 +83,7 @@ class BiPoly:
             for (i2, j2), c2 in other.terms.items():
                 k = (i1 + i2, j1 + j2)
                 out[k] = out.get(k, 0) + c1 * c2
-        return BiPoly(out)
+        return BiPoly._of(out)
 
     __rmul__ = __mul__
 

@@ -165,26 +165,29 @@ def sigma(u):
     right after the letter equal to the last-1 position, at the front when
     that position is 1, nowhere when there is no 1 at all.
     """
-    tau = [i for i in range(2, len(u) + 1) if u[i - 1] != 2]
+    tau = [i for i, x in enumerate(u[1:], 2) if x != 2]
     last1 = l1(u)
-    if last1 == 0:
-        return tuple(tau)
-    k = last1 - 1 - u[1:last1].count(2)  # the letters of tau up to last1
-    return (*tau[:k], -1, *tau[k:])
+    if last1:
+        tau.insert(last1 - 1 - u[1:last1].count(2), -1)  # after the letters of tau up to last1
+    return tuple(tau)
 
 
 def sigma_inverse(n, w):
     """Rebuild the triword: every absent A-letter is a 2, those before the marker 1s and those after
     it 0s, the first letter 1 iff there is a marker.  The A-letters ascend, so no 1 follows a 0 and the
     last 1 ends the A-letters before the marker: ``sigma`` of the triword is w, with no round trip."""
+    check_n(n)
     if not is_shuffle_word(w, n - 1, 1):
         raise MalformedWord(f"{w!r} is not a valid one-marker shuffle word for n={n}")
     u = [2] * n
     u[0] = int(-1 in w)
-    k = w.index(-1) if u[0] else 0
-    for j, x in enumerate(w):
-        if x > 0:
-            u[x - 1] = int(j < k)
+    if u[0]:
+        k = w.index(-1)
+        for x in w[:k]:
+            u[x - 1] = 1
+        w = w[k + 1 :]
+    for x in w:
+        u[x - 1] = 0
     return tuple(u)
 
 

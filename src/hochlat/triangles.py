@@ -23,7 +23,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import InvariantViolated
-from .hochschild import build_hoch, canrep_formula, enumerate_triwords, l1
+from .hochschild import build_hoch, enumerate_triwords, l1
 from .lattice import build_bool, canonical_joinrep, jsd_labeling
 from .limits import check_n
 from .polynomials import BiPoly
@@ -158,8 +158,8 @@ def neg_stat(u):
 
 @lru_cache(maxsize=None)
 def _word_stats(n):
-    """Triword counts per (canonical joinand count, neg_stat), read-only: every caller shares it."""
-    return MappingProxyType(Counter((len(canrep_formula(u)), neg_stat(u)) for u in enumerate_triwords(n)))
+    """Triword counts per (canonical joinand count: a at the last 1, b at each 2; neg_stat), shared read-only."""
+    return MappingProxyType(Counter((u.count(2) + (1 in u), neg_stat(u)) for u in enumerate_triwords(n)))
 
 
 def f_tilde(n):

@@ -52,12 +52,15 @@ one vertex at a time, and is only run at small sizes:
   ``hochschild.build_hoch_by_doubling``;
 - ``interval``: the elements between two elements of a poset, for tests that
   cut an interval out;
+- ``enumerate_triwords``: the triwords grown by recursion, a prefix at a
+  time, the oracle for the chained level-by-level generators of
+  ``hochschild.enumerate_triwords``;
 - ``l1``, ``f0``, ``core_labels_formula``, ``canrep_formula``,
   ``psi_inverse``, ``sigma``, ``sigma_inverse``, ``is_shuffle_word`` and
   ``neg_stat``: the word functions of ``hochschild``, ``shuffles`` and
   ``triangles`` with one Python step per letter and one ``set.add`` per
   label, the oracles for their scans by ``tuple.index`` and ``tuple.count``
-  and label sets cut from per-n tables;
+  and label sets cut from per-n tables of a-runs;
 - ``antichains``: every antichain of a poset grown by recursion, each
   candidate tested against every element already chosen, the oracle for the
   bitmask search of ``FinitePoset.antichains``;
@@ -82,7 +85,7 @@ import numpy as np
 from hochlat.complexes import is_vertex_decomposable
 from hochlat.errors import CycleDetected, MalformedLabelSet, MalformedWord, NotCover
 from hochlat.galois import _columns
-from hochlat.hochschild import a_irr, b_irr, build_hoch, hoch_meet_code, is_triword
+from hochlat.hochschild import HochIrreducible, a_irr, b_irr, build_hoch, hoch_meet_code, is_triword
 from hochlat.limits import check_n
 from hochlat.lattice import jsd_labeling
 from hochlat.limits import check_int64
@@ -419,6 +422,26 @@ def interval(p, a, b):
     return [int(c) for c in np.nonzero(p.leq[a] & p.leq[:, b])[0]]
 
 
+def enumerate_triwords(n):
+    """All triwords of length n in lexicographic order, grown by recursion one letter at a time."""
+    check_n(n)
+    words = []
+
+    def grow(prefix, seen_zero):
+        if len(prefix) == n:
+            words.append(prefix)
+            return
+        for x in (0, 1, 2):
+            if x == 2 and not prefix:
+                continue
+            if x == 1 and seen_zero:
+                continue
+            grow(prefix + (x,), seen_zero or x == 0)
+
+    grow((), False)
+    return tuple(words)
+
+
 def l1(u):
     """Position of the last 1 (1-based), 0 if none."""
     out = 0
@@ -465,6 +488,8 @@ def psi_inverse(n, labels):
     """The triword whose core label set is ``labels``: the b's as 2s, the least a as the last 1."""
     check_n(n)
     labels = frozenset(labels)
+    if not all(isinstance(j, HochIrreducible) for j in labels):
+        raise MalformedLabelSet("an element is not a label")
     a_idx = sorted(j.index for j in labels if j.kind == "a")
     b_idx = sorted(j.index for j in labels if j.kind == "b")
     if any(not 1 <= j.index <= n for j in labels):

@@ -480,6 +480,10 @@ def test_psi_inverse_rejects_malformed_sets():
         psi_inverse(3, {a_irr(4)})
     with pytest.raises(MalformedLabelSet):
         psi_inverse(3, {b_irr(5)})
+    with pytest.raises(MalformedLabelSet):
+        psi_inverse(3, {1, 2})
+    with pytest.raises(MalformedLabelSet):
+        psi_inverse(3, {"a1"})
 
 
 @pytest.mark.parametrize("kind, index", [("c", 1), ("a", 0), ("b", 1)])

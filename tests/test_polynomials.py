@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -164,3 +165,50 @@ def test_empty_node_sets_are_degenerate():
 def test_power_needs_a_non_negative_int(e):
     with pytest.raises(ValueError, match="non-negative int"):
         BiPoly.x() ** e
+
+
+@pytest.mark.parametrize("key", [(0.5, 0), ("2", 0), (-1, 0), (0, -3), (1, 2.0), (None, 0)])
+def test_constructor_rejects_exponents_that_are_not_non_negative_integers(key):
+    for c in (1, 0):  # a zero term is checked too, before it is dropped
+        with pytest.raises(ValueError, match="non-negative integers"):
+            BiPoly({key: c})
+
+
+def test_constructor_takes_exponents_by_operator_index():
+    p = BiPoly({(np.int64(2), True): 3})
+    assert p.terms == {(2, 1): 3} and all(type(e) is int for key in p.terms for e in key)
+
+
+def product_by_rebuild(p, q):
+    """The product of p and q term by term, rebuilt through the constructor."""
+    out = {}
+    for (i1, j1), c1 in p.terms.items():
+        for (i2, j2), c2 in q.terms.items():
+            out[(i1 + i2, j1 + j2)] = out.get((i1 + i2, j1 + j2), 0) + c1 * c2
+    return BiPoly(out)
+
+
+@ORACLE_SETTINGS
+@given(BIPOLYS, BIPOLYS, EXACT, st.integers(0, 3))
+def test_arithmetic_matches_the_result_rebuilt_through_the_constructor(p, q, s, e):
+    """+, -, * and ** skip the constructor; each must give the terms the constructor gives, every
+    integral coefficient an int (so a constant hashes like the number it equals) and no zero kept."""
+    keys = p.terms.keys() | q.terms.keys()
+    power = BiPoly.const(1)
+    for _ in range(e):
+        power = product_by_rebuild(power, p)
+    cases = [
+        (p * q, product_by_rebuild(p, q)),
+        (p * s, BiPoly({k: c * s for k, c in p.terms.items()})),
+        (s * p, BiPoly({k: s * c for k, c in p.terms.items()})),
+        (p + q, BiPoly({k: p.terms.get(k, 0) + q.terms.get(k, 0) for k in keys})),
+        (p + s, BiPoly({**p.terms, (0, 0): p.terms.get((0, 0), 0) + s})),
+        (p - q, BiPoly({k: p.terms.get(k, 0) - q.terms.get(k, 0) for k in keys})),
+        (s - p, BiPoly({**{k: -c for k, c in p.terms.items()}, (0, 0): s - p.terms.get((0, 0), 0)})),
+        (-p, BiPoly({k: -c for k, c in p.terms.items()})),
+        (p**e, power),
+    ]
+    for got, want in cases:
+        assert {k: (type(c), c) for k, c in got.terms.items()} == {k: (type(c), c) for k, c in want.terms.items()}
+        assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
+        assert 0 not in got.terms.values()

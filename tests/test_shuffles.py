@@ -8,6 +8,7 @@ from hochlat.checks import check_m_triangle, check_shuffle_stats, check_sigma
 from hochlat.errors import InvariantViolated, MalformedWord, NotSemidistributive, SizeBound
 from hochlat.hochschild import build_hoch, canrep_formula, enumerate_triwords, is_triword, l1
 from hochlat.lattice import as_lattice, build_bool
+from hochlat.limits import MAX_N
 from hochlat.poset import FinitePoset, are_isomorphic
 from hochlat.shuffles import (
     clo,
@@ -198,6 +199,12 @@ def test_sigma_inverse_rejects_bad_words():
         sigma_inverse(3, (-1, -1))
     with pytest.raises(MalformedWord):
         sigma_inverse(3, (0,))
+
+
+@pytest.mark.parametrize("n", [0, -1, MAX_N + 1])
+def test_sigma_inverse_checks_the_size_first(n):
+    with pytest.raises(SizeBound):
+        sigma_inverse(n, ())
 
 
 def test_clo_fixture_n3():

@@ -1,5 +1,6 @@
 """Agreement tests between the independent routes to each polynomial."""
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -290,6 +291,13 @@ def f_tilde_per_word(n):
         c, g = len(canrep_formula(u)), neg_stat(u)
         acc += X ** (n - c) * (X + ONE) ** (c - g) * (Y + ONE) ** g
     return acc
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_word_stats_count_joinands_as_canrep_formula_does(n):
+    """The joinand count read off the letters against the size of the canonical join representation."""
+    want = Counter((len(canrep_formula(u)), neg_stat(u)) for u in enumerate_triwords(n))
+    assert dict(triangles._word_stats(n)) == want
 
 
 @pytest.mark.parametrize("n", range(1, 8))

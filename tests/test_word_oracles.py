@@ -36,6 +36,11 @@ def outcome(f, *args):
         return type(err)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_enumerate_triwords_matches_the_recursive_oracle(n):
+    assert enumerate_triwords.__wrapped__(n) == oracles.enumerate_triwords(n)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_word_functions_match_oracles_on_every_triword(n):
     for u in enumerate_triwords(n):
