@@ -24,7 +24,7 @@ from .hochschild import (
     l1,
 )
 from .lattice import build_bool, jsd_labeling
-from .limits import check_range
+from .limits import check_n
 from .shuffles import clo, render_word, shuffle_lattice, sigma
 from .triangles import (
     char_poly_closed,
@@ -294,7 +294,7 @@ def _cmd_triangles(args):
     if args.n is None:
         raise UsageError("triangles needs --n")
     n = args.n
-    check_range("n", n, 1)
+    check_n(n)
     if args.check:
         return 0 if run_checks(n, TRIANGLE_CHECKS, write=_emit) else 1
     polys = _triangle_polys(n, args.which)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolated, NotALattice, NotExtremal, SizeBound
+from .errors import InvariantViolated, NotALattice, NotExtremal
 from .lattice import is_extremal
-from .limits import MAX_GRAPH, check_elements
+from .limits import check_elements, check_int64
 from .poset import FinitePoset, _rounds, are_isomorphic
 
 
@@ -144,11 +144,10 @@ def _maximal_pairs(g):
     when neither side can grow.  The A sides are the intersections of columns col[t] (the full
     set is the empty one) and B is {t : A in col[t]}.  Each pass closes the sides found so far
     under meets with one more column, so its count is a lower bound on the final one.
-    SizeBound past MAX_GRAPH vertices or MAX_ELEMENTS pairs.
+    SizeBound past 63 vertices (the sides are int64 masks) or MAX_ELEMENTS pairs.
     """
     k = g.k
-    if k > MAX_GRAPH:
-        raise SizeBound(f"orthogonal-pair enumeration capped at {MAX_GRAPH} vertices, got {k}")
+    check_int64(f"the vertex masks of {k} vertices", (1 << k) - 1)
     col = _columns(g)
     a_vals = np.array([(1 << k) - 1], dtype=np.int64)
     for c in col:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import MalformedLabelSet
 from .lattice import as_lattice
-from .limits import check_n
+from .limits import MAX_N, check_n
 from .poset import FinitePoset, _double, _reach
 
 
@@ -253,10 +253,12 @@ def cover_label_formula(u, v):
 
 
 def _labels(u, last1, first0):
-    """a_last1 .. a_(first0 - 1), none when last1 is 0, and b_i for each 2 at a position i of u: the
-    a-run of ``_irr`` joined with its one-label b sets.  ValueError for a 2 at position 1 (no b1)."""
+    """a_last1 .. a_(first0 - 1), none when last1 is 0, and b_i for each 2 at a position i of u: the a-run of
+    ``_irr`` joined with its one-label b sets, built directly past MAX_N.  ValueError for a 2 at position 1."""
     if 2 in u[:1]:
         raise ValueError("no irreducible b1")
+    if len(u) > MAX_N:
+        return frozenset([a_irr(i) for i in range(last1, first0) if last1] + [b_irr(i) for i, x in enumerate(u, 1) if x == 2])
     runs, b = _irr(len(u))
     parts, i = [], 0
     for _ in range(u.count(2)):
@@ -301,7 +303,10 @@ def psi_inverse(n, labels):
     begins on a 2, and any word whose core label set is not ``labels`` after all.
     """
     check_n(n)
-    labels = frozenset(labels)
+    try:
+        labels = frozenset(labels)
+    except TypeError:  # not iterable, or an unhashable member
+        raise MalformedLabelSet("labels must be an iterable of hashable labels") from None
     w, last1 = [0] * n, n + 1
     for j in labels:
         if not isinstance(j, HochIrreducible):

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvariantViolated, NoUniqueMin, NotALattice, NotBounded, NotSemidistributive
-from .limits import check_elements, check_range
+from .limits import MAX_ELEMENTS, check_range
 from .poset import FinitePoset
 
 
@@ -299,8 +299,7 @@ def has_intersection_property(lat):
 
 def build_bool(n):
     """The subset lattice of {1..n} on bitmask ids."""
-    check_range("n", n, 0)
-    check_elements(f"bool({n})", 2**n)
+    check_range("n", n, 0, MAX_ELEMENTS.bit_length() - 1)  # 2**n <= MAX_ELEMENTS exactly then
     covers = []
     for s in range(1 << n):
         for i in range(n):

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import InvariantViolated, MalformedWord, NotSemidistributive
 from .hochschild import l1
 from .lattice import as_lattice, is_semidistributive, psi_map
-from .limits import check_elements, check_n, check_range
+from .limits import MAX_ELEMENTS, check_elements, check_n, check_range
 from .polynomials import interpolate_univariate
 from .poset import FinitePoset, _covers, _pack
 
@@ -111,6 +111,7 @@ def shuffle_lattice(a, b):
     """Shuf(a, b), built once per (a, b); later calls return the same object."""
     check_range("a", a, 0)
     check_range("b", b, 0)
+    check_range("a + b", a + b, 0, MAX_ELEMENTS.bit_length() - 1)  # shuffle_count(a, b) >= 2**(a + b)
     check_elements("shuffle lattice", shuffle_count(a, b))
     steps, todo = {}, [tuple(range(2, a + 2))]  # every word lies above the full A-word
     while todo:

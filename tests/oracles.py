@@ -487,7 +487,10 @@ def core_labels_formula(u):
 def psi_inverse(n, labels):
     """The triword whose core label set is ``labels``: the b's as 2s, the least a as the last 1."""
     check_n(n)
-    labels = frozenset(labels)
+    try:
+        labels = frozenset(labels)
+    except TypeError:
+        raise MalformedLabelSet("not a set of labels") from None
     if not all(isinstance(j, HochIrreducible) for j in labels):
         raise MalformedLabelSet("an element is not a label")
     a_idx = sorted(j.index for j in labels if j.kind == "a")

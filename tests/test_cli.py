@@ -1,15 +1,19 @@
 """Byte-level golden tests for the command line front end."""
 
+import functools
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from hochlat import checks, cli
 from hochlat.cli import main
+from hochlat.limits import MAX_ELEMENTS, MAX_N
 
 DOT_HOCH_1 = """digraph hoch_1 {
   rankdir=BT;
@@ -241,10 +245,14 @@ def test_check_all_golden_at_n1_to_8(capsys):
 
 
 def test_triangles_closed_form_past_max_n(capsys):
-    code, out, err = run(capsys, "triangles", "--n", "11", "--which", "m")
+    """The closed forms take n up to MAX_N, like every other n; past it they exit 2 at once."""
+    code, out, err = run(capsys, "triangles", "--n", str(MAX_N), "--which", "m")
     assert code == 0
-    assert out.startswith("x^11*y^11 ")
+    assert out.startswith(f"x^{MAX_N}*y^{MAX_N} ")
     assert err == ""
+    code, out, err = run(capsys, "triangles", "--n", str(MAX_N + 1), "--which", "m")
+    assert (code, out) == (2, "")
+    assert err == f"size bound exceeded: n must satisfy 1 <= n <= {MAX_N}, got {MAX_N + 1}\n"
 
 
 def test_sigma_table_goldens(capsys):
@@ -352,17 +360,21 @@ def test_usage_errors(capsys):
 
 
 def test_size_guard_reports_bound(capsys):
-    code, _, err = run(capsys, "build", "--family", "bool", "--n", "13")
+    code, _, err = run(capsys, "build", "--family", "bool", "--n", str(MAX_ELEMENTS.bit_length()))
     assert code == 2
-    assert "5000" in err
-    code, _, err = run(capsys, "build", "--family", "hoch", "--n", "11")
+    assert f"0 <= n <= {MAX_ELEMENTS.bit_length() - 1}, got" in err  # 2**n passes MAX_ELEMENTS from there on
+    code, _, err = run(capsys, "build", "--family", "shuffle", "--a", str(MAX_N - 1), "--b", "2")
     assert code == 2
+    assert f"(cap {MAX_ELEMENTS})" in err  # Shuf(MAX_N - 1, 2) is past the cap, Shuf(MAX_N - 1, 1) at it
+    code, _, err = run(capsys, "build", "--family", "hoch", "--n", str(MAX_N + 1))
+    assert code == 2
+    assert str(MAX_N) in err
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["check", "all", "--n", "11"],
+        ["check", "all", "--n", str(MAX_N + 1)],
         ["build", "--family", "shuffle", "--a", "-1", "--b", "1"],
         ["build", "--family", "bool", "--n", "-1"],
         ["conjecture", "g", "--n", "0"],
@@ -429,3 +441,99 @@ def test_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "12 18 8 1\n"
+
+
+# -- the exit-code contract, swept ---------------------------------------------------
+
+SIZES = [-1, 0, 1, 2, 3, MAX_N, MAX_N + 1, None]  # None leaves the size out
+HUGE = [
+    ["build", "--family", "bool", "--n", "15000"],
+    ["build", "--family", "bool", "--n", str(10**9)],
+    ["build", "--family", "shuffle", "--a", "20000", "--b", "1"],
+    ["galois", "--family", "shuffle", "--a", "1", "--b", "20000", "--mo"],
+    ["triangles", "--n", "400"],
+    ["triangles", "--n", "400", "--which", "m", "--format", "json"],
+    ["check", "all", "--n", str(10**9)],
+    ["faces", "--n", str(10**9)],
+    ["clo", "--family", "hoch", "--n", str(10**9), "--table"],
+]
+
+
+def _shapes():
+    """Every subcommand with every family, inner family, format and flag it takes, less the size."""
+    formats = {"build": ["text", "json", "dot"], "irr": ["text", "json"], "cjc": ["text", "json", "off"],
+               "clo": ["text", "json", "dot"], "galois": ["text", "json", "dot"]}
+    families = {"build": ["hoch", "shuffle", "bool", "clo-of", "galois-of"], "irr": ["hoch", "shuffle", "bool"],
+                "cjc": ["hoch", "bool"], "clo": ["hoch", "bool"], "galois": ["hoch", "shuffle", "bool"]}
+    for command, fams in families.items():
+        for family in fams:
+            inner = ["hoch", "shuffle", "bool"] if family.endswith("-of") else [None]
+            for of in inner:
+                for fmt in formats[command]:
+                    argv = [command, "--family", family, "--format", fmt] + (["--of", of] if of else [])
+                    yield argv
+                    if command == "galois":
+                        yield argv + ["--mo"]
+    for argv in (["--ascii"], [], ["--format", "json"]):  # the last exits 2: the table prints text only
+        yield ["clo", "--family", "hoch", "--table"] + argv
+    yield ["clo", "--family", "bool", "--table"]  # exits 2: the table is the hoch family's
+    for which in ["m", "f", "h", "rank", "char", "all"]:
+        for fmt in ["text", "json"]:
+            yield ["triangles", "--which", which, "--format", fmt]
+    yield ["triangles", "--check"]
+    for fmt in ["text", "json"]:
+        yield ["faces", "--format", fmt]
+        yield ["conjecture", "g", "--format", fmt]
+
+
+def _size(argv, n, b):
+    if "shuffle" not in argv:
+        return [] if n is None else [f"--n={n}"]
+    return [f"--{name}={value}" for name, value in (("a", n), ("b", b)) if value is not None]
+
+
+def _sweep(seed=33, per_shape=4):
+    """The huge inputs; check all at n <= 3 and past MAX_N; per_shape seeded sizes up to 3 (or none) for
+    every shape; and MAX_N and MAX_N + 1 once each for every subcommand, in a seeded shape (a first build
+    at those sizes can take a few tenths of a second, so once per subcommand keeps the sweep near 1 s)."""
+    rng = random.Random(seed)
+    small = [n for n in SIZES if n is None or n <= 3]
+    argvs = HUGE + [["check", "all"] + _size([], n, None) for n in small + [MAX_N + 1]]
+    commands = {}
+    for argv in _shapes():
+        for n, b in zip(rng.sample(small, per_shape), rng.sample(small, per_shape)):
+            argvs.append(argv + _size(argv, n, b))
+        commands.setdefault(argv[0], []).append(argv)
+    for shapes in commands.values():
+        for big in (MAX_N, MAX_N + 1):
+            argv, pair = rng.choice(shapes), [big, rng.choice(small)]
+            argvs.append(argv + _size(argv, *(rng.sample(pair, 2) if "shuffle" in argv else pair)))
+    return argvs
+
+
+def test_exit_code_sweep(capsys, monkeypatch):
+    """Every argument list exits 0 with stdout only or 2 with one stderr line; exit 1 is a failed check alone."""
+    cached_bool = functools.lru_cache(maxsize=None)(cli.build_bool)  # Bool(12) once, not once per argument list
+    monkeypatch.setattr(cli, "build_bool", cached_bool)
+    argvs = _sweep()
+    assert 350 <= len(argvs) <= 450
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 2), argv
+        if code == 2:
+            assert out == "" and err.count("\n") == 1 and err.endswith("\n"), argv
+        else:
+            assert out and err == "", argv
+
+
+def test_a_failing_bundle_exits_1(capsys, monkeypatch):
+    """Stubbed to return False, one bundle prints FAIL and turns the exit code to 1, in check all and triangles --check."""
+    def stub(bundles):
+        return [(name, (lambda n: False) if name == "f-triangle" else fn) for name, fn in bundles]
+
+    monkeypatch.setattr(checks, "CHECKS", stub(checks.CHECKS))
+    monkeypatch.setattr(cli, "TRIANGLE_CHECKS", stub(cli.TRIANGLE_CHECKS))
+    code, out, err = run(capsys, "check", "all", "--n", "2")
+    assert (code, err) == (1, "")
+    assert out.count("FAIL ") == 1 and "FAIL f-triangle\n" in out
+    assert run(capsys, "triangles", "--n", "2", "--check") == (1, "ok   m-triangle\nFAIL f-triangle\nok   h-triangle\n", "")

@@ -17,6 +17,7 @@ from hochlat.galois import (
 )
 from hochlat.hochschild import build_hoch, irreducible_of_triword, parse_triword
 from hochlat.lattice import as_lattice, build_bool
+from hochlat.limits import MAX_ELEMENTS
 from hochlat.poset import FinitePoset, are_isomorphic
 from oracles import closed_under_intersection, induced, max_orthogonal_pairs, maximal_pairs_by_seeds, pair_order
 
@@ -220,10 +221,16 @@ def test_digraph_rejects_bad_input():
 
 
 def test_size_cap():
-    with pytest.raises(SizeBound, match="capped at 22 vertices"):
-        max_ortho_pairs_lattice(DiGraph(23, []))
-    with pytest.raises(SizeBound, match="8192 elements"):  # 2**13 pairs, past MAX_ELEMENTS
-        max_ortho_pairs_lattice(DiGraph(13, []))
+    """The vertex masks are int64, so 63 vertices are the most; past MAX_ELEMENTS pairs the enumeration stops."""
+    complete = DiGraph(63, [(s, t) for s in range(63) for t in range(63) if s != t])
+    assert max_ortho_pairs_lattice(complete).pairs == ((0, (1 << 63) - 1), ((1 << 63) - 1, 0))
+    with pytest.raises(SizeBound, match="int64"):
+        max_ortho_pairs_lattice(DiGraph(64, []))
+    k = MAX_ELEMENTS.bit_length()  # the edgeless graph has 2**k pairs, past MAX_ELEMENTS
+    with pytest.raises(SizeBound, match=f"{2**k} elements"):
+        max_ortho_pairs_lattice(DiGraph(k, []))
+    with pytest.raises(SizeBound, match=f"{2**k} elements"):  # found within k passes, not after 63
+        max_ortho_pairs_lattice(DiGraph(63, []))
 
 
 def test_digraph_serialization():

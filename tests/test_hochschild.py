@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hochlat import checks
+from hochlat import checks, hochschild
 from hochlat.checks import check_doubling, check_lattice_law
 from hochlat.errors import MalformedLabelSet, NotGraded, SizeBound
 from hochlat.hochschild import (
@@ -33,7 +33,9 @@ from hochlat.hochschild import (
     triword_count,
 )
 from hochlat.lattice import Lattice, canonical_joinrep, is_extremal, jsd_labeling, psi_map
+from hochlat.limits import MAX_N
 from hochlat.poset import FinitePoset
+import oracles
 from oracles import core_label_set, hoch_by_poset_doublings, lattice_law_by_pairs, lower_cover_triwords
 
 # 12 elements and 18 labeled cover relations of the length-3 lattice.
@@ -107,7 +109,7 @@ def test_triword_predicate_rejects_bad_words():
 
 def test_size_bound():
     with pytest.raises(SizeBound):
-        enumerate_triwords(11)
+        enumerate_triwords(MAX_N + 1)
     with pytest.raises(SizeBound):
         build_hoch(0)
 
@@ -459,6 +461,17 @@ def test_long_word_fixture():
     assert psi_inverse(9, expect) == u
 
 
+def test_label_sets_past_max_n_cache_no_table():
+    """Words longer than MAX_N get their label sets built directly: no (len + 2)**2 run table is kept."""
+    cached = hochschild._irr.cache_info().currsize
+    words = [(1,) * 120, (1, 1, 2, 1, 0, 2, 0, 2) + (0,) * MAX_N, (0,) * MAX_N + (2,), (1,) * MAX_N + (2, 0)]
+    for u in words:
+        assert is_triword(u) and len(u) > MAX_N
+        assert core_labels_formula(u) == oracles.core_labels_formula(u)
+        assert canrep_formula(u) == oracles.canrep_formula(u)
+    assert hochschild._irr.cache_info().currsize == cached
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_core_label_sets_are_distinct_and_invertible(n):
     seen = {}
@@ -470,20 +483,21 @@ def test_core_label_sets_are_distinct_and_invertible(n):
 
 
 def test_psi_inverse_rejects_malformed_sets():
-    with pytest.raises(MalformedLabelSet):
-        psi_inverse(3, {a_irr(1), b_irr(2)})
-    with pytest.raises(MalformedLabelSet):
-        psi_inverse(3, {a_irr(1), a_irr(3)})
-    with pytest.raises(MalformedLabelSet):
-        psi_inverse(3, {a_irr(2), b_irr(2)})
-    with pytest.raises(MalformedLabelSet):
-        psi_inverse(3, {a_irr(4)})
-    with pytest.raises(MalformedLabelSet):
-        psi_inverse(3, {b_irr(5)})
-    with pytest.raises(MalformedLabelSet):
-        psi_inverse(3, {1, 2})
-    with pytest.raises(MalformedLabelSet):
-        psi_inverse(3, {"a1"})
+    """The library and its oracle alike."""
+    for inverse, labels in itertools.product((psi_inverse, oracles.psi_inverse), (
+        {a_irr(1), b_irr(2)},
+        {a_irr(1), a_irr(3)},
+        {a_irr(2), b_irr(2)},
+        {a_irr(4)},
+        {b_irr(5)},
+        {1, 2},
+        {"a1"},
+        [[1]],  # an unhashable member
+        [a_irr(1), {b_irr(2)}],
+        5,  # not iterable
+    )):
+        with pytest.raises(MalformedLabelSet):
+            inverse(3, labels)
 
 
 @pytest.mark.parametrize("kind, index", [("c", 1), ("a", 0), ("b", 1)])

@@ -13,6 +13,7 @@ import hochlat
 from hochlat import limits
 from hochlat.checks import CHECKS, run_checks
 from hochlat.errors import SizeBound
+from hochlat.hochschild import triword_count
 from hochlat.lattice import build_bool
 from hochlat.shuffles import shuffle_lattice
 
@@ -30,11 +31,12 @@ def _bound_max_names(path):
 
 
 def test_only_limits_binds_caps():
-    assert _bound_max_names(PACKAGE / "limits.py") == {
-        "MAX_N",
-        "MAX_ELEMENTS",
-        "MAX_GRAPH",
-    }
+    assert _bound_max_names(PACKAGE / "limits.py") == {"MAX_N", "MAX_ELEMENTS"}
+    tree = ast.parse((PACKAGE / "limits.py").read_text(encoding="utf-8"))
+    values = {node.targets[0].id: node.value for node in tree.body if isinstance(node, ast.Assign)}
+    assert isinstance(values["MAX_N"], ast.Constant)  # the one hand-set cap
+    assert "MAX_N" in {node.id for node in ast.walk(values["MAX_ELEMENTS"]) if isinstance(node, ast.Name)}
+    assert limits.MAX_ELEMENTS == triword_count(limits.MAX_N)
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name != "limits.py":
             assert _bound_max_names(path) == set(), path.name
@@ -57,6 +59,20 @@ def test_validators():
         limits.check_int64("x", 2**63)
 
 
+def test_guards_reject_huge_sizes_without_building_them():
+    """Bool(n) and Shuf(a, b) have at least 2**n and 2**(a + b) elements, so n and a + b are capped at the bit
+    length of MAX_ELEMENTS less one; neither guard forms 2**n or sums a shuffle count first."""
+    top = limits.MAX_ELEMENTS.bit_length() - 1
+    assert 2**top <= limits.MAX_ELEMENTS < 2 ** (top + 1)
+    assert build_bool(top).poset.n == 2**top
+    for build in (lambda: build_bool(15000), lambda: build_bool(10**9), lambda: build_bool(10**100)):
+        with pytest.raises(SizeBound, match=f"^n must satisfy 0 <= n <= {top}, got"):
+            build()
+    for a, b in ((20000, 1), (1, 20000), (10**100, 0), (top, 1)):
+        with pytest.raises(SizeBound, match=f"^a \\+ b must satisfy 0 <= a \\+ b <= {top}, got {a + b}$"):
+            shuffle_lattice(a, b)
+
+
 def test_constructions_reject_negative_sizes():
     with pytest.raises(SizeBound):
         shuffle_lattice(-1, 1)
@@ -65,7 +81,7 @@ def test_constructions_reject_negative_sizes():
     with pytest.raises(SizeBound):
         build_bool(-1)
     with pytest.raises(SizeBound):
-        build_bool(13)
+        build_bool(limits.MAX_ELEMENTS.bit_length())
 
 
 def test_run_checks_refuses_empty_bundles_and_out_of_range_n():
