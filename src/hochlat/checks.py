@@ -86,8 +86,7 @@ def check_lattice_law(n):
         x = (x[:, None] | np.array([0, 1 << i, 1 << i | 1 << n + i][: 2 + (i > 0)])).ravel()
     rho = hoch_meet_code(x, x, n)
     ups = (x | np.where(x >> i & 1, 1 << n + i, 1 << i) if i else x | 1 for i in range(n))  # a cover per letter
-    ends = codes.take(lat.covers, axis=0)  # (covers, 2): the two codes of each cover
-    d = ends[:, 0] ^ ends[:, 1]
+    d = codes[lat.poset._ends[0]] ^ codes[lat.poset._ends[1]]  # the two codes of each cover, XORed
     e = d & ((1 << n) - 1) | d >> n
     return bool(
         not (rho & ~x).any()

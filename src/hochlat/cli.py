@@ -43,6 +43,11 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error, one stderr line and exit 2, for the subparsers as well
+        raise UsageError(" ".join(message.splitlines()))
+
+
 def _emit(text):
     if not text.endswith("\n"):
         text += "\n"
@@ -190,26 +195,10 @@ def _irr_namer(args, structure, lat):
 
 def _cmd_irr(args):
     structure, lat, _ = _base_structure(args.family, args)
-    name = _irr_namer(args, structure, lat)
-    labels = jsd_labeling(lat)
-    atomset = set(lat.atoms())
-    irr_rows = [
-        {
-            "name": name(j),
-            "element": str(lat.poset.labels[j]),
-            "lower_cover": str(lat.poset.labels[lat.j_star(j)]),
-            "atom": j in atomset,
-        }
-        for j in lat.join_irreducibles()
-    ]
-    cover_rows = [
-        {
-            "lower": str(lat.poset.labels[a]),
-            "upper": str(lat.poset.labels[b]),
-            "label": name(labels[(a, b)]),
-        }
-        for a, b in lat.covers
-    ]
+    name, text, atomset = _irr_namer(args, structure, lat), [str(x) for x in lat.poset.labels], set(lat.atoms())
+    irr_rows = [{"name": name(j), "element": text[j], "lower_cover": text[lat.j_star(j)], "atom": j in atomset}
+                for j in lat.join_irreducibles()]
+    cover_rows = [{"lower": text[a], "upper": text[b], "label": name(j)} for (a, b), j in jsd_labeling(lat).items()]
     if args.format == "json":
         _emit_json({"join_irreducibles": irr_rows, "cover_labels": cover_rows})
         return 0
@@ -358,7 +347,7 @@ def _cmd_check(args):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hochlat",
         description="Triword lattices, their satellites, and exact cross-checks.",
     )
@@ -419,9 +408,8 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except BrokenPipeError:  # the reader left; exit 1 would claim a failed check
         sys.stdout = open(os.devnull, "w")  # the flush at exit writes here, not to the pipe

@@ -1,13 +1,16 @@
 """Canonical join complexes and vertex decomposability.
 
 The canonical join complex of a join-semidistributive lattice has one face
-per element: the canonical join representation.  Faces are stored by their
-maximal members (facets); everything else is derived on demand.
+per element: the canonical join representation, read off the lattice's masks
+over its join-irreducibles.  Faces are stored by their maximal members
+(facets); everything else is derived on demand.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+
+import numpy as np
 
 from .errors import InvariantViolated, NotAFace, NotJoinSemidistributive
 from .lattice import canonical_joinrep, is_join_semidistributive
@@ -116,17 +119,23 @@ class SimplicialComplex:
 
 
 def cjc(lat):
-    """Canonical join complex: one face per element of the lattice.  The canonical join representations
-    are certified to be its faces, as lat.n distinct sets closed under dropping one vertex; its facets
-    are then the faces that no join-irreducible extends."""
+    """Canonical join complex: one face per element of the lattice.  The canonical join masks are certified to be
+    its faces, as lat.n distinct masks closed under dropping one vertex; its facets are then the faces that no
+    join-irreducible extends.  Both are tested a vertex at a time: flip its bit, look the results up among the sorted masks."""
     if not is_join_semidistributive(lat):
         raise NotJoinSemidistributive("lattice is not join-semidistributive")
-    faces, irr = {canonical_joinrep(lat, a) for a in range(lat.n)}, lat.join_irreducibles()
-    if len(faces) != lat.n:
-        raise InvariantViolated(f"{len(faces)} distinct canonical join representations for {lat.n} elements")
-    if any(f - {v} not in faces for f in faces for v in f):
-        raise InvariantViolated("the canonical join representations are not closed under dropping a vertex")
-    facets = [f for f in faces if not any(j not in f and f | {j} in faces for j in irr)]
+    order, irr = np.argsort(lat._canonical, kind="stable"), lat.join_irreducibles()
+    faces = lat._canonical[order]
+    if (distinct := 1 + int((faces[1:] != faces[:-1]).sum())) != lat.n:
+        raise InvariantViolated(f"{distinct} distinct canonical join representations for {lat.n} elements")
+    facet = np.ones(lat.n, dtype=bool)
+    for i in range(len(irr)):
+        flip = faces ^ 1 << i
+        found = faces[np.searchsorted(faces, flip).clip(max=lat.n - 1)] == flip
+        if (~found & (had := flip < faces)).any():  # a face with vertex i, not a face without it
+            raise InvariantViolated("the canonical join representations are not closed under dropping a vertex")
+        facet &= had | ~found
+    facets = [canonical_joinrep(lat, a) for a in order[facet].tolist()]
     return SimplicialComplex(facets, {a: str(lat.poset.labels[a]) for a in irr})
 
 

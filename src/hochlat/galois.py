@@ -191,8 +191,11 @@ def max_ortho_pairs_lattice(g):
 def reconstruction_isomorphic(lat, geo, mo):
     """Whether the pair lattice ``mo`` of ``geo.graph`` is isomorphic to ``lat``.
 
-    Markowsky's correspondence decodes the pair (A, B) to the join of
-    joins[s] for s in A; that map is certified with are_isomorphic.
+    Markowsky's correspondence decodes the pair (A, B) to the join of joins[s] for s in A: the element whose
+    meet-irreducible mask ANDs theirs (the bottom's for A empty), a pass per s; that map is certified with are_isomorphic.
     """
-    image = [lat.join_all(geo.joins[s] for s in mo.pair_sets(a)[0]) for a in range(mo.poset.n)]
-    return are_isomorphic(mo.poset, lat.poset, image)
+    sides, up = np.array(mo.pairs, dtype=np.int64).reshape(-1, 2)[:, 0], lat._upper.masks
+    acc = np.full(len(sides), up[lat.bottom])
+    for s, j in enumerate(geo.joins):
+        acc = np.where(sides >> s & 1, acc & up[j], acc)
+    return are_isomorphic(mo.poset, lat.poset, lat._upper.find(acc))

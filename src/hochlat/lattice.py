@@ -8,13 +8,13 @@ m x k' lookups meet them with the k' meet-irreducibles' masks in masks; a failin
 with no join or meet that NotALattice carries.  The meet of a and b is then the element with mask
 M(a) & M(b), by ``searchsorted`` for rows and a dict for single pairs.  No m x m table is stored.
 On top of that live the irreducibles and one core-label layer, each computed once per lattice from
-the same masks: the cover labels (they exist iff the lattice is semidistributive), canonical join
-representations, and core label sets as bitmasks over the join-irreducibles (``psi_map``), which
-``_certify``'s lookups (``_closed``) find closed under intersection or not."""
+the same masks: the cover labels in one array (they exist iff the lattice is semidistributive), and
+canonical join representations and core label sets as bitmasks over the join-irreducibles (``psi_map``),
+the latter found closed under intersection or not by ``_certify``'s lookups (``_closed``)."""
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -113,7 +113,7 @@ def _certify(p, side, tops):
 
 def _cover_labels(side, lows, ups):
     """Label each cover (a, b) = (lows[i], ups[i]) by the least join-irreducible in M(b) - M(a):
-    (labels, None) with labels[i] that of the i-th cover, or (None, (a, b)) at the first cover
+    (labels, None), labels[i] that of the i-th cover in an int64 array, or (None, (a, b)) at the first cover
     given with none.  It is the least x with a v x = b when either exists: each j in M(b) - M(a)
     joins a up to b, and each such x lies above one.  Every cover has a label iff the lattice is
     join-semidistributive (Barnard, arXiv:1610.05137); on the meet side, with the ends swapped, iff
@@ -127,7 +127,7 @@ def _cover_labels(side, lows, ups):
         minima += hit
     if len(bad := np.flatnonzero(minima != 1)):
         return None, (int(lows[bad[0]]), int(ups[bad[0]]))
-    return labels.tolist(), None
+    return labels, None
 
 
 class Lattice:
@@ -185,19 +185,27 @@ class Lattice:
 
     @cached_property
     def _join_labels(self):
-        labels, bad = _cover_labels(self._lower, *self.poset._ends)
-        return None if bad else dict(zip(self.covers, labels)), bad  # covers are in _ends' order
+        return _cover_labels(self._lower, *self.poset._ends)
 
     @cached_property
     def _meet_labels(self):
         return _cover_labels(self._upper, *self.poset._ends[::-1])
 
     @cached_property
+    def _canonical(self):
+        """Canonical join masks in ``psi_map``'s bit order: a's ORs the bits of its lower covers' labels
+        (Barnard, arXiv:1610.05137), by one ``bitwise_or.at`` onto the covers' upper ends."""
+        bits = np.searchsorted(list(self._lower.irr), _jsd_labels(self)).astype(self._lower.masks.dtype)
+        np.bitwise_or.at(rep := np.zeros_like(self._lower.masks), self.poset._ends[1], np.ones_like(bits) << bits)
+        rep.setflags(write=False)
+        return rep
+
+    @cached_property
     def _psi(self):
         """Core label masks: j = join_irreducibles()[i] is in the core label set of a iff j <= a and
         j is not below nucleus(a) v j_*, nucleus(a) being the meet of a with its lower covers (in a
         join-semidistributive lattice a cover b < c has label j iff j <= c, j_* <= b, j not <= b)."""
-        jsd_labeling(self)  # NoUniqueMin unless join-semidistributive
+        _jsd_labels(self)  # NoUniqueMin unless join-semidistributive
         masks, up = self._lower.masks, self._upper.masks
         lows, ups = self.poset._ends
         core = masks.copy()
@@ -264,19 +272,24 @@ def is_spherical(lat):
     return result
 
 
-def jsd_labeling(lat):
-    """The cover labeling {(a, b): c} of a join-semidistributive lattice: c is the
-    minimum element with a v c = b, always join-irreducible."""
+def _jsd_labels(lat):
+    """The cover labels in the order of ``poset._ends``; NoUniqueMin unless join-semidistributive."""
     labels, bad = lat._join_labels
     if bad is not None:
         raise NoUniqueMin(f"cover ({bad[0]}, {bad[1]}) has no unique minimal join complement")
     return labels
 
 
+def jsd_labeling(lat):
+    """The cover labeling {(a, b): c} of a join-semidistributive lattice: c is the
+    minimum element with a v c = b, always join-irreducible."""
+    return dict(zip(lat.covers, _jsd_labels(lat).tolist()))
+
+
 def canonical_joinrep(lat, a):
-    """Canonical join representation: the labels of the lower covers of a."""
-    labels = jsd_labeling(lat)
-    return frozenset(labels[(b, a)] for b in lat.poset.lower_covers(a))
+    """Canonical join representation: the labels of the lower covers of a, decoded from its mask."""
+    mask = int(lat._canonical[a])
+    return frozenset(j for i, j in enumerate(lat._lower.irr) if mask >> i & 1)
 
 
 def psi_map(lat):
@@ -297,14 +310,12 @@ def has_intersection_property(lat):
     return _closed(np.sort(psi), psi[gens]) is None
 
 
+@lru_cache(maxsize=None)
 def build_bool(n):
-    """The subset lattice of {1..n} on bitmask ids."""
+    """The subset lattice of {1..n} on bitmask ids, built once per n; later calls return the same object."""
     check_range("n", n, 0, MAX_ELEMENTS.bit_length() - 1)  # 2**n <= MAX_ELEMENTS exactly then
-    covers = []
-    for s in range(1 << n):
-        for i in range(n):
-            if not s >> i & 1:
-                covers.append((s, s | 1 << i))
+    s, i = np.divmod(np.arange(n << n), n)  # every set s with every element i; s < s | {i} when i is not in s
+    covers = np.stack([s, s | 1 << i], axis=1)[(s >> i & 1) == 0]
     labels = [
         "{" + ",".join(str(i + 1) for i in range(n) if s >> i & 1) + "}" for s in range(1 << n)
     ]

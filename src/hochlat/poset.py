@@ -82,10 +82,11 @@ def _pack(rows, m):
 
 
 def _bits(up):
-    """The set bits of packed rows ``up`` as sorted (row, column) arrays, found byte by byte."""
-    row, byte = np.nonzero(up8 := up.view(np.uint8))
-    k, bit = np.nonzero(np.unpackbits(up8[row, byte][:, None], axis=1, bitorder="little"))
-    return row[k], byte[k] * 8 + bit
+    """The set bits of packed rows ``up`` as sorted (row, column) arrays: the nonzero words, unpacked."""
+    flat = np.flatnonzero(up)
+    k = np.flatnonzero(np.unpackbits(up.ravel()[flat].view(np.uint8), bitorder="little").view(bool))
+    row, word = (x[k >> 6] for x in np.divmod(flat, up.shape[1]))
+    return row, word << 6 | k & 63
 
 
 def _covers(up):
@@ -157,15 +158,10 @@ class FinitePoset:
     @cached_property
     def leq(self):
         """The order as a read-only boolean matrix (leq[a, b] iff a <= b), unpacked on first read."""
-        leq = self.rows(slice(None))
+        leq = np.unpackbits(self._up.view(np.uint8), axis=1, count=self.n, bitorder="little").view(bool)
+        np.fill_diagonal(leq, True)
         leq.flags.writeable = False
         return leq
-
-    def rows(self, idx):
-        """The rows of ``leq`` at idx (an index array, mask or slice), unpacked from the up-rows."""
-        out = np.unpackbits(self._up[idx].view(np.uint8), axis=1, count=self.n, bitorder="little").view(bool)
-        out[np.arange(len(out)), np.arange(self.n)[idx]] = True
-        return out
 
     def le(self, a, b):
         """Whether a <= b for int ids or, elementwise, broadcast id arrays (a column, a row, a block of ``leq``)."""

@@ -24,11 +24,11 @@ import numpy as np
 
 from .errors import InvariantViolated
 from .hochschild import build_hoch, enumerate_triwords, l1
-from .lattice import build_bool, canonical_joinrep, jsd_labeling
+from .lattice import _jsd_labels, build_bool
 from .limits import check_n
 from .polynomials import BiPoly
-from .poset import FinitePoset
-from .shuffles import shuffle_lattice, word_rank
+from .poset import FinitePoset, _bits
+from .shuffles import shuffle_lattice
 
 X = BiPoly.x()
 Y = BiPoly.y()
@@ -44,16 +44,17 @@ def _indicator(grades):
     return (grades[:, None] == np.arange(grades.max(initial=0) + 1)).astype(np.int64)
 
 
-def _graded(mat, rows, cols=None):
-    """BiPoly of R^T mat C, R and C the indicators of rows and cols (C = 1 when cols is None), mat a
-    matrix or a poset's order.  R^T mat is one row sum per grade, about 2**16 entries summed at a time,
-    so an order is unpacked (``FinitePoset.rows``) a block at a time and never widened to int64 whole."""
-    rows, take = np.asarray(rows), mat.rows if isinstance(mat, FinitePoset) else mat.__getitem__
-    grades = [np.flatnonzero(rows == g) for g in range(rows.max(initial=0) + 1)]
-    acc = np.stack([sum(take(blk).sum(0) for blk in np.array_split(i, max(1, len(i) * len(rows) >> 16))) for i in grades])
-    if cols is not None:
-        acc = acc @ _indicator(cols)
-    return BiPoly({(i, j): int(c) for (i, j), c in np.ndenumerate(acc)})
+def _graded(p):
+    """R^T zeta C of a graded poset p, R and C its rank and corank indicators: its pairs a <= b counted by the
+    rank of a and the corank of b, with the order never unpacked: one bincount over the diagonal and one over
+    the set bits (``_bits``) of each block of about 2**20 bits of strict up-rows."""
+    rows = np.array(p.rank_vector())
+    cols, width = rows.max(initial=0) - rows, rows.max(initial=0) + 1
+    acc = np.bincount(rows * width + cols, minlength=width * width)  # the diagonal
+    for s in range(0, p.n, step := max(1, 2**20 // max(p.n, 1))):
+        a, b = _bits(p._up[s : s + step])
+        acc += np.bincount(rows[a + s] * width + cols[b], minlength=width * width)
+    return BiPoly({(i, j): int(c) for (i, j), c in np.ndenumerate(acc.reshape(-1, width))})
 
 
 def rank_poly_closed(n):
@@ -84,8 +85,8 @@ def m_triangle(p):
 
     The intended input is a core label order; any graded poset works.
     """
-    ranks = p.rank_vector()
-    return _graded(p.mobius_times(_indicator(ranks)), ranks)
+    ranks = _indicator(p.rank_vector())
+    return BiPoly({(i, j): int(c) for (i, j), c in np.ndenumerate(ranks.T @ p.mobius_times(ranks))})
 
 
 def m_closed(n):
@@ -177,26 +178,29 @@ def h_tilde(n):
 # -- partial cores -----------------------------------------------------------
 
 
+def _cover_counts(lat):
+    """Counter of (d, t) over the elements: d lower covers, t of them labelled by an atom, each from one
+    bincount over the cover ends; NoUniqueMin unless join-semidistributive."""
+    ups, atom = lat.poset._ends[1], np.zeros(lat.n, dtype=bool)
+    atom[lat.atoms()] = True
+    d, t = np.bincount(ups, minlength=lat.n), np.bincount(ups[atom[_jsd_labels(lat)]], minlength=lat.n)
+    return Counter(zip(d.tolist(), t.tolist()))
+
+
 def f_from_cores(n):
     """F-triangle by counting partial cores: choosing s of an element's t atom-labeled covers
     and q of its d - t other lower covers leaves neg = t - s, in comb(t, s) comb(d - t, q) ways."""
-    lat = build_hoch(n).lattice
-    labels, atomset = jsd_labeling(lat), set(lat.atoms())
-    terms = {}
-    for u in range(lat.n):
-        lows = lat.poset.lower_covers(u)
-        d, t = len(lows), sum(1 for a in lows if labels[(a, u)] in atomset)
+    terms = Counter()
+    for (d, t), k in _cover_counts(build_hoch(n).lattice).items():
         for s, q in product(range(t + 1), range(d - t + 1)):
-            key = (n - t - q, t - s)
-            terms[key] = terms.get(key, 0) + comb(t, s) * comb(d - t, q)
+            terms[(n - t - q, t - s)] += k * comb(t, s) * comb(d - t, q)
     return BiPoly(terms)
 
 
 def face_vector(n):
     """Partial-core counts by number r of chosen covers: comb(d, r) per element with d covers."""
-    poset = build_hoch(n).lattice.poset
-    degrees = [len(poset.lower_covers(u)) for u in range(poset.n)]
-    return [sum(comb(d, r) for d in degrees) for r in range(n + 1)]
+    counts = _cover_counts(build_hoch(n).lattice)
+    return [sum(k * comb(d, r) for (d, _), k in counts.items()) for r in range(n + 1)]
 
 
 def face_count_closed(n, i):
@@ -248,9 +252,7 @@ def h_from_antichains(n):
 
 def g_triangle(a, b):
     """Comparable pairs of a shuffle lattice, graded by rank and corank: R^T zeta C."""
-    sl = shuffle_lattice(a, b)
-    ranks = np.array([word_rank(w, a) for w in sl.words])
-    return _graded(sl.lattice.poset, ranks, a + b - ranks)
+    return _graded(shuffle_lattice(a, b).lattice.poset)
 
 
 def g_conjecture_closed(n):
@@ -284,18 +286,10 @@ def boolean_baselines(n):
     """Definitional M/F/H of the Boolean lattice next to their closed powers."""
     lat = build_bool(n)
     p = lat.poset
-    ranks = np.array(p.rank_vector())
-    atomset = set(lat.atoms())
-    h_terms = {}
-    for e in range(p.n):
-        can = canonical_joinrep(lat, e)
-        key = (len(can), len(can & atomset))
-        h_terms[key] = h_terms.get(key, 0) + 1
-
     return {
         "m": m_triangle(p),
-        "f": _graded(p, ranks, n - ranks),
-        "h": BiPoly(h_terms),
+        "f": _graded(p),
+        "h": BiPoly(_cover_counts(lat)),  # by canonical joinands (one a lower cover), and atoms among them
         "m_closed": (X * Y - Y + ONE) ** n,
         "f_closed": (X + Y + ONE) ** n,
         "h_closed": (X * Y + ONE) ** n,

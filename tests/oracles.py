@@ -4,8 +4,24 @@ Each one computes its object straight from the definition, one element or
 one vertex at a time, and is only run at small sizes:
 
 - ``core_label_set``: the oracle for ``lattice.psi_map``;
+- ``canonical_joinreps_by_covers``: each element's canonical join
+  representation as the labels of its lower covers, looked up one cover at a
+  time in ``lattice.jsd_labeling``, the oracle for the masks that
+  ``lattice.canonical_joinrep`` decodes;
+- ``cjc_by_sets``: the canonical join complex certified and reduced on those
+  representations as frozensets, one set and one vertex at a time, the
+  oracle for the ``searchsorted`` passes of ``complexes.cjc``;
 - ``partial_cores``: the oracle for ``triangles.f_from_cores`` and
   ``triangles.face_vector``;
+- ``cover_counts_by_element``: each element's lower covers and its
+  atom-labelled ones counted one element at a time, the oracle for the
+  bincounts of ``triangles._cover_counts`` behind ``f_from_cores`` and the
+  H-triangle of ``boolean_baselines``;
+- ``graded_by_unpacking``: R^T leq C on the unpacked order, the oracle for the
+  bincount over packed bits in ``triangles._graded``;
+- ``reconstruction_image_by_pairs``: each orthogonal pair decoded to a
+  lattice element by ``join_all`` over its A side, one pair at a time, the
+  oracle for the mask passes of ``galois.reconstruction_isomorphic``;
 - ``rank_poly`` and ``char_poly``: the graded sums over a poset that the
   closed forms ``rank_poly_closed`` and ``char_poly_closed`` must equal;
 - ``is_shedding_vertex``: the admissibility test inside
@@ -75,15 +91,15 @@ one vertex at a time, and is only run at small sizes:
   order, the oracle for the cover check ``lattice._lower_covers_join``.
 """
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from hochlat.complexes import is_vertex_decomposable
-from hochlat.errors import CycleDetected, MalformedLabelSet, MalformedWord, NotCover
+from hochlat.complexes import SimplicialComplex, is_vertex_decomposable
+from hochlat.errors import CycleDetected, InvariantViolated, MalformedLabelSet, MalformedWord, NotCover
 from hochlat.galois import _columns
 from hochlat.hochschild import HochIrreducible, a_irr, b_irr, build_hoch, hoch_meet_code, is_triword
 from hochlat.limits import check_n
@@ -92,7 +108,7 @@ from hochlat.limits import check_int64
 from hochlat.polynomials import BiPoly, interpolate_from_grid
 from hochlat.poset import FinitePoset, doubling
 from hochlat.shuffles import word_rank
-from hochlat.triangles import _graded, _indicator
+from hochlat.triangles import _indicator
 
 
 @dataclass(frozen=True)
@@ -114,6 +130,46 @@ def core_label_set(lat, a):
         if poset.leq[nucleus, b]
     )
     return CoreLabelSet(a, nucleus, labels)
+
+
+def canonical_joinreps_by_covers(lat):
+    """The canonical join representation of every element: the labels of its lower covers."""
+    labels = jsd_labeling(lat)
+    return [frozenset(labels[(b, a)] for b in lat.poset.lower_covers(a)) for a in range(lat.n)]
+
+
+def cjc_by_sets(lat):
+    """The canonical join complex from the representations as frozensets: InvariantViolated unless they
+    are lat.n distinct sets closed under dropping a vertex; the facets are the faces no vertex extends."""
+    faces, irr = set(canonical_joinreps_by_covers(lat)), lat.join_irreducibles()
+    if len(faces) != lat.n:
+        raise InvariantViolated(f"{len(faces)} distinct canonical join representations for {lat.n} elements")
+    if any(f - {v} not in faces for f in faces for v in f):
+        raise InvariantViolated("the canonical join representations are not closed under dropping a vertex")
+    facets = [f for f in faces if not any(j not in f and f | {j} in faces for j in irr)]
+    return SimplicialComplex(facets, {a: str(lat.poset.labels[a]) for a in irr})
+
+
+def cover_counts_by_element(lat):
+    """Counter of (d, t) over the elements: d lower covers, t of them labelled by an atom."""
+    labels, atomset, out = jsd_labeling(lat), set(lat.atoms()), Counter()
+    for u in range(lat.n):
+        lows = lat.poset.lower_covers(u)
+        out[(len(lows), sum(1 for a in lows if labels[(a, u)] in atomset))] += 1
+    return out
+
+
+def graded_by_unpacking(p, rows, cols):
+    """R^T leq C as a BiPoly, R and C the indicators of rows and cols: the row sums of the unpacked order,
+    one per grade of rows, then summed by the grades of cols."""
+    rows, leq = np.asarray(rows), p.leq
+    acc = np.stack([leq[rows == g].sum(0) for g in range(rows.max(initial=0) + 1)]) @ _indicator(cols)
+    return BiPoly({(i, j): int(c) for (i, j), c in np.ndenumerate(acc)})
+
+
+def reconstruction_image_by_pairs(lat, geo, mo):
+    """The element of lat each pair (A, B) of mo decodes to: the join of joins[s] over s in A."""
+    return [lat.join_all(geo.joins[s] for s in mo.pair_sets(a)[0]) for a in range(mo.poset.n)]
 
 
 @dataclass(frozen=True)
@@ -156,7 +212,7 @@ def partial_cores(lat):
 
 def rank_poly(p):
     """Sum of x^rank over a graded poset: R^T 1."""
-    return _graded(np.ones((p.n, 1), dtype=np.int64), p.rank_vector())
+    return BiPoly({(r, 0): c for r, c in enumerate(np.bincount(p.rank_vector()).tolist())})
 
 
 def char_poly(p):

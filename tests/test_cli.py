@@ -1,6 +1,5 @@
 """Byte-level golden tests for the command line front end."""
 
-import functools
 import io
 import json
 import os
@@ -389,6 +388,24 @@ def test_bad_sizes_exit_2_with_one_line(capsys, argv):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--family", "bool", "--n", "x"],
+        ["build", "--family", "bool", "--n", "1" * 4301],  # past Python's 4,300-digit int() limit
+        ["build", "--family", "tree", "--n", "2"],
+        ["faces", "--n", "2", "--bogus"],
+        [],
+    ],
+)
+def test_argument_errors_exit_2_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_table_rejects_non_hoch(capsys):
     code, _, err = run(capsys, "clo", "--family", "bool", "--n", "2", "--table")
     assert code == 2
@@ -511,10 +528,8 @@ def _sweep(seed=33, per_shape=4):
     return argvs
 
 
-def test_exit_code_sweep(capsys, monkeypatch):
+def test_exit_code_sweep(capsys):
     """Every argument list exits 0 with stdout only or 2 with one stderr line; exit 1 is a failed check alone."""
-    cached_bool = functools.lru_cache(maxsize=None)(cli.build_bool)  # Bool(12) once, not once per argument list
-    monkeypatch.setattr(cli, "build_bool", cached_bool)
     argvs = _sweep()
     assert 350 <= len(argvs) <= 450
     for argv in argvs:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from hochlat import complexes
@@ -13,8 +14,8 @@ from hochlat.errors import InvariantViolated, NotAFace, NotJoinSemidistributive
 from hochlat.hochschild import build_hoch, irreducible_of_triword, parse_triword
 from hochlat.lattice import as_lattice, build_bool, canonical_joinrep, is_semidistributive
 from hochlat.poset import FinitePoset
-from oracles import is_shedding_vertex
-from test_lattice import chain_lattice, seeded_lattices
+from oracles import cjc_by_sets, is_shedding_vertex
+from test_lattice import chain_lattice, mask_corpus, seeded_lattices
 
 
 def _maximal(sets):
@@ -108,10 +109,17 @@ def test_not_join_semidistributive_rejected():
         cjc(diamond)
 
 
-def test_face_count_mismatch_raises(monkeypatch):
-    monkeypatch.setattr(complexes, "canonical_joinrep", lambda lat, a: frozenset())
+def planted(lat, reps):
+    """lat, freshly built so no cached lattice is touched, with its canonical join masks (the faces
+    cjc reads) replaced by the masks of reps, one set of join-irreducibles per element."""
+    bit = {j: 1 << i for i, j in enumerate(lat.join_irreducibles())}
+    lat._canonical = np.array([sum(bit[j] for j in rep) for rep in reps], dtype=np.int64)
+    return lat
+
+
+def test_face_count_mismatch_raises():
     with pytest.raises(InvariantViolated):
-        cjc(build_bool(2))
+        cjc(planted(build_bool.__wrapped__(2), [frozenset()] * 4))
 
 
 def test_facets_match_the_maximal_representations():
@@ -123,24 +131,30 @@ def test_facets_match_the_maximal_representations():
     assert len(lattices) > 200
 
 
-def test_duplicated_representation_raises(monkeypatch):
+def test_cjc_matches_the_per_set_oracle():
+    """cjc's searchsorted passes over the sorted masks give the complex, vertex labels included, that the
+    frozenset oracle finds one set and one vertex at a time."""
+    for lat in mask_corpus():
+        got, want = cjc(lat), cjc_by_sets(lat)
+        assert got == want and got.labels == want.labels
+
+
+def test_duplicated_representation_raises():
     """Bool(2) with the representation {2} replaced by {1}: four elements, three distinct sets, whose
     subsets are still four faces."""
-    lat = build_bool(2)
-    real = complexes.canonical_joinrep
-    monkeypatch.setattr(complexes, "canonical_joinrep", lambda lat, a: real(lat, 1 if a == 2 else a))
+    lat = build_bool.__wrapped__(2)
+    reps = [canonical_joinrep(lat, 1 if a == 2 else a) for a in range(lat.n)]
     with pytest.raises(InvariantViolated, match="3 distinct canonical join representations for 4"):
-        cjc(lat)
+        cjc(planted(lat, reps))
 
 
-def test_representation_gaining_a_vertex_raises(monkeypatch):
-    lat = build_hoch(3).lattice
-    real = complexes.canonical_joinrep
-    reps = [real(lat, a) for a in range(lat.n)]
+def test_representation_gaining_a_vertex_raises():
+    lat = build_hoch.__wrapped__(3).lattice
+    reps = [canonical_joinrep(lat, a) for a in range(lat.n)]
     a, v = next((a, v) for a in range(lat.n) if reps[a] for v in lat.join_irreducibles() if reps[a] | {v} not in reps)
-    monkeypatch.setattr(complexes, "canonical_joinrep", lambda lat, b: reps[b] | {v} if b == a else reps[b])
+    reps[a] |= {v}
     with pytest.raises(InvariantViolated, match="not closed under dropping a vertex"):
-        cjc(lat)
+        cjc(planted(lat, reps))
 
 
 def test_link_and_deletion():

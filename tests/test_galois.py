@@ -19,7 +19,14 @@ from hochlat.hochschild import build_hoch, irreducible_of_triword, parse_triword
 from hochlat.lattice import as_lattice, build_bool
 from hochlat.limits import MAX_ELEMENTS
 from hochlat.poset import FinitePoset, are_isomorphic
-from oracles import closed_under_intersection, induced, max_orthogonal_pairs, maximal_pairs_by_seeds, pair_order
+from oracles import (
+    closed_under_intersection,
+    induced,
+    max_orthogonal_pairs,
+    maximal_pairs_by_seeds,
+    pair_order,
+    reconstruction_image_by_pairs,
+)
 
 EDGES_3 = {("b3", "a3"), ("b2", "a2"), ("a2", "a1"), ("a3", "a1"), ("a3", "a2")}
 EDGES_4 = EDGES_3 | {("b4", "a4"), ("a4", "a3"), ("a4", "a2"), ("a4", "a1")}
@@ -98,6 +105,19 @@ def test_reconstruction_recovers_lattice(n):
     mo = max_ortho_pairs_lattice(geo.graph)
     assert mo.poset.n == lat.n
     assert reconstruction_isomorphic(lat, geo, mo)
+
+
+def test_reconstruction_image_matches_the_per_pair_joins(monkeypatch):
+    """The image reconstruction_isomorphic certifies, from a pass per vertex over the A sides' bits, is
+    join_all over each A side, pair by pair, on Hoch(1..8) and Bool(1..6)."""
+    images, real = [], galois_module.are_isomorphic
+    monkeypatch.setattr(galois_module, "are_isomorphic", lambda p, q, image: images.append(image) or real(p, q, image))
+    for lat in [build_hoch(n).lattice for n in range(1, 9)] + [build_bool(n) for n in range(1, 7)]:
+        geo = galois_graph(lat)
+        mo = max_ortho_pairs_lattice(geo.graph)
+        assert reconstruction_isomorphic(lat, geo, mo)
+        assert np.asarray(images[-1]).tolist() == reconstruction_image_by_pairs(lat, geo, mo)
+    assert len(images) == 14
 
 
 def test_mo_reconstruction_fails_on_a_corrupted_decode(monkeypatch):

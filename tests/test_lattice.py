@@ -35,6 +35,7 @@ from hochlat.lattice import (
 from hochlat.poset import FinitePoset, _reach, doubling
 from hochlat.shuffles import clo, shuffle_lattice
 from oracles import (
+    canonical_joinreps_by_covers,
     closed_under_intersection,
     core_label_set,
     dual,
@@ -304,6 +305,23 @@ def test_canonical_joinrep_refines_every_other_join_representation():
                         # every canonical part lies below some part of sub
                         for j in rep:
                             assert any(lat.poset.leq[j, s] for s in sub)
+
+
+def mask_corpus():
+    """Hoch(1..7), Bool(0..6), the semidistributive seeded_lattices() and chain_lattice(65), whose 64
+    join-irreducibles make its masks Python ints: the lattices the mask routes meet their oracles on."""
+    lattices = [build_hoch(n).lattice for n in range(1, 8)] + [build_bool(n) for n in range(7)]
+    return lattices + [lat for lat in seeded_lattices() if is_semidistributive(lat)] + [chain_lattice(65)]
+
+
+def test_canonical_join_masks_match_the_per_cover_oracle():
+    """canonical_joinrep decodes one mask of a bitwise_or.at of the cover labels' bits; the oracle looks
+    the label of each lower cover up in jsd_labeling."""
+    lattices = mask_corpus()
+    for lat in lattices:
+        assert [canonical_joinrep(lat, a) for a in range(lat.n)] == canonical_joinreps_by_covers(lat)
+    assert lattices[0]._canonical.dtype == np.int64 and lattices[-1]._canonical.dtype == object
+    assert len(lattices) > 200
 
 
 def test_core_label_set_boolean():
@@ -649,15 +667,13 @@ def test_as_lattice_reads_the_cover_ends_alone():
 
 
 def test_packed_row_readers_give_the_rows_columns_and_entries_of_leq():
-    """FinitePoset.rows, unpacking up-rows, and FinitePoset.le, bit tests on them, against leq: the rows
-    at a random mask, every row le(a, ids), every column le(ids, b), the whole table at once and single
-    entries with int ids, on the corpus (it holds Hoch(1..8) and Bool(0..8)) and its duals."""
+    """FinitePoset.le, bit tests on the up-rows, against leq, unpacked from them: every row le(a, ids), every
+    column le(ids, b), the whole table at once and single entries with int ids, on the corpus (it holds
+    Hoch(1..8) and Bool(0..8)) and its duals."""
     rng = random.Random(31)
     for p in certification_corpus():
         for q in (p, dual(p)):
             ids, leq = np.arange(q.n), q.leq
-            mask = np.array([rng.random() < 0.5 for _ in range(q.n)], dtype=bool)
-            assert np.array_equal(q.rows(mask), leq[mask]) and np.array_equal(q.rows(ids[::-1]), leq[::-1])
             assert np.array_equal(q.le(ids[:, None], ids), leq)
             for a in range(q.n):
                 assert np.array_equal(q.le(a, ids), leq[a]) and np.array_equal(q.le(ids, a), leq[:, a])
@@ -677,6 +693,7 @@ def test_no_bundle_unpacks_an_order(monkeypatch):
     for module, name in ((checks, "build_hoch_by_doubling"), (checks, "build_bool"), (triangles, "build_bool")):
         monkeypatch.setattr(module, name, keep(getattr(module, name)))
     build_hoch.cache_clear()
+    build_bool.cache_clear()
     shuffle_lattice.cache_clear()
     assert checks.run_all(8, write=lambda line: None)
     lat = build_hoch(8).lattice
@@ -684,6 +701,18 @@ def test_no_bundle_unpacks_an_order(monkeypatch):
     posets += [q for b in built[1:] for q in (b.poset, clo(b))]
     assert len(posets) == 8 and [p.n for p in posets[-4:]] == [256] * 4
     assert not [p for p in posets if "leq" in vars(p)]
+
+
+def test_no_bundle_builds_the_cover_tuple(monkeypatch):
+    """After the 14 bundles at n = 8 and the G-triangle note, no poset the library built, each recorded
+    as FinitePoset.__init__ runs, has ``covers`` in its __dict__: the bundles read the cover ends
+    ``_ends``.  The caches are cleared first, so every structure is built afresh."""
+    built, init = [], FinitePoset.__init__
+    monkeypatch.setattr(FinitePoset, "__init__", lambda self, *args, **kw: built.append(self) or init(self, *args, **kw))
+    for cached in (build_hoch, build_bool, shuffle_lattice):
+        cached.cache_clear()
+    assert checks.run_all(8, write=lambda line: None)
+    assert len(built) >= 8 and not [p for p in built if "covers" in vars(p)]
 
 
 def test_clo_covers_match_from_leq_on_the_inclusion_matrix():

@@ -283,7 +283,7 @@ def test_clo_needs_semidistributivity():
 def test_clo_rejects_repeated_core_label_sets(monkeypatch):
     monkeypatch.setattr(shuffles, "psi_map", lambda lat: np.zeros(lat.n, dtype=np.int64))
     with pytest.raises(InvariantViolated):
-        clo(build_bool(2))
+        clo(build_bool.__wrapped__(2))  # a fresh Bool(2), whose core label order is not built yet
 
 
 def test_sigma_and_m_triangle_share_one_core_label_order(monkeypatch):

@@ -3,7 +3,9 @@
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
+from test_lattice import mask_corpus, seeded_lattices
 from test_poset import recursive_mobius
 
 from hochlat import triangles
@@ -40,9 +42,12 @@ from hochlat.triangles import (
     shuffle_char_closed,
 )
 from oracles import (
+    canonical_joinreps_by_covers,
     char_poly,
     core_label_set,
+    cover_counts_by_element,
     f_transform_by_grid,
+    graded_by_unpacking,
     h_transform_by_grid,
     interval,
     partial_cores,
@@ -431,6 +436,41 @@ def test_core_counts_match_enumeration(n):
         faces[len(core.covers)] += 1
     assert f_from_cores(n) == BiPoly(terms)
     assert face_vector(n) == faces
+
+
+def test_cover_counts_match_the_per_element_oracle():
+    """The (d, t) bincounts behind f_from_cores and the H-triangle of boolean_baselines: d lower covers and
+    t atom-labelled ones per element, as the oracle counts them, and as the sizes of the canonical join
+    representation and of its atoms (the labels of distinct lower covers are distinct)."""
+    for lat in mask_corpus():
+        got = triangles._cover_counts(lat)
+        assert got == cover_counts_by_element(lat)
+        atoms = set(lat.atoms())
+        assert got == Counter((len(rep), len(rep & atoms)) for rep in canonical_joinreps_by_covers(lat))
+
+
+def test_graded_counts_match_the_unpacked_sum():
+    """_graded counts the packed bits of an order by rank and corank, about 2**20 bits of rows a block; the
+    oracle sums the rows of the unpacked order.  On Bool(0..6), on Shuf(a <= 3, b <= 2) and as
+    g_triangle(n - 1, 1) for n <= 8 and n = 10 (eleven blocks of rows), by the word ranks, and on the graded
+    seeded lattices; an ungraded one raises NotGraded."""
+    cases = [(build_bool(k).poset, np.array(build_bool(k).poset.rank_vector())) for k in range(7)]
+    for a, b in [(a, b) for a in range(4) for b in range(3)] + [(n - 1, 1) for n in (*range(1, 9), 10)]:
+        sl = shuffle_lattice(a, b)
+        cases.append((sl.lattice.poset, np.array([word_rank(w, a) for w in sl.words])))
+        if b == 1:
+            assert g_triangle(a, b) == graded_by_unpacking(cases[-1][0], cases[-1][1], a + b - cases[-1][1])
+    ungraded = []
+    for lat in seeded_lattices():
+        try:
+            cases.append((lat.poset, np.array(lat.poset.rank_vector())))
+        except NotGraded:
+            ungraded.append(lat.poset)
+    for p, ranks in cases:
+        assert triangles._graded(p) == graded_by_unpacking(p, ranks, ranks.max() - ranks)
+    assert len(cases) > 50 and ungraded
+    with pytest.raises(NotGraded):
+        triangles._graded(ungraded[0])
 
 
 def test_face_vector_pinned():
