@@ -311,23 +311,27 @@ class FinitePoset:
                 paths[b] += paths[a]
         return paths[top]
 
-    def antichains(self):
-        """All antichains (as frozensets), the empty one included, depth first: each antichain is
-        followed by its extensions by a larger element, in ascending order.  The candidates for the
-        next element are a Python-int bitmask, cut by the incomparability row of each one taken."""
+    def _antichain_masks(self):
+        """Every antichain as a Python-int bitmask of its elements, the empty one included, depth first:
+        each antichain is followed by its extensions by a larger element, in ascending order.  The
+        candidates for the next element are a bitmask too, cut by the incomparability row of each one taken."""
         x = np.arange(self.n)
         inc = [int.from_bytes(np.packbits(~(self.le(a, x) | self.le(x, a)), bitorder="little").tobytes(), "little") for a in x]
         out = []
 
         def grow(chosen, cand):
-            out.append(frozenset(chosen))
+            out.append(chosen)
             while cand:
-                a = (cand & -cand).bit_length() - 1
-                cand ^= 1 << a  # only elements above a remain
-                grow(chosen + [a], cand & inc[a])
+                low = cand & -cand
+                cand ^= low  # only elements above this one remain
+                grow(chosen | low, cand & inc[low.bit_length() - 1])
 
-        grow([], (1 << self.n) - 1)
+        grow(0, (1 << self.n) - 1)
         return out
+
+    def antichains(self):
+        """All antichains as frozensets, in the order of ``_antichain_masks``, whose masks they decode."""
+        return [frozenset(a for a in range(self.n) if m >> a & 1) for m in self._antichain_masks()]
 
     # -- export ------------------------------------------------------------
 

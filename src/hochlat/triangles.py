@@ -3,7 +3,7 @@
 Everything here is exact integer/rational arithmetic on BiPoly values.  The
 M-triangle lives on the core label order (which is graded), and the F- and
 H-triangles are reached along several independent routes: rational
-substitution into M (term by term: every term x^i y^j of an M-triangle has
+substitution into M (by Horner's rule: every term x^i y^j of an M-triangle has
 i <= j <= n, so each maps to a polynomial), closed product formulas,
 statistics summed over triwords, partial-core counts, and antichain counting
 in a small auxiliary poset.
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InvariantViolated
 from .hochschild import build_hoch, enumerate_triwords, l1
 from .lattice import _jsd_labels, build_bool
-from .limits import check_n
+from .limits import check_n, check_range
 from .polynomials import BiPoly
 from .poset import FinitePoset, _bits
 from .shuffles import shuffle_lattice
@@ -59,6 +59,7 @@ def _graded(p):
 
 def rank_poly_closed(n):
     """Rank polynomial of the triword core label order, as a product."""
+    check_range("n", n, 1)
     if n == 1:
         return X + ONE
     return (X + ONE) ** (n - 2) * (X**2 + (n + 1) * X + ONE)
@@ -66,6 +67,7 @@ def rank_poly_closed(n):
 
 def char_poly_closed(n):
     """Characteristic polynomial of the triword core label order."""
+    check_range("n", n, 1)
     return (ONE - X) ** (n - 1) * (ONE - n * X)
 
 
@@ -91,6 +93,7 @@ def m_triangle(p):
 
 def m_closed(n):
     """Closed product form of the M-triangle of the triword core label order."""
+    check_range("n", n, 1)
     if n == 1:
         return ONE - Y + X * Y
     bracket = (n + 1) * ((X - ONE) * Y - X * Y**2) + (n * ONE + X**2) * Y**2 + ONE
@@ -101,14 +104,17 @@ def m_closed(n):
 
 
 def _substitute(m, n, p, q, r):
-    """The sum of c p^i q^(j-i) r^(n-j) over the terms c x^i y^j of an M-triangle of rank n, each
-    power built once; InvariantViolated unless 0 <= i <= j <= n."""
-    ps, qs, rs = (list(accumulate(repeat(base, n), BiPoly.__mul__, initial=ONE)) for base in (p, q, r))
-    out = BiPoly()
-    for (i, j), c in m.terms.items():
-        if not 0 <= i <= j <= n:
-            raise InvariantViolated(f"M-triangle term x^{i} y^{j} is outside 0 <= i <= j <= {n}")
-        out += c * ps[i] * qs[j - i] * rs[n - j]
+    """The sum of c p^i q^(j-i) r^(n-j) over the terms c x^i y^j of an M-triangle of rank n, by Horner's rule
+    over i (times p) within Horner's rule over j (times r), each power of q built once; InvariantViolated
+    unless 0 <= i <= j <= n, raised before any arithmetic."""
+    if bad := [(i, j) for i, j in m.terms if not 0 <= i <= j <= n]:
+        raise InvariantViolated(f"M-triangle term x^{bad[0][0]} y^{bad[0][1]} is outside 0 <= i <= j <= {n}")
+    qs, out = list(accumulate(repeat(q, n), BiPoly.__mul__, initial=ONE)), BiPoly()
+    for j in range(n + 1):
+        row = BiPoly()
+        for i in range(j, -1, -1):
+            row = row * p + m.terms.get((i, j), 0) * qs[j - i]
+        out = out * r + row
     return out
 
 
@@ -133,6 +139,7 @@ def h_from_m(n):
 
 def f_closed(n):
     """Closed product form of the F-triangle."""
+    check_range("n", n, 1)
     if n == 1:
         return X + Y + ONE
     bracket = n * X**2 + 2 * X * Y + (n + 1) * X + (Y + ONE) ** 2
@@ -141,6 +148,7 @@ def f_closed(n):
 
 def h_closed(n):
     """Closed product form of the H-triangle."""
+    check_range("n", n, 1)
     if n == 1:
         return X * Y + ONE
     return (X * Y + ONE) ** (n - 2) * ((X * Y + ONE) ** 2 + (n - 1) * X)
@@ -159,8 +167,11 @@ def neg_stat(u):
 
 @lru_cache(maxsize=None)
 def _word_stats(n):
-    """Triword counts per (canonical joinand count: a at the last 1, b at each 2; neg_stat), shared read-only."""
-    return MappingProxyType(Counter((u.count(2) + (1 in u), neg_stat(u)) for u in enumerate_triwords(n)))
+    """Triword counts per (canonical joinand count: a at the last 1, b at each 2; neg_stat, whose last 1 is in
+    slot 1 exactly when the word starts with its only 1), shared read-only."""
+    return MappingProxyType(
+        Counter((t + (1 in u), t + (u[0] == 1 and u.count(1) == 1)) for u in enumerate_triwords(n) for t in (u.count(2),))
+    )
 
 
 def f_tilde(n):
@@ -228,7 +239,8 @@ class JPoset:
 
 def j_poset(n):
     """Chain a1 < ... < an, b2 below a2 (hence below the whole upper chain),
-    and b3 .. bn isolated."""
+    and b3 .. bn isolated; SizeBound unless 1 <= n <= MAX_N."""
+    check_n(n)
     labels = [f"a{i}" for i in range(1, n + 1)] + [f"b{i}" for i in range(2, n + 1)]
     covers = [(i, i + 1) for i in range(n - 1)]
     if n >= 2:
@@ -238,13 +250,11 @@ def j_poset(n):
 
 
 def h_from_antichains(n):
-    """H-triangle by weighting every antichain of the extended poset."""
+    """H-triangle by weighting every antichain of the extended poset: its size and its atom count are the
+    popcounts of its mask and of the mask ANDed with the atoms."""
     jp = j_poset(n)
-    terms = {}
-    for anti in jp.poset.antichains():
-        key = (len(anti), len(anti & jp.atoms))
-        terms[key] = terms.get(key, 0) + 1
-    return BiPoly(terms)
+    atoms = sum(1 << a for a in jp.atoms)
+    return BiPoly(Counter((a.bit_count(), (a & atoms).bit_count()) for a in jp.poset._antichain_masks()))
 
 
 # -- the G-triangle of shuffle lattices ---------------------------------------

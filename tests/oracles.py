@@ -79,7 +79,11 @@ one vertex at a time, and is only run at small sizes:
   and label sets cut from per-n tables of a-runs;
 - ``antichains``: every antichain of a poset grown by recursion, each
   candidate tested against every element already chosen, the oracle for the
-  bitmask search of ``FinitePoset.antichains``;
+  bitmask search of ``FinitePoset._antichain_masks`` that ``antichains``
+  decodes;
+- ``antichain_counts``: the antichains of a poset counted by size and by
+  atoms among them, one frozenset at a time, the oracle for the mask
+  popcounts of ``triangles.h_from_antichains``;
 - ``lattice_law_by_pairs``: every join and meet of Hoch(n) compared with OR and
   a meet formula on the codes, row by row, and every cover with one changed
   letter, the oracle for the irreducible-row certificate
@@ -640,6 +644,15 @@ def antichains(p):
 
     grow(0)
     return out
+
+
+def antichain_counts(p, atoms):
+    """{(size, atoms in it): count} over the antichains of p, one frozenset at a time."""
+    counts = {}
+    for anti in antichains(p):
+        key = (len(anti), len(anti & atoms))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 def lattice_law_by_pairs(n, meet_code=hoch_meet_code):

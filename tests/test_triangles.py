@@ -1,17 +1,19 @@
 """Agreement tests between the independent routes to each polynomial."""
 
+import random
 from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
-from test_lattice import mask_corpus, seeded_lattices
+from test_lattice import certification_corpus, chain_lattice, mask_corpus, seeded_lattices
 from test_poset import recursive_mobius
 
 from hochlat import triangles
 from hochlat.errors import InvariantViolated, NotGraded, SizeBound
 from hochlat.hochschild import build_hoch, canrep_formula, enumerate_triwords, l1, triword_count
 from hochlat.lattice import build_bool, canonical_joinrep
+from hochlat.limits import MAX_N
 from hochlat.polynomials import BiPoly
 from hochlat.poset import FinitePoset
 from hochlat.shuffles import clo, shuffle_lattice, word_rank
@@ -42,6 +44,8 @@ from hochlat.triangles import (
     shuffle_char_closed,
 )
 from oracles import (
+    antichain_counts,
+    antichains,
     canonical_joinreps_by_covers,
     char_poly,
     core_label_set,
@@ -338,6 +342,28 @@ def test_transforms_reject_terms_outside_the_triangle(term):
             transform(m, 3)
 
 
+def test_transforms_check_every_term_before_any_arithmetic(monkeypatch):
+    def no_product(*_):
+        raise AssertionError("BiPoly product formed before the range check")
+
+    m, factors = m_closed(3) + X**4 * Y**4, [(Y + ONE, Y - X, Y), (X * Y, X * (Y - ONE), X * (Y - ONE) + ONE)]
+    monkeypatch.setattr(BiPoly, "__mul__", no_product)
+    monkeypatch.setattr(BiPoly, "__rmul__", no_product)
+    for p, q, r in factors:
+        with pytest.raises(InvariantViolated, match="x\\^4 y\\^4 is outside"):
+            triangles._substitute(m, 3, p, q, r)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_horner_matches_grid_interpolation_on_seeded_random_m_triangles(n):
+    """Integer terms on 0 <= i <= j <= n, a third of them zero, so whole rows and diagonals may vanish."""
+    rng = random.Random(3500 + n)
+    for _ in range(8):
+        m = BiPoly({(i, j): rng.choice((0, rng.randint(-9, 9))) for j in range(n + 1) for i in range(j + 1)})
+        assert _typed(f_transform(m, n)) == _typed(f_transform_by_grid(m, n))
+        assert _typed(h_transform(m, n)) == _typed(h_transform_by_grid(m, n))
+
+
 # -- H-triangle ----------------------------------------------------------------
 
 
@@ -497,6 +523,55 @@ def test_j_poset_antichain_counts():
     assert len(j_poset(4).poset.antichains()) == 28
     for n in range(1, 7):
         assert len(j_poset(n).poset.antichains()) == triword_count(n)
+
+
+def antichain_corpus():
+    """j_poset(1..8), Bool(0..4), the orders of certification_corpus() with at most 16 elements (Bool(6) alone
+    has 7,828,354 antichains) and chain(65), whose masks pass 64 bits."""
+    posets = [j_poset(n).poset for n in range(1, 9)] + [build_bool(k).poset for k in range(5)]
+    return posets + [p for p in certification_corpus() if p.n <= 16] + [chain_lattice(65).poset]
+
+
+def test_antichain_masks_decode_to_the_oracle_in_order_and_count_as_its_frozensets():
+    for p in antichain_corpus():
+        masks, atoms = p._antichain_masks(), frozenset(range(0, p.n, 2))
+        assert p.antichains() == antichains(p)
+        atom_mask = sum(1 << a for a in atoms)
+        assert Counter((m.bit_count(), (m & atom_mask).bit_count()) for m in masks) == antichain_counts(p, atoms)
+
+
+def test_h_from_antichains_counts_the_masks_alone(monkeypatch):
+    want = {n: BiPoly(antichain_counts(j_poset(n).poset, j_poset(n).atoms)) for n in range(1, 9)}
+
+    def no_frozensets(self):
+        raise AssertionError("h_from_antichains decoded the antichains")
+
+    monkeypatch.setattr(FinitePoset, "antichains", no_frozensets)
+    for n, h in want.items():
+        assert h_from_antichains(n) == h == h_closed(n)
+
+
+@pytest.mark.parametrize("n", [0, -1, MAX_N + 1, 10**9])
+def test_antichain_route_rejects_sizes_past_the_policy_before_building(monkeypatch, n):
+    def no_build(*_, **__):
+        raise AssertionError("built a poset for an out-of-range n")
+
+    monkeypatch.setattr(FinitePoset, "closure", no_build)
+    monkeypatch.setattr(FinitePoset, "_antichain_masks", no_build)
+    for route in (j_poset, h_from_antichains):
+        with pytest.raises(SizeBound, match=f"^n must satisfy 1 <= n <= {MAX_N}, got {n}$"):
+            route(n)
+
+
+CLOSED_FORMS = (m_closed, f_closed, h_closed, rank_poly_closed, char_poly_closed)
+
+
+@pytest.mark.parametrize("closed", CLOSED_FORMS, ids=lambda f: f.__name__)
+def test_closed_forms_reject_n_below_one_and_have_no_upper_cap(closed):
+    for n in (0, -1, -(10**9)):
+        with pytest.raises(SizeBound, match=f"^n must satisfy n >= 1, got {n}$"):
+            closed(n)
+    assert closed(MAX_N + 5).terms
 
 
 # -- G-triangle -------------------------------------------------------------------
