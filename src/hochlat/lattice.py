@@ -1,16 +1,16 @@
 """Finite lattices: joins and meets looked up by irreducible masks, plus the order-theoretic toolkit.
 
-A :class:`Lattice` wraps a bounded :class:`~hochlat.poset.FinitePoset` and keeps, for each side,
-the masks of the irreducibles below (or above) every element, sorted, read off the poset's packed
-up-rows by bit tests.  ``as_lattice`` certifies the join-irreducible side: the masks embed the order
-iff each element with two lower covers is their join (Davey and Priestley 2.41 and its converse), and
-m x k' lookups meet them with the k' meet-irreducibles' masks in masks; a failing test names the pair
-with no join or meet that NotALattice carries.  The meet of a and b is then the element with mask
-M(a) & M(b), by ``searchsorted`` for rows and a dict for single pairs.  No m x m table is stored.
-On top of that live the irreducibles and one core-label layer, each computed once per lattice from
-the same masks: the cover labels in one array (they exist iff the lattice is semidistributive), and
-canonical join representations and core label sets as bitmasks over the join-irreducibles (``psi_map``),
-the latter found closed under intersection or not by ``_certify``'s lookups (``_closed``)."""
+A :class:`Lattice` wraps a bounded :class:`~hochlat.poset.FinitePoset` and keeps, for each side, the masks of
+the irreducibles below (or above) every element, sorted, found by the poset's bit test ``le``; this module
+reads no packed up-rows itself.  ``as_lattice`` certifies the join-irreducible side: the masks embed the order
+iff each element with two lower covers is their join (Davey and Priestley 2.41 and its converse), which the
+join test ``FinitePoset._lower_covers_join`` decides on the rows, and m x k' lookups meet them with the k'
+meet-irreducibles' masks in masks; a failing test names the pair with no join or meet that NotALattice carries.
+The meet of a and b is then the element with mask M(a) & M(b), by ``searchsorted`` for rows and a dict for
+single pairs.  No m x m table is stored.  On top of that live the irreducibles and one core-label layer, each
+computed once per lattice from the same masks: the cover labels in one array (they exist iff the lattice is
+semidistributive), and canonical join representations and core label sets as bitmasks over the join-irreducibles
+(``psi_map``), the latter found closed under intersection or not by ``_certify``'s lookups (``_closed``)."""
 
 from __future__ import annotations
 
@@ -56,22 +56,6 @@ class _Masks:
         return element[sub]
 
 
-def _lower_covers_join(p):
-    """The first two lower covers (b, c) of the least x whose up-set is not the AND of the strict up-rows
-    of b and c, or None; the rows are gathered in blocks of about 2**17 bytes (see ``_certify``)."""
-    order = np.argsort(p._ends[1], kind="stable")  # by upper end, then lower end
-    lo, hi = p._ends[0][order], p._ends[1][order]
-    i = np.flatnonzero((np.diff(hi, prepend=-1) != 0)[:-1] & (hi[1:] == hi[:-1]))  # first of 2 or more
-    ends, up = np.stack([hi[i], lo[i], lo[i + 1]], axis=1), p._up.view(np.uint8)  # x, b, c
-    step = max(1, 2**17 // (3 * up.shape[1]))
-    for s in range(0, len(i), step):
-        g, x = up[ends[s : s + step]], ends[s : s + step, 0]  # strict up-rows of x, b, c
-        g[np.arange(len(x)), 0, x >> 3] |= (1 << (x & 7)).astype(np.uint8)  # x into its own row
-        if len(bad := np.flatnonzero(~(g[:, 1] & g[:, 2] == g[:, 0]).all(axis=1))):
-            return tuple(ends[s + bad[0], 1:].tolist())
-    return None
-
-
 def _closed(values, gens):
     """The first (i, k), k least, with values[i] & gens[k] no mask among the sorted values, about
     2**16 pairs a pass; None when each is one (see ``_certify``).  Each is a subset of a mask, so in range."""
@@ -89,7 +73,7 @@ def _certify(p, side, tops):
     finite lattice is the join of the join-irreducibles below it (Davey and Priestley, Introduction
     to Lattices and Order, 2.41), so p is a lattice iff on its join-irreducible side x <= y exactly
     when M(x) is a subset of M(y) and the masks are closed under intersection.  The embedding holds
-    iff each x with lower covers b, c, ... is b v c (``_lower_covers_join``): in a lattice, as b < b v c
+    iff each x with lower covers b, c, ... is b v c (``FinitePoset._lower_covers_join``): in a lattice, as b < b v c
     <= x and b is covered by x; conversely, by induction up(x) = {y : M(x) in M(y)} for the bottom,
     each join-irreducible and each b v c.  Given it, M(x) & M(g) must be a mask for every x and each
     meet-irreducible g in ``tops``, and that is enough (``_closed``).  This lookup lemma holds for any
@@ -104,7 +88,7 @@ def _certify(p, side, tops):
       of b and c is not above x.
     - (x, g) when M(x) & M(g) is no mask, the embedding given: a meet of x and g would have that mask.
     """
-    if (pair := _lower_covers_join(p)) is not None:
+    if (pair := p._lower_covers_join()) is not None:
         raise NotALattice(f"pair {pair} has no join", pair=pair)
     if (miss := _closed(side.values, side.masks[tops])) is not None:
         pair = int(side.order[miss[0]]), tops[miss[1]]

@@ -1,14 +1,13 @@
 """Finite posets on dense integer element ids 0..n-1, immutable and shareable once built.
 
-The order is stored as packed strict up-rows ``_up`` (uint64, n x ceil(n/64); b > a is bit b of row
-a, at byte b >> 3), read by the bit test ``le``; the boolean ``leq`` is unpacked only when read, for
-tests, oracles and small displays.  Covers are the sorted int32 arrays ``_ends`` of their two ends.
-:meth:`FinitePoset.closure` builds the order of a cover list (:func:`doubling` closes ``_double``'s
-covers with it), :meth:`FinitePoset.from_leq` packs an order matrix; both find what lies two steps
-above each element by ``_two_step``'s capped ORs of packed rows.  Heights are Kahn's rounds; no result
-depends on the topological order ``_topo``.  Mobius values are one exact int64 solve, a height level at
-a time (:meth:`FinitePoset.mobius_times`), as are the chain counts behind the zeta polynomial (Stanley,
-*Enumerative Combinatorics I*, 3.11-3.12).
+The order is stored as packed strict up-rows ``_up`` (uint64, n x ceil(n/64); b > a is bit b of row a, at byte
+b >> 3), which no other module reads.  :meth:`FinitePoset.closure` builds them from covers (:func:`doubling` closes
+``_double``'s with it); :meth:`FinitePoset.from_leq` and :meth:`FinitePoset.from_masks` pack an order matrix or int
+masks by inclusion and find the covers by ``_covers``; all by ``_two_step``'s capped ORs of packed rows.  They are
+read by the bit test ``le``, by ``leq`` (unpacked only when read), by ``rank_corank_counts``, by the lattice join
+test ``_lower_covers_join`` and by ``_above``: the exact int64 Mobius solve (``mobius_times``) and the chain counts
+behind zeta go a height level (Kahn's round) at a time (Stanley, *Enumerative Combinatorics I*, 3.11-3.12).
+Covers are the sorted int32 arrays ``_ends`` of their two ends.
 """
 
 from __future__ import annotations
@@ -155,6 +154,14 @@ class FinitePoset:
             raise CycleDetected("order matrix is not antisymmetric")
         return cls(up, _covers(up), labels)
 
+    @classmethod
+    def from_masks(cls, masks, labels=None):
+        """The inclusion order of distinct int masks (int64, or Python ints past 63 bits); CycleDetected on a repeat."""
+        if (np.diff(np.sort(masks := np.asarray(masks))) == 0).any():
+            raise CycleDetected("a repeated mask: inclusion is not antisymmetric")
+        up = _pack(lambda rows: (masks[rows, None] & ~masks) == 0, len(masks))  # masks[a] inside masks[b]
+        return cls(up, _covers(up), labels)
+
     @cached_property
     def leq(self):
         """The order as a read-only boolean matrix (leq[a, b] iff a <= b), unpacked on first read."""
@@ -166,6 +173,21 @@ class FinitePoset:
     def le(self, a, b):
         """Whether a <= b for int ids or, elementwise, broadcast id arrays (a column, a row, a block of ``leq``)."""
         return (self._up.view(np.uint8)[a, b >> 3] >> (b & 7) & 1).astype(bool) | (a == b)
+
+    def _lower_covers_join(self):
+        """The first two lower covers (b, c) of the least x whose up-set is not the AND of the strict up-rows
+        of b and c, or None; the rows are gathered in blocks of about 2**17 bytes (see ``lattice._certify``)."""
+        order = np.argsort(self._ends[1], kind="stable")  # by upper end, then lower end
+        lo, hi = self._ends[0][order], self._ends[1][order]
+        i = np.flatnonzero((np.diff(hi, prepend=-1) != 0)[:-1] & (hi[1:] == hi[:-1]))  # first of 2 or more
+        ends, up = np.stack([hi[i], lo[i], lo[i + 1]], axis=1), self._up.view(np.uint8)  # x, b, c
+        step = max(1, 2**17 // (3 * up.shape[1]))
+        for s in range(0, len(i), step):
+            g, x = up[ends[s : s + step]], ends[s : s + step, 0]  # strict up-rows of x, b, c
+            g[np.arange(len(x)), 0, x >> 3] |= (1 << (x & 7)).astype(np.uint8)  # x into its own row
+            if len(bad := np.flatnonzero(~(g[:, 1] & g[:, 2] == g[:, 0]).all(axis=1))):
+                return tuple(ends[s + bad[0], 1:].tolist())
+        return None
 
     # -- basic queries ---------------------------------------------------
 
@@ -294,6 +316,17 @@ class FinitePoset:
         if len(tops) > 1:
             raise NotGraded(f"maximal elements at distinct ranks {sorted(tops)}")
         return list(h)
+
+    def rank_corank_counts(self):
+        """R^T zeta C of a graded poset (NotGraded otherwise), R and C its rank and corank indicators: one bincount of the
+        diagonal and one of the set bits (``_bits``) of each block of about 2**20 bits of up-rows, never unpacked."""
+        rows = np.array(self.rank_vector())
+        cols, width = rows.max(initial=0) - rows, rows.max(initial=0) + 1
+        acc = np.bincount(rows * width + cols, minlength=width * width)  # the diagonal
+        for s in range(0, self.n, step := max(1, 2**20 // max(self.n, 1))):
+            a, b = _bits(self._up[s : s + step])
+            acc += np.bincount(rows[a + s] * width + cols[b], minlength=width * width)
+        return acc.reshape(-1, width)
 
     def rank_profile(self):
         """Count of elements of each rank, index 0 = minimal rank."""

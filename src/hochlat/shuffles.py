@@ -5,10 +5,9 @@ positive ints) and marker letters (stored as -1..-b, rendered 𝟙).  A word is
 valid when its A-part and its marker part each appear in ascending order.
 Going up in the order removes an A-letter or inserts a marker.
 
-The core label order of a semidistributive lattice compares elements by
-inclusion of core label sets; for the triword lattices it is again a
-lattice and matches the one-marker shuffle lattice under an explicit
-letter-by-letter bijection.
+The core label order of a semidistributive lattice compares elements by inclusion of core label sets, the
+order that ``FinitePoset.from_masks`` packs and reduces (this module reads no packed rows); for the triword
+lattices it is again a lattice and matches the one-marker shuffle lattice under a letter-by-letter bijection.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .hochschild import l1
 from .lattice import as_lattice, is_semidistributive, psi_map
 from .limits import MAX_ELEMENTS, check_elements, check_n, check_range
 from .polynomials import interpolate_univariate
-from .poset import FinitePoset, _covers, _pack
+from .poset import FinitePoset
 
 
 def shuffle_count(a, b):
@@ -208,8 +207,7 @@ def clo(lat):
     psi = psi_map(lat)
     if (np.diff(np.sort(psi)) == 0).any():
         raise InvariantViolated("two elements share a core label set")
-    up = _pack(lambda rows: (psi[rows, None] & ~psi) == 0, lat.n)  # psi[a] inside psi[b]
-    _CLO[lat] = FinitePoset(up, _covers(up), labels=list(lat.poset.labels))
+    _CLO[lat] = FinitePoset.from_masks(psi, labels=lat.poset.labels)
     return _CLO[lat]
 
 

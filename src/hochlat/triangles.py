@@ -1,13 +1,12 @@
 """Rank, characteristic, and triangle polynomials of the triword lattices.
 
-Everything here is exact integer/rational arithmetic on BiPoly values.  The
-M-triangle lives on the core label order (which is graded), and the F- and
-H-triangles are reached along several independent routes: rational
-substitution into M (by Horner's rule: every term x^i y^j of an M-triangle has
-i <= j <= n, so each maps to a polynomial), closed product formulas,
-statistics summed over triwords, partial-core counts, and antichain counting
-in a small auxiliary poset.
-Agreement of the routes is what the test suite checks.
+Everything here is exact integer/rational arithmetic on BiPoly values.  The M-triangle lives on the core label
+order (which is graded), and the F- and H-triangles are reached along several independent routes: rational
+substitution into M (by Horner's rule: every term x^i y^j of an M-triangle has i <= j <= n, so each maps to a
+polynomial), closed product formulas, statistics summed over triwords, partial-core counts, and antichain
+counting in a small auxiliary poset.  Agreement of the routes is what the test suite checks.  The graded pair
+counts behind the G-triangle and the Boolean F-triangle (``_graded``) are read off the packed rows by
+``FinitePoset.rank_corank_counts``; this module reads no rows itself.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .hochschild import build_hoch, enumerate_triwords, l1
 from .lattice import _jsd_labels, build_bool
 from .limits import check_n, check_range
 from .polynomials import BiPoly
-from .poset import FinitePoset, _bits
+from .poset import FinitePoset
 from .shuffles import shuffle_lattice
 
 X = BiPoly.x()
@@ -45,16 +44,8 @@ def _indicator(grades):
 
 
 def _graded(p):
-    """R^T zeta C of a graded poset p, R and C its rank and corank indicators: its pairs a <= b counted by the
-    rank of a and the corank of b, with the order never unpacked: one bincount over the diagonal and one over
-    the set bits (``_bits``) of each block of about 2**20 bits of strict up-rows."""
-    rows = np.array(p.rank_vector())
-    cols, width = rows.max(initial=0) - rows, rows.max(initial=0) + 1
-    acc = np.bincount(rows * width + cols, minlength=width * width)  # the diagonal
-    for s in range(0, p.n, step := max(1, 2**20 // max(p.n, 1))):
-        a, b = _bits(p._up[s : s + step])
-        acc += np.bincount(rows[a + s] * width + cols[b], minlength=width * width)
-    return BiPoly({(i, j): int(c) for (i, j), c in np.ndenumerate(acc.reshape(-1, width))})
+    """The pairs a <= b of a graded poset p by the rank of a and the corank of b (``rank_corank_counts``), as a BiPoly."""
+    return BiPoly({(i, j): int(c) for (i, j), c in np.ndenumerate(p.rank_corank_counts())})
 
 
 def rank_poly_closed(n):
@@ -73,6 +64,7 @@ def char_poly_closed(n):
 
 def shuffle_char_closed(a, b):
     """Characteristic polynomial of the shuffle lattice on (a, b)."""
+    check_range("min(a, b)", min(a, b), 0)
     acc = BiPoly()
     for j in range(min(a, b) + 1):
         acc += comb(a, j) * comb(b, j) * (X - ONE) ** (a + b - j) * X**j
@@ -216,6 +208,8 @@ def face_vector(n):
 
 def face_count_closed(n, i):
     """Closed count of partial cores with i chosen covers; exact rationals."""
+    check_range("n", n, 1)
+    check_range("i", i, 0)
     v = Fraction(2) ** (n - i - 2) * Fraction(comb(n, i) * (n * (n + 3) - i * (i - 1)), n)
     if v.denominator != 1:
         raise InvariantViolated(f"face count {v} is not an integer")
@@ -267,6 +261,7 @@ def g_triangle(a, b):
 
 def g_conjecture_closed(n):
     """Conjectured product form for the G-triangle of the (n-1, 1) shuffle."""
+    check_range("n", n, 1)
     if n == 1:
         return X + Y + ONE
     bracket = X**2 + Y**2 + ONE + (n + 1) * (X * Y + X + Y)

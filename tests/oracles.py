@@ -18,7 +18,7 @@ one vertex at a time, and is only run at small sizes:
   bincounts of ``triangles._cover_counts`` behind ``f_from_cores`` and the
   H-triangle of ``boolean_baselines``;
 - ``graded_by_unpacking``: R^T leq C on the unpacked order, the oracle for the
-  bincount over packed bits in ``triangles._graded``;
+  bincount over packed bits in ``FinitePoset.rank_corank_counts``;
 - ``reconstruction_image_by_pairs``: each orthogonal pair decoded to a
   lattice element by ``join_all`` over its A side, one pair at a time, the
   oracle for the mask passes of ``galois.reconstruction_isomorphic``;
@@ -92,7 +92,7 @@ one vertex at a time, and is only run at small sizes:
   up among them, the oracle for the certificate
   ``lattice.has_intersection_property``;
 - ``masks_embed_order``: every pair of masks compared by inclusion against the
-  order, the oracle for the cover check ``lattice._lower_covers_join``.
+  order, the oracle for the cover check ``FinitePoset._lower_covers_join``.
 """
 
 from collections import Counter, deque

@@ -1,11 +1,20 @@
-"""Acceptance gate: thirteen guarantees, one printed verdict line each.
+"""Acceptance gate: thirteen guarantees, one printed verdict line each, and a fault table.
 
 Run with ``pytest tests/test_acceptance.py -s`` to watch the lines appear.
-Every equality is exact; nothing is rounded and nothing is tolerated.
+Every equality is exact; nothing is rounded and nothing is tolerated.  The
+fault table shows that the eight bundles of ``check all`` that no other test
+makes fail can fail: one planted fault turns each of them alone to FAIL.
 """
 
+import dataclasses
 import time
+from weakref import WeakKeyDictionary
 
+import numpy as np
+import pytest
+
+from hochlat import checks, shuffles, triangles
+from hochlat import lattice as lattice_module
 from hochlat.checks import (
     check_baselines,
     check_cardinality,
@@ -22,11 +31,12 @@ from hochlat.checks import (
     check_sigma,
     check_structure,
 )
-from hochlat.cli import _sigma_table_lines
-from hochlat.complexes import cjc
-from hochlat.galois import galois_graph, max_ortho_pairs_lattice
+from hochlat.cli import _sigma_table_lines, main
+from hochlat.complexes import SimplicialComplex, cjc
+from hochlat.galois import DiGraph, galois_graph, max_ortho_pairs_lattice
 from hochlat.hochschild import build_hoch, enumerate_triwords, irreducible_of_triword, triword_count
 from hochlat.polynomials import BiPoly
+from hochlat.poset import FinitePoset
 from hochlat.shuffles import clo_rank_counts, shuffle_stats
 from hochlat.triangles import (
     f_closed,
@@ -177,3 +187,78 @@ def test_criterion_13_conjecture_harness():
         verdicts.append(f"n={n} {'match' if report['match'] else 'MISMATCH'}")
     # The closed-form guess is reported, never asserted.
     _report(13, "G-triangle harness", ok, "; ".join(verdicts))
+
+
+# -- the fault table ------------------------------------------------------------
+
+
+def _duplicate_a_word(real):
+    return lambda n: real(n) + real(n)[:1]
+
+
+def _drop_the_empty_core_label_set(real):  # the bottom's set, empty, becomes a new one-element set
+    def psi_map(lat):
+        psi = real(lat).copy()
+        psi[lat.bottom] = 1 << len(lat.join_irreducibles())
+        return psi
+
+    return psi_map
+
+
+def _drop_an_edge(real):
+    return lambda n: DiGraph(real(n).k, sorted(real(n).edges)[1:], real(n).labels)
+
+
+def _add_a_disjoint_edge(real):
+    return lambda lat: SimplicialComplex([*real(lat).facets, {-1, -2}])
+
+
+def _clear_the_bottom_row(real):  # the covers stay right; the packed order loses the pairs above the least mask
+    def from_masks(masks, labels=None):
+        p = real(masks, labels)
+        up = p._up.copy()
+        up[np.argmin(masks)] = 0
+        return FinitePoset(up, np.stack(p._ends, axis=1), labels)
+
+    return from_masks
+
+
+def _add_x(real):
+    return lambda m, n: real(m, n) + X
+
+
+def _drop_an_atom(real):
+    return lambda n: dataclasses.replace(real(n), atoms=real(n).atoms - {0})
+
+
+def _count_one_pair_more(real):
+    def rank_corank_counts(p):
+        counts = real(p).copy()
+        counts[0, 0] += 1
+        return counts
+
+    return rank_corank_counts
+
+
+FAULTS = [  # (bundle, owner, name, fault): owner.name is replaced by fault(the function it replaces)
+    ("triword count", checks, "enumerate_triwords", _duplicate_a_word),
+    ("extremal/semidistributive/spherical/intersection", lattice_module, "psi_map", _drop_the_empty_core_label_set),
+    ("galois characterization", checks, "hoch_galois_characterization", _drop_an_edge),
+    ("canonical join complex", checks, "cjc", _add_a_disjoint_edge),
+    ("m-triangle", FinitePoset, "from_masks", _clear_the_bottom_row),
+    ("f-triangle", triangles, "f_transform", _add_x),
+    ("h-triangle", triangles, "j_poset", _drop_an_atom),
+    ("boolean baselines", FinitePoset, "rank_corank_counts", _count_one_pair_more),
+]
+
+
+@pytest.mark.parametrize("bundle, owner, name, fault", FAULTS, ids=[row[0] for row in FAULTS])
+def test_a_planted_fault_fails_its_bundle_alone(bundle, owner, name, fault, capsys, monkeypatch):
+    """One fault planted in what the bundle reads makes ``check all --n 5`` print FAIL for that bundle and
+    no other, and exit 1.  The m-triangle's fault is in the packed order FinitePoset.from_masks returns
+    for the core label order (whose cache is emptied first), the baselines' in the graded pair counts
+    FinitePoset.rank_corank_counts, so both show that the bundles read those methods."""
+    monkeypatch.setattr(shuffles, "_CLO", WeakKeyDictionary())
+    monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
+    code, out = main(["check", "all", "--n", "5"]), capsys.readouterr().out
+    assert code == 1 and [line for line in out.splitlines() if line.startswith("FAIL ")] == [f"FAIL {bundle}"]

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import itertools
 import random
+import textwrap
 from types import SimpleNamespace
 
 import numpy as np
@@ -716,8 +717,8 @@ def test_no_bundle_builds_the_cover_tuple(monkeypatch):
 
 
 def test_clo_covers_match_from_leq_on_the_inclusion_matrix():
-    """clo packs the inclusion order of the core label sets a block of rows at a time and finds its
-    covers with _two_step.  from_leq and the float32 product oracle on the dense inclusion matrix give
+    """clo has FinitePoset.from_masks pack the inclusion order of the core label sets a block of rows at a
+    time and find its covers with _two_step.  from_leq and the float32 product oracle on the dense inclusion matrix give
     the same order and covers, on Hoch(1..8), Bool(0..6) and the semidistributive seeded_lattices()."""
     lattices = [build_hoch(n).lattice for n in range(1, 9)] + [build_bool(k) for k in range(7)]
     lattices += [lat for lat in seeded_lattices() if is_semidistributive(lat)]
@@ -757,12 +758,12 @@ def test_meet_irreducible_lookups_decide_intersection_closure():
 
 
 def test_cover_check_implies_the_embedding_and_holds_on_every_lattice():
-    """_lower_covers_join against the m x m oracle.  It is stricter than the embedding only on
+    """FinitePoset._lower_covers_join against the m x m oracle.  It is stricter than the embedding only on
     non-lattices: on 6 corpus orders two lower covers have an upper bound not above their upper cover."""
     rejected = stricter = 0
     posets = certification_corpus() + [build_hoch(9).lattice.poset, build_hoch(10).lattice.poset]
     for p in posets:
-        covers_join = lattice_module._lower_covers_join(p) is None
+        covers_join = p._lower_covers_join() is None
         embeds = masks_embed_order(lattice_module._Masks(p, *p._ends).masks, p.leq)
         assert embeds or not covers_join
         try:
@@ -775,12 +776,14 @@ def test_cover_check_implies_the_embedding_and_holds_on_every_lattice():
     assert (rejected, stricter) == (276, 6)
 
 
-def mutated(name, old, new):
-    """The function ``name`` of the lattice module with ``old`` replaced by ``new`` in its source."""
-    source = inspect.getsource(getattr(lattice_module, name))
+def mutated(name, old, new, owner=lattice_module):
+    """The function ``name`` of ``owner`` (the lattice module, or a class such as FinitePoset) with ``old``
+    replaced by ``new`` in its source, run in the namespace of the module that defines it."""
+    fn = getattr(owner, name)
+    source = textwrap.dedent(inspect.getsource(fn))
     edited = source.replace(old, new)
     assert edited != source
-    namespace = dict(vars(lattice_module))
+    namespace = dict(vars(inspect.getmodule(fn)))
     exec(edited, namespace)
     return namespace[name]
 
@@ -788,10 +791,10 @@ def mutated(name, old, new):
 def test_cover_check_fails_against_one_lower_cover_alone(monkeypatch):
     """Checked against its first lower cover alone, the cover check rejects Hoch(4), a lattice, and
     names as its witness a pair that does have a join."""
-    one_row = mutated("_lower_covers_join", "g[:, 1] & g[:, 2] ==", "g[:, 1] ==")
+    one_row = mutated("_lower_covers_join", "g[:, 1] & g[:, 2] ==", "g[:, 1] ==", FinitePoset)
     lat = build_hoch(4).lattice
-    assert lattice_module._lower_covers_join(lat.poset) is None and one_row(lat.poset) is not None
-    monkeypatch.setattr(lattice_module, "_lower_covers_join", one_row)
+    assert lat.poset._lower_covers_join() is None and one_row(lat.poset) is not None
+    monkeypatch.setattr(FinitePoset, "_lower_covers_join", one_row)
     with pytest.raises(NotALattice, match="has no join") as err:
         as_lattice(lat.poset)
     a, b = err.value.pair
@@ -799,12 +802,12 @@ def test_cover_check_fails_against_one_lower_cover_alone(monkeypatch):
 
 
 def test_cover_check_needs_the_elements_with_two_lower_covers():
-    three_up = mutated("_lower_covers_join", "& (hi[1:] == hi[:-1])", "& np.append(hi[2:] == hi[:-2], False)")
+    three_up = mutated("_lower_covers_join", "& (hi[1:] == hi[:-1])", "& np.append(hi[2:] == hi[:-2], False)", FinitePoset)
     passed = 0
     for p in certification_corpus():
         embeds = masks_embed_order(lattice_module._Masks(p, *p._ends).masks, p.leq)
         if three_up(p) is None and not embeds:
-            assert lattice_module._lower_covers_join(p) is not None
+            assert p._lower_covers_join() is not None
             passed += 1
     assert passed == 183
 
@@ -812,8 +815,8 @@ def test_cover_check_needs_the_elements_with_two_lower_covers():
 def test_cover_check_catches_a_failure_past_its_first_block():
     lat = build_hoch(10).lattice
     p = FinitePoset.closure([c for c in lat.covers if c != (3323, 3326)], lat.n)
-    first_block = mutated("_lower_covers_join", "range(0, len(i), step)", "range(0, min(step, len(i)), step)")
-    assert first_block(p) is None and lattice_module._lower_covers_join(p) == (2043, 2747)
+    first_block = mutated("_lower_covers_join", "range(0, len(i), step)", "range(0, min(step, len(i)), step)", FinitePoset)
+    assert first_block(p) is None and p._lower_covers_join() == (2043, 2747)
     with pytest.raises(NotALattice) as err:
         as_lattice(p)
     assert err.value.args[0] == "pair (2043, 2747) has no join"  # as the scan of all rows named it too

@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import itertools
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,6 +394,65 @@ def test_from_leq_covers_and_transitivity_match_brute_force(p, data):
         for build in (FinitePoset.from_leq, from_leq_by_product):
             with pytest.raises(ValueError, match="not transitive"):
                 build(leq)
+
+
+def test_from_masks_matches_from_leq_on_the_inclusion_matrix():
+    """from_masks packs the inclusion order straight from the masks: its covers and leq equal from_leq's on
+    the inclusion matrix, computed with Python ints one pair at a time.  On 60 seeded families of distinct
+    int64 masks, on the empty family and on 60 families of 80-bit masks (Python ints in an object array),
+    each bit of an 8-bit mask spread to 10 bits; the labels are kept."""
+    rng = random.Random(36)
+    families = [np.zeros(0, dtype=np.int64)]
+    for wide in (False, True):
+        for _ in range(60):
+            small = rng.sample(range(256), rng.randrange(1, 41))
+            spread = [sum(1 << 10 * i + 9 for i in range(8) if m >> i & 1) for m in small] if wide else small
+            families.append(np.array(spread, dtype=object if wide else np.int64))
+    assert {f.dtype for f in families} == {np.dtype(np.int64), np.dtype(object)}
+    assert max(int(m).bit_length() for f in families for m in f) == 80
+    for masks in families:
+        ints = [int(m) for m in masks]
+        leq = np.array([[a & ~b == 0 for b in ints] for a in ints], dtype=bool).reshape(len(ints), len(ints))
+        got, want = FinitePoset.from_masks(masks, labels=[str(m) for m in ints]), FinitePoset.from_leq(leq)
+        assert got.covers == want.covers and np.array_equal(got.leq, want.leq)
+        assert got.labels == [str(m) for m in ints]
+
+
+def test_from_masks_rejects_a_repeated_mask():
+    for masks in ([3, 1, 3], [0, 0], np.array([1 << 70, 1, 1 << 70], dtype=object)):
+        with pytest.raises(CycleDetected, match="repeated mask"):
+            FinitePoset.from_masks(masks)
+
+
+PACKED_ROW_NAMES = {"_up", "_pack", "_bits", "_covers", "_two_step"}
+
+
+def packed_row_names(source):
+    """The names of PACKED_ROW_NAMES that a module's source uses: as a variable, an attribute, an
+    imported name, a definition or an argument.  Strings and comments do not count."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+    return PACKED_ROW_NAMES & names
+
+
+def test_only_poset_names_the_packed_rows():
+    """The packed strict up-rows ``_up`` and the helpers that build and read them are named in poset.py
+    alone: every other module of src/hochlat goes through FinitePoset's methods.  The guard sees the three
+    ways a module used to reach them: an import, a read of ``._up`` and a call of ``_bits``."""
+    package = Path(__file__).resolve().parents[1] / "src" / "hochlat"
+    found = {path.name: packed_row_names(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert len(found) > 10 and {name: names for name, names in found.items() if names} == {"poset.py": PACKED_ROW_NAMES}
+    planted = "from .poset import FinitePoset, _covers, _pack\nrows = p._up.view(np.uint8)\na, b = _bits(rows)\n"
+    assert packed_row_names(planted) == {"_covers", "_pack", "_up", "_bits"}
+    assert not packed_row_names('"""reads ``_up`` by ``_two_step``"""\nx = lat._upper  # _up\n')
 
 
 def test_mobius_solve_guards_int64(monkeypatch):

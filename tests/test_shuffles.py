@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hochlat import checks, shuffles
+from hochlat import poset as poset_module
 from hochlat.checks import check_m_triangle, check_shuffle_stats, check_sigma
 from hochlat.errors import InvariantViolated, MalformedWord, NotSemidistributive, SizeBound
 from hochlat.hochschild import build_hoch, canrep_formula, enumerate_triwords, is_triword, l1
@@ -287,15 +288,16 @@ def test_clo_rejects_repeated_core_label_sets(monkeypatch):
 
 
 def test_sigma_and_m_triangle_share_one_core_label_order(monkeypatch):
+    """The covers of the core label order are found once (FinitePoset.from_masks calls poset._covers)."""
     built = []
-    real = shuffles._covers
+    real = poset_module._covers
 
     def counted(up):
         built.append(len(up))
         return real(up)
 
     build_hoch.cache_clear()
-    monkeypatch.setattr(shuffles, "_covers", counted)
+    monkeypatch.setattr(poset_module, "_covers", counted)
     assert check_sigma(5) and check_m_triangle(5)
     assert built == [build_hoch(5).lattice.n]
     assert clo(build_hoch(5).lattice) is clo(build_hoch(5).lattice)

@@ -1,6 +1,7 @@
 """Agreement tests between the independent routes to each polynomial."""
 
 import random
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -476,10 +477,10 @@ def test_cover_counts_match_the_per_element_oracle():
 
 
 def test_graded_counts_match_the_unpacked_sum():
-    """_graded counts the packed bits of an order by rank and corank, about 2**20 bits of rows a block; the
-    oracle sums the rows of the unpacked order.  On Bool(0..6), on Shuf(a <= 3, b <= 2) and as
-    g_triangle(n - 1, 1) for n <= 8 and n = 10 (eleven blocks of rows), by the word ranks, and on the graded
-    seeded lattices; an ungraded one raises NotGraded."""
+    """FinitePoset.rank_corank_counts counts the packed bits of an order by rank and corank, about 2**20 bits of
+    rows a block (g_triangle wraps the counts in a BiPoly by triangles._graded); the oracle sums the rows of the
+    unpacked order.  On Bool(0..6), on Shuf(a <= 3, b <= 2) and as g_triangle(n - 1, 1) for n <= 8 and n = 10
+    (eleven blocks of rows), by the word ranks, and on the graded seeded lattices; an ungraded one raises NotGraded."""
     cases = [(build_bool(k).poset, np.array(build_bool(k).poset.rank_vector())) for k in range(7)]
     for a, b in [(a, b) for a in range(4) for b in range(3)] + [(n - 1, 1) for n in (*range(1, 9), 10)]:
         sl = shuffle_lattice(a, b)
@@ -493,10 +494,11 @@ def test_graded_counts_match_the_unpacked_sum():
         except NotGraded:
             ungraded.append(lat.poset)
     for p, ranks in cases:
-        assert triangles._graded(p) == graded_by_unpacking(p, ranks, ranks.max() - ranks)
+        counts = {(i, j): int(c) for (i, j), c in np.ndenumerate(p.rank_corank_counts()) if c}
+        assert counts == graded_by_unpacking(p, ranks, ranks.max() - ranks).terms
     assert len(cases) > 50 and ungraded
     with pytest.raises(NotGraded):
-        triangles._graded(ungraded[0])
+        ungraded[0].rank_corank_counts()
 
 
 def test_face_vector_pinned():
@@ -563,7 +565,7 @@ def test_antichain_route_rejects_sizes_past_the_policy_before_building(monkeypat
             route(n)
 
 
-CLOSED_FORMS = (m_closed, f_closed, h_closed, rank_poly_closed, char_poly_closed)
+CLOSED_FORMS = (m_closed, f_closed, h_closed, rank_poly_closed, char_poly_closed, g_conjecture_closed)
 
 
 @pytest.mark.parametrize("closed", CLOSED_FORMS, ids=lambda f: f.__name__)
@@ -572,6 +574,25 @@ def test_closed_forms_reject_n_below_one_and_have_no_upper_cap(closed):
         with pytest.raises(SizeBound, match=f"^n must satisfy n >= 1, got {n}$"):
             closed(n)
     assert closed(MAX_N + 5).terms
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: face_count_closed(0, 0), "n must satisfy n >= 1, got 0"),
+        (lambda: face_count_closed(3, -1), "i must satisfy i >= 0, got -1"),
+        (lambda: shuffle_char_closed(-1, 2), "min(a, b) must satisfy min(a, b) >= 0, got -1"),
+        (lambda: shuffle_char_closed(2, -3), "min(a, b) must satisfy min(a, b) >= 0, got -3"),
+    ],
+    ids=["faces-n0", "faces-i-1", "shuffle-a-1", "shuffle-b-3"],
+)
+def test_two_argument_closed_forms_reject_arguments_below_their_ranges(call, message):
+    """face_count_closed and shuffle_char_closed raise SizeBound below their ranges, where they used to raise
+    ZeroDivisionError or ValueError or return the zero polynomial; neither has an upper cap."""
+    with pytest.raises(SizeBound, match=f"^{re.escape(message)}$"):
+        call()
+    assert face_count_closed(MAX_N + 5, 1) > 0 and face_count_closed(3, 4) == 0
+    assert shuffle_char_closed(MAX_N + 5, 2).terms
 
 
 # -- G-triangle -------------------------------------------------------------------
