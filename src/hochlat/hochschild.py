@@ -117,7 +117,7 @@ class HochIrreducible:
     index: int
 
     def __post_init__(self):
-        if self.kind not in ("a", "b") or self.index < 1 + (self.kind == "b"):
+        if self.kind not in ("a", "b") or self.index < 1 + (self.kind == "b") or self.index % 1:
             raise ValueError(f"no irreducible {self.kind}{self.index}")
 
     def triword(self, n):
@@ -295,19 +295,20 @@ def core_labels_formula(u):
 
 
 def psi_inverse(n, labels):
-    """The unique triword whose core label set is ``labels``.
+    """The unique triword whose core label set is ``labels``, checked in the pass that builds it.
 
-    One pass reads each label's kind and index once, places a 2 for each b and finds the lowest a, the
-    last 1, with 1s before it wherever no 2 stands; no b sits at position 1 and no 1 follows a 0, so the
-    word is a triword.  Raises MalformedLabelSet for a non-label, a label outside 1..n, an a-run that
-    begins on a 2, and any word whose core label set is not ``labels`` after all.
+    The pass puts a 2 at each b and counts the a labels with their least index, the last 1, and largest, ``top``;
+    1s fill the places before the last 1 that hold no 2.  So u is a triword, its b labels are right, l1(u) is the
+    last 1 and its a-run is a_last1 .. a_(first0 - 1), first0 = f0(u) the first 0 after it or n + 1: that is the
+    a labels iff none reaches first0 and first0 - last1 are distinct.  Raises MalformedLabelSet for a non-label,
+    an index outside 1..n, an a-run that begins on a 2, and any other set that is not a core label set.
     """
     check_n(n)
     try:
         labels = frozenset(labels)
     except TypeError:  # not iterable, or an unhashable member
         raise MalformedLabelSet("labels must be an iterable of hashable labels") from None
-    w, last1 = [0] * n, n + 1
+    w, last1, top, count = [0] * n, n + 1, 0, 0
     for j in labels:
         if not isinstance(j, HochIrreducible):
             raise MalformedLabelSet(f"{j!r} is not a label")
@@ -316,13 +317,13 @@ def psi_inverse(n, labels):
             raise MalformedLabelSet(f"label index out of range for n={n}")
         if kind == "b":
             w[i - 1] = 2
-        elif i < last1:
-            last1 = i
-    if last1 <= n:
+        else:
+            count, last1, top = count + 1, i if i < last1 else last1, i if i > top else top
+    if count:
         if w[last1 - 1]:
             raise MalformedLabelSet("a-run begins on an occupied position")
         w[:last1] = [x or 1 for x in w[:last1]]
-    u = tuple(w)
-    if core_labels_formula(u) != labels:
-        raise MalformedLabelSet(f"no triword has core label set {sorted(labels)}")
-    return u
+        first0 = (w + [0]).index(0, last1) + 1
+        if top >= first0 or count != first0 - last1:
+            raise MalformedLabelSet(f"no triword has core label set {sorted(labels)}")
+    return tuple(w)

@@ -17,9 +17,7 @@ from functools import lru_cache
 from math import comb, factorial
 from weakref import WeakKeyDictionary
 
-import numpy as np
-
-from .errors import InvariantViolated, MalformedWord, NotSemidistributive
+from .errors import CycleDetected, InvariantViolated, MalformedWord, NotSemidistributive
 from .hochschild import l1
 from .lattice import as_lattice, is_semidistributive, psi_map
 from .limits import MAX_ELEMENTS, check_elements, check_n, check_range
@@ -173,22 +171,27 @@ def sigma(u):
 
 
 def sigma_inverse(n, w):
-    """Rebuild the triword: every absent A-letter is a 2, those before the marker 1s and those after
-    it 0s, the first letter 1 iff there is a marker.  The A-letters ascend, so no 1 follows a 0 and the
-    last 1 ends the A-letters before the marker: ``sigma`` of the triword is w, with no round trip."""
+    """Rebuild the triword in the pass that checks w: each letter is an A-letter above the last one and at
+    most n, written as 1 before the marker and 0 after it, or the first -1 (MalformedWord otherwise); absent
+    A-letters are 2s, the first letter 1 iff there is a marker.  So no 1 follows a 0, the last 1 ends the
+    A-letters before the marker, and ``sigma`` of the triword is w, with no round trip."""
     check_n(n)
-    if not is_shuffle_word(w, n - 1, 1):
-        raise MalformedWord(f"{w!r} is not a valid one-marker shuffle word for n={n}")
-    u = [2] * n
-    u[0] = int(-1 in w)
-    if u[0]:
-        k = w.index(-1)
-        for x in w[:k]:
-            u[x - 1] = 1
-        w = w[k + 1 :]
-    for x in w:
-        u[x - 1] = 0
-    return tuple(u)
+    u, top = [2] * n, 1
+    u[0] = fill = int(-1 in w)
+    try:
+        for x in w:
+            if top < x <= n:
+                u[x - 1], top = fill, x
+            elif x == -1 and fill:
+                fill = 0
+            else:
+                break
+        else:
+            return tuple(u)
+    except TypeError:  # a letter that is no int: of a word of the right shape it fails to index u, as before
+        if is_shuffle_word(w, n - 1, 1):
+            raise
+    raise MalformedWord(f"{w!r} is not a valid one-marker shuffle word for n={n}")
 
 
 # -- core label order --------------------------------------------------------
@@ -204,10 +207,10 @@ def clo(lat):
         return _CLO[lat]
     if not is_semidistributive(lat):
         raise NotSemidistributive("core label order needs a semidistributive lattice")
-    psi = psi_map(lat)
-    if (np.diff(np.sort(psi)) == 0).any():
-        raise InvariantViolated("two elements share a core label set")
-    _CLO[lat] = FinitePoset.from_masks(psi, labels=lat.poset.labels)
+    try:  # from_masks rejects a repeated mask
+        _CLO[lat] = FinitePoset.from_masks(psi_map(lat), labels=lat.poset.labels)
+    except CycleDetected:
+        raise InvariantViolated("two elements share a core label set") from None
     return _CLO[lat]
 
 

@@ -501,7 +501,7 @@ def test_psi_inverse_rejects_malformed_sets():
             inverse(3, labels)
 
 
-@pytest.mark.parametrize("kind, index", [("c", 1), ("a", 0), ("b", 1)])
+@pytest.mark.parametrize("kind, index", [("c", 1), ("a", 0), ("b", 1), ("a", 2.5), ("b", 2.5)])
 def test_irreducible_rejects_bad_kind_or_index(kind, index):
     with pytest.raises(ValueError, match=f"no irreducible {kind}{index}"):
         HochIrreducible(kind, index)

@@ -13,7 +13,7 @@ import pytest
 import oracles
 from hochlat import hochschild, shuffles, triangles
 from hochlat.errors import MalformedLabelSet
-from hochlat.hochschild import a_irr, b_irr, enumerate_triwords, irreducibles
+from hochlat.hochschild import HochIrreducible, a_irr, b_irr, enumerate_triwords, irreducibles
 from hochlat.lattice import build_bool
 from hochlat.poset import FinitePoset
 from hochlat.triangles import j_poset
@@ -52,7 +52,7 @@ def test_word_functions_match_oracles_on_every_triword(n):
         assert shuffles.is_shuffle_word(w, n - 1, 1) is oracles.is_shuffle_word(w, n - 1, 1) is True
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_psi_inverse_matches_oracle_on_every_label_subset(n):
     pool = irreducibles(n) + [a_irr(n + 1), b_irr(n + 1)]
     for k in range(len(pool) + 1):
@@ -72,6 +72,45 @@ def test_word_functions_match_oracles_on_every_short_word(n):
             for a, b in ((n - 1, 1), (n - 1, 2), (n, 2)):
                 assert shuffles.is_shuffle_word(w, a, b) is oracles.is_shuffle_word(w, a, b), (w, a, b)
             assert outcome(shuffles.sigma_inverse, n, w) == outcome(oracles.sigma_inverse, n, w), w
+
+
+@pytest.mark.parametrize("n", range(3, 6))
+def test_psi_inverse_matches_oracle_on_labels_with_float_indices(n):
+    """a2.0 and b3.0 equal a2 and b3 as labels but index no list: psi_inverse accepts a2.0 above the least a
+    label and raises the oracle's TypeError where it would index the word by a float."""
+    pool = irreducibles(n) + [HochIrreducible("a", 2.0), HochIrreducible("b", 3.0)]
+    for k in range(len(pool) + 1):
+        for labels in combinations(pool, k):
+            assert outcome(hochschild.psi_inverse, n, labels) == outcome(oracles.psi_inverse, n, labels), labels
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_sigma_inverse_matches_oracle_on_words_with_a_non_integer_letter(n):
+    """Each of "2", 2.0, True and None put in place of, or inserted before, each letter of every sigma(u),
+    and alone: the fused pass must still choose between MalformedWord and TypeError as the oracle does."""
+    for u in enumerate_triwords(n):
+        w = shuffles.sigma(u)
+        for odd in ("2", 2.0, True, None):
+            words = [(odd,)] + [w[:k] + (odd,) + w[k + 1 :] for k in range(len(w))]
+            words += [w[:k] + (odd,) + w[k:] for k in range(len(w) + 1)]
+            for v in words:
+                assert outcome(shuffles.sigma_inverse, n, v) == outcome(oracles.sigma_inverse, n, v), v
+
+
+def test_inverses_decode_in_one_pass(monkeypatch):
+    """psi_inverse checks its labels without core_labels_formula and sigma_inverse its word without
+    is_shuffle_word: with both made to raise, every triword for n <= 6 still comes back from the oracle's
+    core label set and shuffle word."""
+    cases = [(n, u, oracles.core_labels_formula(u), oracles.sigma(u)) for n in range(1, 7) for u in oracles.enumerate_triwords(n)]
+
+    def second_pass(*args):
+        raise AssertionError("a second pass over the input")
+
+    monkeypatch.setattr(hochschild, "core_labels_formula", second_pass)
+    monkeypatch.setattr(shuffles, "is_shuffle_word", second_pass)
+    for n, u, labels, w in cases:
+        assert hochschild.psi_inverse(n, labels) == u
+        assert shuffles.sigma_inverse(n, w) == u
 
 
 def test_is_shuffle_word_rejects_repeated_letters():
