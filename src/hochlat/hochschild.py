@@ -299,9 +299,9 @@ def psi_inverse(n, labels):
 
     The pass puts a 2 at each b and counts the a labels with their least index, the last 1, and largest, ``top``;
     1s fill the places before the last 1 that hold no 2.  So u is a triword, its b labels are right, l1(u) is the
-    last 1 and its a-run is a_last1 .. a_(first0 - 1), first0 = f0(u) the first 0 after it or n + 1: that is the
-    a labels iff none reaches first0 and first0 - last1 are distinct.  Raises MalformedLabelSet for a non-label,
-    an index outside 1..n, an a-run that begins on a 2, and any other set that is not a core label set.
+    last 1 and its a-run is a_last1 .. a_(first0 - 1), first0 = f0(u) the first 0 after it or n + 1: the distinct
+    a labels, none below the last 1, are that run iff none reaches first0 and there are first0 - last1 of them.
+    Raises MalformedLabelSet for a non-label, an index outside 1..n, an a-run that begins on a 2, or a set no word has.
     """
     check_n(n)
     try:

@@ -188,7 +188,7 @@ def sigma_inverse(n, w):
                 break
         else:
             return tuple(u)
-    except TypeError:  # a letter that is no int: of a word of the right shape it fails to index u, as before
+    except TypeError:  # a letter that is no int cannot index u; a word of the wrong shape is still MalformedWord
         if is_shuffle_word(w, n - 1, 1):
             raise
     raise MalformedWord(f"{w!r} is not a valid one-marker shuffle word for n={n}")

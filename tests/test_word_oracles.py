@@ -87,7 +87,7 @@ def test_psi_inverse_matches_oracle_on_labels_with_float_indices(n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_sigma_inverse_matches_oracle_on_words_with_a_non_integer_letter(n):
     """Each of "2", 2.0, True and None put in place of, or inserted before, each letter of every sigma(u),
-    and alone: the fused pass must still choose between MalformedWord and TypeError as the oracle does."""
+    and alone: the one-pass decoder must choose between MalformedWord and TypeError as the oracle does."""
     for u in enumerate_triwords(n):
         w = shuffles.sigma(u)
         for odd in ("2", 2.0, True, None):
@@ -101,7 +101,8 @@ def test_inverses_decode_in_one_pass(monkeypatch):
     """psi_inverse checks its labels without core_labels_formula and sigma_inverse its word without
     is_shuffle_word: with both made to raise, every triword for n <= 6 still comes back from the oracle's
     core label set and shuffle word."""
-    cases = [(n, u, oracles.core_labels_formula(u), oracles.sigma(u)) for n in range(1, 7) for u in oracles.enumerate_triwords(n)]
+    triwords = [(n, u) for n in range(1, 7) for u in oracles.enumerate_triwords(n)]
+    cases = [(n, u, oracles.core_labels_formula(u), oracles.sigma(u)) for n, u in triwords]
 
     def second_pass(*args):
         raise AssertionError("a second pass over the input")
