@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvariantViolated, NotALattice, NotExtremal
 from .lattice import is_extremal
 from .limits import check_elements, check_int64
-from .poset import FinitePoset, _rounds, are_isomorphic
+from .poset import FinitePoset, _dot, _rounds, are_isomorphic
 
 
 class DiGraph:
@@ -41,14 +41,7 @@ class DiGraph:
         }
 
     def to_dot(self, name="digraph_out"):
-        lines = [f"digraph {name} {{"]
-        for a in range(self.k):
-            text = str(self.labels[a]).replace('"', '\\"')
-            lines.append(f'  {a} [label="{text}"];')
-        for s, t in sorted(self.edges):
-            lines.append(f"  {s} -> {t};")
-        lines.append("}")
-        return "\n".join(lines)
+        return _dot(name, self.labels, sorted(self.edges))
 
     def __repr__(self):
         return f"DiGraph(k={self.k}, edges={len(self.edges)})"

@@ -15,6 +15,7 @@ the inverse of the core labeling.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -111,14 +112,16 @@ def parse_triword(text):
 
 @dataclass(frozen=True, order=True)
 class HochIrreducible:
-    """A join-irreducible triword: kind 'a' (prefix of 1s) or 'b' (single 2)."""
+    """A join-irreducible triword: kind 'a' (prefix of 1s) or 'b' (single 2), its index an int by operator.index."""
 
     kind: str
     index: int
 
     def __post_init__(self):
-        if self.kind not in ("a", "b") or self.index < 1 + (self.kind == "b") or self.index % 1:
-            raise ValueError(f"no irreducible {self.kind}{self.index}")
+        i = operator.index(self.index) if hasattr(type(self.index), "__index__") else 0
+        if self.kind not in ("a", "b") or i < 1 + (self.kind == "b"):
+            raise ValueError(f"no irreducible {self.kind}{self.index!r}")
+        object.__setattr__(self, "index", i)
 
     def triword(self, n):
         if self.index > n:

@@ -23,9 +23,23 @@ from .limits import check_int64
 from .polynomials import interpolate_univariate
 
 
+def _ints(ids):
+    """An array or iterable of element ids as int64, or None if one is no integer (bool counts, as for operator.index)."""
+    ids = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids))
+    return ids.astype(np.int64, copy=False) if ids.dtype.kind in "biu" or not ids.size else None
+
+
 def _pairs(covers):
-    """The lower and upper ends of a (k, 2) int array or an iterable of pairs, as int64 arrays."""
-    return np.asarray(covers if isinstance(covers, np.ndarray) else list(covers), np.int64).reshape(-1, 2).T
+    """The lower and upper ends of a (k, 2) int array or an iterable of pairs, as int64 arrays; ValueError for a non-int id."""
+    if (ends := _ints(covers)) is None:
+        raise ValueError("element ids must be integers")
+    return ends.reshape(-1, 2).T
+
+
+def _dot(name, labels, edges, head=()):
+    """A DOT digraph: the ``head`` lines, a node line per label (its quotes escaped), then an edge line per pair."""
+    nodes = [f'  {a} [label="{text}"];' for a, text in enumerate(str(t).replace('"', '\\"') for t in labels)]
+    return "\n".join([f"digraph {name} {{", *head, *nodes, *(f"  {a} -> {b};" for a, b in edges), "}"])
 
 
 def _split(keys, values, m):
@@ -109,6 +123,8 @@ class FinitePoset:
             if up.ndim != 2 or up.shape[0] != up.shape[-1]:
                 raise ValueError(f"order matrix must be square, got shape {up.shape}")
             up = _pack(up.astype(bool, copy=False).__getitem__, len(up))
+        elif up.ndim != 2 or up.shape[1] != -(-len(up) // 64):
+            raise ValueError(f"packed rows must have shape (m, ceil(m / 64)), got {up.shape}")
         up.setflags(write=False)
         self.n, self._up = (n := len(up)), up
         key = np.sort(np.ravel_multi_index(tuple(_pairs(covers)), (n, n)))  # ValueError past 0..n-1
@@ -147,8 +163,8 @@ class FinitePoset:
     @classmethod
     def from_leq(cls, leq, labels=None):
         """Build a poset from a reflexive, antisymmetric order matrix; ``_covers`` finds the covers and transitivity."""
-        up = cls(leq, [])._up  # ValueError unless square
-        if not (leq := np.asarray(leq, dtype=bool)).diagonal().all():
+        up = cls(leq := np.asarray(leq, dtype=bool), [])._up  # ValueError unless square
+        if not leq.diagonal().all():
             raise ValueError("order matrix is not reflexive")
         if leq[_bits(up)[::-1]].any():  # leq[b, a] for the strict pairs (a, b)
             raise CycleDetected("order matrix is not antisymmetric")
@@ -372,14 +388,7 @@ class FinitePoset:
         return {"n_elements": self.n, "covers": [[a, b] for a, b in self.covers], "labels": [str(lbl) for lbl in self.labels]}
 
     def to_dot(self, name="poset"):
-        lines = [f"digraph {name} {{", "  rankdir=BT;"]
-        for a in range(self.n):
-            text = str(self.labels[a]).replace('"', '\\"')
-            lines.append(f'  {a} [label="{text}"];')
-        for a, b in self.covers:
-            lines.append(f"  {a} -> {b};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return _dot(name, self.labels, self.covers, ["  rankdir=BT;"]) + "\n"
 
     def __repr__(self):
         return f"FinitePoset(n={self.n}, covers={len(self.covers)})"
@@ -428,9 +437,8 @@ def doubling(p, b):
 def are_isomorphic(p, q, image):
     """Whether ``image`` (the q-id of each p-id) is an order isomorphism from p onto q: a bijection
     mapping covers onto covers, compared as the sorted keys a * n + b of the cover ends, so the map is
-    certified as it stands.  A size mismatch, a repeated id or an out-of-range id gives False."""
-    image = np.asarray(list(image), dtype=np.int64)
-    if p.n != q.n or not np.array_equal(np.sort(image), np.arange(q.n)):
+    certified as it stands.  A size mismatch, an id that is no integer, a repeated id or an out-of-range id gives False."""
+    if p.n != q.n or (image := _ints(image)) is None or not np.array_equal(np.sort(image), np.arange(q.n)):
         return False
     (a, b), (c, d) = p._ends, q._ends
     return np.array_equal(np.sort(image[a] * q.n + image[b]), c.astype(np.int64) * q.n + d)

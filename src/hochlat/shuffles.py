@@ -36,24 +36,6 @@ def word_rank(w, a):
     return a - pos + neg
 
 
-def is_shuffle_word(w, a, b):
-    """True iff every letter of w is an A-letter 2..a+1 or a marker -1..-b, the A-letters strictly
-    ascending and the markers strictly descending: one pass, each part held to its last letter."""
-    top = bottom = 0
-    for x in w:
-        if x > 0:
-            if x == 1 or x > a + 1 or x <= top:
-                return False
-            top = x
-        elif x < 0:
-            if -x > b or x >= bottom:
-                return False
-            bottom = x
-        elif x == 0:
-            return False
-    return True
-
-
 def render_word(w, ascii_mode=False):
     if not w:
         return "eps" if ascii_mode else "ε"
@@ -171,15 +153,16 @@ def sigma(u):
 
 
 def sigma_inverse(n, w):
-    """Rebuild the triword in the pass that checks w: each letter is an A-letter above the last one and at
-    most n, written as 1 before the marker and 0 after it, or the first -1 (MalformedWord otherwise); absent
-    A-letters are 2s, the first letter 1 iff there is a marker.  So no 1 follows a 0, the last 1 ends the
-    A-letters before the marker, and ``sigma`` of the triword is w, with no round trip."""
+    """Rebuild the triword in the pass that checks w, read once: each letter is an A-letter above the last one
+    and at most n, written as 1 before the marker and 0 after it, or the first -1; absent A-letters are 2s, the
+    first letter 1 iff there is a marker.  So no 1 follows a 0, the last 1 ends the A-letters before the marker,
+    and ``sigma`` of the triword is w, with no round trip.  MalformedWord for any other w."""
     check_n(n)
     u, top = [2] * n, 1
-    u[0] = fill = int(-1 in w)
-    try:
-        for x in w:
+    try:  # a w that is no iterable, or a letter that is no int (it cannot be compared or index u)
+        word = tuple(w)
+        u[0] = fill = int(-1 in word)
+        for x in word:
             if top < x <= n:
                 u[x - 1], top = fill, x
             elif x == -1 and fill:
@@ -188,9 +171,8 @@ def sigma_inverse(n, w):
                 break
         else:
             return tuple(u)
-    except TypeError:  # a letter that is no int cannot index u; a word of the wrong shape is still MalformedWord
-        if is_shuffle_word(w, n - 1, 1):
-            raise
+    except TypeError:
+        pass
     raise MalformedWord(f"{w!r} is not a valid one-marker shuffle word for n={n}")
 
 

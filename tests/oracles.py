@@ -72,11 +72,14 @@ one vertex at a time, and is only run at small sizes:
   time, the oracle for the chained level-by-level generators of
   ``hochschild.enumerate_triwords``;
 - ``l1``, ``f0``, ``core_labels_formula``, ``canrep_formula``,
-  ``psi_inverse``, ``sigma``, ``sigma_inverse``, ``is_shuffle_word`` and
-  ``neg_stat``: the word functions of ``hochschild``, ``shuffles`` and
-  ``triangles`` with one Python step per letter and one ``set.add`` per
-  label, the oracles for their scans by ``tuple.index`` and ``tuple.count``
-  and label sets cut from per-n tables of a-runs;
+  ``psi_inverse``, ``sigma``, ``sigma_inverse`` and ``neg_stat``: the word
+  functions of ``hochschild``, ``shuffles`` and ``triangles`` with one
+  Python step per letter and one ``set.add`` per label, the oracles for
+  their scans by ``tuple.index`` and ``tuple.count`` and label sets cut from
+  per-n tables of a-runs;
+- ``is_shuffle_word``: the shape of a shuffle word, letter ranges and
+  ascending parts, which the oracle ``sigma_inverse`` tests before it
+  decodes (``shuffles.sigma_inverse`` checks the shape in its decoding pass);
 - ``antichains``: every antichain of a poset grown by recursion, each
   candidate tested against every element already chosen, the oracle for the
   bitmask search of ``FinitePoset._antichain_masks`` that ``antichains``
@@ -599,7 +602,15 @@ def sigma(u):
 
 
 def sigma_inverse(n, w):
-    """The triword sigma sends to w: absent letters are 2s, present ones 1 up to the marker."""
+    """The triword sigma sends to w: absent letters are 2s, present ones 1 up to the marker.  A w that is
+    no iterable, or a letter that is no int (a TypeError in the decoding), is a MalformedWord too."""
+    try:
+        return _sigma_inverse(n, tuple(w))
+    except TypeError:
+        raise MalformedWord(f"{w!r} is not a valid one-marker shuffle word for n={n}") from None
+
+
+def _sigma_inverse(n, w):
     if not is_shuffle_word(w, n - 1, 1):
         raise MalformedWord(f"{w!r} is not a valid one-marker shuffle word for n={n}")
     present = [x for x in w if x > 0]

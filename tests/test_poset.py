@@ -22,6 +22,7 @@ from hochlat.errors import (
     NotInterval,
     SizeBound,
 )
+from hochlat.galois import DiGraph
 from hochlat.hochschild import build_hoch
 from hochlat.poset import (
     FinitePoset,
@@ -375,6 +376,12 @@ def test_from_leq_rejects_non_square_matrices():
     assert FinitePoset.from_leq([[True]]).covers == ()
 
 
+def test_from_leq_reads_a_uint64_matrix_as_an_order_matrix():
+    """A uint64 order matrix is an order matrix, not packed rows: it is cast to bool before packing."""
+    assert FinitePoset.from_leq(np.eye(3, dtype=np.uint64)).covers == ()
+    assert FinitePoset.from_leq(np.triu(np.ones((3, 3), dtype=np.uint64))).covers == ((0, 1), (1, 2))
+
+
 @POSET_SETTINGS
 @given(random_posets(), st.data())
 def test_from_leq_covers_and_transitivity_match_brute_force(p, data):
@@ -648,6 +655,16 @@ def test_are_isomorphic_negative_cases():
         assert not are_isomorphic(v, y, perm)
 
 
+def test_are_isomorphic_rejects_ids_that_are_no_integers():
+    """0.5 and 1.2 are not truncated to 0 and 1, and None gives False, not TypeError."""
+    assert not are_isomorphic(chain(2), chain(2), [0.5, 1.2])
+    assert not are_isomorphic(chain(2), chain(2), [0.0, 1.0])
+    assert not are_isomorphic(chain(2), chain(2), [0, None])
+    assert not are_isomorphic(chain(2), chain(2), ["0", "1"])
+    assert are_isomorphic(chain(2), chain(2), np.arange(2, dtype=np.uint8))
+    assert are_isomorphic(antichain(0), antichain(0), np.zeros(0))
+
+
 def test_constructor_rejects_bad_shapes():
     with pytest.raises(ValueError, match="square"):
         FinitePoset(np.ones((2, 3), dtype=bool), [])
@@ -655,6 +672,30 @@ def test_constructor_rejects_bad_shapes():
         FinitePoset(np.ones(3, dtype=bool), [])
     with pytest.raises(ValueError, match="labels"):
         FinitePoset(np.eye(2, dtype=bool), [], labels=["only one"])
+
+
+def test_constructor_reads_uint64_rows_only_in_their_packed_shape():
+    """uint64 input is taken as packed rows, so it must be m rows of ceil(m / 64) words."""
+    for shape in ((3, 5), (3, 0), (65, 1), (3,), (3, 1, 1)):
+        with pytest.raises(ValueError, match="packed rows must have shape"):
+            FinitePoset(np.zeros(shape, np.uint64), [])
+    assert FinitePoset(np.zeros((65, 2), np.uint64), []).n == 65
+    assert FinitePoset(np.zeros((0, 0), np.uint64), []).n == 0
+
+
+@pytest.mark.parametrize("covers", [[(0.5, 1.2)], [("0", "1")], [(0, None)], np.array([[0.0, 1.0]])])
+def test_closure_rejects_ids_that_are_no_integers(covers):
+    """Ids are not truncated or parsed: closure([(0.5, 1.2)], 2) must not build the cover (0, 1)."""
+    with pytest.raises(ValueError, match="element ids must be integers"):
+        FinitePoset.closure(covers, 2)
+    with pytest.raises(ValueError, match="element ids must be integers"):
+        FinitePoset(np.eye(2, dtype=bool), covers)
+
+
+def test_closure_takes_empty_and_integer_typed_ids():
+    assert FinitePoset.closure([], 0).n == 0
+    assert FinitePoset.closure(np.zeros((0, 2)), 3).covers == ()
+    assert FinitePoset.closure(np.array([[0, 1]], dtype=np.uint16), 2).covers == ((0, 1),)
 
 
 @pytest.mark.parametrize("pair", [(-1, 0), (0, 5), (3, 0)])
@@ -677,3 +718,10 @@ def test_json_and_dot_exports_are_deterministic():
     dot = p.to_dot()
     assert dot == p.to_dot()
     assert "0 -> 1;" in dot and "rankdir=BT" in dot
+
+
+def test_dot_writers_escape_quotes_and_differ_only_in_the_poset_head():
+    """FinitePoset and DiGraph share one DOT writer: the poset adds rankdir=BT and a trailing newline."""
+    body = '  0 [label="a\\"b"];\n  1 [label="c"];\n  0 -> 1;\n}'
+    assert FinitePoset.closure([(0, 1)], 2, ['a"b', "c"]).to_dot("x") == "digraph x {\n  rankdir=BT;\n" + body + "\n"
+    assert DiGraph(2, [(0, 1)], ['a"b', "c"]).to_dot("x") == "digraph x {\n" + body

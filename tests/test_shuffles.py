@@ -14,7 +14,6 @@ from hochlat.poset import FinitePoset, are_isomorphic
 from hochlat.shuffles import (
     clo,
     clo_rank_counts,
-    is_shuffle_word,
     render_word,
     shuffle_count,
     shuffle_lattice,
@@ -25,7 +24,7 @@ from hochlat.shuffles import (
     word_rank,
 )
 from hochlat.triangles import g_conjecture_check
-from oracles import induced, interval, shuffle_words
+from oracles import induced, interval, is_shuffle_word, shuffle_words
 
 ONE = "\U0001d7d9"
 
