@@ -65,7 +65,6 @@ from .triangles import (
     j_poset,
     m_closed,
     m_triangle,
-    neg_stat,
     rank_poly_closed,
     shuffle_char_closed,
 )

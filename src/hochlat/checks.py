@@ -38,6 +38,7 @@ from .polynomials import BiPoly
 from .poset import are_isomorphic
 from .shuffles import clo, clo_rank_counts, shuffle_lattice, shuffle_stats, shuffle_stats_closed, sigma
 from .triangles import (
+    _cover_counts,
     boolean_baselines,
     char_poly_closed,
     f_closed,
@@ -173,11 +174,14 @@ def check_f_triangle(n):
 
 
 def check_h_triangle(n):
+    """The closed H-triangle against M's transform, the word statistics, the antichains, Hoch(n)'s own lower
+    covers and atom labels, and, at y = 1, the rank polynomial."""
     closed = h_closed(n)
     return (
         h_from_m(n) == closed
         and h_tilde(n) == closed
         and h_from_antichains(n) == closed
+        and BiPoly(_cover_counts(build_hoch(n).lattice)) == closed
         and _at_y1(closed) == rank_poly_closed(n)
     )
 

@@ -90,14 +90,13 @@ class BiPoly:
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             raise ValueError(f"exponent must be a non-negative int, got {e!r}")
-        out = BiPoly.const(1)
-        base = self
+        out, base = None, self  # the product starts from the lowest set bit's power, not from 1 times it
         while e:
             if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+                out = base if out is None else out * base
+            if e := e >> 1:  # square only while bits remain: bit_length + popcount - 2 products in all
+                base = base * base
+        return BiPoly.const(1) if out is None else out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

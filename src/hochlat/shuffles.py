@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import index
 from weakref import WeakKeyDictionary
 
 from .errors import CycleDetected, InvariantViolated, MalformedWord, NotSemidistributive
@@ -154,9 +155,10 @@ def sigma(u):
 
 def sigma_inverse(n, w):
     """Rebuild the triword in the pass that checks w, read once: each letter is an A-letter above the last one
-    and at most n, written as 1 before the marker and 0 after it, or the first -1; absent A-letters are 2s, the
-    first letter 1 iff there is a marker.  So no 1 follows a 0, the last 1 ends the A-letters before the marker,
-    and ``sigma`` of the triword is w, with no round trip.  MalformedWord for any other w."""
+    and at most n, written as 1 before the marker and 0 after it, or the first -1, an int by ``operator.index``
+    as an A-letter must be to index u; absent A-letters are 2s, the first letter 1 iff there is a marker.  So
+    no 1 follows a 0, the last 1 ends the A-letters before the marker, and ``sigma`` of the triword is w, with
+    no round trip.  MalformedWord for any other w."""
     check_n(n)
     u, top = [2] * n, 1
     try:  # a w that is no iterable, or a letter that is no int (it cannot be compared or index u)
@@ -166,7 +168,7 @@ def sigma_inverse(n, w):
             if top < x <= n:
                 u[x - 1], top = fill, x
             elif x == -1 and fill:
-                fill = 0
+                fill = index(x) + 1  # 0; a TypeError for a marker that is no int, as -1.0
             else:
                 break
         else:

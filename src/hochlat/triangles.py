@@ -15,14 +15,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product, repeat
+from itertools import accumulate, chain, product, repeat
 from math import comb
 from types import MappingProxyType
 
 import numpy as np
 
 from .errors import InvariantViolated
-from .hochschild import build_hoch, enumerate_triwords, l1
+from .hochschild import build_hoch, enumerate_triwords
 from .lattice import _jsd_labels, build_bool
 from .limits import check_n, check_range
 from .polynomials import BiPoly
@@ -83,8 +83,9 @@ def m_triangle(p):
     return BiPoly({(i, j): int(c) for (i, j), c in np.ndenumerate(ranks.T @ p.mobius_times(ranks))})
 
 
+@lru_cache(maxsize=None)
 def m_closed(n):
-    """Closed product form of the M-triangle of the triword core label order."""
+    """Closed product form of the M-triangle of the triword core label order, built once per n (BiPoly is immutable)."""
     check_range("n", n, 1)
     if n == 1:
         return ONE - Y + X * Y
@@ -101,7 +102,7 @@ def _substitute(m, n, p, q, r):
     unless 0 <= i <= j <= n, raised before any arithmetic."""
     if bad := [(i, j) for i, j in m.terms if not 0 <= i <= j <= n]:
         raise InvariantViolated(f"M-triangle term x^{bad[0][0]} y^{bad[0][1]} is outside 0 <= i <= j <= {n}")
-    qs, out = list(accumulate(repeat(q, n), BiPoly.__mul__, initial=ONE)), BiPoly()
+    qs, out = [ONE, *accumulate(repeat(q, n), BiPoly.__mul__)], BiPoly()
     for j in range(n + 1):
         row = BiPoly()
         for i in range(j, -1, -1):
@@ -149,28 +150,22 @@ def h_closed(n):
 # -- F and H via triword statistics ------------------------------------------
 
 
-def neg_stat(u):
-    """Number of 2s in the word, plus one when the last 1 sits in slot 1.
-
-    Equivalently: how many canonical joinands of the word are atoms.
-    """
-    return u.count(2) + (l1(u) == 1)
-
-
 @lru_cache(maxsize=None)
 def _word_stats(n):
-    """Triword counts per (canonical joinand count: a at the last 1, b at each 2; neg_stat, whose last 1 is in
-    slot 1 exactly when the word starts with its only 1), shared read-only."""
-    return MappingProxyType(
-        Counter((t + (1 in u), t + (u[0] == 1 and u.count(1) == 1)) for u in enumerate_triwords(n) for t in (u.count(2),))
-    )
+    """Triword counts per (joinand count c: a at the last 1, b at each 2; atom joinand count g: the 2s, plus 1 when
+    the word starts with its only 1), shared read-only: one bincount of c (n + 1) + g over the words' letter counts."""
+    words = enumerate_triwords(n)
+    u = np.frombuffer(bytes(chain.from_iterable(words)), np.uint8).reshape(len(words), n)
+    twos, ones = (u == 2).sum(axis=1), (u == 1).sum(axis=1)
+    cg = (twos + (ones > 0)) * (n + 1) + twos + ((u[:, 0] == 1) & (ones == 1))
+    return MappingProxyType({divmod(i, n + 1): k for i, k in enumerate(np.bincount(cg).tolist()) if k})
 
 
 def f_tilde(n):
-    """F-triangle as a sum of (x, x+1, y+1)-products over all triwords, grouped by the
-    (canonical joinand count c, neg_stat g) of each word: count * x^(n-c) (x+1)^(c-g) (y+1)^g."""
-    terms = _word_stats(n).items()
-    return sum((k * X ** (n - c) * (X + ONE) ** (c - g) * (Y + ONE) ** g for (c, g), k in terms), BiPoly())
+    """F-triangle as a sum of (x, x+1, y+1)-products over all triwords, grouped by the (canonical joinand
+    count c, atom joinand count g) of each word: count * x^(n-c) (x+1)^(c-g) (y+1)^g, each power from a table."""
+    xs, x1s, y1s = ([ONE, *accumulate(repeat(p, n), BiPoly.__mul__)] for p in (X, X + ONE, Y + ONE))
+    return sum((k * xs[n - c] * x1s[c - g] * y1s[g] for (c, g), k in _word_stats(n).items()), BiPoly())
 
 
 def h_tilde(n):

@@ -72,11 +72,13 @@ one vertex at a time, and is only run at small sizes:
   time, the oracle for the chained level-by-level generators of
   ``hochschild.enumerate_triwords``;
 - ``l1``, ``f0``, ``core_labels_formula``, ``canrep_formula``,
-  ``psi_inverse``, ``sigma``, ``sigma_inverse`` and ``neg_stat``: the word
-  functions of ``hochschild``, ``shuffles`` and ``triangles`` with one
-  Python step per letter and one ``set.add`` per label, the oracles for
-  their scans by ``tuple.index`` and ``tuple.count`` and label sets cut from
-  per-n tables of a-runs;
+  ``psi_inverse``, ``sigma`` and ``sigma_inverse``: the word functions of
+  ``hochschild`` and ``shuffles`` with one Python step per letter and one
+  ``set.add`` per label, the oracles for their scans by ``tuple.index`` and
+  ``tuple.count`` and label sets cut from per-n tables of a-runs;
+- ``neg_stat``: the number of atoms among a triword's canonical joinands,
+  one word at a time, the oracle for the letter counts that
+  ``triangles._word_stats`` reads off all the words as one array;
 - ``is_shuffle_word``: the shape of a shuffle word, letter ranges and
   ascending parts, which the oracle ``sigma_inverse`` tests before it
   decodes (``shuffles.sigma_inverse`` checks the shape in its decoding pass);
@@ -102,6 +104,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import index
 
 import numpy as np
 
@@ -603,9 +606,12 @@ def sigma(u):
 
 def sigma_inverse(n, w):
     """The triword sigma sends to w: absent letters are 2s, present ones 1 up to the marker.  A w that is
-    no iterable, or a letter that is no int (a TypeError in the decoding), is a MalformedWord too."""
+    no iterable, or a letter that is no int by ``operator.index`` (a TypeError), is a MalformedWord too."""
     try:
-        return _sigma_inverse(n, tuple(w))
+        w = tuple(w)
+        for x in w:
+            index(x)
+        return _sigma_inverse(n, w)
     except TypeError:
         raise MalformedWord(f"{w!r} is not a valid one-marker shuffle word for n={n}") from None
 

@@ -240,25 +240,42 @@ def _count_one_pair_more(real):
     return rank_corank_counts
 
 
-FAULTS = [  # (bundle, owner, name, fault): owner.name is replaced by fault(the function it replaces)
-    ("triword count", checks, "enumerate_triwords", _duplicate_a_word),
-    ("extremal/semidistributive/spherical/intersection", lattice_module, "psi_map", _drop_the_empty_core_label_set),
-    ("galois characterization", checks, "hoch_galois_characterization", _drop_an_edge),
-    ("canonical join complex", checks, "cjc", _add_a_disjoint_edge),
-    ("m-triangle", FinitePoset, "from_masks", _clear_the_bottom_row),
-    ("f-triangle", triangles, "f_transform", _add_x),
-    ("h-triangle", triangles, "j_poset", _drop_an_atom),
-    ("boolean baselines", FinitePoset, "rank_corank_counts", _count_one_pair_more),
+def _count_one_coverless_element_more(real):
+    def cover_counts(lat):
+        counts = real(lat).copy()
+        counts[(0, 0)] += 1
+        return counts
+
+    return cover_counts
+
+
+FAULTS = [  # (bundles, owners, name, fault): each owner's name is replaced by fault(the function it replaces)
+    (("triword count",), (checks,), "enumerate_triwords", _duplicate_a_word),
+    (("extremal/semidistributive/spherical/intersection",), (lattice_module,), "psi_map", _drop_the_empty_core_label_set),
+    (("galois characterization",), (checks,), "hoch_galois_characterization", _drop_an_edge),
+    (("canonical join complex",), (checks,), "cjc", _add_a_disjoint_edge),
+    (("m-triangle",), (FinitePoset,), "from_masks", _clear_the_bottom_row),
+    (("f-triangle",), (triangles,), "f_transform", _add_x),
+    (("h-triangle",), (triangles,), "j_poset", _drop_an_atom),
+    (("boolean baselines",), (FinitePoset,), "rank_corank_counts", _count_one_pair_more),
+    (
+        ("f-triangle", "h-triangle", "face vector", "boolean baselines"),
+        (triangles, checks),
+        "_cover_counts",
+        _count_one_coverless_element_more,
+    ),
 ]
 
 
-@pytest.mark.parametrize("bundle, owner, name, fault", FAULTS, ids=[row[0] for row in FAULTS])
-def test_a_planted_fault_fails_its_bundle_alone(bundle, owner, name, fault, capsys, monkeypatch):
-    """One fault planted in what the bundle reads makes ``check all --n 5`` print FAIL for that bundle and
-    no other, and exit 1.  The m-triangle's fault is in the packed order FinitePoset.from_masks returns
+@pytest.mark.parametrize("bundles, owners, name, fault", FAULTS, ids=[", ".join(row[0]) for row in FAULTS])
+def test_a_planted_fault_fails_its_bundle_alone(bundles, owners, name, fault, capsys, monkeypatch):
+    """One fault planted in what a bundle reads makes ``check all --n 5`` print FAIL for that bundle and
+    no other, and exit 1; a fault in what several bundles read, the lower cover counts, fails each of them
+    and no other.  The m-triangle's fault is in the packed order FinitePoset.from_masks returns
     for the core label order (whose cache is emptied first), the baselines' in the graded pair counts
     FinitePoset.rank_corank_counts, so both show that the bundles read those methods."""
     monkeypatch.setattr(shuffles, "_CLO", WeakKeyDictionary())
-    monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
+    for owner in owners:
+        monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
     code, out = main(["check", "all", "--n", "5"]), capsys.readouterr().out
-    assert code == 1 and [line for line in out.splitlines() if line.startswith("FAIL ")] == [f"FAIL {bundle}"]
+    assert code == 1 and [line for line in out.splitlines() if line.startswith("FAIL ")] == [f"FAIL {b}" for b in bundles]

@@ -693,9 +693,8 @@ def test_no_bundle_unpacks_an_order(monkeypatch):
 
     for module, name in ((checks, "build_hoch_by_doubling"), (checks, "build_bool"), (triangles, "build_bool")):
         monkeypatch.setattr(module, name, keep(getattr(module, name)))
-    build_hoch.cache_clear()
-    build_bool.cache_clear()
-    shuffle_lattice.cache_clear()
+    for cached in (build_hoch, build_bool, shuffle_lattice, triangles.m_closed):
+        cached.cache_clear()
     assert checks.run_all(8, write=lambda line: None)
     lat = build_hoch(8).lattice
     posets = [lat.poset, clo(lat), shuffle_lattice(7, 1).lattice.poset, built[0]]
@@ -710,7 +709,7 @@ def test_no_bundle_builds_the_cover_tuple(monkeypatch):
     ``_ends``.  The caches are cleared first, so every structure is built afresh."""
     built, init = [], FinitePoset.__init__
     monkeypatch.setattr(FinitePoset, "__init__", lambda self, *args, **kw: built.append(self) or init(self, *args, **kw))
-    for cached in (build_hoch, build_bool, shuffle_lattice):
+    for cached in (build_hoch, build_bool, shuffle_lattice, triangles.m_closed):
         cached.cache_clear()
     assert checks.run_all(8, write=lambda line: None)
     assert len(built) >= 8 and not [p for p in built if "covers" in vars(p)]

@@ -167,6 +167,28 @@ def test_power_needs_a_non_negative_int(e):
         BiPoly.x() ** e
 
 
+def test_power_makes_bit_length_plus_popcount_minus_two_products(monkeypatch):
+    """Binary powering starts from the first odd power, not from 1 times it, and squares only while bits
+    remain, so no product is by 1 and none is thrown away."""
+    products, mul = [], BiPoly.__mul__
+    monkeypatch.setattr(BiPoly, "__mul__", lambda p, q: products.append(1) or mul(p, q))
+    for e in range(1, 70):
+        products.clear()
+        (X + 1) ** e
+        assert len(products) == e.bit_length() + bin(e).count("1") - 2, e
+    products.clear()
+    assert (X + 1) ** 0 == 1 and not products
+
+
+def test_power_equals_repeated_products():
+    """On integer and Fraction coefficients and on zero, for e = 0..12."""
+    for p in (X * Y - Y + 1, Fraction(1, 2) * X**2 - Fraction(2, 3) * Y + Fraction(5, 7), BiPoly()):
+        want = BiPoly.const(1)
+        for e in range(13):
+            assert p**e == want, (p, e)
+            want = want * p
+
+
 @pytest.mark.parametrize("key", [(0.5, 0), ("2", 0), (-1, 0), (0, -3), (1, 2.0), (None, 0)])
 def test_constructor_rejects_exponents_that_are_not_non_negative_integers(key):
     for c in (1, 0):  # a zero term is checked too, before it is dropped

@@ -40,7 +40,6 @@ from hochlat.triangles import (
     j_poset,
     m_closed,
     m_triangle,
-    neg_stat,
     rank_poly_closed,
     shuffle_char_closed,
 )
@@ -55,6 +54,7 @@ from oracles import (
     graded_by_unpacking,
     h_transform_by_grid,
     interval,
+    neg_stat,
     partial_cores,
     rank_poly,
 )
@@ -303,18 +303,23 @@ def f_tilde_per_word(n):
     return acc
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(1, MAX_N + 1))
 def test_word_stats_count_joinands_as_canrep_formula_does(n):
-    """The joinand count read off the letters against the size of the canonical join representation."""
+    """The counts read off the words as one array against the size of the canonical join representation
+    and the oracle's neg_stat, one word at a time; every key and count an int."""
     want = Counter((len(canrep_formula(u)), neg_stat(u)) for u in enumerate_triwords(n))
-    assert dict(triangles._word_stats(n)) == want
+    got = triangles._word_stats(n)
+    assert dict(got) == want
+    assert all(type(v) is int for item in got.items() for v in (*item[0], item[1]))
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_f_tilde_grouped_sum_matches_per_word_sum(n):
-    got, want = f_tilde(n), f_tilde_per_word(n)
-    assert got == want
-    assert {k: type(c) for k, c in got.terms.items()} == {k: type(c) for k, c in want.terms.items()}
+    """f_tilde reads each power from a table built once: the per-word sum and the grouped sum with three fresh
+    powers per (c, g) give the same terms, of the same types."""
+    terms = triangles._word_stats(n).items()
+    per_term = sum((k * X ** (n - c) * (X + ONE) ** (c - g) * (Y + ONE) ** g for (c, g), k in terms), BiPoly())
+    assert _typed(f_tilde(n)) == _typed(f_tilde_per_word(n)) == _typed(per_term)
 
 
 def test_transforms_send_boolean_m_to_boolean_f_and_h():

@@ -7,13 +7,14 @@ b_(n+1) added, and every word of length <= n over the letters -2..n+1.
 """
 
 from collections.abc import Hashable
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 import oracles
-from hochlat import hochschild, shuffles, triangles
+from hochlat import hochschild, shuffles
 from hochlat.errors import MalformedLabelSet, MalformedWord, SizeBound
 from hochlat.hochschild import HochIrreducible, a_irr, b_irr, enumerate_triwords, irreducibles
 from hochlat.lattice import build_bool
@@ -27,7 +28,6 @@ WORD_FUNCTIONS = [
     (hochschild, "core_labels_formula"),
     (hochschild, "canrep_formula"),
     (shuffles, "sigma"),
-    (triangles, "neg_stat"),
 ]
 
 
@@ -108,6 +108,25 @@ def test_sigma_inverse_matches_oracle_on_words_with_a_non_integer_letter(n):
     for u in enumerate_triwords(n):
         for v in odd_words(shuffles.sigma(u), ("2", 2.0, True, None)):
             assert outcome(shuffles.sigma_inverse, n, v) is outcome(oracles.sigma_inverse, n, v) is MalformedWord, v
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sigma_inverse_takes_only_an_int_marker(n):
+    """The marker -1 must be an int by ``operator.index``, as the A-letters must: put in place of the -1 of every
+    sigma(u), -1.0, Fraction(-1), numpy's -1.0 and True are MalformedWord in the decoder and the oracle, and
+    numpy's int -1 decodes to u in both."""
+    with pytest.raises(MalformedWord):
+        shuffles.sigma_inverse(3, (2, -1.0, 3))
+    for u in enumerate_triwords(n):
+        w = shuffles.sigma(u)
+        if -1 not in w:
+            continue
+        k = w.index(-1)
+        for odd in (-1.0, Fraction(-1), np.float64(-1), True):
+            v = w[:k] + (odd,) + w[k + 1 :]
+            assert outcome(shuffles.sigma_inverse, n, v) is outcome(oracles.sigma_inverse, n, v) is MalformedWord, v
+        v = w[:k] + (np.int64(-1),) + w[k + 1 :]
+        assert shuffles.sigma_inverse(n, v) == oracles.sigma_inverse(n, v) == u
 
 
 @pytest.mark.parametrize("n", range(1, 6))
