@@ -24,6 +24,7 @@ from .lattice import (
     as_lattice,
     build_bool,
     canonical_joinrep,
+    clo,
     has_intersection_property,
     is_extremal,
     is_join_semidistributive,
@@ -36,7 +37,6 @@ from .polynomials import BiPoly, interpolate_from_grid, interpolate_univariate
 from .poset import FinitePoset, are_isomorphic, doubling
 from .shuffles import (
     ShuffleLattice,
-    clo,
     clo_rank_counts,
     render_word,
     shuffle_lattice,

@@ -28,6 +28,7 @@ from .hochschild import (
 )
 from .lattice import (
     build_bool,
+    clo,
     has_intersection_property,
     is_extremal,
     is_semidistributive,
@@ -36,7 +37,7 @@ from .lattice import (
 from .limits import check_n
 from .polynomials import BiPoly
 from .poset import are_isomorphic
-from .shuffles import clo, clo_rank_counts, shuffle_lattice, shuffle_stats, shuffle_stats_closed, sigma
+from .shuffles import clo_rank_counts, shuffle_lattice, shuffle_stats, shuffle_stats_closed, sigma
 from .triangles import (
     _cover_counts,
     boolean_baselines,

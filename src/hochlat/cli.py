@@ -23,9 +23,9 @@ from .hochschild import (
     irreducible_of_triword,
     l1,
 )
-from .lattice import build_bool, jsd_labeling
+from .lattice import build_bool, clo, jsd_labeling
 from .limits import check_n
-from .shuffles import clo, render_word, shuffle_lattice, sigma
+from .shuffles import render_word, shuffle_lattice, sigma
 from .triangles import (
     char_poly_closed,
     f_closed,
@@ -87,12 +87,10 @@ def _base_structure(family, args):
             raise UsageError("family bool needs --n")
         lat = build_bool(args.n)
         return lat, lat, f"bool_{args.n}"
-    if family == "shuffle":
-        if args.a is None or args.b is None:
-            raise UsageError("family shuffle needs --a and --b")
-        sl = shuffle_lattice(args.a, args.b)
-        return sl, sl.lattice, f"shuffle_{args.a}_{args.b}"
-    raise UsageError(f"not a base family: {family}")
+    if args.a is None or args.b is None:  # shuffle, the last of the choices argparse admits
+        raise UsageError("family shuffle needs --a and --b")
+    sl = shuffle_lattice(args.a, args.b)
+    return sl, sl.lattice, f"shuffle_{args.a}_{args.b}"
 
 
 def _select(family, of, args):
@@ -104,9 +102,7 @@ def _select(family, of, args):
     _, lat, slug = _base_structure(of, args)
     if family == "clo-of":
         return "poset", clo(lat), f"clo_of_{slug}"
-    if family == "galois-of":
-        return "digraph", galois_graph(lat).graph, f"galois_of_{slug}"
-    raise UsageError(f"unknown family: {family}")
+    return "digraph", galois_graph(lat).graph, f"galois_of_{slug}"  # galois-of
 
 
 # -- shared renderers -----------------------------------------------------------

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolated, NotALattice, NotExtremal
+from .hochschild import irreducibles
 from .lattice import is_extremal
 from .limits import check_elements, check_int64
 from .poset import FinitePoset, _dot, _rounds, are_isomorphic
@@ -101,12 +102,9 @@ def hoch_galois_characterization(n):
 
     Vertices a1..an then b2..bn; edges b_t -> a_t and a_t -> a_t' for t > t'.
     """
-    labels = [f"a{i}" for i in range(1, n + 1)] + [f"b{i}" for i in range(2, n + 1)]
-    pos = {lbl: i for i, lbl in enumerate(labels)}
-    edges = [(pos[f"b{t}"], pos[f"a{t}"]) for t in range(2, n + 1)]
-    edges += [
-        (pos[f"a{t}"], pos[f"a{u}"]) for t in range(1, n + 1) for u in range(1, t)
-    ]
+    labels = [str(j) for j in irreducibles(n)]
+    edges = [(n + t - 2, t - 1) for t in range(2, n + 1)]  # a_t is vertex t - 1, b_t vertex n + t - 2
+    edges += [(t - 1, u - 1) for t in range(1, n + 1) for u in range(1, t)]
     return DiGraph(len(labels), edges, labels)
 
 

@@ -9,8 +9,8 @@ meet-irreducibles' masks in masks; a failing test names the pair with no join or
 The meet of a and b is then the element with mask M(a) & M(b), by ``searchsorted`` for rows and a dict for
 single pairs.  No m x m table is stored.  On top of that live the irreducibles and one core-label layer, each
 computed once per lattice from the same masks: the cover labels in one array (they exist iff the lattice is
-semidistributive), and canonical join representations and core label sets as bitmasks over the join-irreducibles
-(``psi_map``), the latter found closed under intersection or not by ``_certify``'s lookups (``_closed``)."""
+semidistributive), canonical join representations and core label sets as bitmasks over the join-irreducibles
+(``psi_map``), and the core label order of those sets by inclusion (``clo``), whose generators ``_closed`` meets."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import InvariantViolated, NoUniqueMin, NotALattice, NotBounded, NotSemidistributive
+from .errors import CycleDetected, InvariantViolated, NoUniqueMin, NotALattice, NotBounded, NotSemidistributive
 from .limits import MAX_ELEMENTS, check_range
 from .poset import FinitePoset
 
@@ -203,6 +203,16 @@ class Lattice:
         psi.setflags(write=False)
         return psi
 
+    @cached_property
+    def _clo(self):
+        """The elements on the same ids ordered by inclusion of their ``_psi`` masks, which ``from_masks`` packs."""
+        if not is_semidistributive(self):
+            raise NotSemidistributive("core label order needs a semidistributive lattice")
+        try:  # from_masks rejects a repeated mask
+            return FinitePoset.from_masks(self._psi, labels=self.poset.labels)
+        except CycleDetected:
+            raise InvariantViolated("two elements share a core label set") from None
+
     def __repr__(self):
         return f"Lattice(n={self.n}, covers={len(self.covers)})"
 
@@ -282,13 +292,16 @@ def psi_map(lat):
     return lat._psi
 
 
+def clo(lat):
+    """The core label order of a semidistributive lattice, built once per lattice and freed with it."""
+    return lat._clo
+
+
 def has_intersection_property(lat):
     """Whether core label sets are closed under intersection; needs semidistributivity.  By the lookup
     lemma of ``_certify`` on the family ordered by inclusion (the core label order) with the union U of
     all adjoined on top: its meet-irreducibles are the elements with one upper cover and, when there
     are several, the maximal ones.  A unique maximal element is U itself, and A & U = A."""
-    from .shuffles import clo  # shuffles imports this module
-
     psi = psi_map(lat)
     gens = np.bincount(clo(lat)._ends[0], minlength=lat.n) < 2  # at most one upper cover
     return _closed(np.sort(psi), psi[gens]) is None

@@ -11,20 +11,24 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
+from numbers import Rational
 from operator import index
 
 from .errors import InterpolationDegeneracy
 
 
-def _norm(c):
+def _rational(c):
+    """c as an int when integral, else as a Fraction; None unless c is a rational number."""
     if type(c) is int:
         return c
-    c = Fraction(c)
-    return int(c) if c.denominator == 1 else c
+    if not isinstance(c, Rational):
+        return None
+    return int(c) if c.denominator == 1 else Fraction(c)
 
 
 class BiPoly:
-    """Polynomial in x and y with Fraction coefficients."""
+    """Polynomial in x and y whose coefficients and number operands are ``numbers.Rational`` (int, bool,
+    numpy ints, Fraction): any other is a TypeError in the constructor and NotImplemented in an operator."""
 
     __slots__ = ("terms",)
 
@@ -33,16 +37,17 @@ class BiPoly:
         for (i, j), c in (terms or {}).items():
             if not all(hasattr(type(e), "__index__") and index(e) >= 0 for e in (i, j)):
                 raise ValueError(f"exponents must be non-negative integers, got {(i, j)!r}")
-            c = _norm(c)
-            if c != 0:
-                clean[(index(i), index(j))] = c
+            if (r := _rational(c)) is None:
+                raise TypeError(f"coefficients must be rational numbers, got {c!r}")
+            if r != 0:
+                clean[(index(i), index(j))] = r
         self.terms = clean
 
     @classmethod
     def _of(cls, terms):
         """The BiPoly of int and Fraction terms on sums of valid keys: zeros dropped, non-ints normalized."""
         out = cls.__new__(cls)
-        out.terms = {k: c if type(c) is int else _norm(c) for k, c in terms.items() if c}
+        out.terms = {k: c if type(c) is int else _rational(c) for k, c in terms.items() if c}
         return out
 
     @classmethod
@@ -57,8 +62,14 @@ class BiPoly:
     def y(cls):
         return cls({(0, 1): 1})
 
+    def _shift(self, other, sign):
+        """self + sign * other for a number other, which moves the constant term alone."""
+        c = _rational(other)
+        return NotImplemented if c is None else BiPoly._of({**self.terms, (0, 0): self.terms.get((0, 0), 0) + sign * c})
+
     def __add__(self, other):
-        other = other if isinstance(other, BiPoly) else BiPoly.const(other)
+        if not isinstance(other, BiPoly):
+            return self._shift(other, 1)
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, 0) + c
@@ -70,14 +81,15 @@ class BiPoly:
         return BiPoly._of({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = other if isinstance(other, BiPoly) else BiPoly.const(other)
-        return self + (-other)
+        return self + -other if isinstance(other, BiPoly) else self._shift(other, -1)
 
     def __rsub__(self, other):
-        return BiPoly.const(other) - self
+        return (-self)._shift(other, 1)
 
     def __mul__(self, other):
-        other = other if isinstance(other, BiPoly) else BiPoly.const(other)
+        if not isinstance(other, BiPoly):  # a number scales every term
+            c = _rational(other)
+            return NotImplemented if c is None else BiPoly._of({k: v * c for k, v in self.terms.items()})
         out = {}
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
@@ -99,11 +111,8 @@ class BiPoly:
         return BiPoly.const(1) if out is None else out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BiPoly.const(other)
-        elif not isinstance(other, BiPoly):
-            return NotImplemented
-        return self.terms == other.terms
+        diff = self.__sub__(other)  # no terms exactly when equal, to a BiPoly or a number; NotImplemented for others
+        return diff if diff is NotImplemented else not diff
 
     def __hash__(self):
         """A constant hashes like the number it equals."""
@@ -121,7 +130,7 @@ class BiPoly:
         xs = [x.numerator**i * x.denominator ** (dx - i) for i in range(dx + 1)]
         ys = [y.numerator**j * y.denominator ** (dy - j) for j in range(dy + 1)]
         num = sum(c * xs[i] * ys[j] for (i, j), c in self.terms.items())
-        return _norm(Fraction(num, x.denominator**dx * y.denominator**dy))
+        return _rational(Fraction(num, x.denominator**dx * y.denominator**dy))
 
     def deg_x(self):
         return max((i for i, _ in self.terms), default=0)
@@ -189,7 +198,7 @@ def interpolate_univariate(points):
             num[i] += weight * b
     while len(num) > 1 and num[-1] == 0:
         num.pop()
-    return [_norm(Fraction(c * scale**i, common)) for i, c in enumerate(num)]
+    return [_rational(Fraction(c * scale**i, common)) for i, c in enumerate(num)]
 
 
 def interpolate_from_grid(xs, ys, value):

@@ -1,13 +1,12 @@
-"""Shuffle lattices, the core label order, and the word bijection.
+"""Shuffle lattices, their statistics, and the word bijection sigma.
 
 Words mix letters from an ascending alphabet A = {2..a+1} (stored as
 positive ints) and marker letters (stored as -1..-b, rendered 𝟙).  A word is
 valid when its A-part and its marker part each appear in ascending order.
 Going up in the order removes an A-letter or inserts a marker.
 
-The core label order of a semidistributive lattice compares elements by inclusion of core label sets, the
-order that ``FinitePoset.from_masks`` packs and reduces (this module reads no packed rows); for the triword
-lattices it is again a lattice and matches the one-marker shuffle lattice under a letter-by-letter bijection.
+The core label order of a triword lattice (``lattice.clo``) is again a lattice, Shuf(n - 1, 1) under the
+letter-by-letter bijection ``sigma``; ``clo_rank_counts`` gives the rank sizes they share.
 """
 
 from __future__ import annotations
@@ -16,11 +15,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from operator import index
-from weakref import WeakKeyDictionary
 
-from .errors import CycleDetected, InvariantViolated, MalformedWord, NotSemidistributive
+from .errors import InvariantViolated, MalformedWord
 from .hochschild import l1
-from .lattice import as_lattice, is_semidistributive, psi_map
+from .lattice import as_lattice, clo  # noqa: F401  (clo is re-exported: perfbench traces it as shuffles:clo)
 from .limits import MAX_ELEMENTS, check_elements, check_n, check_range
 from .polynomials import interpolate_univariate
 from .poset import FinitePoset
@@ -176,26 +174,6 @@ def sigma_inverse(n, w):
     except TypeError:
         pass
     raise MalformedWord(f"{w!r} is not a valid one-marker shuffle word for n={n}")
-
-
-# -- core label order --------------------------------------------------------
-
-
-_CLO = WeakKeyDictionary()  # lattice -> its core label order, freed with the lattice
-
-
-def clo(lat):
-    """Order the elements by inclusion of their core label sets, on the same ids; built
-    at most once per lattice, later calls return the same poset."""
-    if lat in _CLO:
-        return _CLO[lat]
-    if not is_semidistributive(lat):
-        raise NotSemidistributive("core label order needs a semidistributive lattice")
-    try:  # from_masks rejects a repeated mask
-        _CLO[lat] = FinitePoset.from_masks(psi_map(lat), labels=lat.poset.labels)
-    except CycleDetected:
-        raise InvariantViolated("two elements share a core label set") from None
-    return _CLO[lat]
 
 
 def clo_rank_counts(n):

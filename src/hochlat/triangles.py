@@ -22,7 +22,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import InvariantViolated
-from .hochschild import build_hoch, enumerate_triwords
+from .hochschild import build_hoch, enumerate_triwords, irreducibles
 from .lattice import _jsd_labels, build_bool
 from .limits import check_n, check_range
 from .polynomials import BiPoly
@@ -162,10 +162,8 @@ def _word_stats(n):
 
 
 def f_tilde(n):
-    """F-triangle as a sum of (x, x+1, y+1)-products over all triwords, grouped by the (canonical joinand
-    count c, atom joinand count g) of each word: count * x^(n-c) (x+1)^(c-g) (y+1)^g, each power from a table."""
-    xs, x1s, y1s = ([ONE, *accumulate(repeat(p, n), BiPoly.__mul__)] for p in (X, X + ONE, Y + ONE))
-    return sum((k * xs[n - c] * x1s[c - g] * y1s[g] for (c, g), k in _word_stats(n).items()), BiPoly())
+    """F-triangle: x^(n-c) (x+1)^(c-g) (y+1)^g per triword of c canonical joinands, g atoms, by ``_partial_cores``."""
+    return _partial_cores(_word_stats(n), n)
 
 
 def h_tilde(n):
@@ -185,14 +183,19 @@ def _cover_counts(lat):
     return Counter(zip(d.tolist(), t.tolist()))
 
 
-def f_from_cores(n):
-    """F-triangle by counting partial cores: choosing s of an element's t atom-labeled covers
-    and q of its d - t other lower covers leaves neg = t - s, in comb(t, s) comb(d - t, q) ways."""
+def _partial_cores(counts, n):
+    """The F-triangle of {(d, t): k}, k elements with d lower covers (or canonical joinands), t labelled by atoms:
+    k comb(t, s) comb(d - t, q) x^(n-t-q) y^(t-s) over s <= t, q <= d - t, that is k x^(n-d) (x+1)^(d-t) (y+1)^t."""
     terms = Counter()
-    for (d, t), k in _cover_counts(build_hoch(n).lattice).items():
+    for (d, t), k in counts.items():
         for s, q in product(range(t + 1), range(d - t + 1)):
             terms[(n - t - q, t - s)] += k * comb(t, s) * comb(d - t, q)
     return BiPoly(terms)
+
+
+def f_from_cores(n):
+    """F-triangle by counting the partial cores of Hoch(n), from its lower cover counts."""
+    return _partial_cores(_cover_counts(build_hoch(n).lattice), n)
 
 
 def face_vector(n):
@@ -230,7 +233,7 @@ def j_poset(n):
     """Chain a1 < ... < an, b2 below a2 (hence below the whole upper chain),
     and b3 .. bn isolated; SizeBound unless 1 <= n <= MAX_N."""
     check_n(n)
-    labels = [f"a{i}" for i in range(1, n + 1)] + [f"b{i}" for i in range(2, n + 1)]
+    labels = [str(j) for j in irreducibles(n)]
     covers = [(i, i + 1) for i in range(n - 1)]
     if n >= 2:
         covers.append((n, 1))

@@ -79,6 +79,9 @@ one vertex at a time, and is only run at small sizes:
 - ``neg_stat``: the number of atoms among a triword's canonical joinands,
   one word at a time, the oracle for the letter counts that
   ``triangles._word_stats`` reads off all the words as one array;
+- ``f_tilde_by_products``: the F-triangle as one product of powers of x, x+1
+  and y+1 per triword, the oracle for the binomial expansion of the word
+  statistics in ``triangles.f_tilde``;
 - ``is_shuffle_word``: the shape of a shuffle word, letter ranges and
   ascending parts, which the oracle ``sigma_inverse`` tests before it
   decodes (``shuffles.sigma_inverse`` checks the shape in its decoding pass);
@@ -643,6 +646,16 @@ def _sigma_inverse(n, w):
 def neg_stat(u):
     """Number of 2s in the word, plus one when the last 1 sits in slot 1."""
     return sum(1 for c in u if c == 2) + (1 if l1(u) == 1 else 0)
+
+
+def f_tilde_by_products(n):
+    """The sum of x^(n-c) (x+1)^(c-g) (y+1)^g over the triwords, c a word's canonical joinands and g its
+    ``neg_stat``, each power raised afresh."""
+    x, y, one, acc = BiPoly.x(), BiPoly.y(), BiPoly.const(1), BiPoly()
+    for u in enumerate_triwords(n):
+        c, g = len(canrep_formula(u)), neg_stat(u)
+        acc += x ** (n - c) * (x + one) ** (c - g) * (y + one) ** g
+    return acc
 
 
 def antichains(p):

@@ -8,12 +8,11 @@ makes fail can fail: one planted fault turns each of them alone to FAIL.
 
 import dataclasses
 import time
-from weakref import WeakKeyDictionary
 
 import numpy as np
 import pytest
 
-from hochlat import checks, shuffles, triangles
+from hochlat import checks, triangles
 from hochlat import lattice as lattice_module
 from hochlat.checks import (
     check_baselines,
@@ -272,9 +271,9 @@ def test_a_planted_fault_fails_its_bundle_alone(bundles, owners, name, fault, ca
     """One fault planted in what a bundle reads makes ``check all --n 5`` print FAIL for that bundle and
     no other, and exit 1; a fault in what several bundles read, the lower cover counts, fails each of them
     and no other.  The m-triangle's fault is in the packed order FinitePoset.from_masks returns
-    for the core label order (whose cache is emptied first), the baselines' in the graded pair counts
-    FinitePoset.rank_corank_counts, so both show that the bundles read those methods."""
-    monkeypatch.setattr(shuffles, "_CLO", WeakKeyDictionary())
+    for the core label order (built afresh: build_hoch's cache is emptied first), the baselines' in the
+    graded pair counts FinitePoset.rank_corank_counts, so both show that the bundles read those methods."""
+    build_hoch.cache_clear()
     for owner in owners:
         monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
     code, out = main(["check", "all", "--n", "5"]), capsys.readouterr().out

@@ -10,7 +10,6 @@ import pytest
 
 from hochlat import checks, triangles
 from hochlat import lattice as lattice_module
-from hochlat import shuffles
 from hochlat.errors import (
     InvariantViolated,
     NoUniqueMin,
@@ -24,6 +23,7 @@ from hochlat.lattice import (
     as_lattice,
     build_bool,
     canonical_joinrep,
+    clo,
     has_intersection_property,
     is_extremal,
     is_join_semidistributive,
@@ -34,7 +34,7 @@ from hochlat.lattice import (
     psi_map,
 )
 from hochlat.poset import FinitePoset, _reach, doubling
-from hochlat.shuffles import clo, shuffle_lattice
+from hochlat.shuffles import shuffle_lattice
 from oracles import (
     canonical_joinreps_by_covers,
     closed_under_intersection,
@@ -432,31 +432,30 @@ def random_families(rng, count):
         yield np.array(rng.sample(range(2**k), rng.randrange(1, min(2**k, 12) + 1)), dtype=np.int64)
 
 
-def family_verdicts(check, families, monkeypatch):
-    """check on each family read as the core label sets of a stand-in lattice, whose core label
-    order is the family ordered by inclusion."""
-    monkeypatch.setattr(shuffles, "clo", lambda family: family.order)
+def family_verdicts(check, families):
+    """check on each family read as the core label sets ``_psi`` of a stand-in lattice, whose core label
+    order ``_clo``, which ``clo`` returns, is the family ordered by inclusion."""
     orders = [FinitePoset.from_leq((psi[:, None] & ~psi) == 0) for psi in families]
-    return [check(SimpleNamespace(n=len(psi), _psi=psi, order=order)) for psi, order in zip(families, orders)]
+    return [check(SimpleNamespace(n=len(psi), _psi=psi, _clo=order)) for psi, order in zip(families, orders)]
 
 
-def test_intersection_property_matches_the_pairwise_oracle_on_random_families(monkeypatch):
+def test_intersection_property_matches_the_pairwise_oracle_on_random_families():
     families = list(random_families(random.Random(5), 2000))
-    got = family_verdicts(has_intersection_property, families, monkeypatch)
+    got = family_verdicts(has_intersection_property, families)
     assert got == [closed_under_intersection(psi) for psi in families]
     topless = sum(np.bitwise_or.reduce(psi) not in psi for psi in families)  # no member is the union
     assert (got.count(False), topless) == (1042, 782)
 
 
-def only_wrongly_accepts(check, tops, count, monkeypatch):
+def only_wrongly_accepts(check, tops, count):
     """check, a mutation of has_intersection_property, differs from it on corpus lattices whose core
     label orders have tops maximal elements and on count random families, each time accepting."""
     wrong = [lat for lat in intersection_lattices() if check(lat) != has_intersection_property(lat)]
     assert [len(clo(lat).maximal_elements()) for lat in wrong] == tops
     assert not any(has_intersection_property(lat) for lat in wrong)
     families = list(random_families(random.Random(5), 2000))
-    want = family_verdicts(has_intersection_property, families, monkeypatch)
-    got = family_verdicts(check, families, monkeypatch)
+    want = family_verdicts(has_intersection_property, families)
+    got = family_verdicts(check, families)
     assert sum(g != w for g, w in zip(got, want)) == count
     assert all(g for g, w in zip(got, want) if g != w)
 
@@ -471,19 +470,19 @@ def test_intersection_property_fails_on_a_clo_meet_row_taken_as_its_join_row(mon
     assert not has_intersection_property(lat)
 
 
-def test_intersection_property_needs_the_adjoined_top(monkeypatch):
+def test_intersection_property_needs_the_adjoined_top():
     """Generators with exactly one upper cover in the core label order leave out the maximal
     elements, whose one upper cover is the adjoined union when there are several; that wrongly
     accepts the corpus lattice whose core label order has 2 maximal elements, and random families."""
     one_cover = mutated("has_intersection_property", "minlength=lat.n) < 2", "minlength=lat.n) == 1")
-    only_wrongly_accepts(one_cover, [2], 187, monkeypatch)
+    only_wrongly_accepts(one_cover, [2], 187)
 
 
-def test_intersection_property_needs_every_generator(monkeypatch):
+def test_intersection_property_needs_every_generator():
     """Lookups against the first generator only wrongly accept corpus lattices and random families
     whose core label sets are not closed."""
     first_only = mutated("has_intersection_property", "psi[gens])", "psi[gens][:1])")
-    only_wrongly_accepts(first_only, [1, 1, 2], 112, monkeypatch)
+    only_wrongly_accepts(first_only, [1, 1, 2], 112)
 
 
 def test_clo_covers_match_float32_product():

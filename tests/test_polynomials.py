@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -234,3 +235,29 @@ def test_arithmetic_matches_the_result_rebuilt_through_the_constructor(p, q, s, 
         assert {k: (type(c), c) for k, c in got.terms.items()} == {k: (type(c), c) for k, c in want.terms.items()}
         assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
         assert 0 not in got.terms.values()
+
+
+@pytest.mark.parametrize("bad", ["2", 0.1, 1.0, Decimal(2), None, [1]])
+def test_coefficients_and_number_operands_are_rational_numbers_only(bad):
+    """A coefficient or a number operand that is no numbers.Rational is a TypeError: the constructor raises
+    it and every operator returns NotImplemented, so no float or string is parsed into a Fraction."""
+    with pytest.raises(TypeError):
+        BiPoly({(0, 0): bad})
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__eq__"):
+        assert getattr(X, op)(bad) is NotImplemented, op
+    with pytest.raises(TypeError):
+        X * bad
+    assert X != bad and BiPoly.const(1) != 1.0
+
+
+def test_rational_operands_scale_and_shift_the_terms(monkeypatch):
+    """Ints, bools, numpy ints and Fractions are taken as they are, and go into no constant BiPoly."""
+    monkeypatch.setattr(BiPoly, "const", None)
+    p = X * Y - 2 * Y + 3
+    for c, exact in ((2, 2), (True, 1), (np.int64(2), 2), (np.uint8(2), 2), (Fraction(2, 3), Fraction(2, 3))):
+        assert (p * c).terms == (c * p).terms == {k: v * exact for k, v in p.terms.items()}
+        assert (p + c).terms == (c + p).terms == {**p.terms, (0, 0): 3 + exact}
+        assert (p - c).terms == {**p.terms, (0, 0): 3 - exact}
+        assert (c - p).terms == {**(-p).terms, (0, 0): exact - 3}
+        assert BiPoly({(1, 0): c}).terms == {(1, 0): exact} and p - p + c == c
+        assert all(type(v) in (int, Fraction) for v in (p * c).terms.values())

@@ -1,18 +1,24 @@
+import ast
+import gc
+import weakref
 from fractions import Fraction
+from graphlib import TopologicalSorter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hochlat
 from hochlat import checks, shuffles
+from hochlat import lattice as lattice_module
 from hochlat import poset as poset_module
 from hochlat.checks import check_m_triangle, check_shuffle_stats, check_sigma
 from hochlat.errors import InvariantViolated, MalformedWord, NotSemidistributive, SizeBound
 from hochlat.hochschild import build_hoch, canrep_formula, enumerate_triwords, is_triword, l1
-from hochlat.lattice import as_lattice, build_bool
+from hochlat.lattice import as_lattice, build_bool, clo
 from hochlat.limits import MAX_N
 from hochlat.poset import FinitePoset, are_isomorphic
 from hochlat.shuffles import (
-    clo,
     clo_rank_counts,
     render_word,
     shuffle_count,
@@ -278,12 +284,52 @@ def test_clo_needs_semidistributivity():
     diamond = as_lattice(FinitePoset.closure(covers, 5))
     with pytest.raises(NotSemidistributive):
         clo(diamond)
+    assert "_psi" not in vars(diamond)  # raised before any core label mask is read
 
 
 def test_clo_rejects_repeated_core_label_sets(monkeypatch):
-    monkeypatch.setattr(shuffles, "psi_map", lambda lat: np.zeros(lat.n, dtype=np.int64))
+    lat = build_bool.__wrapped__(2)  # a fresh Bool(2), whose core label order is not built yet
+    monkeypatch.setattr(lat, "_psi", np.zeros(lat.n, dtype=np.int64))
     with pytest.raises(InvariantViolated):
-        clo(build_bool.__wrapped__(2))  # a fresh Bool(2), whose core label order is not built yet
+        clo(lat)
+
+
+def test_clo_is_built_once_and_freed_with_its_lattice():
+    lat = build_hoch.__wrapped__(4).lattice  # no builder cache holds it
+    order = weakref.ref(clo(lat))
+    assert clo(lat) is order() and hochlat.clo is lattice_module.clo is shuffles.clo
+    del lat
+    gc.collect()
+    assert order() is None
+
+
+def _module_imports():
+    """{module: the hochlat modules it imports}, with each import that sits inside a function."""
+    graph, nested = {}, []
+    for path in sorted(Path(hochlat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        graph[path.stem] = {
+            name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for name in ([node.module] if node.module else [alias.name for alias in node.names])
+        }
+        nested += [
+            (path.stem, inner.lineno)
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for inner in ast.walk(fn)
+            if isinstance(inner, (ast.Import, ast.ImportFrom))
+        ]
+    return graph, nested
+
+
+def test_the_package_imports_at_module_level_without_a_cycle():
+    graph, nested = _module_imports()
+    assert nested == []
+    assert "shuffles" in graph["__init__"] and "shuffles" not in graph["lattice"]
+    order = list(TopologicalSorter(graph).static_order())  # CycleError on a cycle
+    assert order.index("lattice") < order.index("shuffles")
 
 
 def test_sigma_and_m_triangle_share_one_core_label_order(monkeypatch):

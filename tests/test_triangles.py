@@ -13,11 +13,11 @@ from test_poset import recursive_mobius
 from hochlat import triangles
 from hochlat.errors import InvariantViolated, NotGraded, SizeBound
 from hochlat.hochschild import build_hoch, canrep_formula, enumerate_triwords, l1, triword_count
-from hochlat.lattice import build_bool, canonical_joinrep
+from hochlat.lattice import build_bool, canonical_joinrep, clo
 from hochlat.limits import MAX_N
 from hochlat.polynomials import BiPoly
 from hochlat.poset import FinitePoset
-from hochlat.shuffles import clo, shuffle_lattice, word_rank
+from hochlat.shuffles import shuffle_lattice, word_rank
 from hochlat.triangles import (
     JPoset,
     boolean_baselines,
@@ -47,6 +47,7 @@ from oracles import (
     antichain_counts,
     antichains,
     canonical_joinreps_by_covers,
+    f_tilde_by_products,
     char_poly,
     core_label_set,
     cover_counts_by_element,
@@ -294,15 +295,6 @@ def test_f_tilde_term_by_term_n3():
     assert f_tilde(3) == want
 
 
-def f_tilde_per_word(n):
-    """F-triangle as one (x, x+1, y+1)-product per triword."""
-    acc = BiPoly()
-    for u in enumerate_triwords(n):
-        c, g = len(canrep_formula(u)), neg_stat(u)
-        acc += X ** (n - c) * (X + ONE) ** (c - g) * (Y + ONE) ** g
-    return acc
-
-
 @pytest.mark.parametrize("n", range(1, MAX_N + 1))
 def test_word_stats_count_joinands_as_canrep_formula_does(n):
     """The counts read off the words as one array against the size of the canonical join representation
@@ -315,11 +307,9 @@ def test_word_stats_count_joinands_as_canrep_formula_does(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_f_tilde_grouped_sum_matches_per_word_sum(n):
-    """f_tilde reads each power from a table built once: the per-word sum and the grouped sum with three fresh
-    powers per (c, g) give the same terms, of the same types."""
-    terms = triangles._word_stats(n).items()
-    per_term = sum((k * X ** (n - c) * (X + ONE) ** (c - g) * (Y + ONE) ** g for (c, g), k in terms), BiPoly())
-    assert _typed(f_tilde(n)) == _typed(f_tilde_per_word(n)) == _typed(per_term)
+    """f_tilde expands the grouped word statistics by the binomial theorem: the product form summed one
+    word at a time gives the same terms, of the same types."""
+    assert _typed(f_tilde(n)) == _typed(f_tilde_by_products(n))
 
 
 def test_transforms_send_boolean_m_to_boolean_f_and_h():
