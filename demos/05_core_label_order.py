@@ -6,8 +6,8 @@ disguise.
 from hochlat import (
     build_hoch,
     clo,
-    clo_rank_counts,
     l1,
+    rank_poly_closed,
     render_word,
     shuffle_lattice,
     shuffle_stats,
@@ -22,7 +22,9 @@ K = clo(H.lattice)
 # inside that of v.  Unlike the lattice itself this poset is graded.
 print(f"core label order on the {K.n} elements of Hoch({n}):")
 print(f"  rank profile {K.rank_profile()}")
-print(f"  closed form  {clo_rank_counts(n)}")
+# the closed form: the coefficients of the rank polynomial
+R = rank_poly_closed(n)
+print(f"  closed form  {[R.terms.get((k, 0), 0) for k in range(n + 1)]}")
 
 # the map sigma sends each triword to a shuffle of 2..n with one extra
 # letter, inserted right after the position of the last 1 (or in front)
@@ -39,5 +41,5 @@ print(f"image of sigma == Shuf({n-1},1) word set:", img == sorted(sl.words))
 
 st = shuffle_stats(n)
 print()
-print(f"Shuf({n-1},1): {st['elements']} elements, "
+print(f"Shuf({n-1},1): {sl.lattice.n} elements, "
       f"{st['maximal_chains']} maximal chains, mobius {st['mobius']}")

@@ -10,7 +10,6 @@ from hochlat import (
     char_poly_closed,
     clo,
     f_closed,
-    f_from_cores,
     f_from_m,
     f_tilde,
     g_conjecture_check,
@@ -38,12 +37,11 @@ slice0 = BiPoly({(j, 0): c for (i, j), c in M.terms.items() if i == 0})
 print("M(0,y) == characteristic polynomial:", slice0 == char_poly_closed(n))
 print("M(1,1) =", M.eval_at(1, 1))
 
-# F counts pairs (element, subset of its lower covers); four roads lead to
+# F counts pairs (element, subset of its lower covers); three roads lead to
 # the same polynomial
 F = f_closed(n)
 print()
 print(f"F_{n} =", F.to_str())
-print("  from cores:          ", f_from_cores(n) == F)
 print("  word statistic:      ", f_tilde(n) == F)
 print("  substitution into M: ", f_from_m(n) == F)
 

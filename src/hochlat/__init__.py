@@ -37,7 +37,6 @@ from .polynomials import BiPoly, interpolate_from_grid, interpolate_univariate
 from .poset import FinitePoset, are_isomorphic, doubling
 from .shuffles import (
     ShuffleLattice,
-    clo_rank_counts,
     render_word,
     shuffle_lattice,
     shuffle_stats,
@@ -50,7 +49,6 @@ from .triangles import (
     boolean_baselines,
     char_poly_closed,
     f_closed,
-    f_from_cores,
     f_from_m,
     f_tilde,
     face_count_closed,

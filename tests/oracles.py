@@ -11,12 +11,12 @@ one vertex at a time, and is only run at small sizes:
 - ``cjc_by_sets``: the canonical join complex certified and reduced on those
   representations as frozensets, one set and one vertex at a time, the
   oracle for the ``searchsorted`` passes of ``complexes.cjc``;
-- ``partial_cores``: the oracle for ``triangles.f_from_cores`` and
-  ``triangles.face_vector``;
+- ``partial_cores``: the oracle for ``triangles._partial_cores`` on the
+  lattice's cover counts and for ``triangles.face_vector``;
 - ``cover_counts_by_element``: each element's lower covers and its
   atom-labelled ones counted one element at a time, the oracle for the
-  bincounts of ``triangles._cover_counts`` behind ``f_from_cores`` and the
-  H-triangle of ``boolean_baselines``;
+  bincounts of ``triangles._cover_counts`` behind ``face_vector`` and the
+  H-triangles of Hoch(n) and of ``boolean_baselines``;
 - ``graded_by_unpacking``: R^T leq C on the unpacked order, the oracle for the
   bincount over packed bits in ``FinitePoset.rank_corank_counts``;
 - ``reconstruction_image_by_pairs``: each orthogonal pair decoded to a

@@ -1,13 +1,19 @@
-"""Acceptance gate: thirteen guarantees, one printed verdict line each, and a fault table.
+"""Acceptance gate: thirteen guarantees, one printed verdict line each, a fault table and the route ledger.
 
 Run with ``pytest tests/test_acceptance.py -s`` to watch the lines appear.
 Every equality is exact; nothing is rounded and nothing is tolerated.  The
-fault table shows that the eight bundles of ``check all`` that no other test
-makes fail can fail: one planted fault turns each of them alone to FAIL.
+fault table shows that bundles of ``check all`` can fail: one planted fault
+turns exactly the bundles it names to FAIL.  The route ledger in ``checks``
+must name every bundle, real routes, and a fault that fails each bundle.
 """
 
 import dataclasses
+import re
 import time
+from pathlib import Path
+from types import ModuleType
+
+import hochlat
 
 import numpy as np
 import pytest
@@ -36,7 +42,8 @@ from hochlat.galois import DiGraph, galois_graph, max_ortho_pairs_lattice
 from hochlat.hochschild import build_hoch, enumerate_triwords, irreducible_of_triword, triword_count
 from hochlat.polynomials import BiPoly
 from hochlat.poset import FinitePoset
-from hochlat.shuffles import clo_rank_counts, shuffle_stats
+from hochlat.lattice import clo
+from hochlat.shuffles import shuffle_stats
 from hochlat.triangles import (
     f_closed,
     face_vector,
@@ -130,7 +137,7 @@ def test_criterion_05_cjc():
 def test_criterion_06_sigma():
     ok = all(check_sigma(n) for n in range(1, 7))
     ok = ok and "\n".join(_sigma_table_lines(3, False)) == TABLE_3
-    ok = ok and clo_rank_counts(3) == [1, 5, 5, 1]
+    ok = ok and clo(build_hoch(3).lattice).rank_profile() == [1, 5, 5, 1]
     _report(6, "sigma is an order isomorphism; table bytes pinned at n=3", ok)
 
 
@@ -151,7 +158,7 @@ def test_criterion_09_f_triangle():
     ok = all(check_f_triangle(n) for n in range(1, 6))
     pinned = (X + Y + ONE) * (3 * X**2 + 2 * X * Y + 4 * X + (Y + ONE) ** 2)
     ok = ok and f_closed(3) == pinned
-    _report(9, "four F-triangle paths agree for n<=5; F_3 pinned", ok)
+    _report(9, "three F-triangle paths agree for n<=5; F_3 pinned", ok)
 
 
 def test_criterion_10_h_triangle():
@@ -239,6 +246,14 @@ def _count_one_pair_more(real):
     return rank_corank_counts
 
 
+def _add_x_to_the_rank_polynomial(real):
+    return lambda n: real(n) + X
+
+
+def _count_one_chain_more(real):
+    return lambda p: real(p) + 1
+
+
 def _count_one_coverless_element_more(real):
     def cover_counts(lat):
         counts = real(lat).copy()
@@ -257,24 +272,76 @@ FAULTS = [  # (bundles, owners, name, fault): each owner's name is replaced by f
     (("f-triangle",), (triangles,), "f_transform", _add_x),
     (("h-triangle",), (triangles,), "j_poset", _drop_an_atom),
     (("boolean baselines",), (FinitePoset,), "rank_corank_counts", _count_one_pair_more),
-    (
-        ("f-triangle", "h-triangle", "face vector", "boolean baselines"),
-        (triangles, checks),
-        "_cover_counts",
-        _count_one_coverless_element_more,
-    ),
+    (("h-triangle", "face vector", "boolean baselines"), (triangles, checks), "_cover_counts", _count_one_coverless_element_more),
+    (("sigma order isomorphism", "h-triangle"), (checks,), "rank_poly_closed", _add_x_to_the_rank_polynomial),
+    (("shuffle statistics",), (FinitePoset,), "count_maximal_chains", _count_one_chain_more),
 ]
 
 
 @pytest.mark.parametrize("bundles, owners, name, fault", FAULTS, ids=[", ".join(row[0]) for row in FAULTS])
 def test_a_planted_fault_fails_its_bundle_alone(bundles, owners, name, fault, capsys, monkeypatch):
     """One fault planted in what a bundle reads makes ``check all --n 5`` print FAIL for that bundle and
-    no other, and exit 1; a fault in what several bundles read, the lower cover counts, fails each of them
-    and no other.  The m-triangle's fault is in the packed order FinitePoset.from_masks returns
-    for the core label order (built afresh: build_hoch's cache is emptied first), the baselines' in the
-    graded pair counts FinitePoset.rank_corank_counts, so both show that the bundles read those methods."""
+    no other, and exit 1; a fault in what several bundles read, the lower cover counts or the closed rank
+    polynomial, fails each of them and no other.  The m-triangle's fault is in the packed order
+    FinitePoset.from_masks returns for the core label order (built afresh: build_hoch's cache is emptied
+    first), the baselines' in the graded pair counts FinitePoset.rank_corank_counts, so both show that the
+    bundles read those methods."""
     build_hoch.cache_clear()
     for owner in owners:
         monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
     code, out = main(["check", "all", "--n", "5"]), capsys.readouterr().out
     assert code == 1 and [line for line in out.splitlines() if line.startswith("FAIL ")] == [f"FAIL {b}" for b in bundles]
+
+
+# -- the route ledger -------------------------------------------------------------
+
+
+def _ledger_rows():
+    """The table in the docstring of ``checks``, one list of five cells per claim; a line whose claim cell starts
+    with a space continues the row above, each of its cells appended to that row's."""
+    lines = checks.__doc__.splitlines()
+    start, rows = next(i for i, line in enumerate(lines) if line.startswith("claim ")), []
+    for line in lines[start + 1 :]:
+        if "|" not in line:
+            break
+        cells = [cell.strip() for cell in line.split("|")]
+        if line.startswith(" "):
+            rows[-1] = [f"{a} {b}".strip() for a, b in zip(rows[-1], cells)]
+        else:
+            rows.append(cells)
+    return rows
+
+
+def _names(cell):
+    return [name.strip() for name in cell.split(",") if name.strip()]
+
+
+def _resolves(route):
+    """Whether a dotted name is an attribute of hochlat or of one of its modules."""
+    for owner in [hochlat] + [m for m in vars(hochlat).values() if isinstance(m, ModuleType)]:
+        try:
+            for part in route.split("."):
+                owner = getattr(owner, part)
+            return True
+        except AttributeError:
+            continue
+    return False
+
+
+def test_the_route_ledger_names_every_bundle_real_routes_and_a_fault_that_fails_each():
+    """Every bundle of CHECKS has a row; every route is a hochlat name or the ROADMAP item that adds it; and
+    each fault name is patched by a FAULTS row that fails the row's bundle, or by a test that asserts it false."""
+    rows = _ledger_rows()
+    shown = {fn.__name__.removeprefix("check_"): name for name, fn in checks.CHECKS}
+    assert all(len(row) == 5 for row in rows)
+    assert {b for row in rows for b in _names(row[3])} == set(shown)
+    tests = [t for p in Path(__file__).parent.glob("test_*.py") for t in p.read_text(encoding="utf-8").split("\ndef ")]
+    for claim, definitional, closed, bundles, faults in rows:
+        for route in _names(definitional) + _names(closed):
+            assert re.fullmatch(r"item \d+", route) or _resolves(route), (claim, route)
+        for bundle in _names(bundles):
+            for fault in _names(faults):
+                name = fault.rpartition(".")[2]
+                assert any(row[2] == name and shown[bundle] in row[0] for row in FAULTS) or any(
+                    f'"{name}"' in t and f"not check_{bundle}(" in t for t in tests
+                ), (claim, bundle, fault)

@@ -17,7 +17,7 @@ from hochlat.galois import (
 )
 from hochlat.hochschild import build_hoch, irreducible_of_triword, parse_triword
 from hochlat.lattice import as_lattice, build_bool
-from hochlat.limits import MAX_ELEMENTS
+from hochlat.limits import MAX_ELEMENTS, MAX_N
 from hochlat.poset import FinitePoset, are_isomorphic
 from oracles import (
     closed_under_intersection,
@@ -64,6 +64,12 @@ def test_pinned_edges_small_n():
     g4 = galois_graph(build_hoch(4).lattice).graph
     assert named_edges(g4) == EDGES_4
     assert len(g4.edges) == 9
+
+
+@pytest.mark.parametrize("n", [0, -2, MAX_N + 1])
+def test_characterization_checks_the_size(n):
+    with pytest.raises(SizeBound):
+        hoch_galois_characterization(n)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -250,6 +250,18 @@ def test_coefficients_and_number_operands_are_rational_numbers_only(bad):
     assert X != bad and BiPoly.const(1) != 1.0
 
 
+@pytest.mark.parametrize("bad", ["1/2", 0.1, 1.0, Decimal(2), None])
+def test_evaluation_and_interpolation_take_rational_numbers_only(bad):
+    """As in the constructor, no float or string is read as a number: not as either argument of eval_at, nor as
+    either coordinate of an interpolation node (X.eval_at("1/2", 0.1) and [(0.5, 1), (1, "3")] among them)."""
+    for x, y in ((bad, 0), (0, bad)):
+        with pytest.raises(TypeError):
+            X.eval_at(x, y)
+    for points in ([(bad, 1), (1, 3)], [(0, 1), (1, bad)]):
+        with pytest.raises(TypeError):
+            interpolate_univariate(points)
+
+
 def test_rational_operands_scale_and_shift_the_terms(monkeypatch):
     """Ints, bools, numpy ints and Fractions are taken as they are, and go into no constant BiPoly."""
     monkeypatch.setattr(BiPoly, "const", None)

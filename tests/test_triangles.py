@@ -11,6 +11,7 @@ from test_lattice import certification_corpus, chain_lattice, mask_corpus, seede
 from test_poset import recursive_mobius
 
 from hochlat import triangles
+from hochlat.checks import check_h_triangle
 from hochlat.errors import InvariantViolated, NotGraded, SizeBound
 from hochlat.hochschild import build_hoch, canrep_formula, enumerate_triwords, l1, triword_count
 from hochlat.lattice import build_bool, canonical_joinrep, clo
@@ -23,7 +24,6 @@ from hochlat.triangles import (
     boolean_baselines,
     char_poly_closed,
     f_closed,
-    f_from_cores,
     f_from_m,
     f_tilde,
     f_transform,
@@ -267,7 +267,7 @@ def test_f_four_ways_agree():
         closed = f_closed(n)
         assert f_from_m(n) == closed
         assert f_tilde(n) == closed
-        assert f_from_cores(n) == closed
+        assert triangles._partial_cores(triangles._cover_counts(build_hoch(n).lattice), n) == closed
 
 
 def test_f3_pinned():
@@ -383,6 +383,12 @@ def test_h_at_y1_is_rank_poly():
         assert at_y1(h_closed(n)) == rank_poly_closed(n)
 
 
+def test_h_triangle_check_fails_on_a_faulty_h_transform(monkeypatch):
+    assert check_h_triangle(4)
+    monkeypatch.setattr(triangles, "h_transform", lambda m, n: h_transform(m, n) + X)
+    assert not check_h_triangle(4)
+
+
 # -- triword statistics --------------------------------------------------------
 
 
@@ -456,12 +462,12 @@ def test_core_counts_match_enumeration(n):
         key = (n - len(core.covers) - core.neg, core.neg)
         terms[key] = terms.get(key, 0) + 1
         faces[len(core.covers)] += 1
-    assert f_from_cores(n) == BiPoly(terms)
+    assert triangles._partial_cores(triangles._cover_counts(build_hoch(n).lattice), n) == BiPoly(terms)
     assert face_vector(n) == faces
 
 
 def test_cover_counts_match_the_per_element_oracle():
-    """The (d, t) bincounts behind f_from_cores and the H-triangle of boolean_baselines: d lower covers and
+    """The (d, t) bincounts behind face_vector and the H-triangles of Hoch(n) and Bool(n): d lower covers and
     t atom-labelled ones per element, as the oracle counts them, and as the sizes of the canonical join
     representation and of its atoms (the labels of distinct lower covers are distinct)."""
     for lat in mask_corpus():
@@ -561,6 +567,23 @@ def test_antichain_route_rejects_sizes_past_the_policy_before_building(monkeypat
 
 
 CLOSED_FORMS = (m_closed, f_closed, h_closed, rank_poly_closed, char_poly_closed, g_conjecture_closed)
+
+
+@pytest.mark.parametrize("closed", [char_poly_closed, h_closed, rank_poly_closed], ids=lambda f: f.__name__)
+def test_closed_forms_take_n_as_an_integer_only(closed):
+    """A float n is a TypeError from the size guard, not a ValueError from the power it would reach."""
+    with pytest.raises(TypeError):
+        closed(2.0)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_N + 1))
+def test_closed_face_counts_and_m_mass_at_every_n(n):
+    """Identities of the closed forms alone: the face counts run from the triword count down to 1 with
+    alternating sum 1, and the M-triangle's Mobius values sum to 1, as on every bounded poset."""
+    faces = [face_count_closed(n, i) for i in range(n + 1)]
+    assert faces[0] == triword_count(n) and faces[n] == 1
+    assert sum((-1) ** i * f for i, f in enumerate(faces)) == 1
+    assert m_closed(n).eval_at(1, 1) == 1
 
 
 @pytest.mark.parametrize("closed", CLOSED_FORMS, ids=lambda f: f.__name__)
