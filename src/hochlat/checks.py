@@ -9,14 +9,16 @@ bundle: a row of ``FAULTS`` in tests/test_acceptance.py, or a test that asserts 
 claim                  | definitional route          | closed or structural route   | bundle            | fault in
 2^(n-2)(n+3) triwords  | enumerate_triwords          | triword_count                | cardinality       | enumerate_triwords
 join, meet by letters  | Lattice.join, Lattice.meet  | hoch_meet_code               | lattice_law       | Lattice.join
-extremal, spherical,   | is_extremal, is_spherical,  | item 4, item 8, item 14      | structure         | psi_map
+extremal, 2n - 1 joins | is_extremal, galois_graph   | irreducibles                 | galois            | irreducibles
+spherical,             | is_spherical,               | item 4, item 8               | structure         | psi_map
   semidistributive,    |   is_semidistributive,      |                              |                   |
   core labels ∩-closed |   has_intersection_property |                              |                   |
 cong. uniform (Day)    | build_hoch_by_doubling      | item 2                       | doubling          | build_hoch_by_doubling
 the Galois graph       | galois_graph                | hoch_galois_characterization | galois            | hoch_galois_characterization
 it rebuilds Hoch(n)    | max_ortho_pairs_lattice     | reconstruction_isomorphic    | mo_reconstruction | galois_graph
 CJC vertex-decomposable| cjc, is_vertex_decomposable | item 3                       | cjc               | cjc
-CLO = Shuf(n - 1, 1)   | clo, sigma, shuffle_lattice | rank_poly_closed             | sigma             | sigma, rank_poly_closed
+CLO = Shuf(n - 1, 1)   | clo, sigma_codes,           | rank_poly_closed             | sigma             | sigma_codes,
+                       |   shuffle_lattice           |                              |                   |   rank_poly_closed
 Shuf chains, zeta, mu  | shuffle_stats               | shuffle_stats_closed         | shuffle_stats     | count_maximal_chains
 M, and M(0, y) = char. | m_triangle                  | m_closed, char_poly_closed   | m_triangle        | FinitePoset.from_masks
 F by partial cores     | f_tilde                     | f_closed                     | f_triangle        | f_transform
@@ -29,8 +31,9 @@ freehedron face counts | face_vector                 | face_count_closed        
 Bool(n): M, F, H, and  | boolean_baselines, clo      | boolean_baselines,           | baselines         | rank_corank_counts
   its CLO is Bool(n)   |                             |   build_bool                 |                   |
 
-A third route stays once: ``h_tilde`` beside ``_cover_counts`` makes the words' table equal to the lattice's, so
-the partial cores that ``f_tilde`` expands from the words are the lattice's.
+``galois_graph`` raises unless ``is_extremal``, and the galois bundle counts its vertices, the join-irreducibles,
+against ``irreducibles``.  A third route stays once: ``h_tilde`` beside ``_cover_counts`` makes the words' table
+equal to the lattice's, so the partial cores that ``f_tilde`` expands from the words are the lattice's.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from .hochschild import (
     enumerate_triwords,
     hoch_meet_code,
     irreducible_of_triword,
+    irreducibles,
     triword_count,
 )
 from .lattice import (
@@ -64,7 +68,7 @@ from .lattice import (
 from .limits import check_n
 from .polynomials import BiPoly
 from .poset import are_isomorphic
-from .shuffles import shuffle_lattice, shuffle_stats, shuffle_stats_closed, sigma
+from .shuffles import shuffle_lattice, shuffle_stats, shuffle_stats_closed, sigma_codes
 from .triangles import (
     _cover_counts,
     boolean_baselines,
@@ -153,7 +157,7 @@ def check_galois(n):
 
     got = {(irr_name(s), irr_name(t)) for s, t in geo.graph.edges}
     expected = {(want.labels[s], want.labels[t]) for s, t in want.edges}
-    return got == expected
+    return got == expected and len(geo.joins) == len(irreducibles(n))
 
 
 def check_mo_reconstruction(n):
@@ -170,9 +174,8 @@ def check_sigma(n):
     h = build_hoch(n)
     c = clo(h.lattice)
     sl = shuffle_lattice(n - 1, 1)
-    image = [sl.index.get(sigma(h.triword(e)), -1) for e in range(c.n)]
     ranks = BiPoly({(k, 0): size for k, size in enumerate(c.rank_profile())})
-    return are_isomorphic(c, sl.lattice.poset, image) and ranks == rank_poly_closed(n)
+    return are_isomorphic(c, sl.lattice.poset, sl.find(sigma_codes(h.codes, n))) and ranks == rank_poly_closed(n)
 
 
 def check_shuffle_stats(n):

@@ -187,8 +187,8 @@ def build_hoch(n):
     """The triword lattice of length n on lexicographic ids, which order the base-3 keys.  A lower
     cover lowers the last 1 to 0, or a 2 at position i to 1 before the first 0 and to 0 after it:
     3**(n-i) or 2 * 3**(n-i) off the key, whose id ``searchsorted`` finds.  The labels are the
-    ``format_triword`` strings, written as one (m x 2n+1) byte array; the codes ``ge1 | eq2 << n``
-    are two products of the letter tests with the bit weights."""
+    ``format_triword`` strings, written as one (m x 2n+1) byte array when first read; the codes
+    ``ge1 | eq2 << n`` are two products of the letter tests with the bit weights."""
     check_n(n)
     words = enumerate_triwords(n)
     w = np.array(words, dtype=np.uint8).reshape(len(words), n)
@@ -203,9 +203,10 @@ def build_hoch(n):
     drop = np.where(np.logical_or.accumulate(w == 0, axis=1)[twos, at], 2, 1)  # 2 -> 0 after the first 0
     ups = np.concatenate([ones, twos])
     lows = np.searchsorted(key, key[ups] - np.concatenate([place[last1], drop * place[at]]))
-    text = np.full((len(words), 2 * n + 1), ord(","), dtype=np.uint8)
-    text[:, 0], text[:, -1], text[:, 1::2] = ord("("), ord(")"), w + ord("0")
-    labels = text.view(f"S{2 * n + 1}").ravel().astype(str).tolist()
+    def labels():
+        text = np.full((len(words), 2 * n + 1), ord(","), dtype=np.uint8)
+        text[:, 0], text[:, -1], text[:, 1::2] = ord("("), ord(")"), w + ord("0")
+        return text.view(f"S{2 * n + 1}").ravel().astype(str).tolist()
     poset = FinitePoset.closure(np.stack([lows, ups], axis=1), len(words), labels)
     return HochLattice(as_lattice(poset), words, codes)
 

@@ -205,11 +205,12 @@ class Lattice:
 
     @cached_property
     def _clo(self):
-        """The elements on the same ids ordered by inclusion of their ``_psi`` masks, which ``from_masks`` packs."""
+        """The elements on the same ids ordered by inclusion of their ``_psi`` masks, which ``from_masks`` packs;
+        it takes the labels as the poset was given them, so labels made when read stay unmade."""
         if not is_semidistributive(self):
             raise NotSemidistributive("core label order needs a semidistributive lattice")
         try:  # from_masks rejects a repeated mask
-            return FinitePoset.from_masks(self._psi, labels=self.poset.labels)
+            return FinitePoset.from_masks(self._psi, labels=self.poset._labels)
         except CycleDetected:
             raise InvariantViolated("two elements share a core label set") from None
 

@@ -21,6 +21,8 @@ import numpy as np
 from .errors import CycleDetected, NotBounded, NotCover, NotGraded, NotInterval
 from .limits import check_int64
 
+_WIDE = 256  # pairs out of a round, above which ``_rounds`` gathers them with numpy
+
 
 def _ints(ids):
     """An array or iterable of element ids as int64, or None if one is no integer (bool counts, as for operator.index)."""
@@ -68,17 +70,28 @@ def _two_step(up, a, b, levels=None):
 
 def _rounds(src, dst, n):
     """Kahn's rounds along the pairs src -> dst, src sorted: the elements each round peels and the round
-    of each, following only the pairs out of the last round (slices of dst).  CycleDetected on a cycle."""
-    cuts, out, indeg = np.searchsorted(src, np.arange(n + 1)).tolist(), dst.tolist(), np.bincount(dst, minlength=n).tolist()
-    levels, r = [[x for x in range(n) if not indeg[x]]], [-1] * n
+    of each, following only the pairs out of the last round (slices of dst).  A round with over ``_WIDE``
+    of them gathers them with numpy (``np.repeat`` over the slices) and counts each upper end once
+    (``np.unique``); a narrower one walks them in Python, as a long chain needs.  CycleDetected on a cycle."""
+    cuts, deg, indeg = np.searchsorted(src, np.arange(n + 1)), np.bincount(dst, minlength=n), None  # indeg: deg, in walks
+    first, out, widths = cuts.tolist(), dst.tolist(), (width := np.diff(cuts)).tolist()
+    levels, r, most = [np.flatnonzero(deg == 0).tolist()], [-1] * n, max(widths, default=0)
     while levels[-1]:
-        levels.append([])
-        for x in levels[-2]:
-            r[x] = len(levels) - 2
-            for y in out[cuts[x] : cuts[x + 1]]:
+        for x in (level := levels[-1]):
+            r[x] = len(levels) - 1
+        if len(level) * most > _WIDE and sum(map(widths.__getitem__, level)) > _WIDE:  # most: the widest slice
+            deg, indeg, cnt = deg if indeg is None else np.array(indeg), None, width[level]
+            y, k = np.unique(dst[np.repeat(cuts[level] - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())], return_counts=True)
+            deg[y] -= k
+            levels.append(y[deg[y] == 0].tolist())
+            continue
+        indeg, nxt = deg.tolist() if indeg is None else indeg, []
+        for x in level:
+            for y in out[first[x] : first[x + 1]]:
                 indeg[y] -= 1
                 if not indeg[y]:
-                    levels[-1].append(y)
+                    nxt.append(y)
+        levels.append(nxt)
     if -1 in r:
         raise CycleDetected("cover relation contains a cycle")
     return levels[:-1], r
@@ -115,7 +128,8 @@ def _covers(up):
 
 
 class FinitePoset:
-    """A finite partial order with dense integer ids and decoded labels, from an order matrix or packed up-rows."""
+    """A finite partial order with dense integer ids and decoded labels, from an order matrix or packed up-rows;
+    ``labels`` may be a callable that makes them, called only when they are first read."""
 
     def __init__(self, leq, covers, labels=None):
         if (up := np.asarray(leq)).dtype != np.uint64:
@@ -128,9 +142,17 @@ class FinitePoset:
         self.n, self._up = (n := len(up)), up
         key = np.sort(np.ravel_multi_index(tuple(_pairs(covers)), (n, n)))  # ValueError past 0..n-1
         self._ends = tuple(e.astype(np.int32) for e in np.divmod(key, n))  # the covers' ends, sorted
-        self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
-        if len(self.labels) != n:
-            raise ValueError(f"{len(self.labels)} labels for {n} elements")
+        self._labels = labels  # a list, a callable that makes one when ``labels`` is first read, or None for the ids
+        if not callable(labels):
+            self.labels  # noqa: B018  (a wrong count raises here; a callable's labels are counted when first read)
+
+    @cached_property
+    def labels(self):
+        labels = self._labels() if callable(self._labels) else self._labels
+        labels = list(labels) if labels is not None else [str(i) for i in range(self.n)]
+        if len(labels) != self.n:
+            raise ValueError(f"{len(labels)} labels for {self.n} elements")
+        return labels
 
     # -- construction ---------------------------------------------------
 

@@ -1,20 +1,26 @@
 """Shuffle lattices, their statistics, and the word bijection sigma.
 
-Words mix letters from an ascending alphabet A = {2..a+1} (stored as
-positive ints) and marker letters (stored as -1..-b, rendered 𝟙).  A word is
-valid when its A-part and its marker part each appear in ascending order.
-Going up in the order removes an A-letter or inserts a marker.
+Words mix letters from an ascending alphabet A = {2..a+1} (stored as positive ints) and marker letters (stored as
+-1..-b, rendered 𝟙).  A word is valid when its A-part and its marker part each appear in ascending order (C. Greene,
+*Posets of shuffles*, JCTA 47, 1988).  Going up in the order removes an A-letter or inserts a marker.
+
+``shuffle_lattice`` works on arrays.  A word's int64 code is amask | bmask << a | pos << (a + b): bit i - 2 of amask
+for A-letter i, bit j - 1 of bmask for marker -j, bit q of pos where position q holds a marker.  Its row of letters
+is padded with -(b + 1), below every letter, so one ``np.lexsort`` of the rows after the rank orders the ids by
+rank, then by the word as a tuple.  The words, their index and the rendered labels are made when first read.
 
 The core label order of a triword lattice (``lattice.clo``) is again a lattice, Shuf(n - 1, 1) under the
-letter-by-letter bijection ``sigma``.
+letter-by-letter bijection ``sigma``; ``sigma_codes`` maps the codes of ``build_hoch`` in one array expression.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial
 from operator import index
+
+import numpy as np
 
 from .errors import InvariantViolated, MalformedWord
 from .hochschild import l1
@@ -28,82 +34,79 @@ def shuffle_count(a, b):
     return sum(comb(a, k) * comb(b, m) * comb(k + m, k) for k in range(a + 1) for m in range(b + 1))
 
 
-def word_rank(w, a):
-    """Steps above the bottom word: missing A-letters plus present markers."""
-    pos = sum(1 for x in w if x > 0)
-    neg = len(w) - pos
-    return a - pos + neg
-
-
 def render_word(w, ascii_mode=False):
-    if not w:
+    one = "1*" if ascii_mode else "\U0001d7d9"
+    parts = [str(x) if x > 0 else one if x == -1 else f"{one}{-x}" for x in w]
+    if not parts:
         return "eps" if ascii_mode else "ε"
-    parts = []
-    for x in w:
-        if x > 0:
-            parts.append(str(x))
-        elif ascii_mode:
-            parts.append("1*" if x == -1 else f"1*{-x}")
-        else:
-            parts.append("\U0001d7d9" if x == -1 else f"\U0001d7d9{-x}")
-    if any(len(p) > 1 for p in parts):
-        return " ".join(parts)
-    return "".join(parts)
+    return (" " if any(len(p) > 1 for p in parts) else "").join(parts)
 
 
 class ShuffleLattice:
-    """Lattice of shuffle words plus the id <-> word decoding."""
+    """Lattice of shuffle words: the read-only ``codes`` and padded ``letters`` by id, decoded to words when read."""
 
-    def __init__(self, lattice, words, a, b):
-        self.lattice = lattice
-        self.words = tuple(words)
-        self.index = {w: i for i, w in enumerate(self.words)}
-        self.a, self.b = a, b
+    def __init__(self, lattice, codes, letters, a, b):
+        self.lattice, self.codes, self.letters, self.a, self.b = lattice, codes, letters, a, b
+
+    @cached_property
+    def words(self):
+        return tuple(tuple(x for x in row if x >= -self.b) for row in self.letters.tolist())
+
+    @cached_property
+    def index(self):
+        return {w: i for i, w in enumerate(self.words)}
 
     def id_of(self, w):
         return self.index[w]
 
+    def find(self, codes):
+        """The id of each code in an int64 array, -1 for a code no word has (``searchsorted`` in the sorted codes)."""
+        order = np.argsort(self.codes)
+        at = order[np.searchsorted(self.codes, codes, sorter=order) % len(order)]
+        return np.where(self.codes[at] == codes, at, -1)
+
     def __repr__(self):
-        return f"ShuffleLattice(a={self.a}, b={self.b}, elements={len(self.words)})"
-
-
-def _up_steps(w, a, b):
-    """Single-step larger words: drop one A-letter or insert one marker."""
-    out = []
-    for i, x in enumerate(w):
-        if x > 0:
-            out.append(w[:i] + w[i + 1 :])
-    present = {-x for x in w if x < 0}
-    for j in range(1, b + 1):
-        if j in present:
-            continue
-        lo = max((i + 1 for i, x in enumerate(w) if x < 0 and -x < j), default=0)
-        hi = min((i for i, x in enumerate(w) if x < 0 and -x > j), default=len(w))
-        for slot in range(lo, hi + 1):
-            out.append(w[:slot] + (-j,) + w[slot:])
-    return out
+        return f"ShuffleLattice(a={self.a}, b={self.b}, elements={len(self.codes)})"
 
 
 @lru_cache(maxsize=None)
 def shuffle_lattice(a, b):
-    """Shuf(a, b), built once per (a, b); later calls return the same object."""
+    """Shuf(a, b), built once per (a, b); later calls return the same object.  The words grow a letter at a time,
+    as each prefix of a word is a word: each word of length q takes, at position q, each letter above its last
+    of that kind, in one array pass.  A cover drops the A-letter at some position (one pass over them all) or
+    puts marker -j at a slot q after the markers below j and before the others (one pass a marker)."""
     check_range("a", a, 0)
     check_range("b", b, 0)
     check_range("a + b", a + b, 0, MAX_ELEMENTS.bit_length() - 1)  # shuffle_count(a, b) >= 2**(a + b)
     check_elements("shuffle lattice", shuffle_count(a, b))
-    steps, todo = {}, [tuple(range(2, a + 2))]  # every word lies above the full A-word
-    while todo:
-        w = todo.pop()
-        if w not in steps:
-            steps[w] = _up_steps(w, a, b)
-            todo += steps[w]
-    if len(steps) != shuffle_count(a, b):
-        raise InvariantViolated(f"the cover rule reaches {len(steps)} words, not {shuffle_count(a, b)}")
-    words = sorted(steps, key=lambda w: (word_rank(w, a), w))
-    index = {w: i for i, w in enumerate(words)}
-    covers = [(index[w], index[v]) for w in words for v in steps[w]]
-    poset = FinitePoset.closure(covers, len(words), labels=[render_word(w) for w in words])
-    return ShuffleLattice(as_lattice(poset), words, a, b)
+    k, pad, bits = a + b, -(b + 1), np.arange(a + b)
+    letter = np.where(bits < a, bits + 2, a - 1 - bits).astype(np.int8)  # bit x: the A-letter x + 2, or a marker
+    kind = np.where(bits < a, (1 << a) - 1, (1 << k) - 1)  # bit x is barred by a bit of its kind from x up
+    codes, rows = [np.zeros(1, dtype=np.int64)], [np.full((1, k), pad, dtype=np.int8)]
+    for q in range(k):
+        i, x = np.nonzero((codes[-1][:, None] & kind) >> bits == 0)
+        codes.append(codes[-1][i] | 1 << x | np.where(x < a, 0, 1 << k + q))
+        rows.append(rows[-1][i])
+        rows[-1][:, q] = letter[x]
+    codes, rows = np.concatenate(codes), np.concatenate(rows)
+    if len(codes) != shuffle_count(a, b):
+        raise InvariantViolated(f"the enumeration reaches {len(codes)} words, not {shuffle_count(a, b)}")
+    length = (rows > pad).sum(1)
+    order = np.lexsort([*rows.T[::-1], a + length - 2 * (rows > 0).sum(1)])  # by rank, then letter by letter
+    codes, rows, length = codes[order], rows[order], length[order]
+    i, q = np.nonzero(rows > 0)
+    lows, ups = [i], [codes[i] & (1 << k + q) - 1 & ~(np.int64(1) << rows[i, q] - 2) | codes[i] >> k + q + 1 << k + q]
+    before = np.cumsum(np.pad((rows < 0) & (rows > pad), ((0, 0), (1, 0))), axis=1)  # markers before each slot
+    for j in range(1, b + 1):
+        below = ((rows < 0) & (rows > -j)).sum(1)
+        i, q = np.nonzero((codes >> a + j - 1 & 1 == 0)[:, None] & (before == below[:, None]) & (np.arange(k + 1) <= length[:, None]))
+        lows.append(i)
+        ups.append(codes[i] & (1 << k + q) - 1 | codes[i] >> k + q << k + q + 1 | 1 << k + q | 1 << a + j - 1)
+    codes.flags.writeable = rows.flags.writeable = False
+    sl = ShuffleLattice(None, codes, rows, a, b)  # its words render the labels, if they are read
+    covers = np.stack([np.concatenate(lows), sl.find(np.concatenate(ups))], axis=1)
+    sl.lattice = as_lattice(FinitePoset.closure(covers, len(codes), lambda: [render_word(w) for w in sl.words]))
+    return sl
 
 
 def shuffle_stats(n):
@@ -171,3 +174,13 @@ def sigma_inverse(n, w):
     except TypeError:
         pass
     raise MalformedWord(f"{w!r} is not a valid one-marker shuffle word for n={n}")
+
+
+def sigma_codes(codes, n):
+    """``sigma`` on the triword codes ge1 | eq2 << n of ``build_hoch``, all at once: the codes of their
+    words in Shuf(n - 1, 1).  The A-letters are the positions 2..n holding no 2, ``~eq2 >> 1``; the marker
+    is there iff some letter is 1 (``ge1 & ~eq2``), after the A-letters up to the last 1, which are the 1s
+    past position 1: their count, read off the unpacked bits, is the marker's position."""
+    eq, ones = codes >> n, codes & ~(codes >> n) & (1 << n) - 1
+    at = np.unpackbits((ones >> 1).view(np.uint8)).reshape(len(codes), -1).sum(axis=1, dtype=np.int64)
+    return ~eq >> 1 & (1 << n - 1) - 1 | np.minimum(ones, 1) * (1 << n - 1 | 1 << n + at)

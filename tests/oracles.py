@@ -30,7 +30,12 @@ one vertex at a time, and is only run at small sizes:
   substitutions of ``triangles.f_transform`` and ``triangles.h_transform``,
   sampled on an integer grid and interpolated;
 - ``shuffle_words``: every shuffle word listed by choosing letters and slots,
-  the oracle for the cover-rule closure in ``shuffles.shuffle_lattice``;
+  the oracle for the words ``shuffles.shuffle_lattice`` grows as codes;
+- ``shuffle_lattice_by_words``: Shuf(a, b) a word at a time, the up-closure of
+  the full A-word under the cover rule (``up_steps``), sorted by ``word_rank``
+  and then as tuples, with eager ``render_word`` labels, the oracle for the
+  ids, covers and labels that ``shuffles.shuffle_lattice`` finds by array
+  passes over the codes;
 - ``max_orthogonal_pairs``: the maximal orthogonal pairs of a digraph found by
   trying every pair of disjoint vertex sets, the oracle for the pairs of
   ``galois.max_ortho_pairs_lattice``;
@@ -120,7 +125,7 @@ from hochlat.lattice import jsd_labeling
 from hochlat.limits import check_int64
 from hochlat.polynomials import BiPoly, interpolate_from_grid
 from hochlat.poset import FinitePoset, doubling
-from hochlat.shuffles import word_rank
+from hochlat.shuffles import render_word, shuffle_count
 from hochlat.triangles import _indicator
 
 
@@ -261,6 +266,46 @@ def h_transform_by_grid(m, n):
         return Fraction(base) ** n * m.eval_at(Fraction(y0, y0 - 1), Fraction(x0 * (y0 - 1), base))
 
     return interpolate_from_grid(list(range(n + 2)), list(range(2, n + 4)), value)
+
+
+def word_rank(w, a):
+    """Steps above the bottom word: missing A-letters plus present markers."""
+    pos = sum(1 for x in w if x > 0)
+    neg = len(w) - pos
+    return a - pos + neg
+
+
+def up_steps(w, a, b):
+    """Single-step larger words: drop one A-letter or insert one marker."""
+    out = []
+    for i, x in enumerate(w):
+        if x > 0:
+            out.append(w[:i] + w[i + 1 :])
+    present = {-x for x in w if x < 0}
+    for j in range(1, b + 1):
+        if j in present:
+            continue
+        lo = max((i + 1 for i, x in enumerate(w) if x < 0 and -x < j), default=0)
+        hi = min((i for i, x in enumerate(w) if x < 0 and -x > j), default=len(w))
+        for slot in range(lo, hi + 1):
+            out.append(w[:slot] + (-j,) + w[slot:])
+    return out
+
+
+def shuffle_lattice_by_words(a, b):
+    """Shuf(a, b) as (words, sorted cover pairs, labels): every word reached from the full A-word by
+    ``up_steps``, one word at a time, ordered by ``word_rank`` and then as tuples, and rendered."""
+    steps, todo = {}, [tuple(range(2, a + 2))]  # every word lies above the full A-word
+    while todo:
+        w = todo.pop()
+        if w not in steps:
+            steps[w] = up_steps(w, a, b)
+            todo += steps[w]
+    if len(steps) != shuffle_count(a, b):
+        raise InvariantViolated(f"the cover rule reaches {len(steps)} words, not {shuffle_count(a, b)}")
+    words = sorted(steps, key=lambda w: (word_rank(w, a), w))
+    index = {w: i for i, w in enumerate(words)}
+    return words, sorted((index[w], index[v]) for w in words for v in steps[w]), [render_word(w) for w in words]
 
 
 def shuffle_words(a, b):

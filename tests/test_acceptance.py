@@ -250,6 +250,10 @@ def _add_x_to_the_rank_polynomial(real):
     return lambda n: real(n) + X
 
 
+def _drop_an_irreducible(real):
+    return lambda n: real(n)[:-1]
+
+
 def _count_one_chain_more(real):
     return lambda p: real(p) + 1
 
@@ -267,6 +271,7 @@ FAULTS = [  # (bundles, owners, name, fault): each owner's name is replaced by f
     (("triword count",), (checks,), "enumerate_triwords", _duplicate_a_word),
     (("extremal/semidistributive/spherical/intersection",), (lattice_module,), "psi_map", _drop_the_empty_core_label_set),
     (("galois characterization",), (checks,), "hoch_galois_characterization", _drop_an_edge),
+    (("galois characterization",), (checks,), "irreducibles", _drop_an_irreducible),
     (("canonical join complex",), (checks,), "cjc", _add_a_disjoint_edge),
     (("m-triangle",), (FinitePoset,), "from_masks", _clear_the_bottom_row),
     (("f-triangle",), (triangles,), "f_transform", _add_x),
@@ -278,7 +283,16 @@ FAULTS = [  # (bundles, owners, name, fault): each owner's name is replaced by f
 ]
 
 
-@pytest.mark.parametrize("bundles, owners, name, fault", FAULTS, ids=[", ".join(row[0]) for row in FAULTS])
+def _fault_ids():
+    """Each row's bundles, and for a second row on the same bundles the name it patches too."""
+    ids = []
+    for bundles, _, name, _ in FAULTS:
+        shown = ", ".join(bundles)
+        ids.append(f"{shown}: {name}" if shown in ids else shown)
+    return ids
+
+
+@pytest.mark.parametrize("bundles, owners, name, fault", FAULTS, ids=_fault_ids())
 def test_a_planted_fault_fails_its_bundle_alone(bundles, owners, name, fault, capsys, monkeypatch):
     """One fault planted in what a bundle reads makes ``check all --n 5`` print FAIL for that bundle and
     no other, and exit 1; a fault in what several bundles read, the lower cover counts or the closed rank

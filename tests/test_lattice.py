@@ -10,6 +10,7 @@ import pytest
 
 from hochlat import checks, triangles
 from hochlat import lattice as lattice_module
+from hochlat import poset as poset_module
 from hochlat.errors import (
     InvariantViolated,
     NoUniqueMin,
@@ -640,6 +641,25 @@ def test_heights_match_kahns_queue_and_topo_ascends_along_every_cover():
             place = np.empty(q.n, dtype=np.int64)
             place[q._topo] = np.arange(q.n)
             assert (place[q._ends[0]] < place[q._ends[1]]).all()
+
+
+def test_gathered_and_walked_rounds_give_the_python_walks_levels_and_heights(monkeypatch):
+    """_rounds gathers the pairs out of a round with numpy when there are over _WIDE of them, and walks them in
+    Python otherwise.  Every round gathered (_WIDE = -1) and the default, under which Hoch(10) takes both
+    branches, give the levels (each as a set) and heights of every round walked, on the corpus, Hoch(9..10)
+    and a 300-chain."""
+    posets = certification_corpus() + [build_hoch(n).lattice.poset for n in (9, 10)]
+    posets.append(FinitePoset.closure([(i, i + 1) for i in range(299)], 300))
+    default, outcomes = poset_module._WIDE, []
+    for wide in (10**9, -1, default):
+        monkeypatch.setattr(poset_module, "_WIDE", wide)
+        rounds = [poset_module._rounds(*p._ends, p.n) for p in posets]
+        outcomes.append([([sorted(level) for level in levels], r) for levels, r in rounds])
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert [len(levels) for levels, _ in outcomes[0][-3:]] == [18, 20, 300]
+    p, levels = posets[-2], outcomes[0][-2][0]
+    pairs = [int(np.bincount(p._ends[0], minlength=p.n)[level].sum()) for level in levels]
+    assert min(pairs) <= default < max(pairs)
 
 
 def test_rank_vector_names_the_first_cover_that_skips_a_rank():

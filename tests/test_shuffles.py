@@ -26,11 +26,11 @@ from hochlat.shuffles import (
     shuffle_stats,
     shuffle_stats_closed,
     sigma,
+    sigma_codes,
     sigma_inverse,
-    word_rank,
 )
 from hochlat.triangles import g_conjecture_check
-from oracles import induced, interval, is_shuffle_word, shuffle_words
+from oracles import induced, interval, is_shuffle_word, shuffle_lattice_by_words, shuffle_words, word_rank
 
 ONE = "\U0001d7d9"
 
@@ -88,6 +88,18 @@ def test_cover_rule_word_count_mismatch_raises(monkeypatch):
         shuffles.shuffle_lattice.__wrapped__(2, 1)
 
 
+@pytest.mark.parametrize("a, b", [(a, b) for a in range(5) for b in range(4)] + [(7, 1)])
+def test_code_builder_matches_the_word_at_a_time_builder(a, b):
+    """The ids, words, covers and rendered labels of the array builder are those of the word-at-a-time
+    oracle, and each code finds its own id; the words, their index and the labels wait to be read."""
+    words, covers, labels = shuffle_lattice_by_words(a, b)
+    sl = shuffles.shuffle_lattice.__wrapped__(a, b)
+    assert not {"words", "index"} & set(vars(sl)) and "labels" not in vars(sl.lattice.poset)
+    assert sl.find(sl.codes).tolist() == list(range(len(words))) == [sl.id_of(w) for w in words]
+    assert list(sl.words) == words and list(sl.lattice.covers) == covers and sl.lattice.poset.labels == labels
+    assert sl.letters.shape == (len(words), a + b) and not sl.codes.flags.writeable
+
+
 def test_fig5_lattice():
     sl = shuffle_lattice(2, 1)
     lat = sl.lattice
@@ -137,19 +149,31 @@ def test_shuffle_lattice_is_built_once_per_size():
     assert shuffle_lattice.cache_info().misses == 1
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sigma_codes_match_scalar_sigma(n):
+    """The array map sends every triword code to the code of sigma of the triword."""
+    h, sl = build_hoch(n), shuffle_lattice(n - 1, 1)
+    assert sigma_codes(h.codes, n).tolist() == [int(sl.codes[sl.id_of(sigma(u))]) for u in h.triwords]
+
+
 @pytest.mark.parametrize("fault", ["repeated image", "non-word image", "two images swapped"])
 def test_sigma_check_fails_on_a_faulty_sigma(monkeypatch, fault):
-    """The last triword's image is wrong: a repeat of the first, no shuffle word at all, or the
-    second-to-last triword's image, which keeps the map a bijection that breaks the covers."""
-    words = enumerate_triwords(4)
-    last, before = words[-1], words[-2]
-    planted = {
-        "repeated image": {last: sigma(words[0])},
-        "non-word image": {last: (9,)},
-        "two images swapped": {last: sigma(before), before: sigma(last)},
-    }[fault]
+    """The array map gets the last triword's image wrong: a repeat of the first, a code no shuffle word
+    has (past the 2n bits of every field), or the second-to-last triword's image, which keeps the map
+    a bijection that breaks the covers."""
+
+    def planted(codes, n):
+        out = sigma_codes(codes, n)
+        if fault == "repeated image":
+            out[-1] = out[0]
+        elif fault == "non-word image":
+            out[-1] = 1 << 2 * n
+        else:
+            out[-2:] = out[-2:][::-1].copy()
+        return out
+
     assert check_sigma(4)
-    monkeypatch.setattr(checks, "sigma", lambda u: planted[u] if u in planted else sigma(u))
+    monkeypatch.setattr(checks, "sigma_codes", planted)
     assert not check_sigma(4)
 
 

@@ -18,7 +18,7 @@ from hochlat.lattice import build_bool, canonical_joinrep, clo
 from hochlat.limits import MAX_N
 from hochlat.polynomials import BiPoly
 from hochlat.poset import FinitePoset
-from hochlat.shuffles import shuffle_lattice, word_rank
+from hochlat.shuffles import shuffle_lattice
 from hochlat.triangles import (
     JPoset,
     boolean_baselines,
@@ -58,6 +58,7 @@ from oracles import (
     neg_stat,
     partial_cores,
     rank_poly,
+    word_rank,
 )
 
 X = BiPoly.x()
